@@ -4,42 +4,44 @@ atomic file writes."""
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 
-def ratio_str(value: Fraction, grid: int | None = None) -> str:
-    """Render an exact ratio as a string.
+def ratio_str(numerator: int, grid: int) -> str:
+    """Render the exact ratio numerator/grid un-normalized on that grid.
 
-    With ``grid`` the value is rendered un-normalized on that grid
-    ("4/10" rather than "2/5"), which keeps window quantities legible.
-    Raises ValueError if the value does not lie on the grid.
+    "4/10" rather than "2/5" keeps window quantities legible.
     """
-    if grid is not None:
-        scaled = value * grid
-        if scaled.denominator != 1:
-            raise ValueError(f"{value} does not lie on the 1/{grid} grid")
-        return f"{scaled.numerator}/{grid}"
-    return str(value)
+    return f"{numerator}/{grid}"
 
 
-def parse_ratio(text: str) -> Fraction:
-    """Inverse of ratio_str; accepts 'p/q', integers and decimal strings."""
-    return Fraction(text)
+def reduced_str(numerator: int, denominator: int) -> str:
+    """Render numerator/denominator in lowest terms, exactly as str(Fraction)."""
+    common = math.gcd(numerator, denominator)
+    numerator //= common
+    denominator //= common
+    return str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
 
 
-def to_float(value: Fraction) -> float:
-    return value.numerator / value.denominator
+def grid_count(value: Fraction, grid: int) -> int:
+    """Numerator of ``value`` on the 1/grid grid; ValueError when off the grid."""
+    scaled = Fraction(value) * grid
+    if scaled.denominator != 1:
+        raise ValueError(f"{value} does not lie on the 1/{grid} grid")
+    return scaled.numerator
 
 
-def round_half_away(value: Fraction) -> int:
-    """Round to the nearest integer, halves away from zero."""
-    if value < 0:
-        return -round_half_away(-value)
-    whole, remainder = divmod(value.numerator, value.denominator)
-    return whole + (1 if 2 * remainder >= value.denominator else 0)
+def round_half_away(numerator: int, denominator: int) -> int:
+    """Round numerator/denominator (denominator > 0) to the nearest integer,
+    halves away from zero."""
+    whole, remainder = divmod(abs(numerator), denominator)
+    if 2 * remainder >= denominator:
+        whole += 1
+    return whole if numerator >= 0 else -whole
 
 
 def derive_seed(seed: int, *parts: str) -> int:
@@ -62,12 +64,23 @@ def unit_open(seed: int, *parts: str) -> float:
     return (raw + 0.5) / 2.0**64
 
 
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def atomic_write(path: Path, content: str) -> None:
-    """Write content to path via a temp file and rename; no partial files."""
+    """Write content to path via a temp file and rename; no partial files.
+
+    The file gets the mode open() would give a new file (0o666 less the
+    umask), not the 0600 that mkstemp creates temp files with.
+    """
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(content)
+            os.fchmod(handle.fileno(), 0o666 & ~_umask())
         os.replace(tmp_name, path)
     except BaseException:
         try:

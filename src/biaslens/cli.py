@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -29,7 +28,7 @@ from .errors import (
     ParseError,
     UnlabeledEntityError,
 )
-from .metrics import FeatureScheme, RankedRun, TargetCounts, bias_at_n, simulate_run
+from .metrics import FeatureScheme, RankedRun, TargetCounts, measure_topic, simulate_run
 from .report import (
     EvaluatedTopic,
     Report,
@@ -40,7 +39,7 @@ from .report import (
     parse_report,
     rebuild_report,
 )
-from ._util import atomic_write, to_float
+from ._util import atomic_write
 
 # Fixed default so repeated audits are comparable without a flag.
 DEFAULT_SEED = 20191201
@@ -61,7 +60,6 @@ class AuditConfig:
     seed: int = DEFAULT_SEED
     fmt: str = "json"
     out: Path = Path("out")
-    jobs: int = 1
     table_size: int = 11
     population_sd: bool = False
     runs: Path | None = None
@@ -167,7 +165,6 @@ def resolve_config(args: argparse.Namespace) -> AuditConfig:
         seed=pick(getattr(args, "seed", None), "seed", int, seed_default),
         fmt=pick(getattr(args, "format", None), "format", str, "json"),
         out=Path(pick(getattr(args, "out", None), "out", str, "out")),
-        jobs=pick(getattr(args, "jobs", None), "jobs", int, 1),
         table_size=pick(getattr(args, "table_size", None), "table_size", int, 11),
         population_sd=pick(True if getattr(args, "population_sd", False) else None,
                            "population_sd", as_bool, False),
@@ -177,8 +174,6 @@ def resolve_config(args: argparse.Namespace) -> AuditConfig:
     )
     if config.cutoff < 1:
         raise BiasLensError(f"cutoff must be >= 1, got {config.cutoff}")
-    if config.jobs < 1:
-        raise BiasLensError(f"jobs must be >= 1, got {config.jobs}")
     if config.fmt not in ("json", "csv"):
         raise BiasLensError(f"format must be json or csv, got {config.fmt!r}")
     if config.table_size < 1:
@@ -209,17 +204,21 @@ def _load_target_sources(config: AuditConfig, scheme: FeatureScheme,
                          runs: list[RankedRun],
                          catalog: ingest.LabelCatalog
                          ) -> tuple[dict[str, dict[str, TargetCounts]],
-                                    ingest.LabelCatalog, list[SkippedTopic]]:
+                                    ingest.LabelCatalog, list[SkippedTopic], int]:
     """Load every target source into per-topic counts.
 
     Pre-aggregated sources come from counts files. Membership sources are
     tallied against the label catalog; a members file ending in .json is
     treated as a SPARQL result export whose label fragments are merged into
-    the catalog before tallying.
+    the catalog before tallying. Export label rows whose value is neither a
+    declared value nor the unknown token are dropped and counted; the count
+    is the last element returned.
     """
     run_topics = {run.topic_id for run in runs}
     sources: dict[str, dict[str, TargetCounts]] = {}
     skipped: list[SkippedTopic] = []
+    allowed = set(scheme.values) | {scheme.unknown_token}
+    dropped = 0
 
     for label, path in sorted(config.targets.items()):
         with open(path, encoding="utf-8") as handle:
@@ -233,10 +232,10 @@ def _load_target_sources(config: AuditConfig, scheme: FeatureScheme,
                 extraction = ingest.parse_sparql_results(
                     handle, topic_var=config.topic_var, entity_var=config.entity_var,
                     value_var=config.value_var, strict=config.strict, path=str(path))
-            catalog = catalog.merged(
-                (entity, value, ingest.DEFAULT_PROVENANCE)
-                for entity, value in extraction.label_rows
-                if value in set(scheme.values) | {scheme.unknown_token})
+            label_rows = extraction.label_rows
+            dropped += sum(value not in allowed for _, value in label_rows)
+            catalog = catalog.merged((entity, value, ingest.DEFAULT_PROVENANCE)
+                                     for entity, value in label_rows if value in allowed)
             membership[label] = extraction.members
         else:
             with open(path, encoding="utf-8") as handle:
@@ -255,7 +254,7 @@ def _load_target_sources(config: AuditConfig, scheme: FeatureScheme,
             except EmptyPopulationError as exc:
                 skipped.append(SkippedTopic(topic, label, "empty-population", str(exc)))
         sources[label] = per_topic
-    return sources, catalog, skipped
+    return sources, catalog, skipped, dropped
 
 
 def _evaluate_corpus(runs: list[RankedRun], catalog: ingest.LabelCatalog,
@@ -263,13 +262,13 @@ def _evaluate_corpus(runs: list[RankedRun], catalog: ingest.LabelCatalog,
                      config: AuditConfig,
                      already_skipped: set[tuple[str, str]] = frozenset()
                      ) -> tuple[list[EvaluatedTopic], list[SkippedTopic]]:
-    scheme = catalog.scheme
+    evaluated: list[EvaluatedTopic] = []
     skipped: list[SkippedTopic] = []
-    tasks: list[tuple[str, RankedRun, TargetCounts]] = []
+    ordered_runs = sorted(runs, key=lambda r: r.topic_id)
     run_topics = {run.topic_id for run in runs}
     for source in sorted(sources):
         per_topic = sources[source]
-        for run in sorted(runs, key=lambda r: r.topic_id):
+        for run in ordered_runs:
             target = per_topic.get(run.topic_id)
             if target is None:
                 if (source, run.topic_id) not in already_skipped:
@@ -277,26 +276,15 @@ def _evaluate_corpus(runs: list[RankedRun], catalog: ingest.LabelCatalog,
                                                 "missing-target",
                                                 "no target counts for this topic"))
                 continue
-            tasks.append((source, run, target))
+            population = target.total
+            evaluated.extend(
+                EvaluatedTopic(source, population, record)
+                for record in measure_topic(run, catalog, target, config.cutoff,
+                                            strict=config.strict))
         for topic in sorted(set(per_topic) - run_topics):
             skipped.append(SkippedTopic(topic, source, "missing-run",
                                         "target topic has no ranked run"))
-
-    def measure(task: tuple[str, RankedRun, TargetCounts]) -> list[EvaluatedTopic]:
-        source, run, target = task
-        return [
-            EvaluatedTopic(source=source, target_population=target.total,
-                           record=bias_at_n(run, catalog, target, value,
-                                            config.cutoff, strict=config.strict))
-            for value in scheme.values
-        ]
-
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            batches = list(pool.map(measure, tasks))
-    else:
-        batches = [measure(task) for task in tasks]
-    return [item for batch in batches for item in batch], skipped
+    return evaluated, skipped
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -315,7 +303,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     with open(config.labels, encoding="utf-8") as handle:
         catalog = ingest.parse_labels(handle, scheme, path=str(config.labels))
 
-    sources, catalog, skipped = _load_target_sources(config, scheme, runs, catalog)
+    sources, catalog, skipped, dropped = _load_target_sources(config, scheme, runs,
+                                                              catalog)
     evaluated, eval_skips = _evaluate_corpus(
         runs, catalog, sources, config,
         already_skipped={(s.source, s.topic_id) for s in skipped})
@@ -330,27 +319,33 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         table_size=config.table_size,
         sd_divisor="population" if config.population_sd else "sample",
     )
+    conflicts = len(catalog.conflicts)
+    # Emission needs none of the parsed inputs; releasing them first lets the
+    # report payload reuse their memory, which lowers the peak.
+    del runs, catalog, sources
     report = build_report(meta, evaluated, skipped)
     written = emit_report(report, config.fmt, config.out)
-    _print_evaluate_summary(report, catalog, written)
+    _print_evaluate_summary(report, conflicts, dropped, written)
     return 0
 
 
-def _print_evaluate_summary(report: Report, catalog: ingest.LabelCatalog,
+def _print_evaluate_summary(report: Report, conflicts: int, dropped: int,
                             written: list[Path]) -> None:
     topics = sorted({e.record.topic_id for e in report.records})
     print(f"evaluated {len(topics)} topics at cutoff {report.meta.cutoff} "
           f"({len(report.records)} records, "
           f"{len(report.meta.sources)} target sources, "
           f"{len(report.meta.values)} values)")
-    if catalog.conflicts:
-        print(f"label conflicts resolved by provenance: {len(catalog.conflicts)}")
+    if conflicts:
+        print(f"label conflicts resolved by provenance: {conflicts}")
+    if dropped:
+        print(f"dropped {dropped} SPARQL label rows with values outside the scheme")
     for block in report.blocks:
         s = block.summary
         print(f"  {block.source}/{block.feature_value}: topics={s.topic_count} "
-              f"MB={to_float(s.mean_bias):.6g} SB={s.stdev_bias:.6g} "
-              f"MAB={to_float(s.mean_abs_bias):.6g} "
-              f"min={to_float(s.min_bias):.6g} max={to_float(s.max_bias):.6g}")
+              f"MB={float(s.mean_bias):.6g} SB={s.stdev_bias:.6g} "
+              f"MAB={float(s.mean_abs_bias):.6g} "
+              f"min={float(s.min_bias):.6g} max={float(s.max_bias):.6g}")
     if report.skipped:
         print(f"skipped {len(report.skipped)} topic-source pairs:")
         for skip in report.skipped[:10]:
@@ -466,8 +461,6 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "csv"),
                         help="report output format (default json)")
     parser.add_argument("--out", metavar="DIR", help="output directory (default out)")
-    parser.add_argument("--jobs", type=int, metavar="N",
-                        help="parallel topic evaluations (default 1)")
     parser.add_argument("--table-size", dest="table_size", type=int, metavar="K",
                         help="rows per ranked bias table (default 11)")
     parser.add_argument("--population-sd", dest="population_sd", action="store_true",

@@ -16,6 +16,7 @@ offending field.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
@@ -65,7 +66,7 @@ class LabelCatalog:
                 raise SchemeViolationError(
                     f"entity {entity!r} labeled {value!r}, which is not declared for "
                     f"feature {self.scheme.feature_name!r}")
-        if set(self.provenance) != set(self.assignments):
+        if self.provenance.keys() != self.assignments.keys():
             raise SchemeViolationError("provenance must cover exactly the assigned entities")
 
     @property
@@ -117,9 +118,9 @@ class LabelCatalog:
 
     def merged(self, rows: Iterable[tuple[str, str, str]]) -> "LabelCatalog":
         """New catalog with extra rows folded in under the same priority rules."""
-        existing = [(e, self.assignments[e], self.provenance[e])
-                    for e in sorted(self.assignments)]
-        return self.build(self.scheme, existing + list(rows))
+        existing = ((e, self.assignments[e], self.provenance[e])
+                    for e in sorted(self.assignments))
+        return self.build(self.scheme, itertools.chain(existing, rows))
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,10 @@ system is accepted as correct. Bias is the exact difference between the
 model ratio and that rounded target ratio, so it always lies on the 1/m
 grid with values in [-1, 1].
 
-All arithmetic is carried as exact rationals (fractions.Fraction);
-floating point appears only when results are rendered.
+Window quantities are carried as integer counts on that grid, and the raw
+target ratio as an integer numerator and denominator; the public ratios are
+exact rationals (fractions.Fraction) derived from those counts. Floating
+point appears only when results are rendered.
 """
 
 from __future__ import annotations
@@ -31,14 +33,12 @@ from .errors import (
     TopicMismatchError,
     UnlabeledEntityError,
 )
-from ._util import derive_seed
+from ._util import derive_seed, grid_count
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
     from .ingest import LabelCatalog
 
 Ratio = Fraction
-
-HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -149,43 +149,87 @@ class TargetCounts:
         return self.counts.get(value, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BiasRecord:
     """Full per-topic measurement for one feature value at one cutoff.
 
-    ``cutoff_effective`` is min(requested cutoff, run length); every window
-    quantity lives on the 1/cutoff_effective grid. ``rounding_remainder`` is
-    the fractional part of raw target ratio times window length, which decides
-    whether the attainable target rounds down or up.
+    ``cutoff_effective`` m is min(requested cutoff, run length). The record
+    stores integer counts on the 1/m grid (``model_count`` window hits,
+    ``ideal_count`` the attainable target count) and the raw target ratio in
+    lowest terms; its ratios are Fraction properties over those counts.
+    Ratio keywords let ``dataclasses.replace`` work in ratio terms: a given
+    model, ideal or raw ratio replaces its counts, a given ``bias`` or
+    ``rounding_remainder`` must agree with them.
     """
 
     topic_id: str
     feature_value: str
     cutoff_requested: int
     cutoff_effective: int
-    model_ratio: Ratio
-    target_ratio_raw: Ratio
-    rounding_remainder: Ratio
-    target_ratio_at_cutoff: Ratio
-    bias: Ratio
+    model_count: int
+    ideal_count: int
+    target_numerator: int
+    target_denominator: int
     unknown_in_window: int
 
-    def __post_init__(self) -> None:
-        m = self.cutoff_effective
-        if not 1 <= m <= self.cutoff_requested:
-            raise ValueError(f"effective cutoff {m} outside [1, {self.cutoff_requested}]")
-        for name in ("model_ratio", "target_ratio_at_cutoff"):
-            value = getattr(self, name)
-            if (value * m).denominator != 1:
-                raise ValueError(f"{name}={value} is not on the 1/{m} grid")
-        if self.bias != self.model_ratio - self.target_ratio_at_cutoff:
-            raise ValueError("bias must equal model_ratio - target_ratio_at_cutoff")
-        if abs(self.bias) > 1:
-            raise ValueError(f"bias {self.bias} outside [-1, 1]")
-        if not 0 <= self.rounding_remainder < 1:
-            raise ValueError(f"rounding remainder {self.rounding_remainder} outside [0, 1)")
-        if not 0 <= self.unknown_in_window <= m:
-            raise ValueError(f"unknown_in_window {self.unknown_in_window} outside [0, {m}]")
+    def __init__(self, topic_id: str, feature_value: str, cutoff_requested: int,
+                 cutoff_effective: int, model_count: int, ideal_count: int,
+                 target_numerator: int, target_denominator: int,
+                 unknown_in_window: int = 0, **ratios: Ratio) -> None:
+        m = cutoff_effective
+        if not 1 <= m <= cutoff_requested:
+            raise ValueError(f"effective cutoff {m} outside [1, {cutoff_requested}]")
+        if "model_ratio" in ratios:
+            model_count = grid_count(ratios.pop("model_ratio"), m)
+        if "target_ratio_at_cutoff" in ratios:
+            ideal_count = grid_count(ratios.pop("target_ratio_at_cutoff"), m)
+        if "target_ratio_raw" in ratios:
+            raw = Fraction(ratios.pop("target_ratio_raw"))
+            target_numerator, target_denominator = raw.numerator, raw.denominator
+        if not (0 <= model_count <= m and 0 <= ideal_count <= m
+                and 0 <= unknown_in_window <= m):
+            raise ValueError(f"window counts {model_count}, {ideal_count}, "
+                             f"{unknown_in_window} outside [0, {m}]")
+        if target_denominator < 1 or not 0 <= target_numerator <= target_denominator:
+            raise ValueError(
+                f"raw target ratio {target_numerator}/{target_denominator} outside [0, 1]")
+        common = math.gcd(target_numerator, target_denominator)
+        # Frozen: fill the instance dict directly, in field declaration order.
+        vars(self).update(zip(self.__dataclass_fields__, (
+            topic_id, feature_value, cutoff_requested, m, model_count, ideal_count,
+            target_numerator // common, target_denominator // common, unknown_in_window)))
+        for name, value in ratios.items():
+            if name not in ("bias", "rounding_remainder"):
+                raise TypeError(f"BiasRecord got an unexpected keyword argument {name!r}")
+            if value != getattr(self, name):
+                raise ValueError(f"{name} {value} does not match the record's counts")
+
+    @property
+    def bias_count(self) -> int:
+        return self.model_count - self.ideal_count
+
+    @property
+    def model_ratio(self) -> Ratio:
+        return Fraction(self.model_count, self.cutoff_effective)
+
+    @property
+    def target_ratio_at_cutoff(self) -> Ratio:
+        return Fraction(self.ideal_count, self.cutoff_effective)
+
+    @property
+    def bias(self) -> Ratio:
+        return Fraction(self.model_count - self.ideal_count, self.cutoff_effective)
+
+    @property
+    def target_ratio_raw(self) -> Ratio:
+        return Fraction(self.target_numerator, self.target_denominator)
+
+    @property
+    def rounding_remainder(self) -> Ratio:
+        """Fractional part of raw target ratio times m: it decides whether the
+        attainable target rounds down or up."""
+        return Fraction(self.target_numerator * self.cutoff_effective
+                        % self.target_denominator, self.target_denominator)
 
 
 @dataclass(frozen=True)
@@ -222,6 +266,15 @@ class WindowRatio(NamedTuple):
     unknown_in_window: int
 
 
+def _labeled_total(counts: TargetCounts, scheme: FeatureScheme) -> int:
+    for counted in counts.counts:
+        if counted not in scheme.values:
+            raise SchemeViolationError(
+                f"topic {counts.topic_id!r}: counted value {counted!r} is not declared "
+                f"for feature {scheme.feature_name!r}")
+    return counts.total  # at least 1: TargetCounts rejects empty populations
+
+
 def target_ratio(counts: TargetCounts, value: str, scheme: FeatureScheme) -> Ratio:
     """Share of the labeled reference population carrying ``value``.
 
@@ -229,25 +282,33 @@ def target_ratio(counts: TargetCounts, value: str, scheme: FeatureScheme) -> Rat
     scheme; a population with zero labeled members is rejected.
     """
     scheme.require_value(value)
-    for counted in counts.counts:
-        if counted not in scheme.values:
-            raise SchemeViolationError(
-                f"topic {counts.topic_id!r}: counted value {counted!r} is not declared "
-                f"for feature {scheme.feature_name!r}")
-    total = counts.total
-    if total < 1:
-        raise EmptyPopulationError(
-            f"topic {counts.topic_id!r} has an empty labeled population")
-    return Fraction(counts.count_of(value), total)
+    return Fraction(counts.count_of(value), _labeled_total(counts, scheme))
 
 
-def _window(run: RankedRun, n: int) -> tuple[tuple[str, ...], int]:
+def _tally(run: RankedRun, labels: "LabelCatalog", n: int,
+           strict: bool) -> tuple[dict[str, int], int, int]:
+    """Hits per scheme value (in scheme order), window length m = min(n, run
+    length) and unlabeled slots of the top-m window, in one pass. In strict
+    mode an unlabeled entity inside the window is an error."""
     if n < 1:
         raise ValueError(f"cutoff must be >= 1, got {n}")
-    if not run.entries:
-        raise EmptyRunError(f"run for topic {run.topic_id!r} has no entries")
     m = min(n, len(run.entries))
-    return run.entries[:m], m
+    window = run.entries[:m]
+    hits = dict.fromkeys(labels.scheme.values, 0)
+    assignments = labels.assignments
+    unknown = 0
+    for entity in window:
+        label = assignments.get(entity)
+        if label in hits:
+            hits[label] += 1
+        else:  # missing, or the explicit unknown token
+            unknown += 1
+    if strict and unknown:
+        missing = [e for e in window if labels.label_of(e) is None]
+        raise UnlabeledEntityError(
+            f"topic {run.topic_id!r}: {unknown} unlabeled entities in the top-{m} window: "
+            f"{', '.join(missing)}")
+    return hits, m, unknown
 
 
 def naive_target_ratio_at_n(run: RankedRun, labels: "LabelCatalog",
@@ -258,10 +319,7 @@ def naive_target_ratio_at_n(run: RankedRun, labels: "LabelCatalog",
     arbitrary ratio, so it can indicate bias where none is attainable. It is
     provided for diagnostics and never feeds the bias computation.
     """
-    labels.scheme.require_value(value)
-    window, m = _window(run, n)
-    hits = sum(1 for entity in window if labels.label_of(entity) == value)
-    return Fraction(hits, m)
+    return model_ratio_at_n(run, labels, value, n).ratio
 
 
 def model_ratio_at_n(run: RankedRun, labels: "LabelCatalog", value: str, n: int,
@@ -273,33 +331,32 @@ def model_ratio_at_n(run: RankedRun, labels: "LabelCatalog", value: str, n: int,
     inside the window is an error.
     """
     labels.scheme.require_value(value)
-    window, m = _window(run, n)
-    hits = 0
-    unknown = 0
-    for entity in window:
-        label = labels.label_of(entity)
-        if label == value:
-            hits += 1
-        elif label is None:
-            unknown += 1
-    if strict and unknown:
-        missing = [e for e in window if labels.label_of(e) is None]
-        raise UnlabeledEntityError(
-            f"topic {run.topic_id!r}: {unknown} unlabeled entities in the top-{m} window: "
-            f"{', '.join(missing)}")
-    return WindowRatio(Fraction(hits, m), m, unknown)
+    hits, m, unknown = _tally(run, labels, n, strict)
+    return WindowRatio(Fraction(hits[value], m), m, unknown)
+
+
+def attainable_count(count: int, total: int, m: int, shown: int) -> int:
+    """Round the raw target count/total onto the 1/m grid, as a count.
+
+    The fractional part of count/total * m decides: below one half the count
+    rounds down, above one half it rounds up, and at exactly one half the
+    candidate closer to the ``shown`` model count is taken, i.e. the count
+    the system shows is accepted as correct. The two candidates differ by
+    one, so that comparison never ties.
+    """
+    floor_count, remainder = divmod(count * m, total)
+    twice = 2 * remainder
+    if twice < total or (twice == total and shown <= floor_count):
+        return floor_count
+    return floor_count + 1
 
 
 def ideal_target_ratio_at_n(target: Ratio, model: Ratio, m: int) -> tuple[Ratio, Ratio]:
     """Round the raw target ratio onto the attainable 1/m grid.
 
-    Returns (rounded ratio, rounding remainder). The remainder is the
-    fractional part of target * m: below one half the count rounds down,
-    above one half it rounds up, and at exactly one half the candidate
-    closer to the model ratio is taken, i.e. the count the system shows is
-    accepted as correct. The model ratio must lie on the 1/m grid, which
-    also guarantees the half-way comparison never ties: the two candidates
-    differ by exactly 1/m.
+    Returns (rounded ratio, rounding remainder), where the remainder is the
+    fractional part of target * m; see ``attainable_count`` for the rule.
+    The model ratio must lie on the 1/m grid.
     """
     if m < 1:
         raise ValueError(f"window length must be >= 1, got {m}")
@@ -309,29 +366,18 @@ def ideal_target_ratio_at_n(target: Ratio, model: Ratio, m: int) -> tuple[Ratio,
         raise ValueError(f"target ratio {target} outside [0, 1]")
     if not 0 <= model <= 1:
         raise ValueError(f"model ratio {model} outside [0, 1]")
-    model_count = model * m
-    if model_count.denominator != 1:
-        raise ValueError(f"model ratio {model} is not on the 1/{m} grid")
-
-    scaled = target * m
-    floor_count = scaled.numerator // scaled.denominator
-    remainder = scaled - floor_count
-    if remainder < HALF:
-        count = floor_count
-    elif remainder > HALF:
-        count = floor_count + 1
-    elif model_count.numerator <= floor_count:
-        count = floor_count
-    else:
-        count = floor_count + 1
+    shown = grid_count(model, m)
+    count = attainable_count(target.numerator, target.denominator, m, shown)
+    remainder = Fraction(target.numerator * m % target.denominator, target.denominator)
     return Fraction(count, m), remainder
 
 
-def bias_at_n(run: RankedRun, labels: "LabelCatalog", target: TargetCounts,
-              value: str, n: int, *, strict: bool = False) -> BiasRecord:
-    """Measure the representation bias of one topic for one feature value.
+def measure_topic(run: RankedRun, labels: "LabelCatalog", target: TargetCounts,
+                  n: int, *, strict: bool = False) -> list[BiasRecord]:
+    """Bias records of one topic for every scheme value, in scheme order,
+    from one pass over the window.
 
-    Positive bias means the window over-represents ``value`` relative to the
+    Positive bias means the window over-represents a value relative to the
     attainable target share; negative means under-representation. Run and
     target must describe the same topic, and the label catalog must carry the
     target's feature.
@@ -343,21 +389,24 @@ def bias_at_n(run: RankedRun, labels: "LabelCatalog", target: TargetCounts,
         raise SchemeViolationError(
             f"label catalog is for feature {labels.feature_name!r} but target counts "
             f"are for {target.feature_name!r}")
-    window = model_ratio_at_n(run, labels, value, n, strict=strict)
-    raw = target_ratio(target, value, labels.scheme)
-    ideal, remainder = ideal_target_ratio_at_n(raw, window.ratio, window.cutoff_effective)
-    return BiasRecord(
-        topic_id=run.topic_id,
-        feature_value=value,
-        cutoff_requested=n,
-        cutoff_effective=window.cutoff_effective,
-        model_ratio=window.ratio,
-        target_ratio_raw=raw,
-        rounding_remainder=remainder,
-        target_ratio_at_cutoff=ideal,
-        bias=window.ratio - ideal,
-        unknown_in_window=window.unknown_in_window,
-    )
+    hits, m, unknown = _tally(run, labels, n, strict)
+    total = _labeled_total(target, labels.scheme)
+    records = []
+    for value, shown in hits.items():
+        count = target.count_of(value)
+        records.append(BiasRecord(run.topic_id, value, n, m, shown,
+                                  attainable_count(count, total, m, shown),
+                                  count, total, unknown))
+    return records
+
+
+def bias_at_n(run: RankedRun, labels: "LabelCatalog", target: TargetCounts,
+              value: str, n: int, *, strict: bool = False) -> BiasRecord:
+    """Measure the representation bias of one topic for one feature value;
+    see ``measure_topic``."""
+    labels.scheme.require_value(value)
+    records = measure_topic(run, labels, target, n, strict=strict)
+    return records[labels.scheme.values.index(value)]
 
 
 def aggregate(records: Sequence[BiasRecord], value: str, source_label: str,
@@ -367,7 +416,9 @@ def aggregate(records: Sequence[BiasRecord], value: str, source_label: str,
     Topics weigh equally regardless of window length. The standard deviation
     uses the sample divisor (N-1) by default since the audited topics are a
     sample of the query population; ``population_sd`` switches to N. With a
-    single record the deviation is reported as 0 and flagged.
+    single record the deviation is reported as 0 and flagged. Biases are
+    summed as integers on the least common grid of the window lengths, and
+    the variance is one exact rational, rounded to float once.
     """
     if not records:
         raise EmptyAggregateError(f"no records to aggregate for value {value!r}")
@@ -375,26 +426,28 @@ def aggregate(records: Sequence[BiasRecord], value: str, source_label: str,
     if off:
         raise ValueError(
             f"aggregate over value {value!r} received records for: {', '.join(off)}")
-    biases = [r.bias for r in records]
+    grid = math.lcm(*{r.cutoff_effective for r in records})
+    biases = [(r.model_count - r.ideal_count) * (grid // r.cutoff_effective)
+              for r in records]
     count = len(biases)
-    mean = Fraction(sum(biases), count)
-    mean_abs = Fraction(sum(abs(b) for b in biases), count)
+    total = sum(biases)
     single = count == 1
     if single:
         stdev = 0.0
     else:
         divisor = count if population_sd else count - 1
-        variance = sum((b - mean) ** 2 for b in biases) / divisor
-        stdev = math.sqrt(variance)
+        # sum((b / grid - mean)^2) times count * grid^2, with mean = total / (count * grid)
+        spread = count * sum(b * b for b in biases) - total * total
+        stdev = math.sqrt(spread / (count * grid * grid * divisor))
     return BiasSummary(
         feature_value=value,
         target_source=source_label,
         topic_count=count,
-        mean_bias=mean,
+        mean_bias=Fraction(total, count * grid),
         stdev_bias=stdev,
-        mean_abs_bias=mean_abs,
-        min_bias=min(biases),
-        max_bias=max(biases),
+        mean_abs_bias=Fraction(sum(map(abs, biases)), count * grid),
+        min_bias=Fraction(min(biases), grid),
+        max_bias=Fraction(max(biases), grid),
         single_sample=single,
         population_sd=population_sd,
     )
@@ -408,22 +461,6 @@ class SimulatedTopic:
     labels: "LabelCatalog"
     target: TargetCounts
     planted_bias: Ratio
-
-
-def _planted_model_count(target: Ratio, bias_count: int, m: int) -> int:
-    """Model count whose measured bias equals bias_count/m for this target."""
-    scaled = target * m
-    floor_count = scaled.numerator // scaled.denominator
-    remainder = scaled - floor_count
-    if remainder < HALF:
-        ideal = floor_count
-    elif remainder > HALF:
-        ideal = floor_count + 1
-    else:
-        # Halfway case: the measured ideal follows the shown count, so plant
-        # the count on the side that keeps the requested bias self-consistent.
-        ideal = floor_count if bias_count <= 0 else floor_count + 1
-    return ideal + bias_count
 
 
 def simulate_run(topic_id: str, target: Ratio, bias: Ratio, m: int,
@@ -450,7 +487,12 @@ def simulate_run(topic_id: str, target: Ratio, bias: Ratio, m: int,
     if bias_scaled.denominator != 1:
         raise InfeasibleSimulationError(
             f"topic {topic_id!r}: bias {bias} is not on the 1/{m} grid")
-    model_count = _planted_model_count(target, bias_scaled.numerator, m)
+    bias_count = bias_scaled.numerator
+    # At an exact half the measured ideal follows the shown count: asking the
+    # rule with the count a downward rounding would need keeps the bias exact.
+    low = attainable_count(target.numerator, target.denominator, m, 0)
+    model_count = attainable_count(target.numerator, target.denominator, m,
+                                   low + bias_count) + bias_count
     if model_count < 0:
         raise InfeasibleSimulationError(
             f"topic {topic_id!r}: bias {bias} would need a negative count "

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -20,7 +21,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import ParseError, SchemaVersionError
 from .metrics import BiasRecord, BiasSummary, aggregate
-from ._util import atomic_write, ratio_str, round_half_away, to_float, unit_open
+from ._util import (atomic_write, grid_count, ratio_str, reduced_str, round_half_away,
+                    unit_open)
 
 SCHEMA = "biaslens-report/1"
 
@@ -178,11 +180,7 @@ def build_histogram(records: Sequence[BiasRecord], value: str,
     counts = [0] * (2 * n + 1)
     off_grid = []
     for record in records:
-        scaled = record.bias * n
-        if scaled.denominator == 1:
-            k = scaled.numerator
-        else:
-            k = round_half_away(scaled)
+        k = round_half_away(record.bias_count * n, record.cutoff_effective)
         counts[k + n] += 1
         if record.cutoff_effective != n:
             off_grid.append(record.topic_id)
@@ -200,22 +198,20 @@ def build_scatter(records: Sequence[BiasRecord], value: str, n: int,
         raise ValueError("cannot build a scatter from zero records")
     points = []
     for record in sorted(records, key=lambda r: r.topic_id):
-        x = record.target_ratio_at_cutoff
-        y = record.model_ratio
-        off_grid = record.cutoff_effective != n
-        cell = (round_half_away(x * n), round_half_away(y * n))
+        m = record.cutoff_effective
+        ideal, model = record.ideal_count, record.model_count
         dx = (unit_open(seed, record.topic_id, value, "x") - 0.5) / n
         dy = (unit_open(seed, record.topic_id, value, "y") - 0.5) / n
         points.append(ScatterPoint(
             topic_id=record.topic_id,
             feature_value=value,
-            target_ratio=x,
-            model_ratio=y,
-            cell=cell,
+            target_ratio=Fraction(ideal, m),
+            model_ratio=Fraction(model, m),
+            cell=(round_half_away(ideal * n, m), round_half_away(model * n, m)),
             dx=dx,
             dy=dy,
-            on_diagonal=record.bias == 0,
-            off_grid=off_grid,
+            on_diagonal=model == ideal,
+            off_grid=m != n,
         ))
     return tuple(points)
 
@@ -231,19 +227,41 @@ def ranked_bias_table(records: Sequence[BiasRecord], value: str,
     """
     if k < 1:
         raise ValueError(f"table size must be >= 1, got {k}")
-    towards = [r for r in records if r.bias > 0]
-    against = [r for r in records if r.bias < 0]
-    towards.sort(key=lambda r: (-r.bias, -abs(r.model_ratio - r.target_ratio_raw),
-                                r.topic_id))
-    against.sort(key=lambda r: (r.bias, -abs(r.model_ratio - r.target_ratio_raw),
-                                r.topic_id))
+    grid = math.lcm(*{r.cutoff_effective for r in records})
+    towards, towards_count = _most_biased(records, k, grid, 1)
+    against, against_count = _most_biased(records, k, grid, -1)
     return RankedTables(
         requested_size=k,
-        towards=tuple(_as_row(r) for r in towards[:k]),
-        against=tuple(_as_row(r) for r in against[:k]),
-        towards_short=len(towards) < k,
-        against_short=len(against) < k,
+        towards=tuple(_as_row(r) for r in towards),
+        against=tuple(_as_row(r) for r in against),
+        towards_short=towards_count < k,
+        against_short=against_count < k,
     )
+
+
+def _raw_gap(record: BiasRecord) -> Fraction:
+    """|model ratio - raw target ratio|, the first tie-break of equal biases."""
+    m, denominator = record.cutoff_effective, record.target_denominator
+    return Fraction(abs(record.model_count * denominator - record.target_numerator * m),
+                    m * denominator)
+
+
+def _most_biased(records: Sequence[BiasRecord], k: int, grid: int,
+                 sign: int) -> tuple[list[BiasRecord], int]:
+    """The k records with the largest positive sign * bias, in table order,
+    and the number of such records.
+
+    Biases compare as integers on the common ``grid``. The exact tie-break
+    is computed only for records at or beyond the k-th strongest bias.
+    """
+    biased = [(sign * r.bias_count * (grid // r.cutoff_effective), r) for r in records]
+    biased = [pair for pair in biased if pair[0] > 0]
+    contenders = biased
+    if len(biased) > k:
+        threshold = sorted((strength for strength, _ in biased), reverse=True)[k - 1]
+        contenders = [pair for pair in biased if pair[0] >= threshold]
+    contenders.sort(key=lambda pair: (-pair[0], -_raw_gap(pair[1]), pair[1].topic_id))
+    return [r for _, r in contenders[:k]], len(biased)
 
 
 def unbiased_exemplars(records: Sequence[BiasRecord],
@@ -258,13 +276,13 @@ def unbiased_exemplars(records: Sequence[BiasRecord],
     best: dict[int, tuple[int, str, BiasRecord]] = {}
     skipped = []
     for record in sorted(records, key=lambda r: r.topic_id):
-        if record.bias != 0:
+        if record.model_count != record.ideal_count:
             continue
         population = populations.get(record.topic_id)
         if population is None:
             skipped.append((record.topic_id, "missing-population"))
             continue
-        index = round_half_away(record.target_ratio_at_cutoff * grid)
+        index = round_half_away(record.ideal_count * grid, record.cutoff_effective)
         held = best.get(index)
         if held is None or population > held[0]:
             best[index] = (population, record.topic_id, record)
@@ -350,11 +368,16 @@ def rebuild_report(report: Report, *, table_size: int | None = None,
 # JSON document
 # ---------------------------------------------------------------------------
 
-def _ratio_obj(value: Fraction, grid: int | None = None) -> dict:
-    return {"ratio": ratio_str(value, grid), "value": to_float(value)}
+def _ratio_obj(value: Fraction) -> dict:
+    return {"ratio": str(value), "value": value.numerator / value.denominator}
 
-def _read_ratio(obj: dict) -> Fraction:
-    return Fraction(obj["ratio"])
+
+def _exact_obj(numerator: int, denominator: int) -> dict:
+    return {"ratio": reduced_str(numerator, denominator), "value": numerator / denominator}
+
+
+def _grid_obj(count: int, grid: int) -> dict:
+    return {"ratio": ratio_str(count, grid), "value": count / grid}
 
 
 def _row_obj(row: TableRow) -> dict:
@@ -362,22 +385,30 @@ def _row_obj(row: TableRow) -> dict:
     return {
         "topic": row.topic_id,
         "cutoff_effective": m,
-        "model_ratio": _ratio_obj(row.model_ratio, m),
-        "target_ratio_at_cutoff": _ratio_obj(row.target_ratio_at_cutoff, m),
-        "bias": _ratio_obj(row.bias, m),
+        "model_ratio": _grid_obj(grid_count(row.model_ratio, m), m),
+        "target_ratio_at_cutoff": _grid_obj(grid_count(row.target_ratio_at_cutoff, m), m),
+        "bias": _grid_obj(grid_count(row.bias, m), m),
     }
 
 
-def _read_row(obj: dict | None) -> TableRow | None:
-    if obj is None:
-        return None
-    return TableRow(
-        topic_id=obj["topic"],
-        cutoff_effective=obj["cutoff_effective"],
-        model_ratio=_read_ratio(obj["model_ratio"]),
-        target_ratio_at_cutoff=_read_ratio(obj["target_ratio_at_cutoff"]),
-        bias=_read_ratio(obj["bias"]),
-    )
+def _record_obj(item: EvaluatedTopic) -> dict:
+    r = item.record
+    m = r.cutoff_effective
+    numerator, denominator = r.target_numerator, r.target_denominator
+    return {
+        "source": item.source,
+        "topic": r.topic_id,
+        "value": r.feature_value,
+        "cutoff_requested": r.cutoff_requested,
+        "cutoff_effective": m,
+        "model_ratio": _grid_obj(r.model_count, m),
+        "target_ratio_raw": _exact_obj(numerator, denominator),
+        "rounding_remainder": _exact_obj(numerator * m % denominator, denominator),
+        "target_ratio_at_cutoff": _grid_obj(r.ideal_count, m),
+        "bias": _grid_obj(r.model_count - r.ideal_count, m),
+        "unknown_in_window": r.unknown_in_window,
+        "target_population": item.target_population,
+    }
 
 
 def report_to_json(report: Report) -> str:
@@ -411,24 +442,7 @@ def report_to_json(report: Report) -> str:
             }
             for b in report.blocks
         ],
-        "records": [
-            {
-                "source": e.source,
-                "topic": r.topic_id,
-                "value": r.feature_value,
-                "cutoff_requested": r.cutoff_requested,
-                "cutoff_effective": r.cutoff_effective,
-                "model_ratio": _ratio_obj(r.model_ratio, r.cutoff_effective),
-                "target_ratio_raw": _ratio_obj(r.target_ratio_raw),
-                "rounding_remainder": _ratio_obj(r.rounding_remainder),
-                "target_ratio_at_cutoff": _ratio_obj(r.target_ratio_at_cutoff,
-                                                     r.cutoff_effective),
-                "bias": _ratio_obj(r.bias, r.cutoff_effective),
-                "unknown_in_window": r.unknown_in_window,
-                "target_population": e.target_population,
-            }
-            for e in report.records for r in (e.record,)
-        ],
+        "records": [_record_obj(e) for e in report.records],
         "histogram": [
             {
                 "source": b.source,
@@ -436,14 +450,15 @@ def report_to_json(report: Report) -> str:
                 "cutoff": b.histogram.cutoff,
                 "bins": [
                     {
-                        "center": ratio_str(center, b.histogram.cutoff),
-                        "value": to_float(center),
+                        "center": ratio_str(k, b.histogram.cutoff),
+                        "value": k / b.histogram.cutoff,
                         "count": count,
                         "reference_count": ref,
                     }
-                    for center, count, ref in zip(b.histogram.centers(),
-                                                  b.histogram.counts,
-                                                  b.histogram.reference_counts)
+                    for k, count, ref in zip(range(-b.histogram.cutoff,
+                                                   b.histogram.cutoff + 1),
+                                             b.histogram.counts,
+                                             b.histogram.reference_counts)
                 ],
                 "off_grid_topics": list(b.histogram.off_grid_topics),
             }
@@ -482,8 +497,9 @@ def report_to_json(report: Report) -> str:
                     "grid": b.unbiased.grid,
                     "buckets": [
                         {
-                            "bucket": ratio_str(bk.bucket, b.unbiased.grid),
-                            "value": to_float(bk.bucket),
+                            "bucket": ratio_str(grid_count(bk.bucket, b.unbiased.grid),
+                                                b.unbiased.grid),
+                            "value": bk.bucket.numerator / bk.bucket.denominator,
                             "topic": bk.row.topic_id if bk.row else None,
                             "population": bk.population,
                             "row": _row_obj(bk.row) if bk.row else None,
@@ -507,105 +523,218 @@ def report_to_json(report: Report) -> str:
     return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
 
 
-def parse_report(text: str, path: str = "<report>") -> Report:
-    """Rebuild a Report object from its JSON document."""
+# Everything a malformed document can raise while it is read; parse_report
+# turns each into a ParseError that names the section.
+_MALFORMED = (KeyError, TypeError, ValueError, AttributeError, IndexError,
+              ZeroDivisionError)
+
+
+def _typed(obj: dict, key: str, kind: type):
+    value = obj[key]
+    if type(value) is not kind:
+        raise TypeError(f"{key} must be {kind.__name__}, got {value!r}")
+    return value
+
+
+def _read_pair(obj: dict) -> tuple[int, int]:
+    """Numerator and denominator of a {"ratio": "p/q"} object, as written."""
+    text = _typed(obj, "ratio", str)
+    numerator, sep, denominator = text.partition("/")
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", path=path, line=exc.lineno) from None
-    schema = payload.get("schema")
-    if schema != SCHEMA:
-        raise SchemaVersionError(
-            f"{path}: unsupported schema {schema!r}, expected {SCHEMA!r}")
-    m = payload["meta"]
+        pair = int(numerator), int(denominator) if sep else 1
+    except ValueError:
+        value = Fraction(text)
+        pair = value.numerator, value.denominator
+    if pair[1] < 1:
+        raise ValueError(f"ratio {text!r} has a non-positive denominator")
+    return pair
+
+
+def _read_ratio(obj: dict) -> Fraction:
+    return Fraction(*_read_pair(obj))
+
+
+def _read_count(obj: dict, key: str, grid: int) -> int:
+    """Numerator on the 1/grid grid of the ratio object ``obj[key]``."""
+    numerator, denominator = _read_pair(obj[key])
+    count, rest = divmod(numerator * grid, denominator)
+    if rest:
+        raise ValueError(f"{key} {numerator}/{denominator} is not on the 1/{grid} grid")
+    return count
+
+
+def _read_row(obj: dict | None) -> TableRow | None:
+    if obj is None:
+        return None
+    return TableRow(
+        topic_id=_typed(obj, "topic", str),
+        cutoff_effective=_typed(obj, "cutoff_effective", int),
+        model_ratio=_read_ratio(obj["model_ratio"]),
+        target_ratio_at_cutoff=_read_ratio(obj["target_ratio_at_cutoff"]),
+        bias=_read_ratio(obj["bias"]),
+    )
+
+
+def _read_meta(m: dict) -> ReportMeta:
     meta = ReportMeta(
-        seed=m["seed"], cutoff=m["cutoff"], feature_name=m["feature"],
-        values=tuple(m["values"]), unknown_token=m["unknown_token"],
-        sources=tuple(m["sources"]), strict=m["strict"],
-        table_size=m["table_size"], sd_divisor=m["sd_divisor"],
+        seed=_typed(m, "seed", int), cutoff=_typed(m, "cutoff", int),
+        feature_name=_typed(m, "feature", str),
+        values=tuple(_typed(m, "values", list)),
+        unknown_token=_typed(m, "unknown_token", str),
+        sources=tuple(_typed(m, "sources", list)), strict=_typed(m, "strict", bool),
+        table_size=_typed(m, "table_size", int), sd_divisor=_typed(m, "sd_divisor", str),
         evaluation=m.get("evaluation", "one-vs-rest"),
     )
-    records = []
-    for obj in payload["records"]:
-        record = BiasRecord(
-            topic_id=obj["topic"],
-            feature_value=obj["value"],
-            cutoff_requested=obj["cutoff_requested"],
-            cutoff_effective=obj["cutoff_effective"],
-            model_ratio=_read_ratio(obj["model_ratio"]),
-            target_ratio_raw=_read_ratio(obj["target_ratio_raw"]),
-            rounding_remainder=_read_ratio(obj["rounding_remainder"]),
-            target_ratio_at_cutoff=_read_ratio(obj["target_ratio_at_cutoff"]),
-            bias=_read_ratio(obj["bias"]),
-            unknown_in_window=obj["unknown_in_window"],
-        )
-        records.append(EvaluatedTopic(source=obj["source"],
-                                      target_population=obj["target_population"],
-                                      record=record))
+    if not all(type(name) is str for name in meta.values + meta.sources):
+        raise TypeError("values and sources must be lists of strings")
+    if meta.cutoff < 1 or meta.table_size < 1:
+        raise ValueError("cutoff and table_size must be >= 1")
+    return meta
 
-    summaries = {(s["source"], s["value"]): s for s in payload["summaries"]}
-    histograms = {(h["source"], h["value"]): h for h in payload["histogram"]}
-    scatters = {(s["source"], s["value"]): s for s in payload["scatter"]}
-    tables = {(t["source"], t["value"]): t for t in payload["tables"]}
 
-    blocks = []
-    for key in summaries:
-        source, value = key
-        s = summaries[key]
-        summary = BiasSummary(
-            feature_value=value, target_source=source, topic_count=s["topics"],
-            mean_bias=_read_ratio(s["MB"]), stdev_bias=s["SB"],
-            mean_abs_bias=_read_ratio(s["MAB"]), min_bias=_read_ratio(s["min"]),
-            max_bias=_read_ratio(s["max"]), single_sample=s["single_sample"],
-            population_sd=meta.sd_divisor == "population",
+def _read_record(obj: dict) -> EvaluatedTopic:
+    m = _typed(obj, "cutoff_effective", int)
+    numerator, denominator = _read_pair(obj["target_ratio_raw"])
+    record = BiasRecord(
+        _typed(obj, "topic", str), _typed(obj, "value", str),
+        _typed(obj, "cutoff_requested", int), m,
+        _read_count(obj, "model_ratio", m), _read_count(obj, "target_ratio_at_cutoff", m),
+        numerator, denominator, _typed(obj, "unknown_in_window", int))
+    if _read_count(obj, "bias", m) != record.bias_count:
+        raise ValueError("bias must equal model_ratio - target_ratio_at_cutoff")
+    remainder, remainder_denominator = _read_pair(obj["rounding_remainder"])
+    expected = record.target_numerator * m % record.target_denominator
+    if remainder * record.target_denominator != expected * remainder_denominator:
+        raise ValueError(f"rounding_remainder does not match target_ratio_raw on the "
+                         f"1/{m} grid")
+    return EvaluatedTopic(source=_typed(obj, "source", str),
+                          target_population=_typed(obj, "target_population", int),
+                          record=record)
+
+
+def _block_key(obj: dict) -> tuple[str, str]:
+    return _typed(obj, "source", str), _typed(obj, "value", str)
+
+
+def _read_summary(s: dict, meta: ReportMeta) -> tuple[tuple[str, str], BiasSummary]:
+    return _block_key(s), BiasSummary(
+        feature_value=s["value"], target_source=s["source"], topic_count=s["topics"],
+        mean_bias=_read_ratio(s["MB"]), stdev_bias=s["SB"],
+        mean_abs_bias=_read_ratio(s["MAB"]), min_bias=_read_ratio(s["min"]),
+        max_bias=_read_ratio(s["max"]), single_sample=s["single_sample"],
+        population_sd=meta.sd_divisor == "population",
+    )
+
+
+def _read_histogram(h: dict) -> tuple[tuple[str, str], HistogramSpec]:
+    return _block_key(h), HistogramSpec(
+        cutoff=h["cutoff"], feature_value=h["value"],
+        counts=tuple(b["count"] for b in h["bins"]),
+        reference_counts=tuple(b["reference_count"] for b in h["bins"]),
+        off_grid_topics=tuple(h["off_grid_topics"]),
+    )
+
+
+def _read_scatter(s: dict) -> tuple[tuple[str, str], tuple[ScatterPoint, ...]]:
+    return _block_key(s), tuple(
+        ScatterPoint(
+            topic_id=p["topic"], feature_value=s["value"],
+            target_ratio=_read_ratio(p["x"]), model_ratio=_read_ratio(p["y"]),
+            cell=(p["cell"][0], p["cell"][1]), dx=p["dx"], dy=p["dy"],
+            on_diagonal=p["on_diagonal"], off_grid=p["off_grid"],
         )
-        h = histograms[key]
-        histogram = HistogramSpec(
-            cutoff=h["cutoff"], feature_value=value,
-            counts=tuple(b["count"] for b in h["bins"]),
-            reference_counts=tuple(b["reference_count"] for b in h["bins"]),
-            off_grid_topics=tuple(h["off_grid_topics"]),
-        )
-        scatter = tuple(
-            ScatterPoint(
-                topic_id=p["topic"], feature_value=value,
-                target_ratio=_read_ratio(p["x"]), model_ratio=_read_ratio(p["y"]),
-                cell=(p["cell"][0], p["cell"][1]), dx=p["dx"], dy=p["dy"],
-                on_diagonal=p["on_diagonal"], off_grid=p["off_grid"],
-            )
-            for p in scatters[key]["points"]
-        )
-        t = tables[key]
-        ranked = RankedTables(
+        for p in s["points"]
+    )
+
+
+def _read_tables(t: dict) -> tuple[tuple[str, str], tuple[RankedTables, ExemplarTable]]:
+    u = t["unbiased"]
+    return _block_key(t), (
+        RankedTables(
             requested_size=t["k"],
             towards=tuple(_read_row(r) for r in t["towards"]),
             against=tuple(_read_row(r) for r in t["against"]),
             towards_short=t["towards_short"],
             against_short=t["against_short"],
-        )
-        u = t["unbiased"]
-        unbiased = ExemplarTable(
+        ),
+        ExemplarTable(
             grid=u["grid"],
             buckets=tuple(
                 ExemplarBucket(bucket=Fraction(bk["bucket"]),
-                               row=_read_row(bk["row"]),
-                               population=bk["population"])
+                               row=_read_row(bk["row"]), population=bk["population"])
                 for bk in u["buckets"]
             ),
             skipped=tuple((s["topic"], s["reason"]) for s in u["skipped"]),
-        )
-        blocks.append(ReportBlock(source=source, feature_value=value,
-                                  summary=summary, histogram=histogram,
-                                  scatter=scatter, tables=ranked,
-                                  unbiased=unbiased))
-
-    skipped = tuple(
-        SkippedTopic(topic_id=s["topic"], source=s["source"], reason=s["reason"],
-                     detail=s["detail"])
-        for s in payload["skipped"]
+        ),
     )
+
+
+def _read_skipped(s: dict) -> SkippedTopic:
+    return SkippedTopic(topic_id=_typed(s, "topic", str), source=_typed(s, "source", str),
+                        reason=_typed(s, "reason", str), detail=_typed(s, "detail", str))
+
+
+def _malformed(exc: Exception, path: str, where: str) -> ParseError:
+    detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+    return ParseError(detail, path=path, field=where)
+
+
+def _read_section(payload: dict, name: str, path: str, read) -> list:
+    """``read`` applied to each entry of the list ``payload[name]``.
+
+    Any malformation becomes a ParseError naming the section and the entry.
+    """
+    index = None
+    try:
+        entries = _typed(payload, name, list)
+        result = []
+        for index, entry in enumerate(entries):
+            result.append(read(entry))
+        return result
+    except _MALFORMED as exc:
+        raise _malformed(exc, path, name if index is None else f"{name}[{index}]") from None
+
+
+def parse_report(text: str, path: str = "<report>") -> Report:
+    """Rebuild a Report object from its JSON document.
+
+    Any malformed document, from a missing key or a wrong type to an
+    off-grid or inconsistent ratio, raises a ParseError that names the file,
+    the section and, within a list, the entry index.
+    """
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", path=path, line=exc.lineno) from None
+    if type(payload) is not dict:
+        raise ParseError("a report document must be a JSON object", path=path)
+    schema = payload.get("schema")
+    if schema != SCHEMA:
+        raise SchemaVersionError(
+            f"{path}: unsupported schema {schema!r}, expected {SCHEMA!r}")
+    try:
+        meta = _read_meta(payload["meta"])
+    except _MALFORMED as exc:
+        raise _malformed(exc, path, "meta") from None
+    records = _read_section(payload, "records", path, _read_record)
+    summaries = dict(_read_section(payload, "summaries", path,
+                                   lambda s: _read_summary(s, meta)))
+    parts = {name: dict(_read_section(payload, name, path, read))
+             for name, read in (("histogram", _read_histogram),
+                                ("scatter", _read_scatter), ("tables", _read_tables))}
+    blocks = []
+    for (source, value), summary in summaries.items():
+        for name, part in parts.items():
+            if (source, value) not in part:
+                raise ParseError(f"no entry for {source}/{value}", path=path, field=name)
+        ranked, unbiased = parts["tables"][source, value]
+        blocks.append(ReportBlock(source=source, feature_value=value, summary=summary,
+                                  histogram=parts["histogram"][source, value],
+                                  scatter=parts["scatter"][source, value],
+                                  tables=ranked, unbiased=unbiased))
+    skipped = _read_section(payload, "skipped", path, _read_skipped)
     return Report(meta=meta, records=tuple(records), blocks=tuple(blocks),
-                  skipped=skipped)
+                  skipped=tuple(skipped))
 
 
 # ---------------------------------------------------------------------------
@@ -629,37 +758,32 @@ def report_to_csv_bundle(report: Report) -> dict[str, str]:
     """Render the report as named CSV files with fixed column orders."""
     summaries_rows = [
         (b.source, b.feature_value, b.summary.topic_count,
-         ratio_str(b.summary.mean_bias), to_float(b.summary.mean_bias),
-         b.summary.stdev_bias,
-         ratio_str(b.summary.mean_abs_bias), to_float(b.summary.mean_abs_bias),
-         ratio_str(b.summary.min_bias), to_float(b.summary.min_bias),
-         ratio_str(b.summary.max_bias), to_float(b.summary.max_bias),
+         *_ratio_obj(b.summary.mean_bias).values(), b.summary.stdev_bias,
+         *_ratio_obj(b.summary.mean_abs_bias).values(),
+         *_ratio_obj(b.summary.min_bias).values(), *_ratio_obj(b.summary.max_bias).values(),
          _flag(b.summary.single_sample), report.meta.sd_divisor)
         for b in report.blocks
     ]
     record_rows = []
-    for e in report.records:
-        r = e.record
-        m = r.cutoff_effective
+    for item in report.records:
+        obj = _record_obj(item)
         record_rows.append(
-            (e.source, r.feature_value, r.topic_id, r.cutoff_requested, m,
-             ratio_str(r.model_ratio, m), to_float(r.model_ratio),
-             ratio_str(r.target_ratio_raw), to_float(r.target_ratio_raw),
-             ratio_str(r.rounding_remainder), to_float(r.rounding_remainder),
-             ratio_str(r.target_ratio_at_cutoff, m), to_float(r.target_ratio_at_cutoff),
-             ratio_str(r.bias, m), to_float(r.bias),
-             r.unknown_in_window, e.target_population))
+            (item.source, obj["value"], obj["topic"], obj["cutoff_requested"],
+             obj["cutoff_effective"],
+             *(cell for key in ("model_ratio", "target_ratio_raw", "rounding_remainder",
+                                "target_ratio_at_cutoff", "bias")
+               for cell in obj[key].values()),
+             obj["unknown_in_window"], obj["target_population"]))
     histogram_rows = []
     for b in report.blocks:
-        for center, count, ref in zip(b.histogram.centers(), b.histogram.counts,
-                                      b.histogram.reference_counts):
+        n = b.histogram.cutoff
+        for k, count, ref in zip(range(-n, n + 1), b.histogram.counts,
+                                 b.histogram.reference_counts):
             histogram_rows.append(
-                (b.source, b.feature_value, ratio_str(center, b.histogram.cutoff),
-                 to_float(center), count, ref))
+                (b.source, b.feature_value, ratio_str(k, n), k / n, count, ref))
     scatter_rows = [
         (b.source, b.feature_value, p.topic_id,
-         ratio_str(p.target_ratio), to_float(p.target_ratio),
-         ratio_str(p.model_ratio), to_float(p.model_ratio),
+         *_ratio_obj(p.target_ratio).values(), *_ratio_obj(p.model_ratio).values(),
          p.cell[0], p.cell[1], p.dx, p.dy,
          _flag(p.on_diagonal), _flag(p.off_grid))
         for b in report.blocks for p in b.scatter
@@ -669,15 +793,12 @@ def report_to_csv_bundle(report: Report) -> dict[str, str]:
         rows = []
         for b in report.blocks:
             for rank, row in enumerate(chooser(b.tables), start=1):
+                obj = _row_obj(row)
                 rows.append(
                     (b.source, b.feature_value, rank, row.topic_id,
                      row.cutoff_effective,
-                     ratio_str(row.model_ratio, row.cutoff_effective),
-                     to_float(row.model_ratio),
-                     ratio_str(row.target_ratio_at_cutoff, row.cutoff_effective),
-                     to_float(row.target_ratio_at_cutoff),
-                     ratio_str(row.bias, row.cutoff_effective),
-                     to_float(row.bias)))
+                     *(cell for key in ("model_ratio", "target_ratio_at_cutoff", "bias")
+                       for cell in obj[key].values())))
         return rows
 
     unbiased_rows = []
@@ -685,7 +806,8 @@ def report_to_csv_bundle(report: Report) -> dict[str, str]:
         for bucket in b.unbiased.buckets:
             unbiased_rows.append(
                 (b.source, b.feature_value,
-                 ratio_str(bucket.bucket, b.unbiased.grid), to_float(bucket.bucket),
+                 ratio_str(grid_count(bucket.bucket, b.unbiased.grid), b.unbiased.grid),
+                 bucket.bucket.numerator / bucket.bucket.denominator,
                  bucket.row.topic_id if bucket.row else "",
                  bucket.population if bucket.population is not None else ""))
 

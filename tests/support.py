@@ -46,19 +46,26 @@ def grid_record(topic: str, value: str, m: int, model_count: int,
                 ideal_count: int, *, n: int | None = None,
                 raw: Fraction | None = None,
                 remainder: Fraction = Fraction(0)) -> BiasRecord:
-    """Assemble a consistent record directly from grid counts."""
-    return BiasRecord(
+    """Assemble a consistent record directly from grid counts.
+
+    ``remainder`` must be the fractional part of ``raw`` times ``m``; the
+    record derives it from the raw ratio and this checks they agree.
+    """
+    raw = raw if raw is not None else Fraction(ideal_count, m)
+    record = BiasRecord(
         topic_id=topic,
         feature_value=value,
         cutoff_requested=n if n is not None else m,
         cutoff_effective=m,
-        model_ratio=Fraction(model_count, m),
-        target_ratio_raw=raw if raw is not None else Fraction(ideal_count, m),
-        rounding_remainder=remainder,
-        target_ratio_at_cutoff=Fraction(ideal_count, m),
-        bias=Fraction(model_count - ideal_count, m),
+        model_count=model_count,
+        ideal_count=ideal_count,
+        target_numerator=raw.numerator,
+        target_denominator=raw.denominator,
         unknown_in_window=0,
     )
+    assert record.rounding_remainder == remainder, (raw, m, remainder)
+    assert record.bias == Fraction(model_count - ideal_count, m)
+    return record
 
 
 def oracle_ideal(target: Fraction, model: Fraction, m: int) -> Fraction:

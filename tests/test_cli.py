@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
 from fractions import Fraction
 
 import pytest
@@ -175,6 +177,31 @@ def test_evaluate_sparql_members_source(audit_dir, tmp_path):
     assert reasons.get("archivist") == "missing-target"
 
 
+def test_sparql_values_outside_the_scheme_are_counted(audit_dir, tmp_path, capsys):
+    bindings = [{
+        "topic": {"type": "literal", "value": "announcer"},
+        "entity": {"type": "uri", "value": f"http://x/ann:e{i}"},
+        "value": {"type": "literal", "value": "Q6581097" if i == 0 else "male"},
+    } for i in range(10)]
+    export = {"head": {"vars": ["topic", "entity", "value"]},
+              "results": {"bindings": bindings}}
+    write(audit_dir / "kb.json", json.dumps(export))
+    args = ["evaluate",
+            "--runs", str(audit_dir / "runs.tsv"),
+            "--labels", str(audit_dir / "labels.tsv"),
+            "--members", f"wiki={audit_dir / 'kb.json'}",
+            "--feature", "gender", "--values", "female,male",
+            "--out", str(tmp_path / "out")]
+    assert cli.main(args) == 0
+    out = capsys.readouterr().out
+    assert "dropped 1 SPARQL label rows with values outside the scheme" in out
+    # ann:e0 keeps its label from labels.tsv; the dropped row changes nothing else.
+    report = parse_report((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+    assert {e.target_population for e in report.records} == {10}
+    assert cli.main(evaluate_args(audit_dir, tmp_path / "plain")) == 0
+    assert "dropped" not in capsys.readouterr().out
+
+
 def test_simulate_then_evaluate_round_trip(tmp_path):
     plan = write(tmp_path / "plan.tsv",
                  "topic_id\ttarget_ratio\tbias\tlength\tpopulation\n"
@@ -246,6 +273,36 @@ def test_report_schema_mismatch_exits_1(tmp_path, capsys):
     assert "schema" in capsys.readouterr().err
 
 
+def test_report_without_meta_exits_1(tmp_path, capsys):
+    bogus = write(tmp_path / "report.json", '{"schema": "biaslens-report/1"}')
+    assert cli.main(["report", bogus, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"{bogus}: missing key 'meta' (field: meta)" in err
+
+
+def test_report_with_tampered_bias_exits_1(audit_dir, tmp_path, capsys):
+    assert cli.main(evaluate_args(audit_dir, tmp_path / "out")) == 0
+    path = tmp_path / "out" / "report.json"
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["records"][2]["bias"]["ratio"] = "3/10"
+    write(path, json.dumps(payload))
+    capsys.readouterr()
+    assert cli.main(["report", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}: bias must equal" in err and "(field: records[2])" in err
+
+
+def test_outputs_are_readable_under_the_umask(audit_dir, tmp_path):
+    previous = os.umask(0o022)
+    try:
+        assert cli.main(evaluate_args(audit_dir, tmp_path / "out")) == 0
+        assert cli.main(evaluate_args(audit_dir, tmp_path / "csv", ("--format", "csv"))) == 0
+    finally:
+        os.umask(previous)
+    written = [tmp_path / "out" / "report.json", *(tmp_path / "csv").iterdir()]
+    assert {stat.S_IMODE(p.stat().st_mode) for p in written} == {0o644}
+
+
 def test_config_file_with_flag_override(audit_dir, tmp_path):
     config = write(tmp_path / "audit.cfg", f"""
 # audit defaults
@@ -300,20 +357,11 @@ def test_default_seed_is_fixed_constant(audit_dir, tmp_path, monkeypatch):
     assert report.meta.seed == cli.DEFAULT_SEED == 20191201
 
 
-def test_jobs_flag_is_deterministic(audit_dir, tmp_path):
-    serial = tmp_path / "serial"
-    parallel = tmp_path / "parallel"
-    assert cli.main(evaluate_args(audit_dir, serial)) == 0
-    assert cli.main(evaluate_args(audit_dir, parallel, ("--jobs", "4"))) == 0
-    assert (serial / "report.json").read_bytes() == (
-        parallel / "report.json").read_bytes()
-
-
 def test_help_lists_flags(capsys):
     assert cli.main(["evaluate", "--help"]) == 0
     out = capsys.readouterr().out
     for flag in ("--cutoff", "--feature", "--values", "--strict", "--seed",
-                 "--format", "--out", "--jobs", "--runs", "--labels",
+                 "--format", "--out", "--runs", "--labels",
                  "--target", "--members"):
         assert flag in out
 

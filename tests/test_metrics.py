@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import json
 from fractions import Fraction
 
 import pytest
@@ -14,18 +16,25 @@ from biaslens import (
     EmptyPopulationError,
     EmptyRunError,
     FeatureScheme,
+    ParseError,
     RankedRun,
     SchemeViolationError,
     TargetCounts,
     TopicMismatchError,
     UnlabeledEntityError,
     aggregate,
+    attainable_count,
     bias_at_n,
+    build_report,
     ideal_target_ratio_at_n,
     model_ratio_at_n,
     naive_target_ratio_at_n,
+    parse_report,
+    report_to_json,
     target_ratio,
 )
+from biaslens.report import EvaluatedTopic
+from test_report import make_meta
 
 F = Fraction
 HALF = F(1, 2)
@@ -187,6 +196,17 @@ class TestIdealTargetRatio:
         model = F(model_count, m)
         ideal, _ = ideal_target_ratio_at_n(target, model, m)
         assert ideal == support.oracle_ideal(target, model, m)
+
+    @given(
+        total=st.integers(min_value=1, max_value=60),
+        m=st.integers(min_value=1, max_value=30),
+        data=st.data(),
+    )
+    def test_attainable_count_matches_literal_oracle(self, total, m, data):
+        count = data.draw(st.integers(min_value=0, max_value=total))
+        shown = data.draw(st.integers(min_value=0, max_value=m))
+        expected = support.oracle_ideal(F(count, total), F(shown, m), m)
+        assert F(attainable_count(count, total, m, shown), m) == expected
 
     @given(
         num=st.integers(min_value=0, max_value=300),
@@ -399,18 +419,56 @@ class TestMultiValueSchemes:
 
 
 class TestBiasRecordInvariants:
+    """A record's ratios must lie on its grid and agree with each other.
+
+    Records are built from counts, which satisfy that by construction, so
+    the checks bite where ratios come in from outside: a report document.
+    """
+
+    @staticmethod
+    def _document(**record_changes):
+        record = support.grid_record("t", "female", 10, 3, 5, raw=HALF)
+        report = build_report(make_meta(), [EvaluatedTopic("kb", 2, record)])
+        payload = json.loads(report_to_json(report))
+        for key, ratio in record_changes.items():
+            payload["records"][0][key]["ratio"] = ratio
+        return json.dumps(payload)
+
     def test_rejects_off_grid_model(self):
-        with pytest.raises(ValueError):
-            BiasRecord(topic_id="t", feature_value="v", cutoff_requested=10,
-                       cutoff_effective=10, model_ratio=F(1, 3),
-                       target_ratio_raw=HALF, rounding_remainder=F(0),
-                       target_ratio_at_cutoff=HALF, bias=F(1, 3) - HALF,
-                       unknown_in_window=0)
+        with pytest.raises(ParseError) as err:
+            parse_report(self._document(model_ratio="1/3", bias="-1/6"),
+                         path="report.json")
+        assert "not on the 1/10 grid" in str(err.value)
+        assert err.value.path == "report.json" and err.value.field == "records[0]"
 
     def test_rejects_inconsistent_bias(self):
+        with pytest.raises(ParseError) as err:
+            parse_report(self._document(bias="1/10"), path="report.json")
+        assert "bias must equal" in str(err.value)
+        assert err.value.field == "records[0]"
+
+    def test_rejects_inconsistent_remainder(self):
+        with pytest.raises(ParseError) as err:
+            parse_report(self._document(rounding_remainder="1/3"))
+        assert "rounding_remainder" in str(err.value)
+
+    def test_counts_must_fit_the_window(self):
         with pytest.raises(ValueError):
-            BiasRecord(topic_id="t", feature_value="v", cutoff_requested=10,
-                       cutoff_effective=10, model_ratio=F(3, 10),
-                       target_ratio_raw=HALF, rounding_remainder=F(0),
-                       target_ratio_at_cutoff=HALF, bias=F(1, 10),
-                       unknown_in_window=0)
+            BiasRecord("t", "v", 10, 10, model_count=11, ideal_count=5,
+                       target_numerator=1, target_denominator=2)
+        with pytest.raises(ValueError):
+            BiasRecord("t", "v", 10, 10, 5, 5, target_numerator=3, target_denominator=2)
+
+    def test_replace_in_ratio_terms(self):
+        record = support.grid_record("t", "female", 10, 3, 5, raw=HALF)
+        moved = dataclasses.replace(record, model_ratio=F(4, 10), bias=F(-1, 10))
+        assert (moved.model_count, moved.ideal_count, moved.bias) == (4, 5, F(-1, 10))
+        with pytest.raises(ValueError):
+            dataclasses.replace(record, model_ratio=F(1, 3))
+        with pytest.raises(ValueError):
+            dataclasses.replace(record, bias=F(1, 10))
+
+    def test_raw_ratio_is_stored_in_lowest_terms(self):
+        record = BiasRecord("t", "v", 10, 10, 5, 5, target_numerator=6, target_denominator=12)
+        assert (record.target_numerator, record.target_denominator) == (1, 2)
+        assert record == support.grid_record("t", "v", 10, 5, 5, raw=HALF)

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import support
 from audit_rows import AUDIT_ROWS
@@ -273,6 +276,23 @@ class TestUnbiasedExemplars:
         assert table.buckets[4].row.topic_id == "aa"
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.text(max_size=4)
+    | st.sampled_from(["1/3", "0", "-1/10", "3/10", "kb", "female"]),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=3),
+                                                                inner, max_size=2),
+    max_leaves=4)
+
+
+def _json_paths(node, prefix=()):
+    """Every (key or index) path into a JSON tree, the root's children first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield (*prefix, key)
+        if isinstance(child, (dict, list)) and child:
+            yield from _json_paths(child, (*prefix, key))
+
+
 def make_meta(**overrides):
     base = dict(seed=20191201, cutoff=10, feature_name="gender",
                 values=("female", "male"), unknown_token="unknown",
@@ -280,6 +300,16 @@ def make_meta(**overrides):
                 sd_divisor="sample")
     base.update(overrides)
     return ReportMeta(**base)
+
+
+def _mutation_base() -> str:
+    evaluated = simulated_corpus(support.GENDER, seed=8, topics=3, m=4)
+    skipped = (SkippedTopic("ghost", "kb", "missing-target", "no counts"),)
+    return report_to_json(build_report(make_meta(cutoff=4, table_size=2), evaluated,
+                                       skipped))
+
+
+MUTATION_BASE = _mutation_base()
 
 
 class TestReportDocument:
@@ -325,6 +355,35 @@ class TestReportDocument:
     def test_invalid_json_is_parse_error(self):
         with pytest.raises(ParseError):
             parse_report("{broken", path="report.json")
+
+    @pytest.mark.parametrize("text", ["[]", '{"schema": "biaslens-report/1"}',
+                                      '{"schema": "biaslens-report/1", "meta": {}}'])
+    def test_malformed_documents_name_the_section(self, text):
+        with pytest.raises(ParseError) as err:
+            parse_report(text, path="report.json")
+        assert str(err.value).startswith("report.json: ")
+        assert err.value.field in (None, "meta")
+
+    @given(data=st.data())
+    def test_mutated_documents_parse_or_raise_parse_error(self, data):
+        payload = json.loads(MUTATION_BASE)
+        paths = list(_json_paths(payload))
+        *parents, last = data.draw(st.sampled_from(paths))
+        holder = payload
+        for step in parents:
+            holder = holder[step]
+        if isinstance(holder, dict) and data.draw(st.booleans()):
+            del holder[last]
+        else:
+            holder[last] = data.draw(JSON_VALUES)
+        try:
+            report = parse_report(json.dumps(payload), path="report.json")
+        except (ParseError, SchemaVersionError) as exc:
+            assert str(exc).startswith("report.json")
+            return
+        rebuilt = rebuild_report(report, exemplar_grid=7)
+        report_to_json(rebuilt)
+        report_to_csv_bundle(rebuilt)
 
     def test_rebuild_with_new_table_size(self, gender):
         evaluated = simulated_corpus(gender, seed=6)
