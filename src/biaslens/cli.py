@@ -15,10 +15,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence, TextIO
 
 from . import ingest
 from .errors import (
@@ -78,11 +79,34 @@ class AuditConfig:
                              unknown_token=self.unknown_token)
 
 
+@contextmanager
+def _open_input(path: Path) -> Iterator[TextIO]:
+    """Open an input file as UTF-8 text.
+
+    Bytes that are not UTF-8, met anywhere while the file is read, raise a
+    ParseError naming the file and the line of the first such byte.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            yield handle
+    except UnicodeDecodeError as exc:
+        # The streamed error knows only its offset in one chunk; decoding the
+        # whole file again finds the line.
+        reason, line = exc.reason, None
+        data = path.read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as whole:
+            reason, line = whole.reason, data.count(b"\n", 0, whole.start) + 1
+        raise ParseError(f"not UTF-8 text: {reason}", path=str(path), line=line) from None
+
+
 def parse_config_file(path: Path) -> dict[str, str]:
     """Read the flat key=value config format; '#' starts a comment line."""
     settings: dict[str, str] = {}
     try:
-        text = path.read_text(encoding="utf-8")
+        with _open_input(path) as handle:
+            text = handle.read()
     except OSError as exc:
         raise ParseError(f"cannot read config: {exc.strerror}", path=str(path)) from None
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -221,14 +245,14 @@ def _load_target_sources(config: AuditConfig, scheme: FeatureScheme,
     dropped = 0
 
     for label, path in sorted(config.targets.items()):
-        with open(path, encoding="utf-8") as handle:
+        with _open_input(path) as handle:
             counts = ingest.parse_target_counts(handle, scheme, path=str(path))
         sources[label] = {c.topic_id: c for c in counts}
 
     membership: dict[str, ingest.MembershipTable] = {}
     for label, path in sorted(config.members.items()):
         if path.suffix == ".json":
-            with open(path, encoding="utf-8") as handle:
+            with _open_input(path) as handle:
                 extraction = ingest.parse_sparql_results(
                     handle, topic_var=config.topic_var, entity_var=config.entity_var,
                     value_var=config.value_var, strict=config.strict, path=str(path))
@@ -238,7 +262,7 @@ def _load_target_sources(config: AuditConfig, scheme: FeatureScheme,
                                      for entity, value in label_rows if value in allowed)
             membership[label] = extraction.members
         else:
-            with open(path, encoding="utf-8") as handle:
+            with _open_input(path) as handle:
                 membership[label] = ingest.parse_members(handle, path=str(path))
 
     for label, table in sorted(membership.items()):
@@ -296,11 +320,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise BiasLensError(
             "evaluate needs at least one target source (--target/--members LABEL=FILE)")
 
-    with open(config.runs, encoding="utf-8") as handle:
+    with _open_input(config.runs) as handle:
         runs = ingest.parse_runs(handle, path=str(config.runs))
     if not runs:
         raise BiasLensError(f"{config.runs}: no runs found")
-    with open(config.labels, encoding="utf-8") as handle:
+    with _open_input(config.labels) as handle:
         catalog = ingest.parse_labels(handle, scheme, path=str(config.labels))
 
     sources, catalog, skipped, dropped = _load_target_sources(config, scheme, runs,
@@ -365,7 +389,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     scheme = config.scheme()
     value = scheme.values[0]
     spec_path = Path(args.plan)
-    with open(spec_path, encoding="utf-8") as handle:
+    with _open_input(spec_path) as handle:
         text = handle.read()
 
     rows = []
@@ -424,14 +448,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    exemplar_grid = getattr(args, "exemplar_grid", None)
-    if exemplar_grid is not None and exemplar_grid < 1:
-        raise BiasLensError(f"exemplar grid must be >= 1, got {exemplar_grid}")
+    if args.exemplar_grid < 1:
+        raise BiasLensError(f"exemplar grid must be >= 1, got {args.exemplar_grid}")
     report_path = Path(args.report)
-    with open(report_path, encoding="utf-8") as handle:
+    with _open_input(report_path) as handle:
         report = parse_report(handle.read(), path=str(report_path))
     rebuilt = rebuild_report(report, table_size=getattr(args, "table_size", None),
-                             exemplar_grid=exemplar_grid)
+                             exemplar_grid=args.exemplar_grid)
     written = emit_report(rebuilt, config.fmt, config.out)
     for path in written:
         print(f"wrote {path}")
@@ -454,7 +477,8 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--unknown-token", dest="unknown_token", metavar="TOKEN",
                         help="label marking an explicit unknown (default: unknown)")
     parser.add_argument("--strict", action="store_true", default=False,
-                        help="treat unlabeled entities in a window as errors")
+                        help="treat unlabeled entities in a window (exit 2) and "
+                             "non-IRI SPARQL entities (exit 1) as errors")
     parser.add_argument("--seed", type=int, metavar="N",
                         help=f"jitter/simulation seed (default {DEFAULT_SEED}; "
                              f"env {SEED_ENV_VAR})")
@@ -498,9 +522,9 @@ def build_parser() -> argparse.ArgumentParser:
         "report", help="re-derive tables from an existing report.json")
     _add_shared_flags(report)
     report.add_argument("report", metavar="REPORT_JSON", help="input report document")
-    report.add_argument("--exemplar-grid", dest="exemplar_grid", type=int, metavar="G",
-                        help="bucket count for the unbiased exemplar table "
-                             "(default 10)")
+    report.add_argument("--exemplar-grid", dest="exemplar_grid", type=int, default=10,
+                        metavar="G",
+                        help="bucket count for the unbiased exemplar table (default 10)")
     report.set_defaults(handler=cmd_report)
     return parser
 

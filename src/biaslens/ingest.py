@@ -132,10 +132,6 @@ class MembershipTable:
     def topics(self) -> list[str]:
         return sorted(self.members)
 
-    def restrict(self, topic_ids: Iterable[str]) -> "MembershipTable":
-        keep = set(topic_ids)
-        return MembershipTable({t: s for t, s in self.members.items() if t in keep})
-
     def __len__(self) -> int:
         return len(self.members)
 
@@ -448,14 +444,6 @@ class SparqlExtraction:
 
     members: MembershipTable
     label_rows: tuple[tuple[str, str], ...]  # (entity_id, raw value), in file order
-
-    def restrict(self, topic_ids: Iterable[str]) -> "SparqlExtraction":
-        restricted = self.members.restrict(topic_ids)
-        keep = set()
-        for entities in restricted.members.values():
-            keep |= entities
-        rows = tuple((e, v) for e, v in self.label_rows if e in keep)
-        return SparqlExtraction(members=restricted, label_rows=rows)
 
 
 def _terminal_segment(iri: str) -> str:

@@ -14,7 +14,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -298,7 +298,8 @@ def unbiased_exemplars(records: Sequence[BiasRecord],
 
 
 def build_report(meta: ReportMeta, evaluated: Sequence[EvaluatedTopic],
-                 skipped: Sequence[SkippedTopic] = ()) -> Report:
+                 skipped: Sequence[SkippedTopic] = (), *,
+                 exemplar_grid: int = 10) -> Report:
     """Assemble the full report: summaries, histograms, scatters and tables.
 
     Blocks exist per (source, value) pair that produced at least one record.
@@ -327,7 +328,7 @@ def build_report(meta: ReportMeta, evaluated: Sequence[EvaluatedTopic],
                 histogram=build_histogram(records, value, meta.cutoff),
                 scatter=build_scatter(records, value, meta.cutoff, meta.seed),
                 tables=ranked_bias_table(records, value, meta.table_size),
-                unbiased=unbiased_exemplars(records, populations),
+                unbiased=unbiased_exemplars(records, populations, grid=exemplar_grid),
             ))
     ordered_skips = tuple(sorted(skipped, key=lambda s: (s.source, s.topic_id)))
     return Report(meta=meta, records=evaluated, blocks=tuple(blocks),
@@ -335,33 +336,10 @@ def build_report(meta: ReportMeta, evaluated: Sequence[EvaluatedTopic],
 
 
 def rebuild_report(report: Report, *, table_size: int | None = None,
-                   exemplar_grid: int | None = None) -> Report:
+                   exemplar_grid: int = 10) -> Report:
     """Re-derive tables and artifacts from stored records, without re-evaluating."""
-    meta = report.meta
-    if table_size is not None:
-        meta = ReportMeta(seed=meta.seed, cutoff=meta.cutoff,
-                          feature_name=meta.feature_name, values=meta.values,
-                          unknown_token=meta.unknown_token, sources=meta.sources,
-                          strict=meta.strict, table_size=table_size,
-                          sd_divisor=meta.sd_divisor, evaluation=meta.evaluation)
-    rebuilt = build_report(meta, report.records, report.skipped)
-    if exemplar_grid is None or exemplar_grid == 10:
-        return rebuilt
-    blocks = []
-    for block in rebuilt.blocks:
-        group = [e for e in rebuilt.records
-                 if e.source == block.source
-                 and e.record.feature_value == block.feature_value]
-        populations = {e.record.topic_id: e.target_population for e in group}
-        blocks.append(ReportBlock(
-            source=block.source, feature_value=block.feature_value,
-            summary=block.summary, histogram=block.histogram,
-            scatter=block.scatter, tables=block.tables,
-            unbiased=unbiased_exemplars([e.record for e in group], populations,
-                                        grid=exemplar_grid),
-        ))
-    return Report(meta=rebuilt.meta, records=rebuilt.records,
-                  blocks=tuple(blocks), skipped=rebuilt.skipped)
+    meta = report.meta if table_size is None else replace(report.meta, table_size=table_size)
+    return build_report(meta, report.records, report.skipped, exemplar_grid=exemplar_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +498,28 @@ def report_to_json(report: Report) -> str:
             for s in report.skipped
         ],
     }
-    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+    return _layout(payload) + "\n"
+
+
+# CPython encodes in C only when no indent is given, so entries go through a
+# compact encoder and only the lines around them are written here.
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def _layout(value, indent: str = "") -> str:
+    """JSON text of ``value``. The top level, and any container that is or
+    directly holds a non-empty list of objects, puts one member or entry per
+    line with a 2-space indent; everything else is one compact line."""
+    members = value.values() if type(value) is dict else (value,)
+    if indent and (list not in map(type, members) or not any(
+            type(v) is list and v and type(v[0]) is dict for v in members)):
+        return _encode(value)
+    inner = indent + "  "
+    if type(value) is dict:
+        lines = [f"{inner}{_encode(key)}: {_layout(v, inner)}" for key, v in value.items()]
+        return "{\n" + ",\n".join(lines) + f"\n{indent}}}"
+    lines = [inner + _layout(v, inner) for v in value]
+    return "[\n" + ",\n".join(lines) + f"\n{indent}]"
 
 
 # Everything a malformed document can raise while it is read; parse_report

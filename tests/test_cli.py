@@ -133,6 +133,15 @@ def test_evaluate_parse_error_names_file_and_line(audit_dir, tmp_path, capsys):
     assert "runs.tsv:2" in err
 
 
+def test_evaluate_runs_that_are_not_utf8_exit_1(audit_dir, tmp_path, capsys):
+    runs = audit_dir / "runs.tsv"
+    runs.write_bytes(runs.read_bytes() + b"archivist\t11\tarc:\xff\n")
+    out = tmp_path / "out"
+    assert cli.main(evaluate_args(audit_dir, out)) == 1
+    assert f"error: {runs}:21: not UTF-8 text" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_evaluate_members_source(audit_dir, tmp_path):
     members = ["announcer\tann:e%d" % i for i in range(10)]
     members += ["archivist\tarc:e%d" % i for i in range(10)]
@@ -278,6 +287,13 @@ def test_report_without_meta_exits_1(tmp_path, capsys):
     assert cli.main(["report", bogus, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert f"{bogus}: missing key 'meta' (field: meta)" in err
+
+
+def test_report_that_is_not_utf8_exits_1(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert cli.main(["report", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert f"error: {path}:1: not UTF-8 text" in capsys.readouterr().err
 
 
 def test_report_with_tampered_bias_exits_1(audit_dir, tmp_path, capsys):

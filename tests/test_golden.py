@@ -18,7 +18,7 @@ from biaslens import cli
 GOLDEN = {
     "histogram.csv": "f1d700ba071847088b614629dd25a73687a4ceaa41be3f53543e8e87313371de",
     "records.csv": "373db45494bba207d0a4d279d56c9837cf831ba4a6cdc46921e37e61467573ea",
-    "report.json": "a4b15a774f97d468129c075a14e97334b3cf931cf6147785d7dc9a1ea9e7da02",
+    "report.json": "7374ebc2faab0f2374794036ad2ea22f2b1cc31b6cc7890b1fee565eec81c9d3",
     "scatter.csv": "a34858183d003861de108dac5d18deba11bcbc6312252fd27869009f05040954",
     "summaries.csv": "0581ef1201de8edc4927989ff43ae327375569f8f49e5cc1b0d25b1161f8cc91",
     "table_against.csv": "675129b7cade2ec0eb012e88c08c50549326acabcea277847b0b0f22775182ec",

@@ -18,6 +18,7 @@ from biaslens import (
     build_histogram,
     build_report,
     build_scatter,
+    cli,
     emit_report,
     parse_report,
     ranked_bias_table,
@@ -319,6 +320,39 @@ class TestReportDocument:
         report = build_report(make_meta(), evaluated, skipped)
         parsed = parse_report(report_to_json(report))
         assert parsed == report
+
+    def test_reemitting_a_parsed_report_gives_identical_bytes(self, gender, tmp_path):
+        evaluated = simulated_corpus(gender, seed=3)
+        skipped = (SkippedTopic("fantôme", "kb", "missing-target", "no counts"),)
+        text = report_to_json(build_report(make_meta(), evaluated, skipped))
+        assert report_to_json(parse_report(text)) == text
+        path = tmp_path / "report.json"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["report", str(path), "--format", "json", "--out", str(out)]) == 0
+        assert (out / "report.json").read_text(encoding="utf-8") == text
+
+    def test_indented_report_parses_to_the_same_report(self, gender):
+        evaluated = simulated_corpus(gender, seed=12)
+        skipped = (SkippedTopic("ghost", "kb", "missing-target", "no counts"),)
+        text = report_to_json(build_report(make_meta(), evaluated, skipped))
+        indented = json.dumps(json.loads(text), indent=2, ensure_ascii=False) + "\n"
+        assert indented != text
+        assert parse_report(indented) == parse_report(text)
+        assert report_to_json(parse_report(indented)) == text
+
+    def test_each_entry_is_one_compact_line(self, gender):
+        evaluated = simulated_corpus(gender, seed=13, topics=6)
+        text = report_to_json(build_report(make_meta(), evaluated))
+        lines = {line.strip().rstrip(",") for line in text.splitlines()}
+        payload = json.loads(text)
+        entries = payload["summaries"] + payload["records"]
+        for histogram, scatter, table in zip(payload["histogram"], payload["scatter"],
+                                             payload["tables"]):
+            entries += histogram["bins"] + scatter["points"] + table["towards"]
+            entries += table["against"] + table["unbiased"]["buckets"]
+        for entry in entries:
+            assert json.dumps(entry, ensure_ascii=False) in lines
 
     def test_json_summary_keys_match_contract(self, gender):
         evaluated = simulated_corpus(gender, seed=4)

@@ -8,7 +8,6 @@ from biaslens import (
     ParseError,
     SchemeViolationError,
     extraction_to_catalog,
-    parse_runs,
     parse_sparql_results,
 )
 
@@ -142,28 +141,6 @@ def test_custom_variable_names():
     extraction = parse_sparql_results(export, topic_var="occupation",
                                       entity_var="person", value_var="genderValue")
     assert extraction.label_rows == (("Q1", "male"),)
-
-
-def test_restrict_to_run_topics_matches_set_oracle():
-    # Funnel scenario: a wide occupation export intersected with the topics
-    # that actually produced runs.
-    rows = []
-    for t in range(200):
-        topic = f"job{t:03d}"
-        for i in range(3):
-            rows.append((literal(topic), uri(f"http://x/Q{t}_{i}"),
-                         literal("female" if i else "male")))
-    export = json_export(rows)
-    extraction = parse_sparql_results(export)
-
-    run_text = "".join(f"job{t:03d}\t1\te{t}\n" for t in range(0, 200, 7))
-    run_topics = {r.topic_id for r in parse_runs(run_text)}
-    restricted = extraction.restrict(run_topics)
-
-    oracle = set(extraction.members.members) & run_topics
-    assert set(restricted.members.members) == oracle
-    kept_entities = set().union(*restricted.members.members.values())
-    assert all(entity in kept_entities for entity, _ in restricted.label_rows)
 
 
 def test_extraction_to_catalog_with_value_map(gender):
