@@ -448,15 +448,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    if args.exemplar_grid < 1:
+    if args.exemplar_grid is not None and args.exemplar_grid < 1:
         raise BiasLensError(f"exemplar grid must be >= 1, got {args.exemplar_grid}")
     report_path = Path(args.report)
     with _open_input(report_path) as handle:
         report = parse_report(handle.read(), path=str(report_path))
-    rebuilt = rebuild_report(report, table_size=getattr(args, "table_size", None),
-                             exemplar_grid=args.exemplar_grid)
-    written = emit_report(rebuilt, config.fmt, config.out)
-    for path in written:
+    report = rebuild_report(report, table_size=args.table_size,
+                            exemplar_grid=args.exemplar_grid)
+    for path in emit_report(report, config.fmt, config.out):
         print(f"wrote {path}")
     return 0
 
@@ -465,31 +464,31 @@ def cmd_report(args: argparse.Namespace) -> int:
 # argument parsing and entry point
 # ---------------------------------------------------------------------------
 
-def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="FILE",
-                        help="flat key=value config file (flags win)")
-    parser.add_argument("--cutoff", type=int, metavar="N",
-                        help="evaluation window size (default 10)")
-    parser.add_argument("--feature", metavar="NAME",
-                        help="feature to audit, e.g. gender")
-    parser.add_argument("--values", metavar="A,B[,...]",
-                        help="comma-separated declared feature values")
-    parser.add_argument("--unknown-token", dest="unknown_token", metavar="TOKEN",
-                        help="label marking an explicit unknown (default: unknown)")
-    parser.add_argument("--strict", action="store_true", default=False,
-                        help="treat unlabeled entities in a window (exit 2) and "
-                             "non-IRI SPARQL entities (exit 1) as errors")
-    parser.add_argument("--seed", type=int, metavar="N",
-                        help=f"jitter/simulation seed (default {DEFAULT_SEED}; "
-                             f"env {SEED_ENV_VAR})")
-    parser.add_argument("--format", choices=("json", "csv"),
-                        help="report output format (default json)")
-    parser.add_argument("--out", metavar="DIR", help="output directory (default out)")
-    parser.add_argument("--table-size", dest="table_size", type=int, metavar="K",
-                        help="rows per ranked bias table (default 11)")
-    parser.add_argument("--population-sd", dest="population_sd", action="store_true",
-                        default=False,
-                        help="use the population standard-deviation divisor N")
+# Every option of a subcommand; each parser gets only those its command reads.
+_FLAGS = {
+    "--config": dict(metavar="FILE", help="flat key=value config file (flags win)"),
+    "--cutoff": dict(type=int, metavar="N", help="evaluation window size (default 10)"),
+    "--feature": dict(metavar="NAME", help="feature to audit, e.g. gender"),
+    "--values": dict(metavar="A,B[,...]", help="comma-separated declared feature values"),
+    "--unknown-token": dict(metavar="TOKEN",
+                            help="label marking an explicit unknown (default: unknown)"),
+    "--strict": dict(action="store_true",
+                     help="treat unlabeled entities in a window (exit 2) and "
+                          "non-IRI SPARQL entities (exit 1) as errors"),
+    "--seed": dict(type=int, metavar="N", help=f"jitter/simulation seed "
+                                               f"(default {DEFAULT_SEED}; env {SEED_ENV_VAR})"),
+    "--format": dict(choices=("json", "csv"), help="report output format (default json)"),
+    "--out": dict(metavar="DIR", help="output directory (default out)"),
+    "--table-size": dict(type=int, metavar="K", help="rows per ranked bias table "
+                                                     "(default 11; report: the stored size)"),
+    "--population-sd": dict(action="store_true",
+                            help="use the population standard-deviation divisor N"),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        parser.add_argument(flag, **_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -501,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     evaluate = commands.add_parser(
         "evaluate", help="measure bias for runs against one or more target sources")
-    _add_shared_flags(evaluate)
+    _add_flags(evaluate, *_FLAGS)
     evaluate.add_argument("--runs", metavar="FILE", help="ranked runs TSV")
     evaluate.add_argument("--labels", metavar="FILE", help="entity label TSV")
     evaluate.add_argument("--target", action="append", metavar="LABEL=FILE",
@@ -512,7 +511,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = commands.add_parser(
         "simulate", help="write synthetic fixture files with planted biases")
-    _add_shared_flags(simulate)
+    _add_flags(simulate, "--config", "--feature", "--values", "--unknown-token", "--seed",
+               "--out")
     simulate.add_argument("plan", metavar="PLAN_TSV",
                           help="rows: topic_id, target_ratio, bias, length"
                                "[, population]")
@@ -520,11 +520,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = commands.add_parser(
         "report", help="re-derive tables from an existing report.json")
-    _add_shared_flags(report)
+    _add_flags(report, "--config", "--format", "--out", "--table-size")
     report.add_argument("report", metavar="REPORT_JSON", help="input report document")
-    report.add_argument("--exemplar-grid", dest="exemplar_grid", type=int, default=10,
-                        metavar="G",
-                        help="bucket count for the unbiased exemplar table (default 10)")
+    report.add_argument("--exemplar-grid", dest="exemplar_grid", type=int, metavar="G",
+                        help="bucket count for the unbiased exemplar table "
+                             "(default: the stored grid)")
     report.set_defaults(handler=cmd_report)
     return parser
 

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ParseError, SchemaVersionError
 from .metrics import BiasRecord, BiasSummary, aggregate
@@ -141,6 +141,7 @@ class ReportMeta:
     table_size: int
     sd_divisor: str
     evaluation: str = "one-vs-rest"
+    exemplar_grid: int = 10
 
 
 @dataclass(frozen=True)
@@ -297,9 +298,23 @@ def unbiased_exemplars(records: Sequence[BiasRecord],
     return ExemplarTable(grid=grid, buckets=tuple(buckets), skipped=tuple(skipped))
 
 
+def _groups(meta: ReportMeta, evaluated: Sequence[EvaluatedTopic]
+            ) -> Iterator[tuple[str, str, list[BiasRecord], dict[str, int]]]:
+    """(source, value, records, populations) of each block, in block order:
+    one per (source, value) pair of ``meta`` with at least one record."""
+    grouped: dict[tuple[str, str], list[EvaluatedTopic]] = {}
+    for item in evaluated:
+        grouped.setdefault((item.source, item.record.feature_value), []).append(item)
+    for source in sorted(meta.sources):
+        for value in meta.values:
+            group = grouped.get((source, value))
+            if group:
+                yield (source, value, [g.record for g in group],
+                       {g.record.topic_id: g.target_population for g in group})
+
+
 def build_report(meta: ReportMeta, evaluated: Sequence[EvaluatedTopic],
-                 skipped: Sequence[SkippedTopic] = (), *,
-                 exemplar_grid: int = 10) -> Report:
+                 skipped: Sequence[SkippedTopic] = ()) -> Report:
     """Assemble the full report: summaries, histograms, scatters and tables.
 
     Blocks exist per (source, value) pair that produced at least one record.
@@ -308,38 +323,35 @@ def build_report(meta: ReportMeta, evaluated: Sequence[EvaluatedTopic],
     """
     evaluated = tuple(sorted(
         evaluated, key=lambda e: (e.source, e.record.feature_value, e.record.topic_id)))
-    grouped: dict[tuple[str, str], list[EvaluatedTopic]] = {}
-    for item in evaluated:
-        grouped.setdefault((item.source, item.record.feature_value), []).append(item)
-
-    blocks = []
-    for source in sorted(meta.sources):
-        for value in meta.values:
-            group = grouped.get((source, value))
-            if not group:
-                continue
-            records = [g.record for g in group]
-            populations = {g.record.topic_id: g.target_population for g in group}
-            blocks.append(ReportBlock(
-                source=source,
-                feature_value=value,
-                summary=aggregate(records, value, source,
-                                  population_sd=meta.sd_divisor == "population"),
-                histogram=build_histogram(records, value, meta.cutoff),
-                scatter=build_scatter(records, value, meta.cutoff, meta.seed),
-                tables=ranked_bias_table(records, value, meta.table_size),
-                unbiased=unbiased_exemplars(records, populations, grid=exemplar_grid),
-            ))
+    blocks = tuple(
+        ReportBlock(
+            source=source,
+            feature_value=value,
+            summary=aggregate(records, value, source,
+                              population_sd=meta.sd_divisor == "population"),
+            histogram=build_histogram(records, value, meta.cutoff),
+            scatter=build_scatter(records, value, meta.cutoff, meta.seed),
+            tables=ranked_bias_table(records, value, meta.table_size),
+            unbiased=unbiased_exemplars(records, populations, grid=meta.exemplar_grid),
+        )
+        for source, value, records, populations in _groups(meta, evaluated))
     ordered_skips = tuple(sorted(skipped, key=lambda s: (s.source, s.topic_id)))
-    return Report(meta=meta, records=evaluated, blocks=tuple(blocks),
-                  skipped=ordered_skips)
+    return Report(meta=meta, records=evaluated, blocks=blocks, skipped=ordered_skips)
 
 
 def rebuild_report(report: Report, *, table_size: int | None = None,
-                   exemplar_grid: int = 10) -> Report:
-    """Re-derive tables and artifacts from stored records, without re-evaluating."""
-    meta = report.meta if table_size is None else replace(report.meta, table_size=table_size)
-    return build_report(meta, report.records, report.skipped, exemplar_grid=exemplar_grid)
+                   exemplar_grid: int | None = None) -> Report:
+    """Re-rank the tables and exemplars of ``report``; ``None`` keeps its table
+    size or exemplar grid. The other sections depend only on the records,
+    cutoff, seed and standard-deviation divisor, so they are kept."""
+    changes = {"table_size": table_size, "exemplar_grid": exemplar_grid}
+    meta = replace(report.meta, **{k: v for k, v in changes.items() if v is not None})
+    blocks = tuple(
+        replace(block, tables=ranked_bias_table(records, value, meta.table_size),
+                unbiased=unbiased_exemplars(records, populations, grid=meta.exemplar_grid))
+        for block, (_, value, records, populations)
+        in zip(report.blocks, _groups(meta, report.records), strict=True))
+    return replace(report, meta=meta, blocks=blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +401,86 @@ def _record_obj(item: EvaluatedTopic) -> dict:
     }
 
 
+def _summary_entry(b: ReportBlock) -> dict:
+    return {
+        "topics": b.summary.topic_count,
+        "MB": _ratio_obj(b.summary.mean_bias),
+        "SB": b.summary.stdev_bias,
+        "MAB": _ratio_obj(b.summary.mean_abs_bias),
+        "min": _ratio_obj(b.summary.min_bias),
+        "max": _ratio_obj(b.summary.max_bias),
+        "single_sample": b.summary.single_sample,
+    }
+
+
+def _histogram_entry(b: ReportBlock) -> dict:
+    n = b.histogram.cutoff
+    return {
+        "cutoff": n,
+        "bins": [
+            {"center": ratio_str(k, n), "value": k / n, "count": count,
+             "reference_count": ref}
+            for k, count, ref in zip(range(-n, n + 1), b.histogram.counts,
+                                     b.histogram.reference_counts)
+        ],
+        "off_grid_topics": list(b.histogram.off_grid_topics),
+    }
+
+
+def _scatter_entry(b: ReportBlock) -> dict:
+    return {
+        "points": [
+            {
+                "topic": p.topic_id,
+                "x": _ratio_obj(p.target_ratio),
+                "y": _ratio_obj(p.model_ratio),
+                "cell": list(p.cell),
+                "dx": p.dx,
+                "dy": p.dy,
+                "on_diagonal": p.on_diagonal,
+                "off_grid": p.off_grid,
+            }
+            for p in b.scatter
+        ],
+    }
+
+
+def _tables_entry(b: ReportBlock) -> dict:
+    grid = b.unbiased.grid
+    return {
+        "k": b.tables.requested_size,
+        "towards": [_row_obj(r) for r in b.tables.towards],
+        "against": [_row_obj(r) for r in b.tables.against],
+        "towards_short": b.tables.towards_short,
+        "against_short": b.tables.against_short,
+        "unbiased": {
+            "grid": grid,
+            "buckets": [
+                {
+                    "bucket": ratio_str(grid_count(bk.bucket, grid), grid),
+                    "value": bk.bucket.numerator / bk.bucket.denominator,
+                    "topic": bk.row.topic_id if bk.row else None,
+                    "population": bk.population,
+                    "row": _row_obj(bk.row) if bk.row else None,
+                }
+                for bk in b.unbiased.buckets
+            ],
+            "skipped": [{"topic": t, "reason": reason} for t, reason in b.unbiased.skipped],
+        },
+    }
+
+
+_DERIVED_ENTRIES = {"summaries": _summary_entry, "histogram": _histogram_entry,
+                    "scatter": _scatter_entry, "tables": _tables_entry}
+
+
+def _derived(name: str, blocks: Sequence[ReportBlock]) -> list[dict]:
+    """The document's section ``name``, one entry per block. Writing a report,
+    checking a stored one and the CSV bundle all take their entries from here."""
+    entry = _DERIVED_ENTRIES[name]
+    return [{"source": b.source, "value": b.feature_value, **entry(b)} for b in blocks]
+
+
 def report_to_json(report: Report) -> str:
     """Render the report as the versioned JSON document (byte-stable)."""
     meta = report.meta
@@ -406,92 +498,11 @@ def report_to_json(report: Report) -> str:
             "sd_divisor": meta.sd_divisor,
             "evaluation": meta.evaluation,
         },
-        "summaries": [
-            {
-                "source": b.source,
-                "value": b.feature_value,
-                "topics": b.summary.topic_count,
-                "MB": _ratio_obj(b.summary.mean_bias),
-                "SB": b.summary.stdev_bias,
-                "MAB": _ratio_obj(b.summary.mean_abs_bias),
-                "min": _ratio_obj(b.summary.min_bias),
-                "max": _ratio_obj(b.summary.max_bias),
-                "single_sample": b.summary.single_sample,
-            }
-            for b in report.blocks
-        ],
+        "summaries": _derived("summaries", report.blocks),
         "records": [_record_obj(e) for e in report.records],
-        "histogram": [
-            {
-                "source": b.source,
-                "value": b.feature_value,
-                "cutoff": b.histogram.cutoff,
-                "bins": [
-                    {
-                        "center": ratio_str(k, b.histogram.cutoff),
-                        "value": k / b.histogram.cutoff,
-                        "count": count,
-                        "reference_count": ref,
-                    }
-                    for k, count, ref in zip(range(-b.histogram.cutoff,
-                                                   b.histogram.cutoff + 1),
-                                             b.histogram.counts,
-                                             b.histogram.reference_counts)
-                ],
-                "off_grid_topics": list(b.histogram.off_grid_topics),
-            }
-            for b in report.blocks
-        ],
-        "scatter": [
-            {
-                "source": b.source,
-                "value": b.feature_value,
-                "points": [
-                    {
-                        "topic": p.topic_id,
-                        "x": _ratio_obj(p.target_ratio),
-                        "y": _ratio_obj(p.model_ratio),
-                        "cell": list(p.cell),
-                        "dx": p.dx,
-                        "dy": p.dy,
-                        "on_diagonal": p.on_diagonal,
-                        "off_grid": p.off_grid,
-                    }
-                    for p in b.scatter
-                ],
-            }
-            for b in report.blocks
-        ],
-        "tables": [
-            {
-                "source": b.source,
-                "value": b.feature_value,
-                "k": b.tables.requested_size,
-                "towards": [_row_obj(r) for r in b.tables.towards],
-                "against": [_row_obj(r) for r in b.tables.against],
-                "towards_short": b.tables.towards_short,
-                "against_short": b.tables.against_short,
-                "unbiased": {
-                    "grid": b.unbiased.grid,
-                    "buckets": [
-                        {
-                            "bucket": ratio_str(grid_count(bk.bucket, b.unbiased.grid),
-                                                b.unbiased.grid),
-                            "value": bk.bucket.numerator / bk.bucket.denominator,
-                            "topic": bk.row.topic_id if bk.row else None,
-                            "population": bk.population,
-                            "row": _row_obj(bk.row) if bk.row else None,
-                        }
-                        for bk in b.unbiased.buckets
-                    ],
-                    "skipped": [
-                        {"topic": t, "reason": reason}
-                        for t, reason in b.unbiased.skipped
-                    ],
-                },
-            }
-            for b in report.blocks
-        ],
+        "histogram": _derived("histogram", report.blocks),
+        "scatter": _derived("scatter", report.blocks),
+        "tables": _derived("tables", report.blocks),
         "skipped": [
             {"topic": s.topic_id, "source": s.source, "reason": s.reason,
              "detail": s.detail}
@@ -549,10 +560,6 @@ def _read_pair(obj: dict) -> tuple[int, int]:
     return pair
 
 
-def _read_ratio(obj: dict) -> Fraction:
-    return Fraction(*_read_pair(obj))
-
-
 def _read_count(obj: dict, key: str, grid: int) -> int:
     """Numerator on the 1/grid grid of the ratio object ``obj[key]``."""
     numerator, denominator = _read_pair(obj[key])
@@ -560,18 +567,6 @@ def _read_count(obj: dict, key: str, grid: int) -> int:
     if rest:
         raise ValueError(f"{key} {numerator}/{denominator} is not on the 1/{grid} grid")
     return count
-
-
-def _read_row(obj: dict | None) -> TableRow | None:
-    if obj is None:
-        return None
-    return TableRow(
-        topic_id=_typed(obj, "topic", str),
-        cutoff_effective=_typed(obj, "cutoff_effective", int),
-        model_ratio=_read_ratio(obj["model_ratio"]),
-        target_ratio_at_cutoff=_read_ratio(obj["target_ratio_at_cutoff"]),
-        bias=_read_ratio(obj["bias"]),
-    )
 
 
 def _read_meta(m: dict) -> ReportMeta:
@@ -588,7 +583,24 @@ def _read_meta(m: dict) -> ReportMeta:
         raise TypeError("values and sources must be lists of strings")
     if meta.cutoff < 1 or meta.table_size < 1:
         raise ValueError("cutoff and table_size must be >= 1")
+    if meta.sd_divisor not in ("sample", "population"):
+        raise ValueError(f"sd_divisor must be sample or population, got {meta.sd_divisor!r}")
+    if meta.evaluation != "one-vs-rest":
+        raise ValueError(f"evaluation must be one-vs-rest, got {meta.evaluation!r}")
     return meta
+
+
+def _read_grid(tables: list) -> int:
+    """The exemplar grid of a stored tables section; 10 when it has no blocks."""
+    if not tables:
+        return 10
+    unbiased = _typed(tables[0], "unbiased", dict)
+    grid = _typed(unbiased, "grid", int)
+    # The stored buckets bound the grid, so a forged one cannot make the
+    # rebuild allocate more than the document already holds.
+    if not 1 <= grid == len(_typed(unbiased, "buckets", list)) - 1:
+        raise ValueError(f"exemplar grid must be >= 1 with grid + 1 buckets, got {grid}")
+    return grid
 
 
 def _read_record(obj: dict) -> EvaluatedTopic:
@@ -611,63 +623,6 @@ def _read_record(obj: dict) -> EvaluatedTopic:
                           record=record)
 
 
-def _block_key(obj: dict) -> tuple[str, str]:
-    return _typed(obj, "source", str), _typed(obj, "value", str)
-
-
-def _read_summary(s: dict, meta: ReportMeta) -> tuple[tuple[str, str], BiasSummary]:
-    return _block_key(s), BiasSummary(
-        feature_value=s["value"], target_source=s["source"], topic_count=s["topics"],
-        mean_bias=_read_ratio(s["MB"]), stdev_bias=s["SB"],
-        mean_abs_bias=_read_ratio(s["MAB"]), min_bias=_read_ratio(s["min"]),
-        max_bias=_read_ratio(s["max"]), single_sample=s["single_sample"],
-        population_sd=meta.sd_divisor == "population",
-    )
-
-
-def _read_histogram(h: dict) -> tuple[tuple[str, str], HistogramSpec]:
-    return _block_key(h), HistogramSpec(
-        cutoff=h["cutoff"], feature_value=h["value"],
-        counts=tuple(b["count"] for b in h["bins"]),
-        reference_counts=tuple(b["reference_count"] for b in h["bins"]),
-        off_grid_topics=tuple(h["off_grid_topics"]),
-    )
-
-
-def _read_scatter(s: dict) -> tuple[tuple[str, str], tuple[ScatterPoint, ...]]:
-    return _block_key(s), tuple(
-        ScatterPoint(
-            topic_id=p["topic"], feature_value=s["value"],
-            target_ratio=_read_ratio(p["x"]), model_ratio=_read_ratio(p["y"]),
-            cell=(p["cell"][0], p["cell"][1]), dx=p["dx"], dy=p["dy"],
-            on_diagonal=p["on_diagonal"], off_grid=p["off_grid"],
-        )
-        for p in s["points"]
-    )
-
-
-def _read_tables(t: dict) -> tuple[tuple[str, str], tuple[RankedTables, ExemplarTable]]:
-    u = t["unbiased"]
-    return _block_key(t), (
-        RankedTables(
-            requested_size=t["k"],
-            towards=tuple(_read_row(r) for r in t["towards"]),
-            against=tuple(_read_row(r) for r in t["against"]),
-            towards_short=t["towards_short"],
-            against_short=t["against_short"],
-        ),
-        ExemplarTable(
-            grid=u["grid"],
-            buckets=tuple(
-                ExemplarBucket(bucket=Fraction(bk["bucket"]),
-                               row=_read_row(bk["row"]), population=bk["population"])
-                for bk in u["buckets"]
-            ),
-            skipped=tuple((s["topic"], s["reason"]) for s in u["skipped"]),
-        ),
-    )
-
-
 def _read_skipped(s: dict) -> SkippedTopic:
     return SkippedTopic(topic_id=_typed(s, "topic", str), source=_typed(s, "source", str),
                         reason=_typed(s, "reason", str), detail=_typed(s, "detail", str))
@@ -679,13 +634,13 @@ def _malformed(exc: Exception, path: str, where: str) -> ParseError:
 
 
 def _read_section(payload: dict, name: str, path: str, read) -> list:
-    """``read`` applied to each entry of the list ``payload[name]``.
-
-    Any malformation becomes a ParseError naming the section and the entry.
-    """
+    """``read`` applied to each entry of the list ``payload[name]``, which is
+    taken out of ``payload`` to free it early. Any malformation becomes a
+    ParseError naming the section and the entry."""
     index = None
     try:
         entries = _typed(payload, name, list)
+        del payload[name]
         result = []
         for index, entry in enumerate(entries):
             result.append(read(entry))
@@ -694,12 +649,42 @@ def _read_section(payload: dict, name: str, path: str, read) -> list:
         raise _malformed(exc, path, name if index is None else f"{name}[{index}]") from None
 
 
-def parse_report(text: str, path: str = "<report>") -> Report:
-    """Rebuild a Report object from its JSON document.
+def _first_difference(stored: list, built: list) -> int | None:
+    return next((i for i, (a, b) in enumerate(zip(stored, built)) if a != b), None)
 
-    Any malformed document, from a missing key or a wrong type to an
-    off-grid or inconsistent ratio, raises a ParseError that names the file,
-    the section and, within a list, the entry index.
+
+def _check_section(payload: dict, name: str, report: Report, path: str) -> None:
+    """Compare the stored section ``name`` with the one ``report`` writes. A
+    ParseError names the first entry that differs; in the scatter, the point
+    and so the record that disagrees."""
+    stored = _read_section(payload, name, path, lambda entry: entry)
+    built = _derived(name, report.blocks)
+    if stored == built:
+        return
+    i = _first_difference(stored, built)
+    if i is None:
+        raise ParseError(f"{len(stored)} entries, the records give {len(built)}",
+                         path=path, field=name)
+    points = stored[i].get("points") if name == "scatter" and type(stored[i]) is dict else None
+    j = _first_difference(points, built[i]["points"]) if type(points) is list else None
+    if j is None:
+        raise ParseError("entry differs from the one the records give",
+                         path=path, field=f"{name}[{i}]")
+    block = report.blocks[i]
+    raise ParseError(f"point differs from the one the record {block.source}/"
+                     f"{block.feature_value}/{built[i]['points'][j]['topic']} gives",
+                     path=path, field=f"scatter[{i}].points[{j}]")
+
+
+def parse_report(text: str, path: str = "<report>") -> Report:
+    """Read a report document and check it against its own records.
+
+    Only ``meta``, ``records`` and ``skipped`` are read, and ``build_report``
+    rebuilds the rest with the exemplar grid of the stored tables; each
+    stored derived section must equal the rebuilt one. Any malformed
+    document, from a wrong type or an off-grid ratio to a repeated record or
+    a stale section, raises a ParseError naming the file, the section and,
+    within a list, the entry.
     """
     try:
         payload = json.loads(text)
@@ -715,25 +700,28 @@ def parse_report(text: str, path: str = "<report>") -> Report:
         meta = _read_meta(payload["meta"])
     except _MALFORMED as exc:
         raise _malformed(exc, path, "meta") from None
-    records = _read_section(payload, "records", path, _read_record)
-    summaries = dict(_read_section(payload, "summaries", path,
-                                   lambda s: _read_summary(s, meta)))
-    parts = {name: dict(_read_section(payload, name, path, read))
-             for name, read in (("histogram", _read_histogram),
-                                ("scatter", _read_scatter), ("tables", _read_tables))}
-    blocks = []
-    for (source, value), summary in summaries.items():
-        for name, part in parts.items():
-            if (source, value) not in part:
-                raise ParseError(f"no entry for {source}/{value}", path=path, field=name)
-        ranked, unbiased = parts["tables"][source, value]
-        blocks.append(ReportBlock(source=source, feature_value=value, summary=summary,
-                                  histogram=parts["histogram"][source, value],
-                                  scatter=parts["scatter"][source, value],
-                                  tables=ranked, unbiased=unbiased))
-    skipped = _read_section(payload, "skipped", path, _read_skipped)
-    return Report(meta=meta, records=tuple(records), blocks=tuple(blocks),
-                  skipped=tuple(skipped))
+    try:
+        meta = replace(meta, exemplar_grid=_read_grid(_typed(payload, "tables", list)))
+    except _MALFORMED as exc:
+        raise _malformed(exc, path, "tables") from None
+    seen: set[tuple[str, str, str]] = set()
+
+    def read_record(obj: dict) -> EvaluatedTopic:
+        item = _read_record(obj)
+        key = (item.source, item.record.feature_value, item.record.topic_id)
+        if item.source not in meta.sources or key[1] not in meta.values:
+            raise ValueError(f"source {key[0]!r} and value {key[1]!r} must be listed in meta")
+        if key in seen:
+            raise ValueError(f"repeats the record of {'/'.join(key)}")
+        seen.add(key)
+        return item
+
+    records = _read_section(payload, "records", path, read_record)
+    report = build_report(meta, records, _read_section(payload, "skipped", path,
+                                                       _read_skipped))
+    for name in ("scatter", "summaries", "histogram", "tables"):
+        _check_section(payload, name, report, path)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -744,71 +732,37 @@ def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     return buffer.getvalue()
 
 
-def _flag(value: bool) -> str:
-    return "true" if value else "false"
+def _cells(entry: dict) -> list:
+    """CSV cells of a JSON entry: ratio objects and lists spread over their
+    own cells, flags as true/false and nulls as empty cells."""
+    cells = []
+    for value in entry.values():
+        if type(value) is dict:
+            cells.extend(value.values())
+        elif type(value) is list:
+            cells.extend(value)
+        elif type(value) is bool:
+            cells.append("true" if value else "false")
+        else:
+            cells.append("" if value is None else value)
+    return cells
 
 
 def report_to_csv_bundle(report: Report) -> dict[str, str]:
-    """Render the report as named CSV files with fixed column orders."""
-    summaries_rows = [
-        (b.source, b.feature_value, b.summary.topic_count,
-         *_ratio_obj(b.summary.mean_bias).values(), b.summary.stdev_bias,
-         *_ratio_obj(b.summary.mean_abs_bias).values(),
-         *_ratio_obj(b.summary.min_bias).values(), *_ratio_obj(b.summary.max_bias).values(),
-         _flag(b.summary.single_sample), report.meta.sd_divisor)
-        for b in report.blocks
-    ]
-    record_rows = []
-    for item in report.records:
-        obj = _record_obj(item)
-        record_rows.append(
-            (item.source, obj["value"], obj["topic"], obj["cutoff_requested"],
-             obj["cutoff_effective"],
-             *(cell for key in ("model_ratio", "target_ratio_raw", "rounding_remainder",
-                                "target_ratio_at_cutoff", "bias")
-               for cell in obj[key].values()),
-             obj["unknown_in_window"], obj["target_population"]))
-    histogram_rows = []
-    for b in report.blocks:
-        n = b.histogram.cutoff
-        for k, count, ref in zip(range(-n, n + 1), b.histogram.counts,
-                                 b.histogram.reference_counts):
-            histogram_rows.append(
-                (b.source, b.feature_value, ratio_str(k, n), k / n, count, ref))
-    scatter_rows = [
-        (b.source, b.feature_value, p.topic_id,
-         *_ratio_obj(p.target_ratio).values(), *_ratio_obj(p.model_ratio).values(),
-         p.cell[0], p.cell[1], p.dx, p.dy,
-         _flag(p.on_diagonal), _flag(p.off_grid))
-        for b in report.blocks for p in b.scatter
-    ]
+    """Render the report as named CSV files with fixed column orders; the
+    rows are the entries of the JSON document, spread by ``_cells``."""
+    # Records spread to source, topic, value, ...; the value column comes first.
+    record_rows = [(c[0], c[2], c[1], *c[3:])
+                   for c in map(_cells, map(_record_obj, report.records))]
+    tables = _derived("tables", report.blocks)
 
-    def table_rows(chooser):
-        rows = []
-        for b in report.blocks:
-            for rank, row in enumerate(chooser(b.tables), start=1):
-                obj = _row_obj(row)
-                rows.append(
-                    (b.source, b.feature_value, rank, row.topic_id,
-                     row.cutoff_effective,
-                     *(cell for key in ("model_ratio", "target_ratio_at_cutoff", "bias")
-                       for cell in obj[key].values())))
-        return rows
-
-    unbiased_rows = []
-    for b in report.blocks:
-        for bucket in b.unbiased.buckets:
-            unbiased_rows.append(
-                (b.source, b.feature_value,
-                 ratio_str(grid_count(bucket.bucket, b.unbiased.grid), b.unbiased.grid),
-                 bucket.bucket.numerator / bucket.bucket.denominator,
-                 bucket.row.topic_id if bucket.row else "",
-                 bucket.population if bucket.population is not None else ""))
+    def table_rows(side: str) -> list:
+        return [(t["source"], t["value"], rank, *_cells(row))
+                for t in tables for rank, row in enumerate(t[side], start=1)]
 
     table_header = ("source", "value", "rank", "topic_id", "cutoff_effective",
                     "model_ratio", "model_ratio_value",
@@ -818,7 +772,9 @@ def report_to_csv_bundle(report: Report) -> dict[str, str]:
         "summaries.csv": _csv_text(
             ("source", "value", "topics", "MB", "MB_value", "SB_value",
              "MAB", "MAB_value", "min", "min_value", "max", "max_value",
-             "single_sample", "sd_divisor"), summaries_rows),
+             "single_sample", "sd_divisor"),
+            [_cells(s) + [report.meta.sd_divisor]
+             for s in _derived("summaries", report.blocks)]),
         "records.csv": _csv_text(
             ("source", "value", "topic_id", "cutoff_requested", "cutoff_effective",
              "model_ratio", "model_ratio_value",
@@ -829,16 +785,21 @@ def report_to_csv_bundle(report: Report) -> dict[str, str]:
             record_rows),
         "histogram.csv": _csv_text(
             ("source", "value", "center", "center_value", "count",
-             "reference_count"), histogram_rows),
+             "reference_count"),
+            [(h["source"], h["value"], *_cells(b))
+             for h in _derived("histogram", report.blocks) for b in h["bins"]]),
         "scatter.csv": _csv_text(
             ("source", "value", "topic_id", "x", "x_value", "y", "y_value",
              "cell_i", "cell_j", "dx", "dy", "on_diagonal", "off_grid"),
-            scatter_rows),
-        "table_towards.csv": _csv_text(table_header, table_rows(lambda t: t.towards)),
-        "table_against.csv": _csv_text(table_header, table_rows(lambda t: t.against)),
+            [(s["source"], s["value"], *_cells(p))
+             for s in _derived("scatter", report.blocks) for p in s["points"]]),
+        "table_towards.csv": _csv_text(table_header, table_rows("towards")),
+        "table_against.csv": _csv_text(table_header, table_rows("against")),
+        # Each bucket's cells end with its row, which this table leaves out.
         "table_unbiased.csv": _csv_text(
             ("source", "value", "bucket", "bucket_value", "topic_id", "population"),
-            unbiased_rows),
+            [(t["source"], t["value"], *_cells(b)[:4])
+             for t in tables for b in t["unbiased"]["buckets"]]),
     }
 
 

@@ -276,6 +276,34 @@ def test_report_regeneration_is_byte_identical(audit_dir, tmp_path):
         second / "report.json").read_bytes()
 
 
+def test_report_keeps_the_stored_table_size_and_exemplar_grid(audit_dir, tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(evaluate_args(audit_dir, out, ("--table-size", "1"))) == 0
+    regridded = tmp_path / "regridded"
+    assert cli.main(["report", str(out / "report.json"), "--exemplar-grid", "4",
+                     "--out", str(regridded)]) == 0
+    again = tmp_path / "again"
+    assert cli.main(["report", str(regridded / "report.json"), "--out", str(again)]) == 0
+    payload = json.loads((again / "report.json").read_text(encoding="utf-8"))
+    assert {t["unbiased"]["grid"] for t in payload["tables"]} == {4}
+    assert {t["k"] for t in payload["tables"]} == {1}
+    assert (again / "report.json").read_bytes() == (regridded / "report.json").read_bytes()
+
+
+def test_subcommands_reject_flags_they_do_not_read(audit_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(evaluate_args(audit_dir, out)) == 0
+    capsys.readouterr()
+    assert cli.main(["report", str(out / "report.json"), "--cutoff", "7",
+                     "--out", str(tmp_path / "o")]) == 1
+    assert "--cutoff" in capsys.readouterr().err
+    plan = write(tmp_path / "plan.tsv", "good\t1/2\t0\t10\n")
+    assert cli.main(["simulate", plan, "--feature", "gender", "--values", "female,male",
+                     "--table-size", "3", "--out", str(tmp_path / "fx")]) == 1
+    assert "--table-size" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists() and not (tmp_path / "fx").exists()
+
+
 def test_report_schema_mismatch_exits_1(tmp_path, capsys):
     bogus = write(tmp_path / "report.json", '{"schema": "biaslens-report/9"}')
     assert cli.main(["report", bogus, "--out", str(tmp_path / "o")]) == 1
@@ -380,6 +408,19 @@ def test_help_lists_flags(capsys):
                  "--format", "--out", "--runs", "--labels",
                  "--target", "--members"):
         assert flag in out
+    assert cli.main(["report", "--help"]) == 0
+    out = capsys.readouterr().out
+    for flag in ("--config", "--format", "--out", "--table-size", "--exemplar-grid"):
+        assert flag in out
+    for flag in ("--cutoff", "--feature", "--values", "--unknown-token", "--strict",
+                 "--seed", "--population-sd"):
+        assert flag not in out
+    assert cli.main(["simulate", "--help"]) == 0
+    out = capsys.readouterr().out
+    for flag in ("--config", "--feature", "--values", "--unknown-token", "--seed", "--out"):
+        assert flag in out
+    for flag in ("--cutoff", "--strict", "--format", "--table-size", "--population-sd"):
+        assert flag not in out
 
 
 def test_unknown_flag_is_input_error(capsys):

@@ -415,9 +415,48 @@ class TestReportDocument:
         except (ParseError, SchemaVersionError) as exc:
             assert str(exc).startswith("report.json")
             return
+        reemitted = json.loads(report_to_json(report))
+        for section in ("summaries", "histogram", "scatter", "tables"):
+            assert reemitted[section] == payload[section]
         rebuilt = rebuild_report(report, exemplar_grid=7)
         report_to_json(rebuilt)
         report_to_csv_bundle(rebuilt)
+
+    @pytest.mark.parametrize("section, tamper", [
+        ("summaries[0]", lambda p: p["summaries"][0]["MB"].update(ratio="0")),
+        ("histogram[1]", lambda p: p["histogram"][1]["bins"][0].update(count=7)),
+        ("scatter[0].points[1]", lambda p: p["scatter"][0]["points"][1].update(dx=0.01)),
+        ("tables[0]", lambda p: p["tables"][0]["towards"][0]["bias"].update(ratio="9/10")),
+    ])
+    def test_stale_derived_sections_name_the_section(self, section, tamper):
+        payload = json.loads(MUTATION_BASE)
+        tamper(payload)
+        with pytest.raises(ParseError) as err:
+            parse_report(json.dumps(payload), path="report.json")
+        assert err.value.field == section
+        if section.startswith("scatter"):
+            assert f"kb/female/{payload['scatter'][0]['points'][1]['topic']}" in str(err.value)
+
+    @pytest.mark.parametrize("field, tamper", [
+        ("records[1]", lambda p: p["records"].insert(1, p["records"][0])),
+        ("records[0]", lambda p: p["records"][0].update(source="zz")),
+        ("meta", lambda p: p["meta"].update(sd_divisor="foo")),
+        ("meta", lambda p: p["meta"].update(evaluation=5)),
+        ("tables", lambda p: p["tables"][0]["unbiased"].update(grid=0, buckets=[{}])),
+        ("tables", lambda p: p["tables"][0]["unbiased"].update(grid=10**9)),
+    ])
+    def test_inconsistent_records_and_meta_name_the_field(self, field, tamper):
+        payload = json.loads(MUTATION_BASE)
+        tamper(payload)
+        with pytest.raises(ParseError) as err:
+            parse_report(json.dumps(payload), path="report.json")
+        assert err.value.field == field
+
+    def test_rebuild_without_arguments_keeps_the_report(self, gender):
+        evaluated = simulated_corpus(gender, seed=6)
+        report = build_report(make_meta(table_size=3, exemplar_grid=4), evaluated)
+        assert rebuild_report(report) == report
+        assert parse_report(report_to_json(report)) == report
 
     def test_rebuild_with_new_table_size(self, gender):
         evaluated = simulated_corpus(gender, seed=6)
