@@ -59,7 +59,7 @@ class AuditConfig:
     unknown_token: str = "unknown"
     strict: bool = False
     seed: int = DEFAULT_SEED
-    fmt: str = "json"
+    format: str = "json"
     out: Path = Path("out")
     table_size: int = 11
     population_sd: bool = False
@@ -132,16 +132,36 @@ def _parse_source_flags(entries: Sequence[str] | None, flag: str) -> dict[str, P
 
 def _config_sources(settings: dict[str, str], prefix: str,
                     base: Path) -> dict[str, Path]:
-    sources = {}
-    for key, value in settings.items():
-        if key.startswith(prefix + "."):
-            label = key[len(prefix) + 1:]
-            sources[label] = base / value
-    return sources
+    return {key[len(prefix) + 1:]: base / value for key, value in settings.items()
+            if key.startswith(prefix + ".")}
+
+
+_BOOLS = {**dict.fromkeys(("true", "yes", "1", "on"), True),
+          **dict.fromkeys(("false", "no", "0", "off"), False)}
+
+
+def _as_bool(text: str) -> bool:
+    return _BOOLS[text.lower()]
+
+
+def _split_values(text: str) -> tuple[str, ...]:
+    return tuple(v.strip() for v in text.split(",")) if text else ()
+
+
+# Each config-file key and how its text becomes the AuditConfig field of the
+# same name, which is also the dest of the flag that overrides it. Path keys
+# resolve against the config file's directory.
+_CONFIG_KEYS = {
+    "cutoff": int, "feature": str, "values": _split_values, "unknown_token": str,
+    "strict": _as_bool, "seed": int, "format": str, "out": Path, "table_size": int,
+    "population_sd": _as_bool, "runs": Path, "labels": Path,
+    "topic_var": str, "entity_var": str, "value_var": str,
+}
 
 
 def resolve_config(args: argparse.Namespace) -> AuditConfig:
     """Merge flags, the optional config file, the seed env var, and defaults."""
+    config = AuditConfig()
     settings: dict[str, str] = {}
     base = Path(".")
     if getattr(args, "config", None):
@@ -149,66 +169,32 @@ def resolve_config(args: argparse.Namespace) -> AuditConfig:
         settings = parse_config_file(config_path)
         base = config_path.parent
 
-    def pick(flag_value, key: str, convert, default):
-        if flag_value is not None:
-            return flag_value
-        if key in settings:
-            try:
-                return convert(settings[key])
-            except (ValueError, TypeError):
-                raise BiasLensError(
-                    f"config key {key!r} has invalid value {settings[key]!r}") from None
-        return default
-
-    def as_bool(text: str) -> bool:
-        lowered = text.lower()
-        if lowered in ("true", "yes", "1", "on"):
-            return True
-        if lowered in ("false", "no", "0", "off"):
-            return False
-        raise ValueError(text)
-
-    seed_default = DEFAULT_SEED
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
         try:
-            seed_default = int(env_seed)
+            config.seed = int(env_seed)
         except ValueError:
             raise BiasLensError(
                 f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from None
 
-    raw_values = pick(getattr(args, "values", None), "values", str, None)
-    config = AuditConfig(
-        cutoff=pick(getattr(args, "cutoff", None), "cutoff", int, 10),
-        feature=pick(getattr(args, "feature", None), "feature", str, None),
-        values=tuple(v.strip() for v in raw_values.split(",")) if raw_values else (),
-        unknown_token=pick(getattr(args, "unknown_token", None), "unknown_token",
-                           str, "unknown"),
-        strict=pick(True if getattr(args, "strict", False) else None, "strict",
-                    as_bool, False),
-        seed=pick(getattr(args, "seed", None), "seed", int, seed_default),
-        fmt=pick(getattr(args, "format", None), "format", str, "json"),
-        out=Path(pick(getattr(args, "out", None), "out", str, "out")),
-        table_size=pick(getattr(args, "table_size", None), "table_size", int, 11),
-        population_sd=pick(True if getattr(args, "population_sd", False) else None,
-                           "population_sd", as_bool, False),
-        topic_var=pick(None, "topic_var", str, "topic"),
-        entity_var=pick(None, "entity_var", str, "entity"),
-        value_var=pick(None, "value_var", str, "value"),
-    )
+    for key, convert in _CONFIG_KEYS.items():
+        flag_value = getattr(args, key, None)
+        if flag_value is not None:
+            setattr(config, key, flag_value)
+        elif key in settings:
+            text = settings[key]
+            try:
+                setattr(config, key, base / text if convert is Path else convert(text))
+            except (KeyError, ValueError):
+                raise BiasLensError(
+                    f"config key {key!r} has invalid value {text!r}") from None
     if config.cutoff < 1:
         raise BiasLensError(f"cutoff must be >= 1, got {config.cutoff}")
-    if config.fmt not in ("json", "csv"):
-        raise BiasLensError(f"format must be json or csv, got {config.fmt!r}")
+    if config.format not in ("json", "csv"):
+        raise BiasLensError(f"format must be json or csv, got {config.format!r}")
     if config.table_size < 1:
         raise BiasLensError(f"table size must be >= 1, got {config.table_size}")
 
-    runs_flag = getattr(args, "runs", None)
-    labels_flag = getattr(args, "labels", None)
-    config.runs = Path(runs_flag) if runs_flag else (
-        base / settings["runs"] if "runs" in settings else None)
-    config.labels = Path(labels_flag) if labels_flag else (
-        base / settings["labels"] if "labels" in settings else None)
     flag_targets = _parse_source_flags(getattr(args, "target", None), "--target")
     flag_members = _parse_source_flags(getattr(args, "members", None), "--members")
     config.targets = flag_targets or _config_sources(settings, "target", base)
@@ -224,23 +210,16 @@ def resolve_config(args: argparse.Namespace) -> AuditConfig:
 # evaluate
 # ---------------------------------------------------------------------------
 
-def _load_target_sources(config: AuditConfig, scheme: FeatureScheme,
-                         runs: list[RankedRun],
-                         catalog: ingest.LabelCatalog
-                         ) -> tuple[dict[str, dict[str, TargetCounts]],
-                                    ingest.LabelCatalog, list[SkippedTopic], int]:
-    """Load every target source into per-topic counts.
-
-    Pre-aggregated sources come from counts files. Membership sources are
-    tallied against the label catalog; a members file ending in .json is
-    treated as a SPARQL result export whose label fragments are merged into
-    the catalog before tallying. Export label rows whose value is neither a
-    declared value nor the unknown token are dropped and counted; the count
-    is the last element returned.
-    """
-    run_topics = {run.topic_id for run in runs}
-    sources: dict[str, dict[str, TargetCounts]] = {}
-    skipped: list[SkippedTopic] = []
+def _load_sources(config: AuditConfig, scheme: FeatureScheme,
+                  catalog: ingest.LabelCatalog
+                  ) -> tuple[dict[str, dict[str, TargetCounts] | ingest.MembershipTable],
+                             ingest.LabelCatalog, int]:
+    """Load every target source: counts files as per-topic counts, members
+    files as membership tables. A members file ending in .json is a SPARQL
+    result export whose label fragments are merged into the catalog; its
+    label rows whose value is neither a declared value nor the unknown token
+    are dropped and counted, and the count is the last element returned."""
+    sources: dict[str, dict[str, TargetCounts] | ingest.MembershipTable] = {}
     allowed = set(scheme.values) | {scheme.unknown_token}
     dropped = 0
 
@@ -249,7 +228,6 @@ def _load_target_sources(config: AuditConfig, scheme: FeatureScheme,
             counts = ingest.parse_target_counts(handle, scheme, path=str(path))
         sources[label] = {c.topic_id: c for c in counts}
 
-    membership: dict[str, ingest.MembershipTable] = {}
     for label, path in sorted(config.members.items()):
         if path.suffix == ".json":
             with _open_input(path) as handle:
@@ -260,54 +238,50 @@ def _load_target_sources(config: AuditConfig, scheme: FeatureScheme,
             dropped += sum(value not in allowed for _, value in label_rows)
             catalog = catalog.merged((entity, value, ingest.DEFAULT_PROVENANCE)
                                      for entity, value in label_rows if value in allowed)
-            membership[label] = extraction.members
+            sources[label] = extraction.members
         else:
             with _open_input(path) as handle:
-                membership[label] = ingest.parse_members(handle, path=str(path))
-
-    for label, table in sorted(membership.items()):
-        per_topic: dict[str, TargetCounts] = {}
-        for topic in table.topics():
-            if topic not in run_topics:
-                skipped.append(SkippedTopic(topic, label, "missing-run",
-                                            "membership topic has no ranked run"))
-                continue
-            try:
-                per_topic[topic] = ingest.counts_for_topic(
-                    topic, sorted(table.members[topic]), catalog)
-            except EmptyPopulationError as exc:
-                skipped.append(SkippedTopic(topic, label, "empty-population", str(exc)))
-        sources[label] = per_topic
-    return sources, catalog, skipped, dropped
+                sources[label] = ingest.parse_members(handle, path=str(path))
+    return sources, catalog, dropped
 
 
 def _evaluate_corpus(runs: list[RankedRun], catalog: ingest.LabelCatalog,
-                     sources: dict[str, dict[str, TargetCounts]],
-                     config: AuditConfig,
-                     already_skipped: set[tuple[str, str]] = frozenset()
+                     sources: dict[str, dict[str, TargetCounts] | ingest.MembershipTable],
+                     config: AuditConfig
                      ) -> tuple[list[EvaluatedTopic], list[SkippedTopic]]:
+    """Measure or skip every (source, topic) pair, sources and topics in
+    sorted order. Membership topics are tallied against the complete catalog
+    here, and only those with a ranked run."""
     evaluated: list[EvaluatedTopic] = []
     skipped: list[SkippedTopic] = []
-    ordered_runs = sorted(runs, key=lambda r: r.topic_id)
-    run_topics = {run.topic_id for run in runs}
+    runs_by_topic = {run.topic_id: run for run in runs}
     for source in sorted(sources):
-        per_topic = sources[source]
-        for run in ordered_runs:
-            target = per_topic.get(run.topic_id)
-            if target is None:
-                if (source, run.topic_id) not in already_skipped:
-                    skipped.append(SkippedTopic(run.topic_id, source,
-                                                "missing-target",
-                                                "no target counts for this topic"))
+        table = sources[source]
+        membership = isinstance(table, ingest.MembershipTable)
+        per_topic = table.members if membership else table
+        for topic in sorted(runs_by_topic.keys() | per_topic.keys()):
+            run = runs_by_topic.get(topic)
+            if run is None:
+                kind = "membership" if membership else "target"
+                skipped.append(SkippedTopic(topic, source, "missing-run",
+                                            f"{kind} topic has no ranked run"))
                 continue
-            population = target.total
+            if topic not in per_topic:
+                skipped.append(SkippedTopic(topic, source, "missing-target",
+                                            "no target counts for this topic"))
+                continue
+            target = per_topic[topic]
+            if membership:
+                try:
+                    target = ingest.counts_for_topic(topic, sorted(target), catalog)
+                except EmptyPopulationError as exc:
+                    skipped.append(SkippedTopic(topic, source, "empty-population",
+                                                str(exc)))
+                    continue
             evaluated.extend(
-                EvaluatedTopic(source, population, record)
+                EvaluatedTopic(source, target.total, record)
                 for record in measure_topic(run, catalog, target, config.cutoff,
                                             strict=config.strict))
-        for topic in sorted(set(per_topic) - run_topics):
-            skipped.append(SkippedTopic(topic, source, "missing-run",
-                                        "target topic has no ranked run"))
     return evaluated, skipped
 
 
@@ -327,12 +301,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     with _open_input(config.labels) as handle:
         catalog = ingest.parse_labels(handle, scheme, path=str(config.labels))
 
-    sources, catalog, skipped, dropped = _load_target_sources(config, scheme, runs,
-                                                              catalog)
-    evaluated, eval_skips = _evaluate_corpus(
-        runs, catalog, sources, config,
-        already_skipped={(s.source, s.topic_id) for s in skipped})
-    skipped.extend(eval_skips)
+    sources, catalog, dropped = _load_sources(config, scheme, catalog)
+    evaluated, skipped = _evaluate_corpus(runs, catalog, sources, config)
     if not evaluated:
         raise BiasLensError("zero joinable topics: no (run, target) pair shares a topic")
 
@@ -348,7 +318,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     # report payload reuse their memory, which lowers the peak.
     del runs, catalog, sources
     report = build_report(meta, evaluated, skipped)
-    written = emit_report(report, config.fmt, config.out)
+    written = emit_report(report, config.format, config.out)
     _print_evaluate_summary(report, conflicts, dropped, written)
     return 0
 
@@ -455,7 +425,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         report = parse_report(handle.read(), path=str(report_path))
     report = rebuild_report(report, table_size=args.table_size,
                             exemplar_grid=args.exemplar_grid)
-    for path in emit_report(report, config.fmt, config.out):
+    for path in emit_report(report, config.format, config.out):
         print(f"wrote {path}")
     return 0
 
@@ -467,21 +437,25 @@ def cmd_report(args: argparse.Namespace) -> int:
 # Every option of a subcommand; each parser gets only those its command reads.
 _FLAGS = {
     "--config": dict(metavar="FILE", help="flat key=value config file (flags win)"),
-    "--cutoff": dict(type=int, metavar="N", help="evaluation window size (default 10)"),
+    "--cutoff": dict(type=int, metavar="N",
+                     help=f"evaluation window size (default {AuditConfig.cutoff})"),
     "--feature": dict(metavar="NAME", help="feature to audit, e.g. gender"),
-    "--values": dict(metavar="A,B[,...]", help="comma-separated declared feature values"),
-    "--unknown-token": dict(metavar="TOKEN",
-                            help="label marking an explicit unknown (default: unknown)"),
-    "--strict": dict(action="store_true",
+    "--values": dict(type=_split_values, metavar="A,B[,...]",
+                     help="comma-separated declared feature values"),
+    "--unknown-token": dict(metavar="TOKEN", help=f"label marking an explicit unknown "
+                                                  f"(default: {AuditConfig.unknown_token})"),
+    "--strict": dict(action="store_true", default=None,
                      help="treat unlabeled entities in a window (exit 2) and "
                           "non-IRI SPARQL entities (exit 1) as errors"),
-    "--seed": dict(type=int, metavar="N", help=f"jitter/simulation seed "
-                                               f"(default {DEFAULT_SEED}; env {SEED_ENV_VAR})"),
-    "--format": dict(choices=("json", "csv"), help="report output format (default json)"),
-    "--out": dict(metavar="DIR", help="output directory (default out)"),
-    "--table-size": dict(type=int, metavar="K", help="rows per ranked bias table "
-                                                     "(default 11; report: the stored size)"),
-    "--population-sd": dict(action="store_true",
+    "--seed": dict(type=int, metavar="N", help=f"jitter/simulation seed (default "
+                   f"{AuditConfig.seed}; env {SEED_ENV_VAR})"),
+    "--format": dict(choices=("json", "csv"),
+                     help=f"report output format (default {AuditConfig.format})"),
+    "--out": dict(type=Path, metavar="DIR",
+                  help=f"output directory (default {AuditConfig.out})"),
+    "--table-size": dict(type=int, metavar="K", help=f"rows per ranked bias table (default "
+                         f"{AuditConfig.table_size}; report: the stored size)"),
+    "--population-sd": dict(action="store_true", default=None,
                             help="use the population standard-deviation divisor N"),
 }
 
@@ -501,8 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate = commands.add_parser(
         "evaluate", help="measure bias for runs against one or more target sources")
     _add_flags(evaluate, *_FLAGS)
-    evaluate.add_argument("--runs", metavar="FILE", help="ranked runs TSV")
-    evaluate.add_argument("--labels", metavar="FILE", help="entity label TSV")
+    evaluate.add_argument("--runs", type=Path, metavar="FILE", help="ranked runs TSV")
+    evaluate.add_argument("--labels", type=Path, metavar="FILE", help="entity label TSV")
     evaluate.add_argument("--target", action="append", metavar="LABEL=FILE",
                           help="pre-aggregated target counts TSV (repeatable)")
     evaluate.add_argument("--members", action="append", metavar="LABEL=FILE",

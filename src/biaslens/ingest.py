@@ -16,7 +16,6 @@ offending field.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
@@ -91,9 +90,18 @@ class LabelCatalog:
         provenance overrides a lower one, equal priorities keep the first
         assignment seen. Every disagreement is recorded.
         """
-        assignments: dict[str, str] = {}
-        provenance: dict[str, str] = {}
-        conflicts: list[LabelConflict] = []
+        return cls._fold(scheme, rows, {}, {}, [])
+
+    def merged(self, rows: Iterable[tuple[str, str, str]]) -> "LabelCatalog":
+        """New catalog with extra rows folded in under the same priority rules.
+        Its conflicts are this catalog's, then those the rows add."""
+        return self._fold(self.scheme, rows, dict(self.assignments),
+                          dict(self.provenance), list(self.conflicts))
+
+    @classmethod
+    def _fold(cls, scheme: FeatureScheme, rows: Iterable[tuple[str, str, str]],
+              assignments: dict[str, str], provenance: dict[str, str],
+              conflicts: list[LabelConflict]) -> "LabelCatalog":
         for entity, value, prov in rows:
             if entity in assignments:
                 held_value = assignments[entity]
@@ -115,12 +123,6 @@ class LabelCatalog:
                 provenance[entity] = prov
         return cls(scheme=scheme, assignments=assignments, provenance=provenance,
                    conflicts=tuple(conflicts))
-
-    def merged(self, rows: Iterable[tuple[str, str, str]]) -> "LabelCatalog":
-        """New catalog with extra rows folded in under the same priority rules."""
-        existing = ((e, self.assignments[e], self.provenance[e])
-                    for e in sorted(self.assignments))
-        return self.build(self.scheme, itertools.chain(existing, rows))
 
 
 @dataclass(frozen=True)

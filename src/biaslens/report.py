@@ -560,9 +560,9 @@ def _read_pair(obj: dict) -> tuple[int, int]:
     return pair
 
 
-def _read_count(obj: dict, key: str, grid: int) -> int:
-    """Numerator on the 1/grid grid of the ratio object ``obj[key]``."""
-    numerator, denominator = _read_pair(obj[key])
+def _read_count(pairs: dict, key: str, grid: int) -> int:
+    """Numerator on the 1/grid grid of the ratio read as ``pairs[key]``."""
+    numerator, denominator = pairs[key]
     count, rest = divmod(numerator * grid, denominator)
     if rest:
         raise ValueError(f"{key} {numerator}/{denominator} is not on the 1/{grid} grid")
@@ -605,19 +605,24 @@ def _read_grid(tables: list) -> int:
 
 def _read_record(obj: dict) -> EvaluatedTopic:
     m = _typed(obj, "cutoff_effective", int)
-    numerator, denominator = _read_pair(obj["target_ratio_raw"])
+    pairs = {key: _read_pair(obj[key]) for key in ("model_ratio", "target_ratio_raw",
+             "rounding_remainder", "target_ratio_at_cutoff", "bias")}
+    numerator, denominator = pairs["target_ratio_raw"]
     record = BiasRecord(
         _typed(obj, "topic", str), _typed(obj, "value", str),
         _typed(obj, "cutoff_requested", int), m,
-        _read_count(obj, "model_ratio", m), _read_count(obj, "target_ratio_at_cutoff", m),
+        _read_count(pairs, "model_ratio", m), _read_count(pairs, "target_ratio_at_cutoff", m),
         numerator, denominator, _typed(obj, "unknown_in_window", int))
-    if _read_count(obj, "bias", m) != record.bias_count:
+    if _read_count(pairs, "bias", m) != record.bias_count:
         raise ValueError("bias must equal model_ratio - target_ratio_at_cutoff")
-    remainder, remainder_denominator = _read_pair(obj["rounding_remainder"])
+    remainder, remainder_denominator = pairs["rounding_remainder"]
     expected = record.target_numerator * m % record.target_denominator
     if remainder * record.target_denominator != expected * remainder_denominator:
         raise ValueError(f"rounding_remainder does not match target_ratio_raw on the "
                          f"1/{m} grid")
+    for key, (p, q) in pairs.items():
+        if (value := obj[key]["value"]) != p / q or type(value) is not float:
+            raise ValueError(f"{key} value must be {p}/{q} as a float, got {value!r}")
     return EvaluatedTopic(source=_typed(obj, "source", str),
                           target_population=_typed(obj, "target_population", int),
                           record=record)
@@ -711,12 +716,22 @@ def parse_report(text: str, path: str = "<report>") -> Report:
         key = (item.source, item.record.feature_value, item.record.topic_id)
         if item.source not in meta.sources or key[1] not in meta.values:
             raise ValueError(f"source {key[0]!r} and value {key[1]!r} must be listed in meta")
+        if item.record.cutoff_requested != meta.cutoff:
+            raise ValueError(f"cutoff_requested must be meta's cutoff {meta.cutoff}")
         if key in seen:
             raise ValueError(f"repeats the record of {'/'.join(key)}")
         seen.add(key)
         return item
 
     records = _read_section(payload, "records", path, read_record)
+    try:
+        # The rebuild allocates 2 * cutoff + 1 bins per block; the stored bins bound it.
+        histogram = _typed(payload, "histogram", list)
+        bins = len(_typed(histogram[0], "bins", list)) if histogram else 0
+        if (histogram or records) and bins != 2 * meta.cutoff + 1:
+            raise ValueError(f"{bins} bins in a block, the cutoff gives {2 * meta.cutoff + 1}")
+    except _MALFORMED as exc:
+        raise _malformed(exc, path, "histogram") from None
     report = build_report(meta, records, _read_section(payload, "skipped", path,
                                                        _read_skipped))
     for name in ("scatter", "summaries", "histogram", "tables"):

@@ -487,3 +487,144 @@ def test_conflicting_source_labels_rejected(audit_dir, tmp_path, capsys):
                          ("--members", f"kb={audit_dir / 'targets_kb.tsv'}",))
     assert cli.main(args) == 1
     assert "both" in capsys.readouterr().err
+
+
+def sparql_export(rows, names=("topic", "entity", "value")):
+    """A SPARQL JSON export of (topic, entity, value or None) rows."""
+    bindings = []
+    for topic, entity, value in rows:
+        binding = {names[0]: {"type": "literal", "value": topic},
+                   names[1]: {"type": "uri", "value": f"http://x/{entity}"}}
+        if value is not None:
+            binding[names[2]] = {"type": "literal", "value": value}
+        bindings.append(binding)
+    return json.dumps({"head": {"vars": list(names)}, "results": {"bindings": bindings}})
+
+
+@pytest.fixture
+def skip_dir(audit_dir):
+    """Runs for announcer, archivist and shadow (whose entities have no
+    label); each source covers announcer, shadow and phantom (no run)."""
+    with open(audit_dir / "runs.tsv", "a", encoding="utf-8") as handle:
+        handle.write("".join(f"shadow\t{i + 1}\tnobody:e{i}\n" for i in range(4)))
+    write(audit_dir / "targets.tsv", "".join(
+        f"{topic}\tgender\tfemale\t1\n{topic}\tgender\tmale\t1\n"
+        for topic in ("announcer", "shadow", "phantom")))
+    members = ([("announcer", f"ann:e{i}") for i in range(10)]
+               + [("shadow", f"nobody:e{i}") for i in range(4)] + [("phantom", "ann:e0")])
+    write(audit_dir / "members.tsv", "".join(f"{t}\t{e}\n" for t, e in members))
+    write(audit_dir / "kb.json", sparql_export(
+        (t, e, "male" if e.startswith("ann:") else None) for t, e in members))
+    return audit_dir
+
+
+SKIP_SOURCES = {"target": ("--target", "targets.tsv"), "members": ("--members", "members.tsv"),
+                "sparql": ("--members", "kb.json")}
+
+
+@pytest.mark.parametrize("kind, topic, reason, detail", [
+    ("target", "phantom", "missing-run", "target topic has no ranked run"),
+    ("target", "archivist", "missing-target", "no target counts for this topic"),
+    *((kind, topic, reason, detail) for kind in ("members", "sparql")
+      for topic, reason, detail in [
+          ("phantom", "missing-run", "membership topic has no ranked run"),
+          ("archivist", "missing-target", "no target counts for this topic"),
+          ("shadow", "empty-population",
+           "topic 'shadow' has no labeled members for feature 'gender' (4 unknown)")]),
+])
+def test_each_skipped_pair_has_one_reason(skip_dir, tmp_path, kind, topic, reason, detail):
+    flag, name = SKIP_SOURCES[kind]
+    out = tmp_path / "out"
+    assert cli.main(["evaluate", "--runs", str(skip_dir / "runs.tsv"),
+                     "--labels", str(skip_dir / "labels.tsv"),
+                     flag, f"src={skip_dir / name}", "--feature", "gender",
+                     "--values", "female,male", "--out", str(out)]) == 0
+    skipped = parse_report((out / "report.json").read_text(encoding="utf-8")).skipped
+    pairs = [(s.source, s.topic_id) for s in skipped]
+    assert len(pairs) == len(set(pairs))
+    assert [(s.reason, s.detail) for s in skipped if s.topic_id == topic] == [(reason, detail)]
+
+
+@pytest.mark.parametrize("spelling, on", [
+    ("true", True), ("Yes", True), ("1", True), ("ON", True),
+    ("false", False), ("no", False), ("0", False), ("Off", False),
+])
+def test_config_file_sets_every_key(audit_dir, tmp_path, spelling, on):
+    with open(audit_dir / "labels.tsv", "a", encoding="utf-8") as handle:
+        handle.write("spare:e0\tgender\tunk\tkb\n")
+    write(audit_dir / "kb.json", sparql_export(
+        [("announcer", f"ann:e{i}", "male") for i in range(10)], names=("t", "e", "v")))
+    settings = f"""cutoff = 9
+feature = gender
+values = female, male
+unknown_token = unk
+strict = {spelling}
+seed = 41
+format = json
+out = {tmp_path / 'out'}
+table_size = 3
+population_sd = {spelling}
+runs = runs.tsv
+labels = labels.tsv
+target.kb = targets_kb.tsv
+members.wiki = kb.json
+topic_var = t
+entity_var = e
+value_var = v
+"""
+    config = write(audit_dir / "audit.cfg", settings)
+    assert cli.main(["evaluate", "--config", config]) == 0
+    meta = parse_report((tmp_path / "out" / "report.json").read_text(encoding="utf-8")).meta
+    assert (meta.cutoff, meta.feature_name, meta.values, meta.unknown_token, meta.seed,
+            meta.table_size, meta.sources) == (9, "gender", ("female", "male"), "unk", 41,
+                                               3, ("kb", "wiki"))
+    assert (meta.strict, meta.sd_divisor) == (on, "population" if on else "sample")
+    write(audit_dir / "audit.cfg", settings.replace("format = json", "format = csv")
+          .replace(str(tmp_path / "out"), str(tmp_path / "csv")))
+    assert cli.main(["evaluate", "--config", config]) == 0
+    assert (tmp_path / "csv" / "records.csv").exists()
+    assert not (tmp_path / "csv" / "report.json").exists()
+
+
+@pytest.mark.parametrize("key, text", [
+    ("cutoff", "ten"), ("strict", "maybe"), ("seed", "x1"), ("table_size", "1.5"),
+    ("population_sd", "2"),
+])
+def test_invalid_config_value_names_the_key(audit_dir, tmp_path, capsys, key, text):
+    config = write(audit_dir / "audit.cfg", f"""feature = gender
+values = female,male
+runs = runs.tsv
+labels = labels.tsv
+target.kb = targets_kb.tsv
+{key} = {text}
+""")
+    assert cli.main(["evaluate", "--config", config, "--out", str(tmp_path / "out")]) == 1
+    assert f"config key {key!r} has invalid value {text!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_out_resolves_against_the_config_file(audit_dir, tmp_path, monkeypatch):
+    (tmp_path / "cwd").mkdir()
+    monkeypatch.chdir(tmp_path / "cwd")
+    (audit_dir / "cfg").mkdir()
+    config = write(audit_dir / "cfg" / "audit.cfg", """feature = gender
+values = female,male
+runs = ../runs.tsv
+labels = ../labels.tsv
+target.kb = ../targets_kb.tsv
+out = results
+""")
+    assert cli.main(["evaluate", "--config", config]) == 0
+    assert (audit_dir / "cfg" / "results" / "report.json").exists()
+    assert not (tmp_path / "cwd" / "results").exists()
+
+
+def test_label_conflicts_survive_a_sparql_merge(audit_dir, tmp_path, capsys):
+    with open(audit_dir / "labels.tsv", "a", encoding="utf-8") as handle:
+        handle.write("ann:e0\tgender\tfemale\tinferred\n")
+    write(audit_dir / "kb.json", sparql_export(
+        [("announcer", f"ann:e{i}", "male") for i in range(10)]))
+    args = evaluate_args(audit_dir, tmp_path / "out",
+                         ("--members", f"wiki={audit_dir / 'kb.json'}"))
+    assert cli.main(args) == 0
+    assert "label conflicts resolved by provenance: 1" in capsys.readouterr().out

@@ -11,6 +11,7 @@ from biaslens import (
     EmptyPopulationError,
     FeatureScheme,
     LabelCatalog,
+    LabelConflict,
     MembershipTable,
     ParseError,
     counts_from_membership,
@@ -311,6 +312,14 @@ class TestCatalogMerge:
         merged = base.merged([("e1", "male", "kb"), ("e3", "female", "kb")])
         assert merged.assignments == {"e1": "female", "e2": "male", "e3": "female"}
         assert len(merged.conflicts) == 1
+
+    def test_merge_keeps_the_catalogs_own_conflicts_first(self, gender):
+        base = LabelCatalog.build(gender, [("e1", "female", "kb"), ("e1", "male", "manual")])
+        merged = base.merged([("e1", "female", "inferred"), ("e2", "male", "kb")])
+        assert merged.conflicts == (
+            base.conflicts[0],
+            LabelConflict("e1", "male", "manual", "female", "inferred"))
+        assert merged.assignments == {"e1": "male", "e2": "male"}
 
     def test_catalog_rejects_undeclared_value(self, gender):
         with pytest.raises(Exception):

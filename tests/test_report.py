@@ -452,6 +452,34 @@ class TestReportDocument:
             parse_report(json.dumps(payload), path="report.json")
         assert err.value.field == field
 
+    @staticmethod
+    def _set_cutoff(payload, cutoff):
+        payload["meta"]["cutoff"] = cutoff
+        for record in payload["records"]:
+            record["cutoff_requested"] = cutoff
+
+    @pytest.mark.parametrize("field, message, tamper", [
+        ("records[0]", "bias value must be",
+         lambda p: p["records"][0]["bias"].update(value=0.9)),
+        ("records[2]", "target_ratio_raw value must be",
+         lambda p: p["records"][2]["target_ratio_raw"].update(value=0.5000001)),
+        ("records[1]", "model_ratio value must be",
+         lambda p: p["records"][1]["model_ratio"].update(value=True)),
+        ("records[0]", "cutoff_requested must be meta's cutoff 4",
+         lambda p: p["records"][0].update(cutoff_requested=5)),
+        # Without the bound the rebuild would allocate 2 * 10**6 + 1 bins first.
+        ("histogram", "9 bins in a block, the cutoff gives 2000001",
+         lambda p: TestReportDocument._set_cutoff(p, 10**6)),
+        ("histogram", "0 bins in a block", lambda p: p.update(histogram=[])),
+    ])
+    def test_stored_values_and_cutoffs_must_agree(self, field, message, tamper):
+        payload = json.loads(MUTATION_BASE)
+        tamper(payload)
+        with pytest.raises(ParseError) as err:
+            parse_report(json.dumps(payload), path="report.json")
+        assert err.value.field == field
+        assert message in str(err.value)
+
     def test_rebuild_without_arguments_keeps_the_report(self, gender):
         evaluated = simulated_corpus(gender, seed=6)
         report = build_report(make_meta(table_size=3, exemplar_grid=4), evaluated)
