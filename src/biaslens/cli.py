@@ -102,7 +102,9 @@ def _open_input(path: Path) -> Iterator[TextIO]:
 
 
 def parse_config_file(path: Path) -> dict[str, str]:
-    """Read the flat key=value config format; '#' starts a comment line."""
+    """Read the flat key=value config format; '#' starts a comment line. A key
+    must be one of ``_CONFIG_KEYS`` or ``target.LABEL`` / ``members.LABEL``
+    with a non-empty label and file."""
     settings: dict[str, str] = {}
     try:
         with _open_input(path) as handle:
@@ -115,8 +117,16 @@ def parse_config_file(path: Path) -> dict[str, str]:
             continue
         if "=" not in stripped:
             raise ParseError("expected key = value", path=str(path), line=line_no)
-        key, _, value = stripped.partition("=")
-        settings[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in stripped.partition("="))
+        prefix, dot, label = key.partition(".")
+        if dot and prefix in ("target", "members"):
+            if not label or not value:
+                raise ParseError(f"source key {key!r} needs a label and a file",
+                                 path=str(path), line=line_no, field=key)
+        elif key not in _CONFIG_KEYS:
+            raise ParseError(f"unknown config key {key!r}", path=str(path), line=line_no,
+                             field=key)
+        settings[key] = value
     return settings
 
 

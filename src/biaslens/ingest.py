@@ -131,9 +131,6 @@ class MembershipTable:
 
     members: dict[str, frozenset[str]]
 
-    def topics(self) -> list[str]:
-        return sorted(self.members)
-
     def __len__(self) -> int:
         return len(self.members)
 
@@ -295,7 +292,7 @@ def parse_members(source: str | IO[str], path: str | None = None) -> MembershipT
 
 def serialize_members(table: MembershipTable) -> str:
     lines = ["\t".join(MEMBERS_HEADER)]
-    for topic in table.topics():
+    for topic in sorted(table.members):
         for entity in sorted(table.members[topic]):
             lines.append(f"{_check_field(topic, 'topic_id')}\t"
                          f"{_check_field(entity, 'entity_id')}")
@@ -325,15 +322,6 @@ def counts_for_topic(topic_id: str, entity_ids: Iterable[str],
     return TargetCounts(topic_id=topic_id, feature_name=labels.feature_name,
                         counts={v: c for v, c in counts.items() if c > 0},
                         unknown_count=unknown)
-
-
-def counts_from_membership(members: MembershipTable, labels: LabelCatalog,
-                           scheme: FeatureScheme) -> list[TargetCounts]:
-    """Per-topic value counts over the labeled members of each topic."""
-    if labels.scheme != scheme:
-        raise SchemeViolationError("label catalog does not use the given scheme")
-    return [counts_for_topic(topic, sorted(members.members[topic]), labels)
-            for topic in members.topics()]
 
 
 def parse_target_counts(source: str | IO[str], scheme: FeatureScheme,
@@ -462,53 +450,58 @@ def _looks_like_iri(text: str) -> bool:
 
 def parse_sparql_results(source: str | IO[str], *, topic_var: str = "topic",
                          entity_var: str = "entity", value_var: str = "value",
-                         shorten_iris: bool = True, strict: bool = False,
-                         path: str | None = None) -> SparqlExtraction:
+                         strict: bool = False, path: str | None = None) -> SparqlExtraction:
     """Parse a W3C SPARQL result export (JSON or TSV) into audit fragments.
 
     The three variables name the bindings acting as topic, entity and feature
-    value. IRI-typed bindings are shortened to their terminal segment when
-    ``shorten_iris`` is set, so Wikidata-style exports key by Q-identifier.
+    value. IRI-typed bindings are shortened to their terminal segment, so
+    Wikidata-style exports key by Q-identifier.
     Rows lacking a value binding contribute membership only. In strict mode a
     non-IRI entity binding is an error.
     """
     path = _named(source, path, "<sparql>")
     text = source if isinstance(source, str) else source.read()
     if text.lstrip().startswith("{"):
-        return _parse_sparql_json(text, topic_var, entity_var, value_var,
-                                  shorten_iris, strict, path)
-    return _parse_sparql_tsv(text, topic_var, entity_var, value_var,
-                             shorten_iris, strict, path)
+        return _parse_sparql_json(text, topic_var, entity_var, value_var, strict, path)
+    return _parse_sparql_tsv(text, topic_var, entity_var, value_var, strict, path)
 
 
 def _parse_sparql_json(text: str, topic_var: str, entity_var: str, value_var: str,
-                       shorten_iris: bool, strict: bool, path: str) -> SparqlExtraction:
+                       strict: bool, path: str) -> SparqlExtraction:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", path=path, line=exc.lineno) from None
-    declared = doc.get("head", {}).get("vars", [])
+    head, results = doc.get("head", {}), doc.get("results", {})
+    declared = head.get("vars", []) if type(head) is dict else None
+    if type(declared) is not list or not all(type(var) is str for var in declared):
+        raise ParseError("head must be an object whose vars are a list of strings",
+                         path=path, field="head")
     for var in (topic_var, entity_var):
         if var not in declared:
             raise ParseError(f"missing binding column {var!r} (declared: "
                              f"{', '.join(declared) or 'none'})", path=path, field=var)
-    bindings = doc.get("results", {}).get("bindings", [])
+    bindings = results.get("bindings", []) if type(results) is dict else None
+    if type(bindings) is not list:
+        raise ParseError("results must be an object whose bindings are a list",
+                         path=path, field="results")
 
     members: dict[str, set[str]] = {}
     label_rows: list[tuple[str, str]] = []
     for row_no, binding in enumerate(bindings, start=1):
-        topic = _binding_text(binding.get(topic_var), shorten_iris)
-        entity_cell = binding.get(entity_var)
-        entity = _binding_text(entity_cell, shorten_iris)
+        if type(binding) is not dict:
+            raise ParseError("binding must be an object", path=path, line=row_no)
+        topic = _binding_text(binding, topic_var, path, row_no)
+        entity = _binding_text(binding, entity_var, path, row_no)
         if topic is None or entity is None:
             missing = topic_var if topic is None else entity_var
             raise ParseError(f"row is missing the {missing!r} binding", path=path,
                              line=row_no, field=missing)
-        if strict and entity_cell.get("type") != "uri":
+        if strict and binding[entity_var].get("type") != "uri":
             raise ParseError(f"entity binding {entity!r} is not an IRI", path=path,
                              line=row_no, field=entity_var)
         members.setdefault(topic, set()).add(entity)
-        value = _binding_text(binding.get(value_var), shorten_iris)
+        value = _binding_text(binding, value_var, path, row_no)
         if value is not None:
             label_rows.append((entity, value))
     return SparqlExtraction(
@@ -516,19 +509,24 @@ def _parse_sparql_json(text: str, topic_var: str, entity_var: str, value_var: st
         label_rows=tuple(label_rows))
 
 
-def _binding_text(cell: dict | None, shorten_iris: bool) -> str | None:
+def _binding_text(binding: dict, var: str, path: str, line: int) -> str | None:
+    """Text of the cell bound to ``var``; None when it is unbound or empty."""
+    cell = binding.get(var)
     if cell is None:
         return None
-    value = str(cell.get("value", ""))
+    value = cell.get("value") if type(cell) is dict else None
+    if type(value) is not str:
+        raise ParseError(f"binding {var!r} must be an object with a string value",
+                         path=path, line=line, field=var)
     if not value:
         return None
-    if shorten_iris and cell.get("type") == "uri":
+    if cell.get("type") == "uri":
         return _terminal_segment(value)
     return value
 
 
 def _parse_sparql_tsv(text: str, topic_var: str, entity_var: str, value_var: str,
-                      shorten_iris: bool, strict: bool, path: str) -> SparqlExtraction:
+                      strict: bool, path: str) -> SparqlExtraction:
     lines = [l for l in text.splitlines()]
     header_idx = None
     for i, line in enumerate(lines):
@@ -557,9 +555,9 @@ def _parse_sparql_tsv(text: str, topic_var: str, entity_var: str, value_var: str
         if len(fields) != len(names):
             raise ParseError(f"expected {len(names)} fields, got {len(fields)}",
                              path=path, line=line_no)
-        topic = _tsv_term(fields[columns[topic_var]], shorten_iris)
+        topic = _tsv_term(fields[columns[topic_var]])
         raw_entity = fields[columns[entity_var]].strip()
-        entity = _tsv_term(raw_entity, shorten_iris)
+        entity = _tsv_term(raw_entity)
         if not topic or not entity:
             which = topic_var if not topic else entity_var
             raise ParseError(f"row is missing the {which!r} binding", path=path,
@@ -569,7 +567,7 @@ def _parse_sparql_tsv(text: str, topic_var: str, entity_var: str, value_var: str
                              line=line_no, field=entity_var)
         members.setdefault(topic, set()).add(entity)
         if value_var in columns:
-            value = _tsv_term(fields[columns[value_var]], shorten_iris)
+            value = _tsv_term(fields[columns[value_var]])
             if value:
                 label_rows.append((entity, value))
     return SparqlExtraction(
@@ -577,18 +575,17 @@ def _parse_sparql_tsv(text: str, topic_var: str, entity_var: str, value_var: str
         label_rows=tuple(label_rows))
 
 
-def _tsv_term(raw: str, shorten_iris: bool) -> str:
+def _tsv_term(raw: str) -> str:
     """Decode one SPARQL TSV term: <iri>, "literal"(@lang|^^type) or plain."""
     term = raw.strip()
     if term.startswith("<") and term.endswith(">"):
-        iri = term[1:-1]
-        return _terminal_segment(iri) if shorten_iris else iri
+        return _terminal_segment(term[1:-1])
     if term.startswith('"'):
         end = term.rfind('"')
         if end > 0:
             body = term[1:end]
             return body.replace('\\"', '"').replace("\\\\", "\\")
-    if shorten_iris and _looks_like_iri(term):
+    if _looks_like_iri(term):
         return _terminal_segment(term)
     return term
 

@@ -22,7 +22,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
     EmptyAggregateError,
@@ -71,25 +71,11 @@ class FeatureScheme:
             raise SchemeViolationError(
                 f"unknown token {self.unknown_token!r} collides with a declared value")
 
-    @property
-    def is_binary(self) -> bool:
-        return len(self.values) == 2
-
     def require_value(self, value: str) -> None:
         if value not in self.values:
             raise SchemeViolationError(
                 f"value {value!r} is not declared for feature {self.feature_name!r}; "
                 f"declared: {', '.join(self.values)}")
-
-    def complement(self, value: str) -> str:
-        """The other value of a binary scheme."""
-        self.require_value(value)
-        if not self.is_binary:
-            raise SchemeViolationError(
-                f"complement is defined only for binary schemes, {self.feature_name!r} "
-                f"has {len(self.values)} values")
-        first, second = self.values
-        return second if value == first else first
 
 
 @dataclass(frozen=True)
@@ -258,14 +244,6 @@ class BiasSummary:
             raise ValueError("standard deviation cannot be negative")
 
 
-class WindowRatio(NamedTuple):
-    """Share of a window carrying one value, plus window bookkeeping."""
-
-    ratio: Ratio
-    cutoff_effective: int
-    unknown_in_window: int
-
-
 def _labeled_total(counts: TargetCounts, scheme: FeatureScheme) -> int:
     for counted in counts.counts:
         if counted not in scheme.values:
@@ -273,16 +251,6 @@ def _labeled_total(counts: TargetCounts, scheme: FeatureScheme) -> int:
                 f"topic {counts.topic_id!r}: counted value {counted!r} is not declared "
                 f"for feature {scheme.feature_name!r}")
     return counts.total  # at least 1: TargetCounts rejects empty populations
-
-
-def target_ratio(counts: TargetCounts, value: str, scheme: FeatureScheme) -> Ratio:
-    """Share of the labeled reference population carrying ``value``.
-
-    Exact rational count-over-total. The value must be declared by the
-    scheme; a population with zero labeled members is rejected.
-    """
-    scheme.require_value(value)
-    return Fraction(counts.count_of(value), _labeled_total(counts, scheme))
 
 
 def _tally(run: RankedRun, labels: "LabelCatalog", n: int,
@@ -309,30 +277,6 @@ def _tally(run: RankedRun, labels: "LabelCatalog", n: int,
             f"topic {run.topic_id!r}: {unknown} unlabeled entities in the top-{m} window: "
             f"{', '.join(missing)}")
     return hits, m, unknown
-
-
-def naive_target_ratio_at_n(run: RankedRun, labels: "LabelCatalog",
-                            value: str, n: int) -> Ratio:
-    """Plain share of the top-m window labeled ``value`` (diagnostic only).
-
-    This cut-off estimator ignores that a length-m window cannot realize an
-    arbitrary ratio, so it can indicate bias where none is attainable. It is
-    provided for diagnostics and never feeds the bias computation.
-    """
-    return model_ratio_at_n(run, labels, value, n).ratio
-
-
-def model_ratio_at_n(run: RankedRun, labels: "LabelCatalog", value: str, n: int,
-                     *, strict: bool = False) -> WindowRatio:
-    """Share of the top-m window the system filled with ``value``.
-
-    Entities without a label stay in the denominator but join no value's
-    numerator; their number is reported. In strict mode any unlabeled entity
-    inside the window is an error.
-    """
-    labels.scheme.require_value(value)
-    hits, m, unknown = _tally(run, labels, n, strict)
-    return WindowRatio(Fraction(hits[value], m), m, unknown)
 
 
 def attainable_count(count: int, total: int, m: int, shown: int) -> int:

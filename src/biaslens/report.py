@@ -21,8 +21,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ParseError, SchemaVersionError
 from .metrics import BiasRecord, BiasSummary, aggregate
-from ._util import (atomic_write, grid_count, ratio_str, reduced_str, round_half_away,
-                    unit_open)
+from ._util import atomic_write, ratio_str, reduced_str, round_half_away, unit_open
 
 SCHEMA = "biaslens-report/1"
 
@@ -46,9 +45,6 @@ class HistogramSpec:
     reference_counts: tuple[int, ...]
     off_grid_topics: tuple[str, ...]
 
-    def centers(self) -> list[Fraction]:
-        return [Fraction(k, self.cutoff) for k in range(-self.cutoff, self.cutoff + 1)]
-
     @property
     def total(self) -> int:
         return sum(self.counts)
@@ -56,17 +52,15 @@ class HistogramSpec:
 
 @dataclass(frozen=True)
 class ScatterPoint:
-    """One topic in target-vs-model space, snapped to the 1/cutoff cell grid.
+    """One record in target-vs-model space: x is its attainable target ratio,
+    y its model ratio, snapped to the 1/cutoff cell grid.
 
     ``dx``/``dy`` are deterministic jitter offsets strictly inside the half
     cell, a pure function of (seed, topic, value), so points sharing a cell
     stay distinguishable without ever leaving their square.
     """
 
-    topic_id: str
-    feature_value: str
-    target_ratio: Fraction
-    model_ratio: Fraction
+    record: BiasRecord
     cell: tuple[int, int]
     dx: float
     dy: float
@@ -75,31 +69,22 @@ class ScatterPoint:
 
 
 @dataclass(frozen=True)
-class TableRow:
-    """Projection of a bias record as printed in ranked tables."""
-
-    topic_id: str
-    cutoff_effective: int
-    model_ratio: Fraction
-    target_ratio_at_cutoff: Fraction
-    bias: Fraction
-
-
-@dataclass(frozen=True)
 class RankedTables:
     """Top-k most biased topics in both directions, zero-bias rows excluded."""
 
     requested_size: int
-    towards: tuple[TableRow, ...]
-    against: tuple[TableRow, ...]
+    towards: tuple[BiasRecord, ...]
+    against: tuple[BiasRecord, ...]
     towards_short: bool
     against_short: bool
 
 
 @dataclass(frozen=True)
 class ExemplarBucket:
-    bucket: Fraction
-    row: TableRow | None
+    """Target ratios bucket/grid; ``row`` is the exemplar, None for a gap."""
+
+    bucket: int
+    row: BiasRecord | None
     population: int | None
 
 
@@ -140,7 +125,6 @@ class ReportMeta:
     strict: bool
     table_size: int
     sd_divisor: str
-    evaluation: str = "one-vs-rest"
     exemplar_grid: int = 10
 
 
@@ -161,16 +145,6 @@ class Report:
     records: tuple[EvaluatedTopic, ...]
     blocks: tuple[ReportBlock, ...]
     skipped: tuple[SkippedTopic, ...]
-
-
-def _as_row(record: BiasRecord) -> TableRow:
-    return TableRow(
-        topic_id=record.topic_id,
-        cutoff_effective=record.cutoff_effective,
-        model_ratio=record.model_ratio,
-        target_ratio_at_cutoff=record.target_ratio_at_cutoff,
-        bias=record.bias,
-    )
 
 
 def build_histogram(records: Sequence[BiasRecord], value: str,
@@ -204,10 +178,7 @@ def build_scatter(records: Sequence[BiasRecord], value: str, n: int,
         dx = (unit_open(seed, record.topic_id, value, "x") - 0.5) / n
         dy = (unit_open(seed, record.topic_id, value, "y") - 0.5) / n
         points.append(ScatterPoint(
-            topic_id=record.topic_id,
-            feature_value=value,
-            target_ratio=Fraction(ideal, m),
-            model_ratio=Fraction(model, m),
+            record=record,
             cell=(round_half_away(ideal * n, m), round_half_away(model * n, m)),
             dx=dx,
             dy=dy,
@@ -233,8 +204,8 @@ def ranked_bias_table(records: Sequence[BiasRecord], value: str,
     against, against_count = _most_biased(records, k, grid, -1)
     return RankedTables(
         requested_size=k,
-        towards=tuple(_as_row(r) for r in towards),
-        against=tuple(_as_row(r) for r in against),
+        towards=tuple(towards),
+        against=tuple(against),
         towards_short=towards_count < k,
         against_short=against_count < k,
     )
@@ -291,8 +262,8 @@ def unbiased_exemplars(records: Sequence[BiasRecord],
     for index in range(grid + 1):
         held = best.get(index)
         buckets.append(ExemplarBucket(
-            bucket=Fraction(index, grid),
-            row=_as_row(held[2]) if held else None,
+            bucket=index,
+            row=held[2] if held else None,
             population=held[0] if held else None,
         ))
     return ExemplarTable(grid=grid, buckets=tuple(buckets), skipped=tuple(skipped))
@@ -370,14 +341,14 @@ def _grid_obj(count: int, grid: int) -> dict:
     return {"ratio": ratio_str(count, grid), "value": count / grid}
 
 
-def _row_obj(row: TableRow) -> dict:
-    m = row.cutoff_effective
+def _row_obj(r: BiasRecord) -> dict:
+    m = r.cutoff_effective
     return {
-        "topic": row.topic_id,
+        "topic": r.topic_id,
         "cutoff_effective": m,
-        "model_ratio": _grid_obj(grid_count(row.model_ratio, m), m),
-        "target_ratio_at_cutoff": _grid_obj(grid_count(row.target_ratio_at_cutoff, m), m),
-        "bias": _grid_obj(grid_count(row.bias, m), m),
+        "model_ratio": _grid_obj(r.model_count, m),
+        "target_ratio_at_cutoff": _grid_obj(r.ideal_count, m),
+        "bias": _grid_obj(r.model_count - r.ideal_count, m),
     }
 
 
@@ -431,9 +402,9 @@ def _scatter_entry(b: ReportBlock) -> dict:
     return {
         "points": [
             {
-                "topic": p.topic_id,
-                "x": _ratio_obj(p.target_ratio),
-                "y": _ratio_obj(p.model_ratio),
+                "topic": p.record.topic_id,
+                "x": _exact_obj(p.record.ideal_count, p.record.cutoff_effective),
+                "y": _exact_obj(p.record.model_count, p.record.cutoff_effective),
                 "cell": list(p.cell),
                 "dx": p.dx,
                 "dy": p.dy,
@@ -457,8 +428,8 @@ def _tables_entry(b: ReportBlock) -> dict:
             "grid": grid,
             "buckets": [
                 {
-                    "bucket": ratio_str(grid_count(bk.bucket, grid), grid),
-                    "value": bk.bucket.numerator / bk.bucket.denominator,
+                    "bucket": ratio_str(bk.bucket, grid),
+                    "value": bk.bucket / grid,
                     "topic": bk.row.topic_id if bk.row else None,
                     "population": bk.population,
                     "row": _row_obj(bk.row) if bk.row else None,
@@ -496,7 +467,7 @@ def report_to_json(report: Report) -> str:
             "strict": meta.strict,
             "table_size": meta.table_size,
             "sd_divisor": meta.sd_divisor,
-            "evaluation": meta.evaluation,
+            "evaluation": "one-vs-rest",
         },
         "summaries": _derived("summaries", report.blocks),
         "records": [_record_obj(e) for e in report.records],
@@ -577,7 +548,6 @@ def _read_meta(m: dict) -> ReportMeta:
         unknown_token=_typed(m, "unknown_token", str),
         sources=tuple(_typed(m, "sources", list)), strict=_typed(m, "strict", bool),
         table_size=_typed(m, "table_size", int), sd_divisor=_typed(m, "sd_divisor", str),
-        evaluation=m.get("evaluation", "one-vs-rest"),
     )
     if not all(type(name) is str for name in meta.values + meta.sources):
         raise TypeError("values and sources must be lists of strings")
@@ -585,8 +555,8 @@ def _read_meta(m: dict) -> ReportMeta:
         raise ValueError("cutoff and table_size must be >= 1")
     if meta.sd_divisor not in ("sample", "population"):
         raise ValueError(f"sd_divisor must be sample or population, got {meta.sd_divisor!r}")
-    if meta.evaluation != "one-vs-rest":
-        raise ValueError(f"evaluation must be one-vs-rest, got {meta.evaluation!r}")
+    if (evaluation := m.get("evaluation", "one-vs-rest")) != "one-vs-rest":
+        raise ValueError(f"evaluation must be one-vs-rest, got {evaluation!r}")
     return meta
 
 

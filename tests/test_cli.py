@@ -475,8 +475,9 @@ def test_three_valued_feature_end_to_end(tmp_path):
             "--feature", "ethnicity", "--values", "a,b,c",
             "--out", str(out)]
     assert cli.main(args) == 0
-    report = parse_report((out / "report.json").read_text(encoding="utf-8"))
-    assert report.meta.evaluation == "one-vs-rest"
+    document = (out / "report.json").read_text(encoding="utf-8")
+    assert json.loads(document)["meta"]["evaluation"] == "one-vs-rest"
+    report = parse_report(document)
     assert [b.feature_value for b in report.blocks] == ["a", "b", "c"]
     biases = {b.feature_value: b.summary.mean_bias for b in report.blocks}
     assert biases == {"a": F(1, 10), "b": F(0), "c": F(0)}
@@ -499,6 +500,17 @@ def sparql_export(rows, names=("topic", "entity", "value")):
             binding[names[2]] = {"type": "literal", "value": value}
         bindings.append(binding)
     return json.dumps({"head": {"vars": list(names)}, "results": {"bindings": bindings}})
+
+
+def test_malformed_sparql_export_exits_1(audit_dir, tmp_path, capsys):
+    export = json.loads(sparql_export([("announcer", "ann:e0", "male")]))
+    export["results"]["bindings"].append(1)
+    write(audit_dir / "kb.json", json.dumps(export))
+    args = evaluate_args(audit_dir, tmp_path / "out",
+                         ("--members", f"wiki={audit_dir / 'kb.json'}"))
+    assert cli.main(args) == 1
+    assert f"{audit_dir / 'kb.json'}:2: binding must be an object" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture
@@ -600,6 +612,27 @@ target.kb = targets_kb.tsv
 """)
     assert cli.main(["evaluate", "--config", config, "--out", str(tmp_path / "out")]) == 1
     assert f"config key {key!r} has invalid value {text!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("cutof = 5", "unknown config key 'cutof' (field: cutof)"),
+    ("target = t.tsv", "unknown config key 'target' (field: target)"),
+    ("value_map.Q1 = female", "unknown config key 'value_map.Q1'"),
+    ("target. = targets_full.tsv", "source key 'target.' needs a label and a file"),
+    ("members.wiki =", "source key 'members.wiki' needs a label and a file"),
+], ids=["misspelt", "bare-prefix", "value-map", "empty-label", "empty-file"])
+def test_config_rejects_unknown_keys_and_empty_sources(audit_dir, tmp_path, capsys,
+                                                       line, message):
+    config = write(audit_dir / "audit.cfg", f"""feature = gender
+values = female,male
+runs = runs.tsv
+labels = labels.tsv
+target.kb = targets_kb.tsv
+{line}
+""")
+    assert cli.main(["evaluate", "--config", config, "--out", str(tmp_path / "out")]) == 1
+    assert f"error: {config}:6: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

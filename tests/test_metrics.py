@@ -27,11 +27,9 @@ from biaslens import (
     bias_at_n,
     build_report,
     ideal_target_ratio_at_n,
-    model_ratio_at_n,
-    naive_target_ratio_at_n,
+    measure_topic,
     parse_report,
     report_to_json,
-    target_ratio,
 )
 from biaslens.report import EvaluatedTopic
 from test_report import make_meta
@@ -53,12 +51,6 @@ class TestFeatureScheme:
         with pytest.raises(SchemeViolationError):
             FeatureScheme("gender", ("female", "male"), unknown_token="male")
 
-    def test_complement_binary_only(self, gender):
-        assert gender.complement("female") == "male"
-        tri = FeatureScheme("region", ("north", "south", "east"))
-        with pytest.raises(SchemeViolationError):
-            tri.complement("north")
-
 
 class TestRankedRun:
     def test_rejects_empty(self):
@@ -73,11 +65,11 @@ class TestRankedRun:
 class TestTargetRatio:
     def test_symmetric_population(self, gender):
         counts = support.make_target(gender, "t", "female", 5, 10)
-        assert target_ratio(counts, "female", gender) == HALF
+        assert F(counts.count_of("female"), counts.total) == HALF
 
     def test_zero_numerator(self, gender):
         counts = support.make_target(gender, "t", "female", 0, 7)
-        assert target_ratio(counts, "female", gender) == 0
+        assert F(counts.count_of("female"), counts.total) == 0
 
     def test_three_of_ten_matches_enumeration(self, gender):
         # Independent oracle: enumerate a concrete 10-member population.
@@ -85,12 +77,13 @@ class TestTargetRatio:
         hits = sum(1 for member in population if member == "female")
         expected = F(hits, len(population))
         counts = support.make_target(gender, "t", "female", 3, 10)
-        assert target_ratio(counts, "female", gender) == expected == F(3, 10)
+        assert F(counts.count_of("female"), counts.total) == expected == F(3, 10)
 
     def test_undeclared_value_rejected(self, gender):
+        run, labels = support.window_fixture(gender, "t", "female", 3, 10)
         counts = support.make_target(gender, "t", "female", 3, 10)
         with pytest.raises(SchemeViolationError):
-            target_ratio(counts, "nonbinary", gender)
+            bias_at_n(run, labels, counts, "nonbinary", 10)
 
     def test_empty_population_rejected_at_construction(self, gender):
         with pytest.raises(EmptyPopulationError):
@@ -103,14 +96,21 @@ class TestTargetRatio:
                          counts={"female": -1, "male": 2})
 
 
+def window_record(run, labels, n, *, strict=False):
+    """The female record of ``run`` at cutoff ``n`` against a 1-in-2 target."""
+    target = support.make_target(labels.scheme, run.topic_id, "female", 1, 2)
+    return bias_at_n(run, labels, target, "female", n, strict=strict)
+
+
 class TestWindowRatios:
+    # The plain share of the window carrying a value is the record's model ratio.
     def test_naive_direct_count(self, gender):
         run, labels = support.window_fixture(gender, "t", "female", 6, 10)
-        assert naive_target_ratio_at_n(run, labels, "female", 10) == F(6, 10)
+        assert window_record(run, labels, 10).model_ratio == F(6, 10)
 
     def test_naive_saturated_window(self, gender):
         run, labels = support.window_fixture(gender, "t", "female", 7, 7)
-        assert naive_target_ratio_at_n(run, labels, "female", 10) == 1
+        assert window_record(run, labels, 10).model_ratio == 1
 
     def test_naive_odd_ranks(self, gender):
         entities = tuple(f"d{i}" for i in range(10))
@@ -118,38 +118,41 @@ class TestWindowRatios:
                    for i, e in enumerate(entities)}
         run = support.run_of("t", *entities)
         labels = support.catalog_of(gender, mapping)
-        assert naive_target_ratio_at_n(run, labels, "female", 5) == F(3, 5)
+        record = window_record(run, labels, 5)
+        assert (record.model_ratio, record.cutoff_effective) == (F(3, 5), 5)
 
     def test_model_zero_hits(self, gender):
         run, labels = support.window_fixture(gender, "announcer", "female", 0, 10)
-        ratio, m, unknown = model_ratio_at_n(run, labels, "female", 10)
-        assert (ratio, m, unknown) == (0, 10, 0)
+        record = window_record(run, labels, 10)
+        assert (record.model_ratio, record.cutoff_effective,
+                record.unknown_in_window) == (0, 10, 0)
 
     def test_model_nine_of_ten(self, gender):
         run, labels = support.window_fixture(gender, "archivist", "female", 9, 10)
-        assert model_ratio_at_n(run, labels, "female", 10).ratio == F(9, 10)
+        assert window_record(run, labels, 10).model_ratio == F(9, 10)
 
     def test_model_short_run(self, gender):
         run, labels = support.window_fixture(gender, "t", "female", 4, 8)
-        ratio, m, _ = model_ratio_at_n(run, labels, "female", 10)
-        assert (ratio, m) == (HALF, 8)
+        record = window_record(run, labels, 10)
+        assert (record.model_ratio, record.cutoff_effective) == (HALF, 8)
 
     def test_unknowns_stay_in_denominator(self, gender):
         run = support.run_of("t", "a", "b", "c", "d")
         labels = support.catalog_of(gender, {"a": "female", "b": "male"})
-        ratio, m, unknown = model_ratio_at_n(run, labels, "female", 4)
-        assert (ratio, m, unknown) == (F(1, 4), 4, 2)
+        records = measure_topic(run, labels, support.make_target(gender, "t", "female", 1, 2), 4)
+        assert [(r.model_ratio, r.cutoff_effective, r.unknown_in_window)
+                for r in records] == [(F(1, 4), 4, 2), (F(1, 4), 4, 2)]
 
     def test_strict_mode_raises_on_unknown(self, gender):
         run = support.run_of("t", "a", "b")
         labels = support.catalog_of(gender, {"a": "female"})
         with pytest.raises(UnlabeledEntityError, match="b"):
-            model_ratio_at_n(run, labels, "female", 2, strict=True)
+            window_record(run, labels, 2, strict=True)
 
     def test_bad_cutoff(self, gender):
         run, labels = support.window_fixture(gender, "t", "female", 1, 2)
         with pytest.raises(ValueError):
-            model_ratio_at_n(run, labels, "female", 0)
+            window_record(run, labels, 0)
 
 
 class TestIdealTargetRatio:

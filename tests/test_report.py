@@ -77,9 +77,9 @@ class TestHistogram:
     def test_extremes_land_in_their_bins(self):
         records = records_from_counts([("announcer", 0, 5), ("archivist", 9, 1)])
         hist = build_histogram(records, "female", 10)
-        centers = hist.centers()
-        assert hist.counts[centers.index(F(-5, 10))] == 1
-        assert hist.counts[centers.index(F(8, 10))] == 1
+        # Bin k/n sits at index k + n.
+        assert hist.counts[-5 + 10] == 1
+        assert hist.counts[8 + 10] == 1
         assert sum(hist.counts) == 2
         # Bias-free reference piles everything on zero for comparison.
         assert hist.reference_counts[10] == 2
@@ -94,8 +94,8 @@ class TestHistogram:
         oracle = {}
         for record in records:
             oracle[record.bias] = oracle.get(record.bias, 0) + 1
-        for center, count in zip(hist.centers(), hist.counts):
-            assert count == oracle.get(center, 0)
+        for k, count in zip(range(-10, 11), hist.counts):
+            assert count == oracle.get(F(k, 10), 0)
         assert sum(hist.counts) == 1000
 
     def test_short_windows_flagged_and_binned_nearest(self):
@@ -144,7 +144,7 @@ class TestScatter:
     def test_sorted_by_topic(self):
         records = records_from_counts([("zeta", 1, 1), ("alpha", 2, 2)])
         points = build_scatter(records, "female", 10, seed=1)
-        assert [p.topic_id for p in points] == ["alpha", "zeta"]
+        assert [p.record.topic_id for p in points] == ["alpha", "zeta"]
 
     def test_binary_symmetry_of_point_sets(self, gender):
         evaluated = simulated_corpus(gender, seed=8)
@@ -152,9 +152,9 @@ class TestScatter:
         males = [e.record for e in evaluated if e.record.feature_value == "male"]
         f_points = build_scatter(females, "female", 10, seed=2)
         m_points = build_scatter(males, "male", 10, seed=2)
-        f_set = {(p.target_ratio, p.model_ratio) for p in f_points}
-        mirrored = {(1 - x, 1 - y) for x, y in
-                    ((p.target_ratio, p.model_ratio) for p in m_points)}
+        f_set = {(p.record.target_ratio_at_cutoff, p.record.model_ratio) for p in f_points}
+        mirrored = {(1 - p.record.target_ratio_at_cutoff, 1 - p.record.model_ratio)
+                    for p in m_points}
         assert f_set == mirrored
 
 

@@ -56,12 +56,6 @@ def test_tsv_matches_json():
     assert parse_sparql_results(TWO_ROWS_TSV) == parse_sparql_results(TWO_ROWS_JSON)
 
 
-def test_iri_shortening_can_be_disabled():
-    extraction = parse_sparql_results(TWO_ROWS_JSON, shorten_iris=False)
-    assert "http://www.wikidata.org/entity/Q123" in extraction.members.members[
-        "philosopher"]
-
-
 def test_hash_fragment_iris_shorten():
     export = json_export([(literal("poet"), uri("http://example.org/ont#E42"),
                            literal("female"))])
@@ -83,6 +77,37 @@ def test_missing_binding_column():
                          "results": {"bindings": []}})
     with pytest.raises(ParseError, match="entity"):
         parse_sparql_results(export, path="export.json")
+
+
+def malformed(head=None, results=None, **cells):
+    """A one-binding export with ``head``, ``results`` or cells replaced."""
+    binding = {"topic": literal("poet"), "entity": uri("http://x/Q1"), **cells}
+    doc = {"head": {"vars": ["topic", "entity", "value"]},
+           "results": {"bindings": [binding]}}
+    doc["head"] = doc["head"] if head is None else head
+    doc["results"] = doc["results"] if results is None else results
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("export, located", [
+    (malformed(results={"bindings": [1]}), ("export.json:1", None)),
+    (malformed(topic="a"), ("export.json:1", "topic")),
+    (malformed(results=[]), ("export.json", "results")),
+    (malformed(results={"bindings": 5}), ("export.json", "results")),
+    (malformed(head={"vars": [1]}), ("export.json", "head")),
+    (malformed(head={"vars": "topic entity"}), ("export.json", "head")),
+    (malformed(head=[]), ("export.json", "head")),
+    (malformed(value={"type": "literal", "value": None}), ("export.json:1", "value")),
+    (malformed(value={"type": "literal"}), ("export.json:1", "value")),
+], ids=["binding-not-object", "cell-not-object", "results-not-object",
+        "bindings-not-list", "vars-not-strings", "vars-a-string", "head-not-object",
+        "value-null", "value-missing"])
+def test_malformed_json_export_is_a_located_parse_error(export, located):
+    where, field = located
+    with pytest.raises(ParseError) as err:
+        parse_sparql_results(export, path="export.json")
+    assert str(err.value).startswith(f"{where}: ")
+    assert err.value.field == field
 
 
 def test_row_missing_topic_binding():
