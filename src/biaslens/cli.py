@@ -108,10 +108,10 @@ def parse_config_file(path: Path) -> dict[str, str]:
     settings: dict[str, str] = {}
     try:
         with _open_input(path) as handle:
-            text = handle.read()
+            lines = list(handle)
     except OSError as exc:
         raise ParseError(f"cannot read config: {exc.strerror}", path=str(path)) from None
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -120,12 +120,17 @@ def parse_config_file(path: Path) -> dict[str, str]:
         key, _, value = (part.strip() for part in stripped.partition("="))
         prefix, dot, label = key.partition(".")
         if dot and prefix in ("target", "members"):
+            label = label.strip()
+            key = f"{prefix}.{label}"
             if not label or not value:
                 raise ParseError(f"source key {key!r} needs a label and a file",
                                  path=str(path), line=line_no, field=key)
         elif key not in _CONFIG_KEYS:
             raise ParseError(f"unknown config key {key!r}", path=str(path), line=line_no,
                              field=key)
+        if key in settings:
+            raise ParseError(f"config key {key!r} is repeated", path=str(path),
+                             line=line_no, field=key)
         settings[key] = value
     return settings
 
@@ -230,7 +235,7 @@ def _load_sources(config: AuditConfig, scheme: FeatureScheme,
     label rows whose value is neither a declared value nor the unknown token
     are dropped and counted, and the count is the last element returned."""
     sources: dict[str, dict[str, TargetCounts] | ingest.MembershipTable] = {}
-    allowed = set(scheme.values) | {scheme.unknown_token}
+    allowed = scheme.admissible
     dropped = 0
 
     for label, path in sorted(config.targets.items()):
@@ -369,26 +374,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     scheme = config.scheme()
     value = scheme.values[0]
     spec_path = Path(args.plan)
+    # Every row's width is checked before any row is simulated.
     with _open_input(spec_path) as handle:
-        text = handle.read()
-
-    rows = []
-    for line_no, fields in ingest._rows(text, str(spec_path), SIMULATE_HEADER):
-        if len(fields) not in (4, 5):
-            raise ParseError(f"expected 4 or 5 fields, got {len(fields)}",
-                             path=str(spec_path), line=line_no)
-        rows.append((line_no, fields))
+        rows = list(ingest._rows(handle, str(spec_path), SIMULATE_HEADER, (4, 5)))
 
     topics = []
     failures = []
     for line_no, fields in rows:
-        topic_id = fields[0].strip()
+        topic_id = fields[0]
         try:
-            target = Fraction(fields[1].strip())
-            bias = Fraction(fields[2].strip())
-            length = int(fields[3].strip())
-            population = (int(fields[4].strip())
-                          if len(fields) == 5 and fields[4].strip() else None)
+            target = Fraction(fields[1])
+            bias = Fraction(fields[2])
+            length = int(fields[3])
+            population = int(fields[4]) if len(fields) == 5 and fields[4] else None
         except (ValueError, ZeroDivisionError) as exc:
             failures.append(f"{spec_path}:{line_no}: unparseable row: {exc}")
             continue

@@ -7,16 +7,18 @@ Four tab-separated formats plus SPARQL result exports feed the pipeline:
     members.tsv  topic_id <TAB> entity_id
     targets.tsv  topic_id <TAB> feature_name <TAB> value <TAB> count [<TAB> total]
 
-All files are UTF-8. Lines starting with '#' are comments; one optional
-header line using the canonical column names is tolerated. Fields may not
-contain tabs or newlines (there is no quoting dialect), which keeps the
-parsers bit-exact. Every parse failure names the file, the line and the
-offending field.
+All files are UTF-8, and a line ends at '\\n', '\\r\\n' or '\\r' only. Lines
+starting with '#' are comments; one optional header line using the
+canonical column names is tolerated. Fields may not contain tabs or
+newlines (there is no quoting dialect), which keeps the parsers bit-exact.
+Every parse failure names the file, the line and the offending field.
 """
 
 from __future__ import annotations
 
+import io
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
 
@@ -59,7 +61,7 @@ class LabelCatalog:
     conflicts: tuple[LabelConflict, ...] = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
-        allowed = set(self.scheme.values) | {self.scheme.unknown_token}
+        allowed = self.scheme.admissible
         for entity, value in self.assignments.items():
             if value not in allowed:
                 raise SchemeViolationError(
@@ -139,40 +141,46 @@ def _priority(provenance: str) -> int:
     return PROVENANCE_PRIORITY.get(provenance, 0)
 
 
-def _source_lines(source: str | IO[str]) -> Iterator[str]:
-    if isinstance(source, str):
-        return iter(source.splitlines())
-    return iter(line.rstrip("\n").rstrip("\r") for line in source)
+def _source_lines(source: str | IO[str]) -> IO[str]:
+    """The lines of ``source``, each with its end; callers strip. A string
+    splits as a text file read with universal newlines does."""
+    return io.StringIO(source, newline=None) if isinstance(source, str) else source
 
 
-def _rows(source: str | IO[str], path: str,
-          header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line number, fields) skipping comments, blanks and the header."""
+def _rows(source: str | IO[str], path: str, header: tuple[str, ...],
+          widths: tuple[int, ...]) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line number, stripped fields) of each data line, skipping
+    comments, blanks and the header. A data line whose field count is not
+    one of ``widths`` is a ParseError."""
     first_data_seen = False
     for line_no, line in enumerate(_source_lines(source), start=1):
         if not line.strip() or line.startswith("#"):
             continue
-        fields = line.split("\t")
+        fields = [f.strip() for f in line.split("\t")]
         if not first_data_seen:
             first_data_seen = True
-            lowered = tuple(f.strip().lower() for f in fields)
+            lowered = tuple(f.lower() for f in fields)
             if lowered == header[:len(lowered)] and len(lowered) >= 2:
                 continue
+        if len(fields) not in widths:
+            counts = " or ".join(str(w) for w in widths)
+            raise ParseError(f"expected {counts} tab-separated fields, got {len(fields)}",
+                             path=path, line=line_no)
         yield line_no, fields
 
 
-def _expect_columns(fields: list[str], allowed: tuple[int, ...], path: str,
-                    line: int) -> None:
-    if len(fields) not in allowed:
-        counts = " or ".join(str(a) for a in allowed)
-        raise ParseError(f"expected {counts} tab-separated fields, got {len(fields)}",
-                         path=path, line=line)
-
-
-def _check_field(value: str, column: str) -> str:
-    if "\t" in value or "\n" in value or "\r" in value:
-        raise ValueError(f"{column} value {value!r} contains a tab or newline")
-    return value
+def _tsv_text(header: tuple[str, ...], rows: Iterable[tuple[str, ...]]) -> str:
+    """TSV text of ``header`` and ``rows``. A field holding a tab or a line
+    break is a ValueError naming its column."""
+    lines = ["\t".join(header)]
+    for row in rows:
+        line = "\t".join(row)
+        if line.count("\t") != len(row) - 1 or "\n" in line or "\r" in line:
+            column, value = next((c, v) for c, v in zip(header, row)
+                                 if "\t" in v or "\n" in v or "\r" in v)
+            raise ValueError(f"{column} value {value!r} contains a tab or newline")
+        lines.append(line)
+    return "\n".join(lines) + "\n"
 
 
 def _named(source: str | IO[str], path: str | None, fallback: str) -> str:
@@ -190,9 +198,7 @@ def parse_runs(source: str | IO[str], path: str | None = None) -> list[RankedRun
     path = _named(source, path, "<runs>")
     ordered: dict[str, list[str]] = {}
     seen: dict[str, set[str]] = {}
-    for line_no, fields in _rows(source, path, RUNS_HEADER):
-        _expect_columns(fields, (3,), path, line_no)
-        topic_id, rank_text, entity_id = (f.strip() for f in fields)
+    for line_no, (topic_id, rank_text, entity_id) in _rows(source, path, RUNS_HEADER, (3,)):
         if not topic_id or not entity_id:
             raise ParseError("empty topic_id or entity_id", path=path, line=line_no,
                              field="topic_id" if not topic_id else "entity_id")
@@ -217,12 +223,9 @@ def parse_runs(source: str | IO[str], path: str | None = None) -> list[RankedRun
 
 
 def serialize_runs(runs: Iterable[RankedRun]) -> str:
-    lines = ["\t".join(RUNS_HEADER)]
-    for run in sorted(runs, key=lambda r: r.topic_id):
-        for rank, entity in enumerate(run.entries, start=1):
-            lines.append(f"{_check_field(run.topic_id, 'topic_id')}\t{rank}\t"
-                         f"{_check_field(entity, 'entity_id')}")
-    return "\n".join(lines) + "\n"
+    return _tsv_text(RUNS_HEADER, ((run.topic_id, str(rank), entity)
+                                   for run in sorted(runs, key=lambda r: r.topic_id)
+                                   for rank, entity in enumerate(run.entries, start=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -239,14 +242,11 @@ def parse_labels(source: str | IO[str], scheme: FeatureScheme,
     the returned catalog.
     """
     path = _named(source, path, "<labels>")
-    allowed = set(scheme.values) | {scheme.unknown_token}
+    allowed = scheme.admissible
     rows: list[tuple[str, str, str]] = []
-    for line_no, fields in _rows(source, path, LABELS_HEADER):
-        _expect_columns(fields, (3, 4), path, line_no)
-        entity_id = fields[0].strip()
-        feature_name = fields[1].strip()
-        value = fields[2].strip()
-        prov = fields[3].strip() if len(fields) == 4 and fields[3].strip() else DEFAULT_PROVENANCE
+    for line_no, fields in _rows(source, path, LABELS_HEADER, (3, 4)):
+        entity_id, feature_name, value = fields[:3]
+        prov = fields[3] if len(fields) == 4 and fields[3] else DEFAULT_PROVENANCE
         if not entity_id:
             raise ParseError("empty entity_id", path=path, line=line_no, field="entity_id")
         if feature_name != scheme.feature_name:
@@ -261,15 +261,9 @@ def parse_labels(source: str | IO[str], scheme: FeatureScheme,
 
 
 def serialize_labels(catalog: LabelCatalog) -> str:
-    lines = ["\t".join(LABELS_HEADER)]
-    for entity in sorted(catalog.assignments):
-        lines.append("\t".join((
-            _check_field(entity, "entity_id"),
-            _check_field(catalog.feature_name, "feature_name"),
-            _check_field(catalog.assignments[entity], "value"),
-            _check_field(catalog.provenance[entity], "provenance"),
-        )))
-    return "\n".join(lines) + "\n"
+    return _tsv_text(LABELS_HEADER, ((entity, catalog.feature_name,
+                                      catalog.assignments[entity], catalog.provenance[entity])
+                                     for entity in sorted(catalog.assignments)))
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +274,7 @@ def parse_members(source: str | IO[str], path: str | None = None) -> MembershipT
     """Parse topic membership rows; duplicate pairs are deduplicated."""
     path = _named(source, path, "<members>")
     members: dict[str, set[str]] = {}
-    for line_no, fields in _rows(source, path, MEMBERS_HEADER):
-        _expect_columns(fields, (2,), path, line_no)
-        topic_id, entity_id = (f.strip() for f in fields)
+    for line_no, (topic_id, entity_id) in _rows(source, path, MEMBERS_HEADER, (2,)):
         if not topic_id or not entity_id:
             raise ParseError("empty topic_id or entity_id", path=path, line=line_no,
                              field="topic_id" if not topic_id else "entity_id")
@@ -291,12 +283,8 @@ def parse_members(source: str | IO[str], path: str | None = None) -> MembershipT
 
 
 def serialize_members(table: MembershipTable) -> str:
-    lines = ["\t".join(MEMBERS_HEADER)]
-    for topic in sorted(table.members):
-        for entity in sorted(table.members[topic]):
-            lines.append(f"{_check_field(topic, 'topic_id')}\t"
-                         f"{_check_field(entity, 'entity_id')}")
-    return "\n".join(lines) + "\n"
+    return _tsv_text(MEMBERS_HEADER, ((topic, entity) for topic in sorted(table.members)
+                                      for entity in sorted(table.members[topic])))
 
 
 def counts_for_topic(topic_id: str, entity_ids: Iterable[str],
@@ -334,16 +322,13 @@ def parse_target_counts(source: str | IO[str], scheme: FeatureScheme,
     tally instead of the labeled total.
     """
     path = _named(source, path, "<targets>")
-    allowed = set(scheme.values) | {scheme.unknown_token}
+    allowed = scheme.admissible
     counts: dict[str, dict[str, int]] = {}
     unknowns: dict[str, int] = {}
     declared_totals: dict[str, tuple[int, int]] = {}  # topic -> (total, line)
     first_lines: dict[str, int] = {}
-    for line_no, fields in _rows(source, path, TARGETS_HEADER):
-        _expect_columns(fields, (4, 5), path, line_no)
-        topic_id = fields[0].strip()
-        feature_name = fields[1].strip()
-        value = fields[2].strip()
+    for line_no, fields in _rows(source, path, TARGETS_HEADER, (4, 5)):
+        topic_id, feature_name, value, count_text = fields[:4]
         if not topic_id:
             raise ParseError("empty topic_id", path=path, line=line_no, field="topic_id")
         if feature_name != scheme.feature_name:
@@ -353,18 +338,18 @@ def parse_target_counts(source: str | IO[str], scheme: FeatureScheme,
                 f"value {value!r} is not declared for feature {scheme.feature_name!r}",
                 path=path, line=line_no, field="value")
         try:
-            count = int(fields[3].strip())
+            count = int(count_text)
         except ValueError:
-            raise ParseError(f"count {fields[3].strip()!r} is not an integer",
+            raise ParseError(f"count {count_text!r} is not an integer",
                              path=path, line=line_no, field="count") from None
         if count < 0:
             raise ParseError(f"negative count {count}", path=path, line=line_no,
                              field="count")
-        if len(fields) == 5 and fields[4].strip():
+        if len(fields) == 5 and fields[4]:
             try:
-                declared = int(fields[4].strip())
+                declared = int(fields[4])
             except ValueError:
-                raise ParseError(f"total {fields[4].strip()!r} is not an integer",
+                raise ParseError(f"total {fields[4]!r} is not an integer",
                                  path=path, line=line_no, field="total") from None
             held = declared_totals.get(topic_id)
             if held is not None and held[0] != declared:
@@ -409,19 +394,13 @@ def parse_target_counts(source: str | IO[str], scheme: FeatureScheme,
 
 def serialize_target_counts(counts: Iterable[TargetCounts],
                             scheme: FeatureScheme) -> str:
-    lines = ["\t".join(TARGETS_HEADER[:4])]
-    for tc in sorted(counts, key=lambda c: c.topic_id):
-        for value in sorted(tc.counts):
-            lines.append("\t".join((
-                _check_field(tc.topic_id, "topic_id"),
-                _check_field(tc.feature_name, "feature_name"),
-                _check_field(value, "value"),
-                str(tc.counts[value]),
-            )))
-        if tc.unknown_count:
-            lines.append("\t".join((tc.topic_id, tc.feature_name,
-                                    scheme.unknown_token, str(tc.unknown_count))))
-    return "\n".join(lines) + "\n"
+    def rows() -> Iterator[tuple[str, str, str, str]]:
+        for tc in sorted(counts, key=lambda c: c.topic_id):
+            for value in sorted(tc.counts):
+                yield tc.topic_id, tc.feature_name, value, str(tc.counts[value])
+            if tc.unknown_count:
+                yield tc.topic_id, tc.feature_name, scheme.unknown_token, str(tc.unknown_count)
+    return _tsv_text(TARGETS_HEADER[:4], rows())
 
 
 # ---------------------------------------------------------------------------
@@ -437,15 +416,7 @@ class SparqlExtraction:
 
 
 def _terminal_segment(iri: str) -> str:
-    trimmed = iri.rstrip("/#")
-    for sep in ("#", "/"):
-        if sep in trimmed:
-            trimmed = trimmed.rsplit(sep, 1)[1]
-    return trimmed or iri
-
-
-def _looks_like_iri(text: str) -> bool:
-    return text.startswith(("http://", "https://", "urn:"))
+    return iri.rstrip("/#").rpartition("#")[2].rpartition("/")[2] or iri
 
 
 def parse_sparql_results(source: str | IO[str], *, topic_var: str = "topic",
@@ -461,13 +432,30 @@ def parse_sparql_results(source: str | IO[str], *, topic_var: str = "topic",
     """
     path = _named(source, path, "<sparql>")
     text = source if isinstance(source, str) else source.read()
-    if text.lstrip().startswith("{"):
-        return _parse_sparql_json(text, topic_var, entity_var, value_var, strict, path)
-    return _parse_sparql_tsv(text, topic_var, entity_var, value_var, strict, path)
+    decode = _sparql_json_rows if text.lstrip().startswith("{") else _sparql_tsv_rows
+    members: defaultdict[str, set[str]] = defaultdict(set)
+    label_rows: list[tuple[str, str]] = []
+    # A decoder yields (line, topic, entity, entity_is_iri, value) per result
+    # row, lazily; a term is None or empty when unbound.
+    for line, topic, entity, entity_is_iri, value in decode(
+            text, topic_var, entity_var, value_var, path):
+        if not topic or not entity:
+            missing = topic_var if not topic else entity_var
+            raise ParseError(f"row is missing the {missing!r} binding", path=path,
+                             line=line, field=missing)
+        if strict and not entity_is_iri:
+            raise ParseError(f"entity binding {entity!r} is not an IRI", path=path,
+                             line=line, field=entity_var)
+        members[topic].add(entity)
+        if value:
+            label_rows.append((entity, value))
+    return SparqlExtraction(
+        members=MembershipTable({t: frozenset(s) for t, s in members.items()}),
+        label_rows=tuple(label_rows))
 
 
-def _parse_sparql_json(text: str, topic_var: str, entity_var: str, value_var: str,
-                       strict: bool, path: str) -> SparqlExtraction:
+def _sparql_json_rows(text: str, topic_var: str, entity_var: str, value_var: str,
+                      path: str) -> Iterator[tuple]:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -485,28 +473,14 @@ def _parse_sparql_json(text: str, topic_var: str, entity_var: str, value_var: st
     if type(bindings) is not list:
         raise ParseError("results must be an object whose bindings are a list",
                          path=path, field="results")
-
-    members: dict[str, set[str]] = {}
-    label_rows: list[tuple[str, str]] = []
     for row_no, binding in enumerate(bindings, start=1):
         if type(binding) is not dict:
             raise ParseError("binding must be an object", path=path, line=row_no)
         topic = _binding_text(binding, topic_var, path, row_no)
         entity = _binding_text(binding, entity_var, path, row_no)
-        if topic is None or entity is None:
-            missing = topic_var if topic is None else entity_var
-            raise ParseError(f"row is missing the {missing!r} binding", path=path,
-                             line=row_no, field=missing)
-        if strict and binding[entity_var].get("type") != "uri":
-            raise ParseError(f"entity binding {entity!r} is not an IRI", path=path,
-                             line=row_no, field=entity_var)
-        members.setdefault(topic, set()).add(entity)
-        value = _binding_text(binding, value_var, path, row_no)
-        if value is not None:
-            label_rows.append((entity, value))
-    return SparqlExtraction(
-        members=MembershipTable({t: frozenset(s) for t, s in members.items()}),
-        label_rows=tuple(label_rows))
+        yield (row_no, topic, entity,
+               entity is not None and binding[entity_var].get("type") == "uri",
+               _binding_text(binding, value_var, path, row_no))
 
 
 def _binding_text(binding: dict, var: str, path: str, line: int) -> str | None:
@@ -525,54 +499,33 @@ def _binding_text(binding: dict, var: str, path: str, line: int) -> str | None:
     return value
 
 
-def _parse_sparql_tsv(text: str, topic_var: str, entity_var: str, value_var: str,
-                      strict: bool, path: str) -> SparqlExtraction:
-    lines = [l for l in text.splitlines()]
-    header_idx = None
-    for i, line in enumerate(lines):
-        if line.strip() and not line.startswith("#"):
-            header_idx = i
+def _sparql_tsv_rows(text: str, topic_var: str, entity_var: str, value_var: str,
+                     path: str) -> Iterator[tuple]:
+    lines = enumerate(_source_lines(text), start=1)
+    for header_no, header in lines:
+        if header.strip() and not header.startswith("#"):
             break
-    if header_idx is None:
+    else:
         raise ParseError("no header line with variable names", path=path, line=1)
-    names = [c.strip().lstrip("?") for c in lines[header_idx].split("\t")]
-    columns = {}
-    for var in (topic_var, entity_var, value_var):
+    names = [c.strip().lstrip("?") for c in header.split("\t")]
+    for var in (topic_var, entity_var):
         if var not in names:
-            if var == value_var:
-                continue  # value column may be absent; rows then carry no labels
             raise ParseError(f"missing binding column {var!r} (header: "
-                             f"{', '.join(names)})", path=path,
-                             line=header_idx + 1, field=var)
-        columns[var] = names.index(var)
-
-    members: dict[str, set[str]] = {}
-    label_rows: list[tuple[str, str]] = []
-    for line_no, line in enumerate(lines[header_idx + 1:], start=header_idx + 2):
+                             f"{', '.join(names)})", path=path, line=header_no, field=var)
+    topic_col, entity_col = names.index(topic_var), names.index(entity_var)
+    # The value column may be absent; rows then carry no labels.
+    value_col = names.index(value_var) if value_var in names else None
+    for line_no, line in lines:
         if not line.strip() or line.startswith("#"):
             continue
         fields = line.split("\t")
         if len(fields) != len(names):
             raise ParseError(f"expected {len(names)} fields, got {len(fields)}",
                              path=path, line=line_no)
-        topic = _tsv_term(fields[columns[topic_var]])
-        raw_entity = fields[columns[entity_var]].strip()
-        entity = _tsv_term(raw_entity)
-        if not topic or not entity:
-            which = topic_var if not topic else entity_var
-            raise ParseError(f"row is missing the {which!r} binding", path=path,
-                             line=line_no, field=which)
-        if strict and not raw_entity.startswith("<"):
-            raise ParseError(f"entity binding {entity!r} is not an IRI", path=path,
-                             line=line_no, field=entity_var)
-        members.setdefault(topic, set()).add(entity)
-        if value_var in columns:
-            value = _tsv_term(fields[columns[value_var]])
-            if value:
-                label_rows.append((entity, value))
-    return SparqlExtraction(
-        members=MembershipTable({t: frozenset(s) for t, s in members.items()}),
-        label_rows=tuple(label_rows))
+        raw_entity = fields[entity_col].strip()
+        yield (line_no, _tsv_term(fields[topic_col]), _tsv_term(raw_entity),
+               raw_entity.startswith("<"),
+               None if value_col is None else _tsv_term(fields[value_col]))
 
 
 def _tsv_term(raw: str) -> str:
@@ -585,7 +538,7 @@ def _tsv_term(raw: str) -> str:
         if end > 0:
             body = term[1:end]
             return body.replace('\\"', '"').replace("\\\\", "\\")
-    if _looks_like_iri(term):
+    if term.startswith(("http://", "https://", "urn:")):
         return _terminal_segment(term)
     return term
 
@@ -599,7 +552,7 @@ def extraction_to_catalog(extraction: SparqlExtraction, scheme: FeatureScheme,
     into declared values or the unknown token; unmapped raw values must
     already be declared.
     """
-    allowed = set(scheme.values) | {scheme.unknown_token}
+    allowed = scheme.admissible
     rows = []
     for entity, raw in extraction.label_rows:
         value = value_map.get(raw, raw) if value_map else raw

@@ -71,6 +71,11 @@ class FeatureScheme:
             raise SchemeViolationError(
                 f"unknown token {self.unknown_token!r} collides with a declared value")
 
+    @property
+    def admissible(self) -> frozenset[str]:
+        """Every label an input may carry: the declared values and the unknown token."""
+        return frozenset(self.values) | {self.unknown_token}
+
     def require_value(self, value: str) -> None:
         if value not in self.values:
             raise SchemeViolationError(

@@ -253,6 +253,16 @@ def test_simulate_infeasible_rows_reported(tmp_path, capsys):
     assert not (out / "runs.tsv").exists()
 
 
+def test_simulate_plan_row_of_the_wrong_width_is_located(tmp_path, capsys):
+    plan = write(tmp_path / "plan.tsv", "good\t1/2\t0\t10\nshort\t1/2\t0\n")
+    args = ["simulate", plan, "--feature", "gender", "--values", "female,male",
+            "--out", str(tmp_path / "fixtures")]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == (
+        f"error: {plan}:2: expected 4 or 5 tab-separated fields, got 3\n")
+    assert not (tmp_path / "fixtures").exists()
+
+
 def test_report_rederives_tables(audit_dir, tmp_path):
     out = tmp_path / "out"
     cli.main(evaluate_args(audit_dir, out, ("--table-size", "1")))
@@ -621,7 +631,11 @@ target.kb = targets_kb.tsv
     ("value_map.Q1 = female", "unknown config key 'value_map.Q1'"),
     ("target. = targets_full.tsv", "source key 'target.' needs a label and a file"),
     ("members.wiki =", "source key 'members.wiki' needs a label and a file"),
-], ids=["misspelt", "bare-prefix", "value-map", "empty-label", "empty-file"])
+    ("runs = runs.tsv", "config key 'runs' is repeated (field: runs)"),
+    ("target.kb = targets_full.tsv", "config key 'target.kb' is repeated"),
+    ("target. kb = targets_full.tsv", "config key 'target.kb' is repeated"),
+], ids=["misspelt", "bare-prefix", "value-map", "empty-label", "empty-file",
+        "repeated-key", "repeated-source", "repeated-spaced-source"])
 def test_config_rejects_unknown_keys_and_empty_sources(audit_dir, tmp_path, capsys,
                                                        line, message):
     config = write(audit_dir / "audit.cfg", f"""feature = gender
@@ -634,6 +648,18 @@ target.kb = targets_kb.tsv
     assert cli.main(["evaluate", "--config", config, "--out", str(tmp_path / "out")]) == 1
     assert f"error: {config}:6: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_config_source_label_is_stripped(audit_dir, tmp_path):
+    config = write(audit_dir / "audit.cfg", """feature = gender
+values = female,male
+runs = runs.tsv
+labels = labels.tsv
+target. kb = targets_kb.tsv
+""")
+    assert cli.main(["evaluate", "--config", config, "--out", str(tmp_path / "out")]) == 0
+    report = (tmp_path / "out" / "report.json").read_text(encoding="utf-8")
+    assert parse_report(report).meta.sources == ("kb",)
 
 
 def test_config_out_resolves_against_the_config_file(audit_dir, tmp_path, monkeypatch):

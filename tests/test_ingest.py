@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import support
 from biaslens import (
@@ -14,10 +16,12 @@ from biaslens import (
     LabelConflict,
     MembershipTable,
     ParseError,
+    RankedRun,
     counts_for_topic,
     parse_labels,
     parse_members,
     parse_runs,
+    parse_sparql_results,
     parse_target_counts,
     serialize_labels,
     serialize_members,
@@ -308,6 +312,48 @@ class TestStreamsAndFields:
         catalog = LabelCatalog.build(gender, [("e\t1", "female", "kb")])
         with pytest.raises(ValueError, match="tab"):
             serialize_labels(catalog)
+
+
+# Characters str.splitlines() breaks at but a text file does not.
+UNICODE_SEPARATORS = ("\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
+GENDER = FeatureScheme("gender", ("female", "male"))
+TSV_PARSERS = {
+    "runs": parse_runs,
+    "labels": lambda source: parse_labels(source, GENDER),
+    "members": parse_members,
+    "targets": lambda source: parse_target_counts(source, GENDER),
+    "sparql-tsv": parse_sparql_results,
+}
+TSV_TEXT = st.lists(st.sampled_from((
+    "\t", "\r", "\n", "#", "0", "1", "2", "12", "topic_id", "rank", "entity_id",
+    "feature_name", "value", "provenance", "count", "total", "gender", "female", "male",
+    "unknown", "?topic", "?entity", "?value", "<http://x/Q1>", *UNICODE_SEPARATORS,
+)), max_size=40).map("".join)
+
+
+def _outcome(parse, source):
+    try:
+        return parse(source)
+    except ParseError as exc:
+        assert exc.line is not None, str(exc)
+        return str(exc)
+
+
+class TestLineBreaks:
+    @pytest.mark.parametrize("parser", sorted(TSV_PARSERS))
+    @given(text=TSV_TEXT)
+    def test_text_and_file_split_into_the_same_lines(self, parser, text):
+        parse = TSV_PARSERS[parser]
+        assert _outcome(parse, text) == _outcome(parse, io.StringIO(text, newline=None))
+
+    @pytest.mark.parametrize("separator", UNICODE_SEPARATORS)
+    def test_unicode_separators_stay_inside_a_field(self, separator, tmp_path):
+        runs = [RankedRun("t1", (f"a{separator}b", "c"))]
+        text = serialize_runs(runs)
+        assert parse_runs(text) == runs
+        (tmp_path / "runs.tsv").write_text(text, encoding="utf-8")
+        with open(tmp_path / "runs.tsv", encoding="utf-8") as handle:
+            assert parse_runs(handle) == runs
 
 
 class TestCatalogMerge:
