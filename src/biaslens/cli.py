@@ -139,9 +139,12 @@ def _parse_source_flags(entries: Sequence[str] | None, flag: str) -> dict[str, P
     sources: dict[str, Path] = {}
     for entry in entries or ():
         label, sep, file_name = entry.partition("=")
-        if not sep or not label.strip() or not file_name.strip():
+        label = label.strip()
+        if not sep or not label or not file_name.strip():
             raise BiasLensError(f"{flag} expects LABEL=FILE, got {entry!r}")
-        sources[label.strip()] = Path(file_name.strip())
+        if label in sources:
+            raise BiasLensError(f"{flag} label {label!r} is repeated")
+        sources[label] = Path(file_name.strip())
     return sources
 
 
@@ -230,10 +233,12 @@ def _load_sources(config: AuditConfig, scheme: FeatureScheme,
                   ) -> tuple[dict[str, dict[str, TargetCounts] | ingest.MembershipTable],
                              ingest.LabelCatalog, int]:
     """Load every target source: counts files as per-topic counts, members
-    files as membership tables. A members file ending in .json is a SPARQL
-    result export whose label fragments are merged into the catalog; its
-    label rows whose value is neither a declared value nor the unknown token
-    are dropped and counted, and the count is the last element returned."""
+    files as membership tables. A members file whose first line that is
+    neither blank nor a comment starts with '{' or '?' is a SPARQL result
+    export (JSON or TSV) whose label fragments are merged into the catalog;
+    its label rows whose value is neither a declared value nor the unknown
+    token are dropped and counted, and the count is the last element
+    returned."""
     sources: dict[str, dict[str, TargetCounts] | ingest.MembershipTable] = {}
     allowed = scheme.admissible
     dropped = 0
@@ -244,20 +249,35 @@ def _load_sources(config: AuditConfig, scheme: FeatureScheme,
         sources[label] = {c.topic_id: c for c in counts}
 
     for label, path in sorted(config.members.items()):
-        if path.suffix == ".json":
-            with _open_input(path) as handle:
-                extraction = ingest.parse_sparql_results(
-                    handle, topic_var=config.topic_var, entity_var=config.entity_var,
-                    value_var=config.value_var, strict=config.strict, path=str(path))
-            label_rows = extraction.label_rows
-            dropped += sum(value not in allowed for _, value in label_rows)
-            catalog = catalog.merged((entity, value, ingest.DEFAULT_PROVENANCE)
-                                     for entity, value in label_rows if value in allowed)
-            sources[label] = extraction.members
-        else:
-            with _open_input(path) as handle:
+        with _open_input(path) as handle:
+            if not _is_sparql_export(handle):
                 sources[label] = ingest.parse_members(handle, path=str(path))
+                continue
+            extraction = ingest.parse_sparql_results(
+                handle, topic_var=config.topic_var, entity_var=config.entity_var,
+                value_var=config.value_var, strict=config.strict, path=str(path))
+        label_rows = extraction.label_rows
+        dropped += sum(value not in allowed for _, value in label_rows)
+        catalog = catalog.merged((entity, value, ingest.DEFAULT_PROVENANCE)
+                                 for entity, value in label_rows if value in allowed)
+        sources[label] = extraction.members
     return sources, catalog, dropped
+
+
+def _is_sparql_export(handle: TextIO) -> bool:
+    """Whether the first text outside blank and comment lines opens a W3C
+    JSON results object ('{') or a TSV variable header ('?'). Reads lines
+    in bounded pieces, so a one-line JSON export is not read whole, and
+    rewinds the handle."""
+    first = ""
+    line_start = comment = True
+    while not first and (piece := handle.readline(4096)):
+        if line_start:
+            comment = piece.startswith("#")
+        line_start = piece.endswith("\n")
+        first = "" if comment else piece.lstrip()
+    handle.seek(0)
+    return first.startswith(("{", "?"))
 
 
 def _evaluate_corpus(runs: list[RankedRun], catalog: ingest.LabelCatalog,
@@ -488,7 +508,8 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--target", action="append", metavar="LABEL=FILE",
                           help="pre-aggregated target counts TSV (repeatable)")
     evaluate.add_argument("--members", action="append", metavar="LABEL=FILE",
-                          help="membership TSV or SPARQL JSON export (repeatable)")
+                          help="membership TSV, or a SPARQL JSON or TSV export, told "
+                               "apart by content (repeatable)")
     evaluate.set_defaults(handler=cmd_evaluate)
 
     simulate = commands.add_parser(

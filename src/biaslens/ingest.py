@@ -456,11 +456,56 @@ def parse_sparql_results(source: str | IO[str], *, topic_var: str = "topic",
 
 def _sparql_json_rows(text: str, topic_var: str, entity_var: str, value_var: str,
                       path: str) -> Iterator[tuple]:
+    """Stream a W3C SPARQL JSON results object, holding one binding at a time.
+
+    ``head`` and any other top-level member are decoded whole, ``results``
+    member by member and its ``bindings`` element by element. Members may
+    come in any order: when ``results`` precedes ``head``, its rows and its
+    first error wait until the whole document has been read and ``head``
+    checked, so errors come in the order of a whole-document walk: syntax,
+    ``head`` and its variables, ``results``, then each binding in turn. A
+    binding's line is its 1-based index. A repeated ``head``, ``results`` or
+    ``bindings`` member is an error, located at its key.
+    """
+    cursor = _JsonCursor(text)
+    head: object = {}  # an absent head declares no variables
+    held: list | None = None
+    seen: set[str] = set()
     try:
-        doc = json.loads(text)
+        if not cursor.at("{"):
+            raise json.JSONDecodeError("Expecting value", text, cursor.pos)
+        for key in cursor.members():
+            if key not in ("head", "results"):
+                cursor.value()
+                continue
+            if key in seen:
+                raise cursor.repeated(key, path)
+            seen.add(key)
+            if key == "head":
+                head = cursor.value()
+                if held is None:
+                    _check_head(head, topic_var, entity_var, path)
+                continue
+            rows = _results_rows(cursor, topic_var, entity_var, value_var, path)
+            if "head" in seen:
+                yield from _raise_errors(rows)
+                continue
+            held = []
+            for row in rows:  # keep rows up to the first error; walk on to head
+                if not held or type(held[-1]) is not ParseError:
+                    held.append(row)
+        if cursor.pos != len(text):
+            raise json.JSONDecodeError("Extra data", text, cursor.pos)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", path=path, line=exc.lineno) from None
-    head, results = doc.get("head", {}), doc.get("results", {})
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply", path=path) from None
+    if held is not None or "head" not in seen:
+        _check_head(head, topic_var, entity_var, path)
+        yield from _raise_errors(held or ())
+
+
+def _check_head(head: object, topic_var: str, entity_var: str, path: str) -> None:
     declared = head.get("vars", []) if type(head) is dict else None
     if type(declared) is not list or not all(type(var) is str for var in declared):
         raise ParseError("head must be an object whose vars are a list of strings",
@@ -469,18 +514,116 @@ def _sparql_json_rows(text: str, topic_var: str, entity_var: str, value_var: str
         if var not in declared:
             raise ParseError(f"missing binding column {var!r} (declared: "
                              f"{', '.join(declared) or 'none'})", path=path, field=var)
-    bindings = results.get("bindings", []) if type(results) is dict else None
-    if type(bindings) is not list:
-        raise ParseError("results must be an object whose bindings are a list",
-                         path=path, field="results")
-    for row_no, binding in enumerate(bindings, start=1):
-        if type(binding) is not dict:
-            raise ParseError("binding must be an object", path=path, line=row_no)
-        topic = _binding_text(binding, topic_var, path, row_no)
-        entity = _binding_text(binding, entity_var, path, row_no)
-        yield (row_no, topic, entity,
-               entity is not None and binding[entity_var].get("type") == "uri",
-               _binding_text(binding, value_var, path, row_no))
+
+
+def _results_rows(cursor: "_JsonCursor", topic_var: str, entity_var: str,
+                  value_var: str, path: str) -> Iterator[tuple | ParseError]:
+    """Rows of the ``results`` member at ``cursor``, each malformed part
+    yielded as a ParseError in its place; the walk goes on to the end of the
+    member, so that a caller holding the rows can read on."""
+    shape = ParseError("results must be an object whose bindings are a list",
+                       path=path, field="results")
+    if not cursor.at("{"):
+        cursor.value()
+        yield shape
+        return
+    seen = False
+    for key in cursor.members():
+        if key != "bindings":
+            cursor.value()
+            continue
+        if seen:
+            raise cursor.repeated(key, path)
+        seen = True
+        if not cursor.at("["):
+            cursor.value()
+            yield shape
+            continue
+        for row_no, _ in enumerate(cursor.items("]"), start=1):
+            binding = cursor.value()
+            if type(binding) is not dict:
+                yield ParseError("binding must be an object", path=path, line=row_no)
+                continue
+            try:
+                topic = _binding_text(binding, topic_var, path, row_no)
+                entity = _binding_text(binding, entity_var, path, row_no)
+                value = _binding_text(binding, value_var, path, row_no)
+            except ParseError as exc:
+                yield exc
+                continue
+            yield (row_no, topic, entity,
+                   entity is not None and binding[entity_var].get("type") == "uri", value)
+
+
+def _raise_errors(rows: Iterable[tuple | ParseError]) -> Iterator[tuple]:
+    for row in rows:
+        if type(row) is ParseError:
+            raise row
+        yield row
+
+
+_skip_space = json.decoder.WHITESPACE.match  # JSON's four whitespace characters
+_decode_value = json.JSONDecoder().raw_decode
+
+
+class _JsonCursor:
+    """A position in one JSON text, kept past whitespace. ``value`` decodes
+    the value there whole; ``members`` walks the object there and ``items``
+    the array there one item at a time. Syntax errors are JSONDecodeErrors
+    worded as the json module words them."""
+
+    __slots__ = ("text", "pos", "key_pos")
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = _skip_space(text, 0).end()
+        self.key_pos = 0
+
+    def at(self, token: str) -> bool:
+        return self.text.startswith(token, self.pos)
+
+    def value(self) -> object:
+        value, end = _decode_value(self.text, self.pos)
+        self.pos = _skip_space(self.text, end).end()
+        return value
+
+    def members(self) -> Iterator[str]:
+        """Yield each key of the object at the cursor, with the cursor at its
+        value; the caller moves the cursor past the value before the next."""
+        text = self.text
+        for _ in self.items("}"):
+            pos = self.key_pos = self.pos
+            if not text.startswith('"', pos):
+                raise json.JSONDecodeError(
+                    "Expecting property name enclosed in double quotes", text, pos)
+            key, pos = json.decoder.scanstring(text, pos + 1)
+            pos = _skip_space(text, pos).end()
+            if not text.startswith(":", pos):
+                raise json.JSONDecodeError("Expecting ':' delimiter", text, pos)
+            self.pos = _skip_space(text, pos + 1).end()
+            yield key
+
+    def items(self, close: str) -> Iterator[None]:
+        """Yield once per item of the array or object at the cursor, which
+        ``close`` ends, with the cursor at the item; the caller moves the
+        cursor past it before the next."""
+        text = self.text
+        pos = _skip_space(text, self.pos + 1).end()
+        if not text.startswith(close, pos):
+            while True:
+                self.pos = pos
+                yield
+                pos = self.pos
+                if text.startswith(close, pos):
+                    break
+                if not text.startswith(",", pos):
+                    raise json.JSONDecodeError("Expecting ',' delimiter", text, pos)
+                pos = _skip_space(text, pos + 1).end()
+        self.pos = _skip_space(text, pos + 1).end()
+
+    def repeated(self, key: str, path: str) -> ParseError:
+        return ParseError(f"member {key!r} is repeated", path=path,
+                          line=self.text.count("\n", 0, self.key_pos) + 1, field=key)
 
 
 def _binding_text(binding: dict, var: str, path: str, line: int) -> str | None:

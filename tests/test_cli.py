@@ -687,3 +687,48 @@ def test_label_conflicts_survive_a_sparql_merge(audit_dir, tmp_path, capsys):
                          ("--members", f"wiki={audit_dir / 'kb.json'}"))
     assert cli.main(args) == 0
     assert "label conflicts resolved by provenance: 1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag, first, second", [
+    ("--target", "targets_kb.tsv", "targets_full.tsv"),
+    ("--members", "kb.json", "members.tsv"),
+])
+def test_repeated_source_flag_label_exits_1(audit_dir, tmp_path, capsys, flag, first,
+                                            second):
+    write(audit_dir / "kb.json", sparql_export([("announcer", "ann:e0", "male")]))
+    write(audit_dir / "members.tsv", "announcer\tann:e0\n")
+    args = ["evaluate", "--runs", str(audit_dir / "runs.tsv"),
+            "--labels", str(audit_dir / "labels.tsv"),
+            flag, f"dup={audit_dir / first}", flag, f" dup ={audit_dir / second}",
+            "--feature", "gender", "--values", "female,male",
+            "--out", str(tmp_path / "out")]
+    assert cli.main(args) == 1
+    assert f"error: {flag} label 'dup' is repeated" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def sparql_tsv_export(rows):
+    """The SPARQL TSV export of the rows that ``sparql_export`` writes as JSON."""
+    lines = ["?topic\t?entity\t?value"]
+    lines += [f'"{topic}"\t<http://x/{entity}>\t' + ("" if value is None else f'"{value}"')
+              for topic, entity, value in rows]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("preamble", ["", "# exported 2021-06-01\n\n"],
+                         ids=["bare", "after-comment"])
+def test_members_format_is_read_from_content(audit_dir, tmp_path, capsys, preamble):
+    rows = ([("announcer", f"ann:e{i}", "male" if i % 3 else None) for i in range(10)]
+            + [("archivist", f"arc:e{i}", "female") for i in range(4)])
+    write(audit_dir / "exp.tsv", preamble + sparql_tsv_export(rows))
+    write(audit_dir / "exp.txt", "\n" + sparql_export(rows))
+    outputs = []
+    for name in ("exp.tsv", "exp.txt"):
+        out = tmp_path / f"out-{name}"
+        args = evaluate_args(audit_dir, out, ("--members", f"wiki={audit_dir / name}"))
+        assert cli.main(args) == 0
+        stdout = capsys.readouterr().out.replace(str(out), "OUT")
+        outputs.append(((out / "report.json").read_bytes(), stdout))
+    assert outputs[0] == outputs[1]
+    assert parse_report(outputs[0][0].decode("utf-8")).meta.sources == (
+        "full-results", "kb", "wiki")

@@ -1,13 +1,19 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
+from unittest import mock
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from biaslens import (
     ParseError,
     SchemeViolationError,
+    SparqlExtraction,
     extraction_to_catalog,
+    ingest,
     parse_sparql_results,
 )
 
@@ -197,3 +203,191 @@ def test_conflicting_export_rows_surface_in_catalog(gender):
     catalog = extraction_to_catalog(parse_sparql_results(export), gender)
     assert catalog.assignments == {"Q1": "female"}  # first row wins at equal rank
     assert len(catalog.conflicts) == 1
+
+
+# ---------------------------------------------------------------------------
+# The streamed JSON decoder against the whole-document one it replaced
+# ---------------------------------------------------------------------------
+
+def whole_document_rows(text, topic_var, entity_var, value_var, path):
+    """The decoder the streaming reader replaced: ``json.loads`` of the whole
+    export, then a walk of the tree. Kept as the reference."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", path=path, line=exc.lineno) from None
+    head, results = doc.get("head", {}), doc.get("results", {})
+    declared = head.get("vars", []) if type(head) is dict else None
+    if type(declared) is not list or not all(type(var) is str for var in declared):
+        raise ParseError("head must be an object whose vars are a list of strings",
+                         path=path, field="head")
+    for var in (topic_var, entity_var):
+        if var not in declared:
+            raise ParseError(f"missing binding column {var!r} (declared: "
+                             f"{', '.join(declared) or 'none'})", path=path, field=var)
+    bindings = results.get("bindings", []) if type(results) is dict else None
+    if type(bindings) is not list:
+        raise ParseError("results must be an object whose bindings are a list",
+                         path=path, field="results")
+    for row_no, binding in enumerate(bindings, start=1):
+        if type(binding) is not dict:
+            raise ParseError("binding must be an object", path=path, line=row_no)
+        topic = ingest._binding_text(binding, topic_var, path, row_no)
+        entity = ingest._binding_text(binding, entity_var, path, row_no)
+        yield (row_no, topic, entity,
+               entity is not None and binding[entity_var].get("type") == "uri",
+               ingest._binding_text(binding, value_var, path, row_no))
+
+
+def streamed(text, strict=False):
+    """The extraction, or the ParseError's text."""
+    try:
+        return parse_sparql_results(text, strict=strict, path="export.json")
+    except ParseError as exc:
+        return str(exc)
+
+
+def whole_document(text, strict=False):
+    with mock.patch.object(ingest, "_sparql_json_rows", whole_document_rows):
+        return streamed(text, strict)
+
+
+class Obj(tuple):
+    """A JSON object as its (key, value) pairs, in the order they are written."""
+
+
+def render(value, space):
+    """JSON text of ``value``, with ``space()`` drawn around every token."""
+    if isinstance(value, Obj):
+        body = ",".join(f"{space()}{json.dumps(k)}{space()}:{space()}{render(v, space)}"
+                        for k, v in value)
+        return "{" + (body or space()) + space() + "}"
+    if isinstance(value, list):
+        body = ",".join(space() + render(v, space) for v in value)
+        return "[" + (body or space()) + space() + "]"
+    return json.dumps(value) + space()
+
+
+TERM_VALUES = st.sampled_from(["poet", "Q1", "http://x/Q1", "http://x/Q2/",
+                               "http://x.org/ont#E42", "female", "male", "é\u2028"])
+GOOD_CELL = st.builds(
+    lambda kind, value, extra: Obj([("type", kind), ("value", value), *extra]),
+    st.sampled_from(["uri", "literal", "bnode", "typed-literal"]), TERM_VALUES,
+    st.sampled_from([(), (("xml:lang", "en"),), (("datatype", "http://x/string"),)]))
+BAD_CELL = st.one_of(
+    st.sampled_from([None, "a", 1, [], Obj([("type", "uri")]), Obj([("value", None)]),
+                     Obj([("type", "literal"), ("value", 7)]), Obj([("value", ["x"])])]))
+VARIABLES = ("topic", "entity", "value", "other")
+
+
+@st.composite
+def bindings(draw):
+    if draw(st.integers(0, 39)) == 0:
+        return draw(st.sampled_from([1, "x", None, [], True]))
+    cells = []
+    for var in draw(st.permutations(VARIABLES)):
+        kind = draw(st.integers(0, 39))
+        if kind < 2 or (kind < 12 and var in ("value", "other")):
+            continue  # unbound
+        if kind == 38:
+            cells.append((var, Obj([("type", "literal"), ("value", "")])))  # empty
+        else:
+            cells.append((var, draw(BAD_CELL if kind == 39 else GOOD_CELL)))
+    return Obj(cells)
+
+
+@st.composite
+def exports(draw):
+    """A W3C SPARQL JSON results export, well-formed JSON with no repeated
+    member, most often of the right shape."""
+    members = []
+    head_kind = draw(st.integers(0, 9))
+    if head_kind == 0:
+        pass  # no head
+    elif head_kind == 1:
+        members.append(("head", draw(st.sampled_from(
+            [[], None, Obj([("vars", "topic entity")]), Obj([("vars", [1])]), Obj()]))))
+    else:
+        names = draw(st.lists(st.sampled_from(VARIABLES), unique=True))
+        if head_kind > 2:
+            names = list(dict.fromkeys(["topic", "entity", *names]))
+        members.append(("head", Obj([("vars", names), *draw(
+            st.sampled_from([(), (("link", ["http://x/about"]),)]))])))
+    results_kind = draw(st.integers(0, 19))
+    if results_kind == 0:
+        members.append(("results", draw(st.sampled_from([[], None, "r", Obj([("bindings", 5)])]))))
+    elif results_kind > 1:
+        results = [("bindings", draw(st.lists(bindings(), max_size=6)))]
+        results += draw(st.lists(st.sampled_from(
+            [("distinct", False), ("ordered", True), ("link", [Obj()])]),
+            unique_by=lambda member: member[0]))
+        members.append(("results", Obj(draw(st.permutations(results)))))
+    members += draw(st.lists(st.sampled_from(
+        [("link", ["http://x/meta"]), ("boolean", None), ("extra", Obj([("head", 1)]))]),
+        unique_by=lambda member: member[0]))
+    spaces = st.text(alphabet=" \t\n\r", max_size=2)
+    return render(Obj(draw(st.permutations(members))), lambda: draw(spaces))
+
+
+class TestStreamedDecoder:
+    @given(text=exports(), strict=st.booleans())
+    def test_equals_the_whole_document_decoder(self, text, strict):
+        assert streamed(text, strict) == whole_document(text, strict)
+
+    @given(text=exports(), cut=st.floats(0, 1), edits=st.lists(st.tuples(
+        st.floats(0, 1), st.sampled_from(["", *'{}[]:,"\\ \n0-1eflnrstu']))),
+        strict=st.booleans())
+    def test_broken_text_is_a_parse_error(self, text, cut, edits, strict):
+        text = text.lstrip()[:max(1, round(cut * len(text)))]
+        for at, char in edits:
+            at = round(at * len(text))
+            text = text[:at] + char + text[at + 1:]
+        outcome = streamed("{" + text[1:], strict)
+        assert isinstance(outcome, (SparqlExtraction, str))
+
+    @given(text=st.text(), strict=st.booleans())
+    def test_any_object_text_is_a_parse_error(self, text, strict):
+        assert isinstance(streamed("{" + text, strict), (SparqlExtraction, str))
+
+    def test_results_before_head_reads_as_head_first(self):
+        head_last = json.dumps({"results": json.loads(TWO_ROWS_JSON)["results"],
+                                "head": json.loads(TWO_ROWS_JSON)["head"]})
+        assert parse_sparql_results(head_last) == parse_sparql_results(TWO_ROWS_JSON)
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"head": {"vars": ["topic", "entity"]}} x', "export.json:1: invalid JSON: Extra data"),
+        ('{"head": {"vars": ["topic", "entity"]},\n "results": {"bindings": [{]}}',
+         "export.json:2: invalid JSON: Expecting property name enclosed in double quotes"),
+        ('{"results": {"bindings": [1]},\n "head": {"vars": ["topic"]}}',
+         "export.json: missing binding column 'entity' (declared: topic) (field: entity)"),
+        ('{"head": ' + "[" * 100_000 + "]" * 100_000 + "}",
+         "export.json: invalid JSON: nested too deeply"),
+    ], ids=["trailing-data", "syntax", "head-checked-before-held-bindings", "deep"])
+    def test_errors(self, text, message):
+        assert streamed(text) == message
+
+    @pytest.mark.parametrize("text, member", [
+        ('{"head": {"vars": ["topic", "entity"]},\n "results": {"bindings": []},\n'
+         ' "head": {"vars": ["topic", "entity"]}}', "head"),
+        ('{"head": {"vars": ["topic", "entity"]},\n "results": {"bindings": []},\n'
+         ' "results": {"bindings": []}}', "results"),
+        ('{"head": {"vars": ["topic", "entity"]},\n "results": {"bindings": [],\n'
+         ' "bindings": []}}', "bindings"),
+    ], ids=["head", "results", "bindings"])
+    def test_repeated_member_is_a_located_error(self, text, member):
+        assert streamed(text) == (f"export.json:3: member {member!r} is repeated "
+                                  f"(field: {member})")
+
+    def test_peak_memory_stays_near_the_text_size(self):
+        text = json.dumps({"head": {"vars": ["topic", "entity", "value"]}, "results": {
+            "bindings": [{"topic": uri(f"http://x/topic/t{i % 20}"),
+                          "entity": uri(f"http://x/entity/t{i % 20}-p{i:04d}"),
+                          "value": literal(("female", "male")[i % 2])}
+                         for i in range(2000)]}}, separators=(",", ":"))
+        tracemalloc.start()
+        try:
+            parse_sparql_results(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * len(text)
