@@ -81,13 +81,13 @@ class AuditConfig:
 
 @contextmanager
 def _open_input(path: Path) -> Iterator[TextIO]:
-    """Open an input file as UTF-8 text.
+    """Open an input file as UTF-8 text; a leading byte order mark is dropped.
 
     Bytes that are not UTF-8, met anywhere while the file is read, raise a
     ParseError naming the file and the line of the first such byte.
     """
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             yield handle
     except UnicodeDecodeError as exc:
         # The streamed error knows only its offset in one chunk; decoding the
@@ -308,7 +308,7 @@ def _evaluate_corpus(runs: list[RankedRun], catalog: ingest.LabelCatalog,
             target = per_topic[topic]
             if membership:
                 try:
-                    target = ingest.counts_for_topic(topic, sorted(target), catalog)
+                    target = ingest.counts_for_topic(topic, target, catalog)
                 except EmptyPopulationError as exc:
                     skipped.append(SkippedTopic(topic, source, "empty-population",
                                                 str(exc)))
@@ -400,13 +400,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     topics = []
     failures = []
-    for line_no, fields in rows:
-        topic_id = fields[0]
+    for line_no, (topic_id, target, bias, length, *rest) in rows:
+        topic_id, population = topic_id.strip(), rest[0].strip() if rest else ""
         try:
-            target = Fraction(fields[1])
-            bias = Fraction(fields[2])
-            length = int(fields[3])
-            population = int(fields[4]) if len(fields) == 5 and fields[4] else None
+            target = Fraction(target.strip())
+            bias = Fraction(bias.strip())
+            length = int(length.strip())
+            population = int(population) if population else None
         except (ValueError, ZeroDivisionError) as exc:
             failures.append(f"{spec_path}:{line_no}: unparseable row: {exc}")
             continue

@@ -20,6 +20,7 @@ import io
 import json
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import IO, Iterable, Iterator
 
 from .errors import EmptyPopulationError, ParseError, SchemeViolationError
@@ -106,8 +107,7 @@ class LabelCatalog:
               conflicts: list[LabelConflict]) -> "LabelCatalog":
         for entity, value, prov in rows:
             if entity in assignments:
-                held_value = assignments[entity]
-                held_prov = provenance[entity]
+                held_value, held_prov = assignments[entity], provenance[entity]
                 if value == held_value:
                     if _priority(prov) > _priority(held_prov):
                         provenance[entity] = prov
@@ -142,30 +142,30 @@ def _priority(provenance: str) -> int:
 
 
 def _source_lines(source: str | IO[str]) -> IO[str]:
-    """The lines of ``source``, each with its end; callers strip. A string
-    splits as a text file read with universal newlines does."""
+    """The lines of ``source``, each with its end (so none is empty); callers
+    strip. A string splits as a text file read with universal newlines does."""
     return io.StringIO(source, newline=None) if isinstance(source, str) else source
 
 
 def _rows(source: str | IO[str], path: str, header: tuple[str, ...],
           widths: tuple[int, ...]) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line number, stripped fields) of each data line, skipping
-    comments, blanks and the header. A data line whose field count is not
-    one of ``widths`` is a ParseError."""
-    first_data_seen = False
-    for line_no, line in enumerate(_source_lines(source), start=1):
-        if not line.strip() or line.startswith("#"):
+    """Yield (line number, fields split at tabs) of each data line, skipping
+    comments, blanks and the header; each parser strips the fields it reads.
+    A data line whose field count is not one of ``widths`` is a ParseError."""
+    lines = enumerate(_source_lines(source), start=1)
+    for line_no, line in lines:  # only the first data line may be the header
+        if not (line[0] == "#" or line.isspace()):
+            lowered = tuple(f.strip().lower() for f in line.split("\t"))
+            if len(lowered) < 2 or lowered != header[:len(lowered)]:
+                lines = chain(((line_no, line),), lines)
+            break
+    for line_no, line in lines:
+        if line[0] == "#" or line.isspace():
             continue
-        fields = [f.strip() for f in line.split("\t")]
-        if not first_data_seen:
-            first_data_seen = True
-            lowered = tuple(f.lower() for f in fields)
-            if lowered == header[:len(lowered)] and len(lowered) >= 2:
-                continue
+        fields = line.split("\t")
         if len(fields) not in widths:
-            counts = " or ".join(str(w) for w in widths)
-            raise ParseError(f"expected {counts} tab-separated fields, got {len(fields)}",
-                             path=path, line=line_no)
+            raise ParseError(f"expected {' or '.join(map(str, widths))} tab-separated "
+                             f"fields, got {len(fields)}", path=path, line=line_no)
         yield line_no, fields
 
 
@@ -184,9 +184,7 @@ def _tsv_text(header: tuple[str, ...], rows: Iterable[tuple[str, ...]]) -> str:
 
 
 def _named(source: str | IO[str], path: str | None, fallback: str) -> str:
-    if path is not None:
-        return path
-    return getattr(source, "name", fallback)
+    return path if path is not None else getattr(source, "name", fallback)
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +194,9 @@ def _named(source: str | IO[str], path: str | None, fallback: str) -> str:
 def parse_runs(source: str | IO[str], path: str | None = None) -> list[RankedRun]:
     """Parse ranked runs, validating 1-based contiguous ranks per topic."""
     path = _named(source, path, "<runs>")
-    ordered: dict[str, list[str]] = {}
-    seen: dict[str, set[str]] = {}
+    ordered: defaultdict[str, dict[str, None]] = defaultdict(dict)  # in rank order
     for line_no, (topic_id, rank_text, entity_id) in _rows(source, path, RUNS_HEADER, (3,)):
+        topic_id, rank_text, entity_id = topic_id.strip(), rank_text.strip(), entity_id.strip()
         if not topic_id or not entity_id:
             raise ParseError("empty topic_id or entity_id", path=path, line=line_no,
                              field="topic_id" if not topic_id else "entity_id")
@@ -207,18 +205,17 @@ def parse_runs(source: str | IO[str], path: str | None = None) -> list[RankedRun
         except ValueError:
             raise ParseError(f"rank {rank_text!r} is not an integer", path=path,
                              line=line_no, field="rank") from None
-        entries = ordered.setdefault(topic_id, [])
+        entries = ordered[topic_id]
         expected = len(entries) + 1
         if rank != expected:
             raise ParseError(
                 f"topic {topic_id!r}: expected rank {expected}, got {rank} "
                 f"(ranks must be contiguous from 1)",
                 path=path, line=line_no, field="rank")
-        if entity_id in seen.setdefault(topic_id, set()):
+        if entity_id in entries:
             raise ParseError(f"topic {topic_id!r} lists entity {entity_id!r} twice",
                              path=path, line=line_no, field="entity_id")
-        entries.append(entity_id)
-        seen[topic_id].add(entity_id)
+        entries[entity_id] = None
     return [RankedRun(topic_id=t, entries=tuple(ordered[t])) for t in sorted(ordered)]
 
 
@@ -243,21 +240,23 @@ def parse_labels(source: str | IO[str], scheme: FeatureScheme,
     """
     path = _named(source, path, "<labels>")
     allowed = scheme.admissible
-    rows: list[tuple[str, str, str]] = []
-    for line_no, fields in _rows(source, path, LABELS_HEADER, (3, 4)):
-        entity_id, feature_name, value = fields[:3]
-        prov = fields[3] if len(fields) == 4 and fields[3] else DEFAULT_PROVENANCE
-        if not entity_id:
-            raise ParseError("empty entity_id", path=path, line=line_no, field="entity_id")
-        if feature_name != scheme.feature_name:
-            continue
-        if value not in allowed:
-            raise ParseError(
-                f"value {value!r} is not declared for feature {scheme.feature_name!r} "
-                f"(declared: {', '.join(scheme.values)}; unknown: {scheme.unknown_token!r})",
-                path=path, line=line_no, field="value")
-        rows.append((entity_id, value, prov))
-    return LabelCatalog.build(scheme, rows)
+    def rows() -> Iterator[tuple[str, str, str]]:
+        for line_no, fields in _rows(source, path, LABELS_HEADER, (3, 4)):
+            entity_id, feature_name, value, prov = fields if len(fields) == 4 else (*fields, "")
+            entity_id = entity_id.strip()
+            if not entity_id:
+                raise ParseError("empty entity_id", path=path, line=line_no, field="entity_id")
+            if feature_name.strip() != scheme.feature_name:
+                continue
+            value = value.strip()
+            if value not in allowed:
+                raise ParseError(
+                    f"value {value!r} is not declared for feature {scheme.feature_name!r} "
+                    f"(declared: {', '.join(scheme.values)}; "
+                    f"unknown: {scheme.unknown_token!r})",
+                    path=path, line=line_no, field="value")
+            yield entity_id, value, prov.strip() or DEFAULT_PROVENANCE
+    return LabelCatalog.build(scheme, rows())
 
 
 def serialize_labels(catalog: LabelCatalog) -> str:
@@ -275,6 +274,7 @@ def parse_members(source: str | IO[str], path: str | None = None) -> MembershipT
     path = _named(source, path, "<members>")
     members: dict[str, set[str]] = {}
     for line_no, (topic_id, entity_id) in _rows(source, path, MEMBERS_HEADER, (2,)):
+        topic_id, entity_id = topic_id.strip(), entity_id.strip()
         if not topic_id or not entity_id:
             raise ParseError("empty topic_id or entity_id", path=path, line=line_no,
                              field="topic_id" if not topic_id else "entity_id")
@@ -327,16 +327,19 @@ def parse_target_counts(source: str | IO[str], scheme: FeatureScheme,
     unknowns: dict[str, int] = {}
     declared_totals: dict[str, tuple[int, int]] = {}  # topic -> (total, line)
     first_lines: dict[str, int] = {}
-    for line_no, fields in _rows(source, path, TARGETS_HEADER, (4, 5)):
-        topic_id, feature_name, value, count_text = fields[:4]
+    for line_no, (topic_id, feature_name, value, count_text, *rest) in _rows(
+            source, path, TARGETS_HEADER, (4, 5)):
+        topic_id = topic_id.strip()
         if not topic_id:
             raise ParseError("empty topic_id", path=path, line=line_no, field="topic_id")
-        if feature_name != scheme.feature_name:
+        if feature_name.strip() != scheme.feature_name:
             continue
+        value = value.strip()
         if value not in allowed:
             raise ParseError(
                 f"value {value!r} is not declared for feature {scheme.feature_name!r}",
                 path=path, line=line_no, field="value")
+        count_text = count_text.strip()
         try:
             count = int(count_text)
         except ValueError:
@@ -345,19 +348,17 @@ def parse_target_counts(source: str | IO[str], scheme: FeatureScheme,
         if count < 0:
             raise ParseError(f"negative count {count}", path=path, line=line_no,
                              field="count")
-        if len(fields) == 5 and fields[4]:
+        if rest and (total_text := rest[0].strip()):
             try:
-                declared = int(fields[4])
+                declared = int(total_text)
             except ValueError:
-                raise ParseError(f"total {fields[4]!r} is not an integer",
+                raise ParseError(f"total {total_text!r} is not an integer",
                                  path=path, line=line_no, field="total") from None
-            held = declared_totals.get(topic_id)
-            if held is not None and held[0] != declared:
+            held, _ = declared_totals.setdefault(topic_id, (declared, line_no))
+            if held != declared:
                 raise ParseError(
-                    f"topic {topic_id!r} declares conflicting totals {held[0]} and {declared}",
+                    f"topic {topic_id!r} declares conflicting totals {held} and {declared}",
                     path=path, line=line_no, field="total")
-            if held is None:
-                declared_totals[topic_id] = (declared, line_no)
         first_lines.setdefault(topic_id, line_no)
         if value == scheme.unknown_token:
             if topic_id in unknowns:
@@ -375,13 +376,12 @@ def parse_target_counts(source: str | IO[str], scheme: FeatureScheme,
     for topic_id in sorted(set(counts) | set(unknowns)):
         labeled = counts.get(topic_id, {})
         total = sum(labeled.values())
-        if topic_id in declared_totals:
-            declared, decl_line = declared_totals[topic_id]
-            if declared != total:
-                raise ParseError(
-                    f"topic {topic_id!r}: declared total {declared} does not match "
-                    f"recomputed labeled total {total}",
-                    path=path, line=decl_line, field="total")
+        declared, decl_line = declared_totals.get(topic_id, (total, None))
+        if declared != total:
+            raise ParseError(
+                f"topic {topic_id!r}: declared total {declared} does not match "
+                f"recomputed labeled total {total}",
+                path=path, line=decl_line, field="total")
         if total < 1:
             raise ParseError(
                 f"topic {topic_id!r} has no labeled counts (empty population)",

@@ -6,8 +6,10 @@ import stat
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from biaslens import cli, parse_report
+from biaslens import ParseError, cli, parse_report
 
 F = Fraction
 
@@ -732,3 +734,34 @@ def test_members_format_is_read_from_content(audit_dir, tmp_path, capsys, preamb
     assert outputs[0] == outputs[1]
     assert parse_report(outputs[0][0].decode("utf-8")).meta.sources == (
         "full-results", "kb", "wiki")
+
+
+@pytest.mark.parametrize("flag", ["--target", "--members"])
+def test_leading_byte_order_mark_is_ignored(audit_dir, tmp_path, capsys, flag):
+    text = ((audit_dir / "targets_kb.tsv").read_text(encoding="utf-8") if flag == "--target"
+            else sparql_export([("announcer", f"ann:e{i}", "male") for i in range(10)]))
+    outputs = []
+    for bom in ("", "\ufeff"):
+        write(audit_dir / "source.txt", bom + text)
+        out = tmp_path / f"out{len(bom)}"
+        args = evaluate_args(audit_dir, out, (flag, f"extra={audit_dir / 'source.txt'}"))
+        assert cli.main(args) == 0
+        stdout = capsys.readouterr().out.replace(str(out), "OUT")
+        outputs.append(((out / "report.json").read_bytes(), stdout))
+    assert outputs[0] == outputs[1]
+
+
+CONFIG_TEXT = st.lists(st.sampled_from((
+    "=", "#", ".", " ", "\t", "\r", "\n", "\x85", "\ufeff", "5", "x", "gender",
+    *cli._CONFIG_KEYS, "target.", "members.", "value_map.",
+)), max_size=30).map("".join)
+
+
+@given(text=CONFIG_TEXT)
+def test_config_file_parses_or_fails_at_a_line(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzzed.cfg"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        assert type(cli.parse_config_file(path)) is dict
+    except ParseError as exc:
+        assert exc.line is not None, str(exc)

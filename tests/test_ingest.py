@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ingest_reference
 import support
 from biaslens import (
     EmptyPopulationError,
@@ -18,6 +19,7 @@ from biaslens import (
     ParseError,
     RankedRun,
     counts_for_topic,
+    ingest,
     parse_labels,
     parse_members,
     parse_runs,
@@ -376,3 +378,109 @@ class TestCatalogMerge:
         with pytest.raises(Exception):
             LabelCatalog(scheme=gender, assignments={"e": "dog"},
                          provenance={"e": "kb"})
+
+
+# ---------------------------------------------------------------------------
+# The parsers against the readers they replaced
+# ---------------------------------------------------------------------------
+
+# Whitespace str.strip() removes but a text file does not break a line at.
+PADS = ("", " ", "  ", "\x0b", "\x0c", "\xa0", "\u3000", "\x85", "\u2028", "\x1c")
+RANK_TEXTS = ("+2", "02", "1_0", "\u0662", "x", "", "-1", "0")
+
+
+def _arabic_indic(number):
+    return "".join(chr(0x660 + int(digit)) for digit in str(number))
+
+
+@st.composite
+def tsv_texts(draw, kind):
+    """TSV text for the ``kind`` parser: comment, blank and header lines
+    around data rows that are most often well-formed, with padded fields,
+    wrong widths, empty fields, odd and gapped ranks, interleaved topics,
+    repeated entities, other features and competing provenances."""
+    header = {"runs": ingest.RUNS_HEADER, "labels": ingest.LABELS_HEADER,
+              "members": ingest.MEMBERS_HEADER, "targets": ingest.TARGETS_HEADER}[kind]
+    ranks: dict[str, int] = {}
+
+    def pad(text):
+        return draw(st.sampled_from(PADS)) + text + draw(st.sampled_from(PADS))
+
+    def rank_text(topic):
+        ranks[topic] = expected = ranks.get(topic, 0) + 1
+        choice = draw(st.integers(0, 19))
+        if choice < 10:
+            return str(expected)
+        forms = (f"+{expected}", f"0{expected}", _arabic_indic(expected),
+                 "_".join(str(expected)), str(expected + 1), *RANK_TEXTS)
+        return forms[choice - 10] if choice - 10 < len(forms) else str(expected)
+
+    def data_row():
+        topic = draw(st.sampled_from(("t1", "t2", "T3")))
+        entity = draw(st.sampled_from(("e1", "e2", "e3", "e4")))
+        feature = draw(st.sampled_from(("gender",) * 4 + ("age", "Gender")))
+        value = draw(st.sampled_from(("female", "male", "unknown") * 4 + ("dog",)))
+        if kind == "runs":
+            fields = [topic, rank_text(topic), entity]
+        elif kind == "labels":
+            fields = [entity, feature, value]
+            fields += draw(st.sampled_from(
+                ([], ["manual"], ["kb"], ["inferred"], ["guessed"], [""])))
+        elif kind == "members":
+            fields = [topic, entity]
+        else:
+            fields = [topic, feature, value,
+                      draw(st.sampled_from(("1", "3", "0", "+2", "\u0662") * 3 + ("-2", "x")))]
+            fields += draw(st.sampled_from(([],) * 6 + (["4"], ["7"], [""], ["y"])))
+        if draw(st.integers(0, 14)) == 0:
+            fields[draw(st.integers(0, len(fields) - 1))] = ""
+        width = draw(st.integers(0, 19))
+        if width == 0:
+            fields.pop()
+        elif width == 1:
+            fields.append(draw(st.sampled_from(("", "extra"))))
+        return "\t".join(pad(f) for f in fields)
+
+    def header_line():
+        names = header[:draw(st.integers(1, len(header)))]
+        case = draw(st.sampled_from((str.lower, str.upper, str.title)))
+        return "\t".join(pad(case(name)) for name in names)
+
+    lines = []
+    for _ in range(draw(st.integers(0, 10))):
+        line_kind = draw(st.integers(0, 19))
+        if line_kind == 0:
+            lines.append("#" + draw(st.sampled_from(("", " note", "\tx\ty"))))
+        elif line_kind == 1:
+            lines.append(draw(st.sampled_from(("", " ", "\t", "\u3000", "\x85 "))))
+        elif line_kind == 2:
+            lines.append(header_line())
+        else:
+            lines.append(data_row())
+    ends = st.sampled_from(("\n", "\n", "\r\n", "\r"))
+    text = "".join(line + draw(ends) for line in lines)
+    return text[:-1] if lines and draw(st.booleans()) else text
+
+
+REFERENCE_PARSERS = {
+    "runs": ingest_reference.parse_runs,
+    "labels": lambda source: ingest_reference.parse_labels(source, GENDER),
+    "members": ingest_reference.parse_members,
+    "targets": lambda source: ingest_reference.parse_target_counts(source, GENDER),
+}
+
+
+def _outcome_of(parse, text):
+    """``_outcome``, with a catalog's conflicts, which catalog equality
+    leaves out."""
+    result = _outcome(parse, text)
+    return (result, result.conflicts) if isinstance(result, LabelCatalog) else result
+
+
+class TestAgainstTheReplacedReaders:
+    @pytest.mark.parametrize("kind", sorted(REFERENCE_PARSERS))
+    @given(data=st.data())
+    def test_same_result_or_same_error(self, kind, data):
+        text = data.draw(tsv_texts(kind))
+        assert (_outcome_of(TSV_PARSERS[kind], text)
+                == _outcome_of(REFERENCE_PARSERS[kind], text))
