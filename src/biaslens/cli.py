@@ -45,6 +45,8 @@ from ._util import atomic_write
 # Fixed default so repeated audits are comparable without a flag.
 DEFAULT_SEED = 20191201
 SEED_ENV_VAR = "BIASLENS_SEED"
+# Rows per ranked table when unset; `report` keeps the stored size instead.
+DEFAULT_TABLE_SIZE = 11
 
 SIMULATE_HEADER = ("topic_id", "target_ratio", "bias", "length", "population")
 
@@ -61,7 +63,7 @@ class AuditConfig:
     seed: int = DEFAULT_SEED
     format: str = "json"
     out: Path = Path("out")
-    table_size: int = 11
+    table_size: int | None = None
     population_sd: bool = False
     runs: Path | None = None
     labels: Path | None = None
@@ -210,7 +212,7 @@ def resolve_config(args: argparse.Namespace) -> AuditConfig:
         raise BiasLensError(f"cutoff must be >= 1, got {config.cutoff}")
     if config.format not in ("json", "csv"):
         raise BiasLensError(f"format must be json or csv, got {config.format!r}")
-    if config.table_size < 1:
+    if config.table_size is not None and config.table_size < 1:
         raise BiasLensError(f"table size must be >= 1, got {config.table_size}")
 
     flag_targets = _parse_source_flags(getattr(args, "target", None), "--target")
@@ -233,14 +235,11 @@ def _load_sources(config: AuditConfig, scheme: FeatureScheme,
                   ) -> tuple[dict[str, dict[str, TargetCounts] | ingest.MembershipTable],
                              ingest.LabelCatalog, int]:
     """Load every target source: counts files as per-topic counts, members
-    files as membership tables. A members file whose first line that is
-    neither blank nor a comment starts with '{' or '?' is a SPARQL result
-    export (JSON or TSV) whose label fragments are merged into the catalog;
-    its label rows whose value is neither a declared value nor the unknown
-    token are dropped and counted, and the count is the last element
-    returned."""
+    files as membership tables. A members file that is a SPARQL result export
+    (JSON or TSV, as ``ingest._members_format`` tells) also folds its label
+    rows into the catalog through ``ingest.extraction_to_catalog``; the rows
+    it drops are counted, and the count is the last element returned."""
     sources: dict[str, dict[str, TargetCounts] | ingest.MembershipTable] = {}
-    allowed = scheme.admissible
     dropped = 0
 
     for label, path in sorted(config.targets.items()):
@@ -250,34 +249,16 @@ def _load_sources(config: AuditConfig, scheme: FeatureScheme,
 
     for label, path in sorted(config.members.items()):
         with _open_input(path) as handle:
-            if not _is_sparql_export(handle):
+            if ingest._members_format(handle) == "members":
                 sources[label] = ingest.parse_members(handle, path=str(path))
                 continue
             extraction = ingest.parse_sparql_results(
                 handle, topic_var=config.topic_var, entity_var=config.entity_var,
                 value_var=config.value_var, strict=config.strict, path=str(path))
-        label_rows = extraction.label_rows
-        dropped += sum(value not in allowed for _, value in label_rows)
-        catalog = catalog.merged((entity, value, ingest.DEFAULT_PROVENANCE)
-                                 for entity, value in label_rows if value in allowed)
+        catalog, label_drops = ingest.extraction_to_catalog(extraction, catalog)
+        dropped += label_drops
         sources[label] = extraction.members
     return sources, catalog, dropped
-
-
-def _is_sparql_export(handle: TextIO) -> bool:
-    """Whether the first text outside blank and comment lines opens a W3C
-    JSON results object ('{') or a TSV variable header ('?'). Reads lines
-    in bounded pieces, so a one-line JSON export is not read whole, and
-    rewinds the handle."""
-    first = ""
-    line_start = comment = True
-    while not first and (piece := handle.readline(4096)):
-        if line_start:
-            comment = piece.startswith("#")
-        line_start = piece.endswith("\n")
-        first = "" if comment else piece.lstrip()
-    handle.seek(0)
-    return first.startswith(("{", "?"))
 
 
 def _evaluate_corpus(runs: list[RankedRun], catalog: ingest.LabelCatalog,
@@ -345,7 +326,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         seed=config.seed, cutoff=config.cutoff, feature_name=scheme.feature_name,
         values=scheme.values, unknown_token=scheme.unknown_token,
         sources=tuple(sorted(sources)), strict=config.strict,
-        table_size=config.table_size,
+        table_size=config.table_size or DEFAULT_TABLE_SIZE,
         sd_divisor="population" if config.population_sd else "sample",
     )
     conflicts = len(catalog.conflicts)
@@ -451,7 +432,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     report_path = Path(args.report)
     with _open_input(report_path) as handle:
         report = parse_report(handle.read(), path=str(report_path))
-    report = rebuild_report(report, table_size=args.table_size,
+    report = rebuild_report(report, table_size=config.table_size,
                             exemplar_grid=args.exemplar_grid)
     for path in emit_report(report, config.format, config.out):
         print(f"wrote {path}")
@@ -482,7 +463,7 @@ _FLAGS = {
     "--out": dict(type=Path, metavar="DIR",
                   help=f"output directory (default {AuditConfig.out})"),
     "--table-size": dict(type=int, metavar="K", help=f"rows per ranked bias table (default "
-                         f"{AuditConfig.table_size}; report: the stored size)"),
+                         f"{DEFAULT_TABLE_SIZE}; report: the stored size)"),
     "--population-sd": dict(action="store_true", default=None,
                             help="use the population standard-deviation divisor N"),
 }

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import io
 import json
+import re
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, dropwhile, repeat
 from typing import IO, Iterable, Iterator
 
 from .errors import EmptyPopulationError, ParseError, SchemeViolationError
@@ -141,13 +142,13 @@ def _priority(provenance: str) -> int:
     return PROVENANCE_PRIORITY.get(provenance, 0)
 
 
-def _source_lines(source: str | IO[str]) -> IO[str]:
+def _source_lines(source: str | Iterable[str]) -> Iterable[str]:
     """The lines of ``source``, each with its end (so none is empty); callers
     strip. A string splits as a text file read with universal newlines does."""
     return io.StringIO(source, newline=None) if isinstance(source, str) else source
 
 
-def _rows(source: str | IO[str], path: str, header: tuple[str, ...],
+def _rows(source: str | Iterable[str], path: str, header: tuple[str, ...],
           widths: tuple[int, ...]) -> Iterator[tuple[int, list[str]]]:
     """Yield (line number, fields split at tabs) of each data line, skipping
     comments, blanks and the header; each parser strips the fields it reads.
@@ -419,11 +420,35 @@ def _terminal_segment(iri: str) -> str:
     return iri.rstrip("/#").rpartition("#")[2].rpartition("/")[2] or iri
 
 
+# The blank and '#' lines before a file's first text, and the whitespace that
+# leads that text. A comment may be cut off by the end of the text read so far.
+_PREAMBLE = re.compile(r"(?:[^\S\r\n]*(?:\r\n?|\n)|#[^\r\n]*(?:\r\n?|\n|\Z))*[^\S\r\n]*")
+
+
+def _members_format(source: str | IO[str]) -> str:
+    """What a members source holds, told by its first text outside blank and
+    '#' lines: '{' opens a SPARQL JSON export ("json"), '?' a SPARQL TSV
+    export's variable header ("tsv"), and anything else is a members TSV
+    ("members"). A handle is read in bounded pieces, so that a one-line JSON
+    export is not read whole, and sought back to where it was."""
+    if isinstance(source, str):
+        text = source
+    else:
+        start, text = source.tell(), ""
+        while _PREAMBLE.match(text).end() == len(text) and (piece := source.read(4096)):
+            text += piece
+        source.seek(start)
+    first = _PREAMBLE.match(text).end()
+    return {"{": "json", "?": "tsv"}.get(text[first:first + 1], "members")
+
+
 def parse_sparql_results(source: str | IO[str], *, topic_var: str = "topic",
                          entity_var: str = "entity", value_var: str = "value",
                          strict: bool = False, path: str | None = None) -> SparqlExtraction:
     """Parse a W3C SPARQL result export (JSON or TSV) into audit fragments.
 
+    A source that ``_members_format`` does not tell as JSON is read as TSV;
+    a handle must be seekable, since the format is read before the rows.
     The three variables name the bindings acting as topic, entity and feature
     value. IRI-typed bindings are shortened to their terminal segment, so
     Wikidata-style exports key by Q-identifier.
@@ -431,14 +456,13 @@ def parse_sparql_results(source: str | IO[str], *, topic_var: str = "topic",
     non-IRI entity binding is an error.
     """
     path = _named(source, path, "<sparql>")
-    text = source if isinstance(source, str) else source.read()
-    decode = _sparql_json_rows if text.lstrip().startswith("{") else _sparql_tsv_rows
+    decode = _sparql_json_rows if _members_format(source) == "json" else _sparql_tsv_rows
     members: defaultdict[str, set[str]] = defaultdict(set)
     label_rows: list[tuple[str, str]] = []
     # A decoder yields (line, topic, entity, entity_is_iri, value) per result
     # row, lazily; a term is None or empty when unbound.
     for line, topic, entity, entity_is_iri, value in decode(
-            text, topic_var, entity_var, value_var, path):
+            source, topic_var, entity_var, value_var, path):
         if not topic or not entity:
             missing = topic_var if not topic else entity_var
             raise ParseError(f"row is missing the {missing!r} binding", path=path,
@@ -454,19 +478,22 @@ def parse_sparql_results(source: str | IO[str], *, topic_var: str = "topic",
         label_rows=tuple(label_rows))
 
 
-def _sparql_json_rows(text: str, topic_var: str, entity_var: str, value_var: str,
-                      path: str) -> Iterator[tuple]:
+def _sparql_json_rows(source: str | IO[str], topic_var: str, entity_var: str,
+                      value_var: str, path: str) -> Iterator[tuple]:
     """Stream a W3C SPARQL JSON results object, holding one binding at a time.
 
     ``head`` and any other top-level member are decoded whole, ``results``
     member by member and its ``bindings`` element by element. Members may
     come in any order: when ``results`` precedes ``head``, its rows and its
     first error wait until the whole document has been read and ``head``
-    checked, so errors come in the order of a whole-document walk: syntax,
-    ``head`` and its variables, ``results``, then each binding in turn. A
-    binding's line is its 1-based index. A repeated ``head``, ``results`` or
+    checked, so in a document that parses as JSON errors come in the order
+    of a whole-document walk: ``head`` and its variables, ``results``, then
+    each binding in turn. A syntax error is raised where the walk meets it,
+    so one after a malformed binding is raised only when ``results`` comes
+    first. A binding's line is its 1-based index. A repeated ``head``, ``results`` or
     ``bindings`` member is an error, located at its key.
     """
+    text = source if isinstance(source, str) else source.read()
     cursor = _JsonCursor(text)
     head: object = {}  # an absent head declares no variables
     held: list | None = None
@@ -642,13 +669,12 @@ def _binding_text(binding: dict, var: str, path: str, line: int) -> str | None:
     return value
 
 
-def _sparql_tsv_rows(text: str, topic_var: str, entity_var: str, value_var: str,
-                     path: str) -> Iterator[tuple]:
-    lines = enumerate(_source_lines(text), start=1)
-    for header_no, header in lines:
-        if header.strip() and not header.startswith("#"):
-            break
-    else:
+def _sparql_tsv_rows(source: str | IO[str], topic_var: str, entity_var: str,
+                     value_var: str, path: str) -> Iterator[tuple]:
+    lines = _source_lines(source)
+    header_no, header = next(dropwhile(lambda item: item[1][0] == "#" or item[1].isspace(),
+                                       enumerate(lines, start=1)), (1, None))
+    if header is None:
         raise ParseError("no header line with variable names", path=path, line=1)
     names = [c.strip().lstrip("?") for c in header.split("\t")]
     for var in (topic_var, entity_var):
@@ -658,13 +684,10 @@ def _sparql_tsv_rows(text: str, topic_var: str, entity_var: str, value_var: str,
     topic_col, entity_col = names.index(topic_var), names.index(entity_var)
     # The value column may be absent; rows then carry no labels.
     value_col = names.index(value_var) if value_var in names else None
-    for line_no, line in lines:
-        if not line.strip() or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != len(names):
-            raise ParseError(f"expected {len(names)} fields, got {len(fields)}",
-                             path=path, line=line_no)
+    # The header and the lines before it stand in as blanks, which _rows skips,
+    # so that its line numbers are those of the file.
+    for line_no, fields in _rows(chain(repeat("\n", header_no), lines), path, (),
+                                 (len(names),)):
         raw_entity = fields[entity_col].strip()
         yield (line_no, _tsv_term(fields[topic_col]), _tsv_term(raw_entity),
                raw_entity.startswith("<"),
@@ -686,22 +709,19 @@ def _tsv_term(raw: str) -> str:
     return term
 
 
-def extraction_to_catalog(extraction: SparqlExtraction, scheme: FeatureScheme,
-                          *, provenance: str = DEFAULT_PROVENANCE,
-                          value_map: dict[str, str] | None = None) -> LabelCatalog:
-    """Turn raw SPARQL label rows into a catalog under ``scheme``.
+def extraction_to_catalog(extraction: SparqlExtraction, catalog: LabelCatalog, *,
+                          value_map: dict[str, str] | None = None
+                          ) -> tuple[LabelCatalog, int]:
+    """Fold an export's label rows into ``catalog`` at ``kb`` provenance.
 
     ``value_map`` translates raw export values (for example Q-identifiers)
-    into declared values or the unknown token; unmapped raw values must
-    already be declared.
+    into declared values or the unknown token; unmapped raw values are taken
+    as they are. A row whose value is then neither is dropped. Returns the
+    merged catalog and the number of rows dropped.
     """
-    allowed = scheme.admissible
-    rows = []
-    for entity, raw in extraction.label_rows:
-        value = value_map.get(raw, raw) if value_map else raw
-        if value not in allowed:
-            raise SchemeViolationError(
-                f"export value {raw!r} (mapped to {value!r}) is not declared for "
-                f"feature {scheme.feature_name!r}")
-        rows.append((entity, value, provenance))
-    return LabelCatalog.build(scheme, rows)
+    allowed, mapping = catalog.scheme.admissible, value_map or {}
+    dropped = sum(mapping.get(raw, raw) not in allowed for _, raw in extraction.label_rows)
+    merged = catalog.merged((entity, value, DEFAULT_PROVENANCE)
+                            for entity, raw in extraction.label_rows
+                            if (value := mapping.get(raw, raw)) in allowed)
+    return merged, dropped

@@ -329,10 +329,6 @@ def rebuild_report(report: Report, *, table_size: int | None = None,
 # JSON document
 # ---------------------------------------------------------------------------
 
-def _ratio_obj(value: Fraction) -> dict:
-    return {"ratio": str(value), "value": value.numerator / value.denominator}
-
-
 def _exact_obj(numerator: int, denominator: int) -> dict:
     return {"ratio": reduced_str(numerator, denominator), "value": numerator / denominator}
 
@@ -375,11 +371,11 @@ def _record_obj(item: EvaluatedTopic) -> dict:
 def _summary_entry(b: ReportBlock) -> dict:
     return {
         "topics": b.summary.topic_count,
-        "MB": _ratio_obj(b.summary.mean_bias),
+        "MB": _exact_obj(*b.summary.mean_bias.as_integer_ratio()),
         "SB": b.summary.stdev_bias,
-        "MAB": _ratio_obj(b.summary.mean_abs_bias),
-        "min": _ratio_obj(b.summary.min_bias),
-        "max": _ratio_obj(b.summary.max_bias),
+        "MAB": _exact_obj(*b.summary.mean_abs_bias.as_integer_ratio()),
+        "min": _exact_obj(*b.summary.min_bias.as_integer_ratio()),
+        "max": _exact_obj(*b.summary.max_bias.as_integer_ratio()),
         "single_sample": b.summary.single_sample,
     }
 

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import argparse
+import io
 import json
 import os
+import re
 import stat
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -19,9 +24,8 @@ def write(path, text):
     return str(path)
 
 
-@pytest.fixture
-def audit_dir(tmp_path):
-    """Two-topic fixture with two target sources shaped like a real audit."""
+def write_corpus(tmp_path):
+    """Two-topic corpus with two target sources shaped like a real audit."""
     runs = []
     labels = []
     # announcer: zero female entities shown in the top 10
@@ -46,6 +50,11 @@ def audit_dir(tmp_path):
           "archivist\tgender\tfemale\t4\n"
           "archivist\tgender\tmale\t6\n")
     return tmp_path
+
+
+@pytest.fixture
+def audit_dir(tmp_path):
+    return write_corpus(tmp_path)
 
 
 def evaluate_args(audit_dir, out, extra=()):
@@ -300,6 +309,20 @@ def test_report_keeps_the_stored_table_size_and_exemplar_grid(audit_dir, tmp_pat
     assert {t["unbiased"]["grid"] for t in payload["tables"]} == {4}
     assert {t["k"] for t in payload["tables"]} == {1}
     assert (again / "report.json").read_bytes() == (regridded / "report.json").read_bytes()
+
+
+def test_report_table_size_comes_from_the_flag_then_the_config_then_the_report(
+        audit_dir, tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(evaluate_args(audit_dir, out, ("--table-size", "2"))) == 0
+    config = write(tmp_path / "report.cfg", "table_size = 1\n")
+    for extra, size in [((), 2), (("--config", config), 1),
+                        (("--config", config, "--table-size", "3"), 3)]:
+        derived = tmp_path / f"k{size}"
+        assert cli.main(["report", str(out / "report.json"), *extra,
+                         "--out", str(derived)]) == 0
+        payload = json.loads((derived / "report.json").read_text(encoding="utf-8"))
+        assert {t["k"] for t in payload["tables"]} == {size}
 
 
 def test_subcommands_reject_flags_they_do_not_read(audit_dir, tmp_path, capsys):
@@ -717,17 +740,26 @@ def sparql_tsv_export(rows):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("preamble", ["", "# exported 2021-06-01\n\n"],
-                         ids=["bare", "after-comment"])
-def test_members_format_is_read_from_content(audit_dir, tmp_path, capsys, preamble):
+@pytest.mark.parametrize("preamble, json_preamble", [
+    ("", "\n"), ("# exported 2021-06-01\n\n", "\n"), ("", "# exported 2021-06-01\n"),
+    (f"# {'x' * 5000}\n{' ' * 5000}\n", " " * 5000)],
+    ids=["bare", "after-comment", "json-after-comment", "long-preamble"])
+def test_members_format_is_read_from_content(audit_dir, tmp_path, capsys, preamble,
+                                             json_preamble):
     rows = ([("announcer", f"ann:e{i}", "male" if i % 3 else None) for i in range(10)]
             + [("archivist", f"arc:e{i}", "female") for i in range(4)])
     write(audit_dir / "exp.tsv", preamble + sparql_tsv_export(rows))
-    write(audit_dir / "exp.txt", "\n" + sparql_export(rows))
+    write(audit_dir / "exp.txt", json_preamble + sparql_export(rows))
     outputs = []
     for name in ("exp.tsv", "exp.txt"):
         out = tmp_path / f"out-{name}"
         args = evaluate_args(audit_dir, out, ("--members", f"wiki={audit_dir / name}"))
+        if json_preamble.startswith("#") and name == "exp.txt":
+            # The first text is '{', so this is a JSON export, and JSON has no comments.
+            assert cli.main(args) == 1
+            assert capsys.readouterr().err == (
+                f"error: {audit_dir / name}:1: invalid JSON: Expecting value\n")
+            return
         assert cli.main(args) == 0
         stdout = capsys.readouterr().out.replace(str(out), "OUT")
         outputs.append(((out / "report.json").read_bytes(), stdout))
@@ -765,3 +797,107 @@ def test_config_file_parses_or_fails_at_a_line(tmp_path_factory, text):
         assert type(cli.parse_config_file(path)) is dict
     except ParseError as exc:
         assert exc.line is not None, str(exc)
+
+
+def subcommand_parsers():
+    parser = cli.build_parser()
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    return commands.choices
+
+
+def options_of(parser):
+    return {option for action in parser._actions for option in action.option_strings
+            if option not in ("-h", "--help")}
+
+
+def test_readme_option_table_matches_the_parser():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = dict(re.findall(r"^\| `(\w+)` \| `([^`]*)` \|$", readme, re.MULTILINE))
+    parsers = subcommand_parsers()
+    assert table.keys() == parsers.keys()
+    for command, parser in parsers.items():
+        assert set(table[command].split()) == options_of(parser), command
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """Inputs of every kind for fuzzed command lines: a two-topic corpus, its
+    sources in every format, a simulate plan, a report and a file that is
+    not UTF-8."""
+    base = write_corpus(tmp_path_factory.mktemp("fuzz"))
+    rows = [("announcer", f"ann:e{i}", "male" if i % 2 else None) for i in range(6)]
+    write(base / "exp.json", sparql_export(rows))
+    write(base / "exp.tsv", "# exported\n" + sparql_tsv_export(rows))
+    write(base / "members.tsv", "announcer\tann:e1\narchivist\tarc:e2\n")
+    write(base / "plan.tsv", "t1\t1/2\t0\t4\nt2\t1/3\t1/3\t3\t9\n")
+    (base / "latin1.tsv").write_bytes(b"announcer\t\xff\n")
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(evaluate_args(base, base / "stored")) == 0
+    return base
+
+
+FUZZ_FILES = ("runs.tsv", "labels.tsv", "targets_kb.tsv", "exp.json", "exp.tsv",
+              "members.tsv", "plan.tsv", "latin1.tsv", "stored/report.json", "missing.tsv",
+              "fuzz.cfg")
+CONFIG_VALUES = st.sampled_from(["5", "0", "x", "true", "off", "gender", "female,male",
+                                 "csv", "out", "", *FUZZ_FILES])
+CONFIG_LINES = st.lists(st.one_of(
+    st.tuples(st.sampled_from([*cli._CONFIG_KEYS, "target.kb", "members.wiki", "target.",
+                               "value_map.Q1", "cutof"]), CONFIG_VALUES).map(" = ".join),
+    st.sampled_from(["# comment", "=", "junk", " "])), max_size=12).map("\n".join)
+
+
+@st.composite
+def command_lines(draw, command, base):
+    """argv for ``command`` from its own options, each with a value of its kind;
+    integers come from a small range."""
+    def files(*likely):
+        return st.sampled_from(likely + FUZZ_FILES).map(lambda name: str(base / name))
+    values = {
+        "--config": files("fuzz.cfg"),
+        "--feature": st.sampled_from(["gender", "", "age"]),
+        "--values": st.sampled_from(["female,male", "female", "", "female,female", "male,,x"]),
+        "--unknown-token": st.sampled_from(["unknown", "male", ""]),
+        "--format": st.sampled_from(["json", "csv", "xml"]),
+        # Output goes to two directories of its own, or fails on a file.
+        "--out": st.sampled_from(["out", "out2", "runs.tsv"]).map(lambda n: str(base / n)),
+        "--target": st.tuples(st.sampled_from(["kb", "wiki", "", " "]), files() | st.just("")
+                              ).map("=".join),
+    }
+    values["--members"] = values["--target"]
+    parser = subcommand_parsers()[command]
+    argv = [command]
+    if draw(st.booleans()):  # the inputs the command needs, so that some runs get past them
+        scheme = ["--feature", "gender", "--values", "female,male"]
+        argv += {"evaluate": ["--runs", str(base / "runs.tsv"), "--labels",
+                              str(base / "labels.tsv"), *scheme,
+                              "--target", f"kb={base / 'targets_kb.tsv'}"],
+                 "simulate": [str(base / "plan.tsv"), *scheme],
+                 "report": [str(base / "stored" / "report.json")]}[command]
+    else:
+        argv += [draw(files()) for action in parser._actions if not action.option_strings]
+    for option in draw(st.lists(st.sampled_from(sorted(options_of(parser))), max_size=6)):
+        action = parser._option_string_actions[option]
+        argv.append(option)
+        if option in values:
+            argv.append(draw(values[option]))
+        elif action.type is int:
+            argv.append(draw(st.sampled_from([*map(str, range(-2, 13)), "x"])))
+        elif action.nargs != 0:
+            argv.append(draw(files()))
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(subcommand_parsers()))
+@given(data=st.data())
+def test_main_returns_an_exit_code_and_never_raises(fuzz_dir, command, data):
+    (fuzz_dir / "fuzz.cfg").write_text(data.draw(CONFIG_LINES), encoding="utf-8")
+    argv = data.draw(command_lines(command, fuzz_dir))
+    cwd = os.getcwd()
+    os.chdir(fuzz_dir)  # where the default output directory goes
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert cli.main(argv) in (0, 1, 2)
+    finally:
+        os.chdir(cwd)

@@ -9,8 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from biaslens import (
+    LabelCatalog,
+    LabelConflict,
     ParseError,
-    SchemeViolationError,
     SparqlExtraction,
     extraction_to_catalog,
     ingest,
@@ -150,9 +151,10 @@ def test_invalid_json_names_position():
 
 def test_tsv_wrong_field_count():
     text = "?topic\t?entity\t?value\n\"a\"\t<http://x/Q1>\n"
-    with pytest.raises(ParseError) as err:
-        parse_sparql_results(text, path="export.tsv")
-    assert "export.tsv:2" in str(err.value)
+    for preamble, line in (("", 2), ("# exported\n\n", 4)):
+        with pytest.raises(ParseError) as err:
+            parse_sparql_results(preamble + text, path="export.tsv")
+        assert f"export.tsv:{line}:" in str(err.value)
 
 
 def test_tsv_literal_suffixes_stripped():
@@ -180,29 +182,41 @@ def test_extraction_to_catalog_with_value_map(gender):
         (literal("poet"), uri("http://x/Q2"), uri("http://x/Q6581097")),
     ])
     extraction = parse_sparql_results(export)
-    catalog = extraction_to_catalog(
-        extraction, gender,
+    catalog, dropped = extraction_to_catalog(
+        extraction, LabelCatalog.build(gender, [("Q3", "male", "manual")]),
         value_map={"Q6581072": "female", "Q6581097": "male"})
-    assert catalog.assignments == {"Q1": "female", "Q2": "male"}
-    assert catalog.provenance == {"Q1": "kb", "Q2": "kb"}
+    assert catalog.assignments == {"Q3": "male", "Q1": "female", "Q2": "male"}
+    assert catalog.provenance == {"Q3": "manual", "Q1": "kb", "Q2": "kb"}
+    assert dropped == 0
 
 
-def test_extraction_to_catalog_rejects_unmapped(gender):
-    export = json_export([(literal("poet"), uri("http://x/Q1"),
-                           literal("Q6581072"))])
-    extraction = parse_sparql_results(export)
-    with pytest.raises(SchemeViolationError, match="Q6581072"):
-        extraction_to_catalog(extraction, gender)
+def test_extraction_to_catalog_drops_and_counts_unmapped(gender):
+    export = json_export([
+        (literal("poet"), uri("http://x/Q1"), literal("Q6581072")),
+        (literal("poet"), uri("http://x/Q2"), literal("unknown")),
+        (literal("poet"), uri("http://x/Q3"), literal("other")),
+        (literal("poet"), uri("http://x/Q4"), literal("nonbinary")),
+    ])
+    catalog, dropped = extraction_to_catalog(
+        parse_sparql_results(export), LabelCatalog.build(gender, []),
+        value_map={"other": "female", "nonbinary": "other"})
+    assert catalog.assignments == {"Q2": "unknown", "Q3": "female"}
+    assert dropped == 2
 
 
 def test_conflicting_export_rows_surface_in_catalog(gender):
     export = json_export([
         (literal("poet"), uri("http://x/Q1"), literal("female")),
         (literal("poet"), uri("http://x/Q1"), literal("male")),
+        (literal("poet"), uri("http://x/Q2"), literal("male")),
     ])
-    catalog = extraction_to_catalog(parse_sparql_results(export), gender)
-    assert catalog.assignments == {"Q1": "female"}  # first row wins at equal rank
-    assert len(catalog.conflicts) == 1
+    base = LabelCatalog.build(gender, [("Q2", "female", "manual"), ("Q2", "male", "kb")])
+    catalog, _ = extraction_to_catalog(parse_sparql_results(export), base)
+    assert catalog.assignments == {"Q1": "female", "Q2": "female"}  # first row wins at equal rank
+    assert catalog.conflicts == (
+        base.conflicts[0],
+        LabelConflict("Q1", "female", "kb", "male", "kb"),
+        LabelConflict("Q2", "female", "manual", "male", "kb"))
 
 
 # ---------------------------------------------------------------------------
