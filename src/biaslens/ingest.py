@@ -490,8 +490,8 @@ def _sparql_json_rows(source: str | IO[str], topic_var: str, entity_var: str,
     of a whole-document walk: ``head`` and its variables, ``results``, then
     each binding in turn. A syntax error is raised where the walk meets it,
     so one after a malformed binding is raised only when ``results`` comes
-    first. A binding's line is its 1-based index. A repeated ``head``, ``results`` or
-    ``bindings`` member is an error, located at its key.
+    first. A binding's line is its 1-based index. A repeated ``head``,
+    ``results`` or ``bindings`` member is an error, located at its key.
     """
     text = source if isinstance(source, str) else source.read()
     cursor = _JsonCursor(text)
