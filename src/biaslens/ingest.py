@@ -16,7 +16,6 @@ Every parse failure names the file, the line and the offending field.
 
 from __future__ import annotations
 
-import io
 import json
 import re
 from collections import defaultdict
@@ -142,10 +141,14 @@ def _priority(provenance: str) -> int:
     return PROVENANCE_PRIORITY.get(provenance, 0)
 
 
+# A line and its end, '\n', '\r\n' or '\r' only, as a text file is read.
+_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
+
+
 def _source_lines(source: str | Iterable[str]) -> Iterable[str]:
     """The lines of ``source``, each with its end (so none is empty); callers
-    strip. A string splits as a text file read with universal newlines does."""
-    return io.StringIO(source, newline=None) if isinstance(source, str) else source
+    strip. A string is split lazily, without a copy of the whole text."""
+    return map(re.Match.group, _LINE.finditer(source)) if isinstance(source, str) else source
 
 
 def _rows(source: str | Iterable[str], path: str, header: tuple[str, ...],
@@ -297,13 +300,13 @@ def counts_for_topic(topic_id: str, entity_ids: Iterable[str],
     Raises EmptyPopulationError when no member is labeled.
     """
     counts = {value: 0 for value in labels.scheme.values}
-    unknown = 0
-    for entity in entity_ids:
-        value = labels.label_of(entity)
-        if value is None:
-            unknown += 1
-        else:
+    assignments, unknown = labels.assignments, 0
+    for entity in entity_ids:  # an explicit unknown, like a missing label, is no value
+        value = assignments.get(entity)
+        if value in counts:
             counts[value] += 1
+        else:
+            unknown += 1
     if sum(counts.values()) == 0:
         raise EmptyPopulationError(
             f"topic {topic_id!r} has no labeled members for feature "
@@ -453,29 +456,48 @@ def parse_sparql_results(source: str | IO[str], *, topic_var: str = "topic",
     value. IRI-typed bindings are shortened to their terminal segment, so
     Wikidata-style exports key by Q-identifier.
     Rows lacking a value binding contribute membership only. In strict mode a
-    non-IRI entity binding is an error.
+    non-IRI entity binding is an error. An error in a TSV row names its line;
+    one in a JSON binding names the binding's 1-based index and the line
+    where it starts.
     """
     path = _named(source, path, "<sparql>")
-    decode = _sparql_json_rows if _members_format(source) == "json" else _sparql_tsv_rows
+    text = None  # a JSON export's text, in which its errors are located
+    if _members_format(source) == "json":
+        text = source if isinstance(source, str) else source.read()
+        rows = _sparql_json_rows(text, topic_var, entity_var, value_var, path)
+    else:
+        rows = _sparql_tsv_rows(source, topic_var, entity_var, value_var, path)
     members: defaultdict[str, set[str]] = defaultdict(set)
     label_rows: list[tuple[str, str]] = []
-    # A decoder yields (line, topic, entity, entity_is_iri, value) per result
-    # row, lazily; a term is None or empty when unbound.
-    for line, topic, entity, entity_is_iri, value in decode(
-            source, topic_var, entity_var, value_var, path):
+    # A decoder yields (at, topic, entity, entity_is_iri, value) per result
+    # row, lazily: ``at`` is a TSV row's line or a JSON binding's offset in
+    # ``text``, and a term is None or empty when unbound.
+    for index, (at, topic, entity, entity_is_iri, value) in enumerate(rows, start=1):
         if not topic or not entity:
             missing = topic_var if not topic else entity_var
-            raise ParseError(f"row is missing the {missing!r} binding", path=path,
-                             line=line, field=missing)
+            raise _row_error(f"row is missing the {missing!r} binding", path, text, at,
+                             index, missing)
         if strict and not entity_is_iri:
-            raise ParseError(f"entity binding {entity!r} is not an IRI", path=path,
-                             line=line, field=entity_var)
+            raise _row_error(f"entity binding {entity!r} is not an IRI", path, text, at,
+                             index, entity_var)
         members[topic].add(entity)
         if value:
             label_rows.append((entity, value))
+    del text  # freed before the tables are copied, which would otherwise raise the peak
     return SparqlExtraction(
         members=MembershipTable({t: frozenset(s) for t, s in members.items()}),
         label_rows=tuple(label_rows))
+
+
+def _row_error(message: str, path: str, text: str | None, at: int, index: int,
+               field: str | None = None) -> ParseError:
+    """The error of result row ``index``: at line ``at`` of a TSV export
+    (``text`` None), or in binding ``index`` of the JSON ``text``, at the
+    line of offset ``at`` where the binding starts. Only errors count lines."""
+    if text is None:
+        return ParseError(message, path=path, line=at, field=field)
+    return ParseError(f"binding {index}: {message}", path=path,
+                      line=text.count("\n", 0, at) + 1, field=field)
 
 
 def _sparql_json_rows(source: str | IO[str], topic_var: str, entity_var: str,
@@ -483,21 +505,26 @@ def _sparql_json_rows(source: str | IO[str], topic_var: str, entity_var: str,
     """Stream a W3C SPARQL JSON results object, holding one binding at a time.
 
     ``head`` and any other top-level member are decoded whole, ``results``
-    member by member and its ``bindings`` element by element. Members may
-    come in any order: when ``results`` precedes ``head``, its rows and its
-    first error wait until the whole document has been read and ``head``
-    checked, so in a document that parses as JSON errors come in the order
-    of a whole-document walk: ``head`` and its variables, ``results``, then
-    each binding in turn. A syntax error is raised where the walk meets it,
-    so one after a malformed binding is raised only when ``results`` comes
-    first. A binding's line is its 1-based index. A repeated ``head``,
+    member by member, and each of its ``bindings`` by one call of json's C
+    scanner; a row's ``at`` is the offset where its binding starts. A
+    well-formed binding's cells are checked inline, and each distinct topic
+    or value IRI is shortened once; any other binding goes through
+    ``_binding_text``. Members may come in any order: when ``results``
+    precedes ``head``, its rows and its first error wait until the whole
+    document has been read and ``head`` checked, so in a document that
+    parses as JSON errors come in the order of a whole-document walk:
+    ``head`` and its variables, ``results``, then each binding in turn. A
+    syntax error is raised where the walk meets it. A repeated ``head``,
     ``results`` or ``bindings`` member is an error, located at its key.
     """
     text = source if isinstance(source, str) else source.read()
     cursor = _JsonCursor(text)
     head: object = {}  # an absent head declares no variables
-    held: list | None = None
+    held: list | None = None  # rows of a results read before head, to its first error
     seen: set[str] = set()
+    shape = ParseError("results must be an object whose bindings are a list",
+                       path=path, field="results")
+    iris: dict[str, str] = {}  # each topic or value IRI to its terminal segment
     try:
         if not cursor.at("{"):
             raise json.JSONDecodeError("Expecting value", text, cursor.pos)
@@ -513,14 +540,77 @@ def _sparql_json_rows(source: str | IO[str], topic_var: str, entity_var: str,
                 if held is None:
                     _check_head(head, topic_var, entity_var, path)
                 continue
-            rows = _results_rows(cursor, topic_var, entity_var, value_var, path)
-            if "head" in seen:
-                yield from _raise_errors(rows)
-                continue
-            held = []
-            for row in rows:  # keep rows up to the first error; walk on to head
-                if not held or type(held[-1]) is not ParseError:
-                    held.append(row)
+            if "head" not in seen:
+                held = []
+            bound = False  # a results that is no object reads as one bad bindings
+            for member in cursor.members() if cursor.at("{") else [None]:
+                if member not in ("bindings", None):
+                    cursor.value()
+                    continue
+                if bound:
+                    raise cursor.repeated(member, path)
+                bound = True
+                if member is None or not cursor.at("["):
+                    cursor.value()
+                    if held is None:
+                        raise shape
+                    held.append(shape)
+                    continue
+                pos, index = cursor.pos + 1, 0
+                if text[pos:pos + 1] in _SPACE:
+                    pos = _skip_space(text, pos).end()
+                while index or not text.startswith("]", pos):  # breaks at the last item
+                    index += 1
+                    try:
+                        binding, end = _scan(text, pos)
+                    except StopIteration:  # PEP 479 would make it a RuntimeError
+                        raise _missing_item(text, end if index > 1 else cursor.pos,
+                                            pos) from None
+                    if (type(binding) is dict
+                            and type(topic_cell := binding.get(topic_var)) is dict
+                            and type(topic := topic_cell.get("value")) is str
+                            and type(entity_cell := binding.get(entity_var)) is dict
+                            and type(entity := entity_cell.get("value")) is str
+                            and type(value_cell := binding.get(value_var, _UNBOUND)) is dict
+                            and type(value := value_cell.get("value")) is str):
+                        if topic_cell.get("type") == "uri":
+                            topic = iris.get(topic) or iris.setdefault(
+                                topic, _terminal_segment(topic))
+                        if entity_is_iri := entity_cell.get("type") == "uri":
+                            entity = _terminal_segment(entity)
+                        if value_cell.get("type") == "uri":
+                            value = iris.get(value) or iris.setdefault(
+                                value, _terminal_segment(value))
+                        row: tuple | ParseError = (pos, topic, entity, entity_is_iri, value)
+                    else:
+                        try:
+                            if type(binding) is not dict:
+                                raise _row_error("not an object", path, text, pos, index)
+                            topic = _binding_text(binding, topic_var, path, text, pos, index)
+                            entity = _binding_text(binding, entity_var, path, text, pos, index)
+                            row = (pos, topic, entity, entity is not None
+                                   and binding[entity_var].get("type") == "uri",
+                                   _binding_text(binding, value_var, path, text, pos, index))
+                        except ParseError as exc:
+                            if held is None:
+                                raise
+                            row = exc
+                    if held is None:
+                        yield row
+                    elif not held or type(held[-1]) is not ParseError:
+                        held.append(row)
+                    if text.startswith(",", end):
+                        pos = end + 1
+                    else:
+                        pos = _skip_space(text, end).end()
+                        if not text.startswith(",", pos):
+                            break
+                        pos += 1
+                    if text[pos:pos + 1] in _SPACE:
+                        pos = _skip_space(text, pos).end()
+                if not text.startswith("]", pos):
+                    raise json.JSONDecodeError("Expecting ',' delimiter", text, pos)
+                cursor.pos = _skip_space(text, pos + 1).end()
         if cursor.pos != len(text):
             raise json.JSONDecodeError("Extra data", text, cursor.pos)
     except json.JSONDecodeError as exc:
@@ -529,7 +619,10 @@ def _sparql_json_rows(source: str | IO[str], topic_var: str, entity_var: str,
         raise ParseError("invalid JSON: nested too deeply", path=path) from None
     if held is not None or "head" not in seen:
         _check_head(head, topic_var, entity_var, path)
-        yield from _raise_errors(held or ())
+        for row in held or ():
+            if type(row) is ParseError:
+                raise row
+            yield row
 
 
 def _check_head(head: object, topic_var: str, entity_var: str, path: str) -> None:
@@ -543,61 +636,18 @@ def _check_head(head: object, topic_var: str, entity_var: str, path: str) -> Non
                              f"{', '.join(declared) or 'none'})", path=path, field=var)
 
 
-def _results_rows(cursor: "_JsonCursor", topic_var: str, entity_var: str,
-                  value_var: str, path: str) -> Iterator[tuple | ParseError]:
-    """Rows of the ``results`` member at ``cursor``, each malformed part
-    yielded as a ParseError in its place; the walk goes on to the end of the
-    member, so that a caller holding the rows can read on."""
-    shape = ParseError("results must be an object whose bindings are a list",
-                       path=path, field="results")
-    if not cursor.at("{"):
-        cursor.value()
-        yield shape
-        return
-    seen = False
-    for key in cursor.members():
-        if key != "bindings":
-            cursor.value()
-            continue
-        if seen:
-            raise cursor.repeated(key, path)
-        seen = True
-        if not cursor.at("["):
-            cursor.value()
-            yield shape
-            continue
-        for row_no, _ in enumerate(cursor.items("]"), start=1):
-            binding = cursor.value()
-            if type(binding) is not dict:
-                yield ParseError("binding must be an object", path=path, line=row_no)
-                continue
-            try:
-                topic = _binding_text(binding, topic_var, path, row_no)
-                entity = _binding_text(binding, entity_var, path, row_no)
-                value = _binding_text(binding, value_var, path, row_no)
-            except ParseError as exc:
-                yield exc
-                continue
-            yield (row_no, topic, entity,
-                   entity is not None and binding[entity_var].get("type") == "uri", value)
-
-
-def _raise_errors(rows: Iterable[tuple | ParseError]) -> Iterator[tuple]:
-    for row in rows:
-        if type(row) is ParseError:
-            raise row
-        yield row
-
-
-_skip_space = json.decoder.WHITESPACE.match  # JSON's four whitespace characters
+_SPACE = " \t\n\r"  # JSON's four whitespace characters
+_skip_space = json.decoder.WHITESPACE.match
 _decode_value = json.JSONDecoder().raw_decode
+_scan = json.scanner.make_scanner(json.JSONDecoder())  # (value, end) of the value at an offset
+_UNBOUND = {"value": ""}  # stands in for an absent value cell: no label
 
 
 class _JsonCursor:
     """A position in one JSON text, kept past whitespace. ``value`` decodes
-    the value there whole; ``members`` walks the object there and ``items``
-    the array there one item at a time. Syntax errors are JSONDecodeErrors
-    worded as the json module words them."""
+    the value there whole, and ``members`` walks the object there one member
+    at a time. Syntax errors are JSONDecodeErrors worded as the json module
+    words them."""
 
     __slots__ = ("text", "pos", "key_pos")
 
@@ -618,8 +668,10 @@ class _JsonCursor:
         """Yield each key of the object at the cursor, with the cursor at its
         value; the caller moves the cursor past the value before the next."""
         text = self.text
-        for _ in self.items("}"):
-            pos = self.key_pos = self.pos
+        pos = _skip_space(text, self.pos + 1).end()
+        more = not text.startswith("}", pos)
+        while more:
+            self.key_pos = pos
             if not text.startswith('"', pos):
                 raise json.JSONDecodeError(
                     "Expecting property name enclosed in double quotes", text, pos)
@@ -629,23 +681,11 @@ class _JsonCursor:
                 raise json.JSONDecodeError("Expecting ':' delimiter", text, pos)
             self.pos = _skip_space(text, pos + 1).end()
             yield key
-
-    def items(self, close: str) -> Iterator[None]:
-        """Yield once per item of the array or object at the cursor, which
-        ``close`` ends, with the cursor at the item; the caller moves the
-        cursor past it before the next."""
-        text = self.text
-        pos = _skip_space(text, self.pos + 1).end()
-        if not text.startswith(close, pos):
-            while True:
-                self.pos = pos
-                yield
-                pos = self.pos
-                if text.startswith(close, pos):
-                    break
-                if not text.startswith(",", pos):
-                    raise json.JSONDecodeError("Expecting ',' delimiter", text, pos)
+            pos = self.pos
+            if more := text.startswith(",", pos):
                 pos = _skip_space(text, pos + 1).end()
+            elif not text.startswith("}", pos):
+                raise json.JSONDecodeError("Expecting ',' delimiter", text, pos)
         self.pos = _skip_space(text, pos + 1).end()
 
     def repeated(self, key: str, path: str) -> ParseError:
@@ -653,15 +693,29 @@ class _JsonCursor:
                           line=self.text.count("\n", 0, self.key_pos) + 1, field=key)
 
 
-def _binding_text(binding: dict, var: str, path: str, line: int) -> str | None:
-    """Text of the cell bound to ``var``; None when it is unbound or empty."""
+def _missing_item(text: str, start: int, pos: int) -> json.JSONDecodeError:
+    """The error for an array item that should start at ``pos``, worded by
+    json itself on the text from ``start``, the array's '[' or the end of
+    the item before, so that it reads as json's in every Python version."""
+    prefix = "" if text.startswith("[", start) else "[0"
+    try:
+        _decode_value(prefix + text[start:pos + 1])
+    except json.JSONDecodeError as exc:
+        return json.JSONDecodeError(exc.msg, text, exc.pos - len(prefix) + start)
+    return json.JSONDecodeError("Expecting value", text, pos)  # not reached
+
+
+def _binding_text(binding: dict, var: str, path: str, text: str, at: int,
+                  index: int) -> str | None:
+    """Text of the cell bound to ``var`` in binding ``index``, which starts
+    at offset ``at`` of ``text``; None when it is unbound or empty."""
     cell = binding.get(var)
     if cell is None:
         return None
     value = cell.get("value") if type(cell) is dict else None
     if type(value) is not str:
-        raise ParseError(f"binding {var!r} must be an object with a string value",
-                         path=path, line=line, field=var)
+        raise _row_error(f"{var!r} must be an object with a string value", path, text,
+                         at, index, var)
     if not value:
         return None
     if cell.get("type") == "uri":
@@ -720,8 +774,13 @@ def extraction_to_catalog(extraction: SparqlExtraction, catalog: LabelCatalog, *
     merged catalog and the number of rows dropped.
     """
     allowed, mapping = catalog.scheme.admissible, value_map or {}
-    dropped = sum(mapping.get(raw, raw) not in allowed for _, raw in extraction.label_rows)
-    merged = catalog.merged((entity, value, DEFAULT_PROVENANCE)
-                            for entity, raw in extraction.label_rows
-                            if (value := mapping.get(raw, raw)) in allowed)
+    dropped = 0
+    def rows() -> Iterator[tuple[str, str, str]]:
+        nonlocal dropped
+        for entity, raw in extraction.label_rows:
+            if (value := mapping.get(raw, raw)) in allowed:
+                yield entity, value, DEFAULT_PROVENANCE
+            else:
+                dropped += 1
+    merged = catalog.merged(rows())  # counts the drops as it folds
     return merged, dropped

@@ -544,7 +544,7 @@ def test_malformed_sparql_export_exits_1(audit_dir, tmp_path, capsys):
     args = evaluate_args(audit_dir, tmp_path / "out",
                          ("--members", f"wiki={audit_dir / 'kb.json'}"))
     assert cli.main(args) == 1
-    assert f"{audit_dir / 'kb.json'}:2: binding must be an object" in capsys.readouterr().err
+    assert f"{audit_dir / 'kb.json'}:1: binding 2: not an object" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

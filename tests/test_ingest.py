@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from biaslens import (
     MembershipTable,
     ParseError,
     RankedRun,
+    TargetCounts,
     counts_for_topic,
     ingest,
     parse_labels,
@@ -242,6 +244,42 @@ class TestMembersAndCounts:
             assert result[topic].counts == oracle[topic]
             assert result[topic].unknown_count == oracle_unknown.get(topic, 0)
 
+    @given(assigned=st.dictionaries(st.sampled_from([f"e{i}" for i in range(8)]),
+                                    st.sampled_from(("red", "green", "blue", "?"))),
+           entities=st.lists(st.sampled_from([f"e{i}" for i in range(12)]), unique=True))
+    def test_equals_a_label_of_tally(self, assigned, entities):
+        catalog = LabelCatalog.build(COLOURS, [(e, v, "kb") for e, v in assigned.items()])
+        outcomes = []
+        for count in (counts_for_topic, label_of_counts):
+            try:
+                outcomes.append(count("t", frozenset(entities), catalog))
+            except EmptyPopulationError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
+
+# Three declared values and an unknown token that is not the default.
+COLOURS = FeatureScheme("colour", ("red", "green", "blue"), unknown_token="?")
+
+
+def label_of_counts(topic_id, entity_ids, labels):
+    """``counts_for_topic`` as it was, one ``label_of`` call per member."""
+    counts = {value: 0 for value in labels.scheme.values}
+    unknown = 0
+    for entity in entity_ids:
+        value = labels.label_of(entity)
+        if value is None:
+            unknown += 1
+        else:
+            counts[value] += 1
+    if sum(counts.values()) == 0:
+        raise EmptyPopulationError(
+            f"topic {topic_id!r} has no labeled members for feature "
+            f"{labels.feature_name!r} ({unknown} unknown)")
+    return TargetCounts(topic_id=topic_id, feature_name=labels.feature_name,
+                        counts={v: c for v, c in counts.items() if c > 0},
+                        unknown_count=unknown)
+
 
 class TestParseTargetCounts:
     def test_direct_ratio(self, gender):
@@ -347,6 +385,23 @@ class TestLineBreaks:
     def test_text_and_file_split_into_the_same_lines(self, parser, text):
         parse = TSV_PARSERS[parser]
         assert _outcome(parse, text) == _outcome(parse, io.StringIO(text, newline=None))
+
+    def test_a_string_source_peaks_no_higher_than_a_handle(self):
+        text = "?topic\t?entity\t?value\n" + "".join(
+            f'"t{i % 20}"\t<http://x/entity/p{i:05d}>\t"{("female", "male")[i % 2]}"\r\n'
+            for i in range(20_000))
+        parse_sparql_results(text)  # first-call allocations are not the source's
+        peaks = []
+        for source in (text, io.StringIO(text)):
+            tracemalloc.start()
+            try:
+                parse_sparql_results(source)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # Splitting a string holds an iterator where a handle holds none, a few
+        # hundred bytes; a copy of the text would cost at least its length.
+        assert peaks[0] <= peaks[1] + 1024
 
     @pytest.mark.parametrize("separator", UNICODE_SEPARATORS)
     def test_unicode_separators_stay_inside_a_field(self, separator, tmp_path):

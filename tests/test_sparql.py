@@ -9,8 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from biaslens import (
+    FeatureScheme,
     LabelCatalog,
     LabelConflict,
+    MembershipTable,
     ParseError,
     SparqlExtraction,
     extraction_to_catalog,
@@ -223,13 +225,36 @@ def test_conflicting_export_rows_surface_in_catalog(gender):
 # The streamed JSON decoder against the whole-document one it replaced
 # ---------------------------------------------------------------------------
 
+def loads_with_offsets(text):
+    """``json.loads`` of ``text`` through json's pure-Python scanner, and the
+    offset where each element of each array starts, keyed by the array's id."""
+    offsets = {}
+
+    def parse_array(s_and_end, scan_once):
+        starts = []
+
+        def scan(string, idx):
+            starts.append(idx)
+            return scan_once(string, idx)
+        values, end = json.decoder.JSONArray(s_and_end, scan)
+        offsets[id(values)] = starts
+        return values, end
+    decoder = json.JSONDecoder()
+    decoder.parse_array = parse_array
+    decoder.scan_once = json.scanner.py_make_scanner(decoder)
+    return decoder.decode(text), offsets
+
+
 def whole_document_rows(text, topic_var, entity_var, value_var, path):
     """The decoder the streaming reader replaced: ``json.loads`` of the whole
-    export, then a walk of the tree. Kept as the reference."""
+    export, then a walk of the tree, with each binding's offset found by a
+    second decode that records where array elements start. Kept as the
+    reference."""
     try:
-        doc = json.loads(text)
+        json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", path=path, line=exc.lineno) from None
+    doc, offsets = loads_with_offsets(text)
     head, results = doc.get("head", {}), doc.get("results", {})
     declared = head.get("vars", []) if type(head) is dict else None
     if type(declared) is not list or not all(type(var) is str for var in declared):
@@ -243,14 +268,16 @@ def whole_document_rows(text, topic_var, entity_var, value_var, path):
     if type(bindings) is not list:
         raise ParseError("results must be an object whose bindings are a list",
                          path=path, field="results")
-    for row_no, binding in enumerate(bindings, start=1):
+    for index, (at, binding) in enumerate(zip(offsets.get(id(bindings), ()), bindings),
+                                          start=1):
         if type(binding) is not dict:
-            raise ParseError("binding must be an object", path=path, line=row_no)
-        topic = ingest._binding_text(binding, topic_var, path, row_no)
-        entity = ingest._binding_text(binding, entity_var, path, row_no)
-        yield (row_no, topic, entity,
+            raise ParseError(f"binding {index}: not an object", path=path,
+                             line=text.count("\n", 0, at) + 1)
+        topic = ingest._binding_text(binding, topic_var, path, text, at, index)
+        entity = ingest._binding_text(binding, entity_var, path, text, at, index)
+        yield (at, topic, entity,
                entity is not None and binding[entity_var].get("type") == "uri",
-               ingest._binding_text(binding, value_var, path, row_no))
+               ingest._binding_text(binding, value_var, path, text, at, index))
 
 
 def streamed(text, strict=False):
@@ -405,3 +432,112 @@ class TestStreamedDecoder:
         finally:
             tracemalloc.stop()
         assert peak < 3 * len(text)
+
+
+# ---------------------------------------------------------------------------
+# Bindings the inline cell checks take, and syntax errors inside the array
+# ---------------------------------------------------------------------------
+
+def both_decoders(text):
+    """The extraction or error text, which both decoders must agree on."""
+    outcome = streamed(text)
+    assert outcome == whole_document(text)
+    return outcome
+
+
+def test_one_iri_typed_uri_in_one_binding_and_literal_in_another():
+    extraction = both_decoders(json_export([
+        (uri("http://x/poet"), uri("http://x/Q1"), literal("female")),
+        (literal("http://x/poet"), uri("http://x/Q2"), literal("http://x/poet")),
+        (uri("http://x/poet"), uri("http://x/Q3"), uri("http://x/poet")),
+    ]))
+    assert extraction.members.members == {"poet": frozenset({"Q1", "Q3"}),
+                                          "http://x/poet": frozenset({"Q2"})}
+    assert extraction.label_rows == (("Q1", "female"), ("Q2", "http://x/poet"), ("Q3", "poet"))
+
+
+def test_distinct_iris_sharing_a_terminal_segment_are_one_topic():
+    extraction = both_decoders(json_export(
+        (uri(topic), uri(f"http://x/E{i}"), literal("male"))
+        for i, topic in enumerate(("http://a/Q1", "http://b/Q1/", "http://c/x#Q1"))))
+    assert extraction.members.members == {"Q1": frozenset({"E0", "E1", "E2"})}
+
+
+def test_cells_with_a_language_or_a_datatype():
+    extraction = both_decoders(json_export([(
+        {"type": "literal", "value": "poet", "xml:lang": "en"},
+        {"type": "uri", "value": "http://x/Q1"},
+        {"type": "literal", "value": "female",
+         "datatype": "http://www.w3.org/2001/XMLSchema#string"},
+    )]))
+    assert extraction.members.members == {"poet": frozenset({"Q1"})}
+    assert extraction.label_rows == (("Q1", "female"),)
+
+
+GOOD_BINDING = json.dumps({"topic": literal("poet"), "entity": uri("http://x/Q1")})
+
+
+@pytest.mark.parametrize("head_first", [True, False], ids=["head-first", "results-first"])
+@pytest.mark.parametrize("bindings", [
+    f"[{GOOD_BINDING},]", f"[\n{GOOD_BINDING},\n ]", f"[{GOOD_BINDING} {GOOD_BINDING}]",
+    f"[{GOOD_BINDING}", f"[{GOOD_BINDING},", f"[{GOOD_BINDING} x]", f"[{GOOD_BINDING}}}",
+    f"[,{GOOD_BINDING}]", "[\n", f"[{GOOD_BINDING}\n,\n{GOOD_BINDING}\n,x]",
+], ids=["trailing-comma", "trailing-comma-lines", "missing-comma", "unclosed",
+        "unclosed-after-comma", "junk-after-value", "brace-for-bracket", "leading-comma",
+        "empty-unclosed", "junk-after-comma"])
+def test_syntax_error_in_bindings_is_worded_as_json_loads(bindings, head_first):
+    members = ['"head": {"vars": ["topic", "entity"]}', f'"results": {{"bindings": {bindings}}}']
+    text = "{" + ",\n".join(members if head_first else members[::-1]) + "}"
+    with pytest.raises(json.JSONDecodeError) as err:
+        json.loads(text)
+    assert both_decoders(text) == (f"export.json:{err.value.lineno}: "
+                                   f"invalid JSON: {err.value.msg}")
+
+
+def test_binding_errors_name_the_binding_at_its_first_line():
+    text = ('{"head": {"vars": ["topic", "entity"]},\n"results": {"bindings": [\n'
+            f'{GOOD_BINDING},\n{GOOD_BINDING}, 7,\n{{\n"topic": 1}}]}}}}')
+    assert both_decoders(text) == "export.json:4: binding 3: not an object"
+    text = text.replace(" 7,", "")
+    assert both_decoders(text) == ("export.json:5: binding 3: 'topic' must be an object "
+                                   "with a string value (field: topic)")
+    text = text.replace('"topic": 1', '"entity": {"type": "uri", "value": "http://x/Q2"}')
+    assert both_decoders(text) == ("export.json:5: binding 3: row is missing the 'topic' "
+                                   "binding (field: topic)")
+    text = text.replace('"entity": {"type": "uri", "value": "http://x/Q2"}',
+                        '"topic": {"type": "literal", "value": "poet"}, '
+                        '"entity": {"type": "literal", "value": "http://x/Q2"}')
+    assert streamed(text, strict=True) == whole_document(text, strict=True) == (
+        "export.json:5: binding 3: entity binding 'http://x/Q2' is not an IRI (field: entity)")
+
+
+# ---------------------------------------------------------------------------
+# extraction_to_catalog's one pass against the two it replaced
+# ---------------------------------------------------------------------------
+
+GENDER = FeatureScheme("gender", ("female", "male"))
+ENTITIES = st.sampled_from(["Q1", "Q2", "Q3", "Q4", "Q5"])
+RAW_VALUES = st.sampled_from(["female", "male", "unknown", "Q6581072", "other", ""])
+
+
+def two_pass_catalog(extraction, catalog, value_map=None):
+    """``extraction_to_catalog`` as it was: a count of the drops, then the fold."""
+    allowed, mapping = catalog.scheme.admissible, value_map or {}
+    dropped = sum(mapping.get(raw, raw) not in allowed for _, raw in extraction.label_rows)
+    merged = catalog.merged((entity, value, "kb") for entity, raw in extraction.label_rows
+                            if (value := mapping.get(raw, raw)) in allowed)
+    return merged, dropped
+
+
+@given(rows=st.lists(st.tuples(ENTITIES, RAW_VALUES), max_size=12),
+       base=st.lists(st.tuples(ENTITIES, st.sampled_from(["female", "male", "unknown"]),
+                               st.sampled_from(["manual", "kb", "inferred"])), max_size=5),
+       value_map=st.none() | st.dictionaries(RAW_VALUES, st.sampled_from(
+           ["female", "male", "unknown", "other"])))
+def test_extraction_to_catalog_equals_the_two_pass_fold(rows, base, value_map):
+    extraction = SparqlExtraction(MembershipTable({}), tuple(rows))
+    catalog = LabelCatalog.build(GENDER, base)
+    outcomes = [fold(extraction, catalog, value_map=value_map)
+                for fold in (extraction_to_catalog, two_pass_catalog)]
+    assert [(merged, merged.conflicts, dropped) for merged, dropped in outcomes[:1]] == [
+        (merged, merged.conflicts, dropped) for merged, dropped in outcomes[1:]]
