@@ -500,7 +500,7 @@ def _row_error(message: str, path: str, text: str | None, at: int, index: int,
                       line=text.count("\n", 0, at) + 1, field=field)
 
 
-def _sparql_json_rows(source: str | IO[str], topic_var: str, entity_var: str,
+def _sparql_json_rows(text: str, topic_var: str, entity_var: str,
                       value_var: str, path: str) -> Iterator[tuple]:
     """Stream a W3C SPARQL JSON results object, holding one binding at a time.
 
@@ -508,23 +508,22 @@ def _sparql_json_rows(source: str | IO[str], topic_var: str, entity_var: str,
     member by member, and each of its ``bindings`` by one call of json's C
     scanner; a row's ``at`` is the offset where its binding starts. A
     well-formed binding's cells are checked inline, and each distinct topic
-    or value IRI is shortened once; any other binding goes through
-    ``_binding_text``. Members may come in any order: when ``results``
-    precedes ``head``, its rows and its first error wait until the whole
-    document has been read and ``head`` checked, so in a document that
-    parses as JSON errors come in the order of a whole-document walk:
+    IRI is shortened once; any other binding goes through ``_binding_text``.
+    Members may come in any order: when ``results`` precedes ``head``, its
+    rows and its first error wait until the whole document has been read
+    and ``head`` checked (later bindings are only walked), so in a document
+    that parses as JSON errors come in the order of a whole-document walk:
     ``head`` and its variables, ``results``, then each binding in turn. A
     syntax error is raised where the walk meets it. A repeated ``head``,
     ``results`` or ``bindings`` member is an error, located at its key.
     """
-    text = source if isinstance(source, str) else source.read()
     cursor = _JsonCursor(text)
     head: object = {}  # an absent head declares no variables
     held: list | None = None  # rows of a results read before head, to its first error
     seen: set[str] = set()
     shape = ParseError("results must be an object whose bindings are a list",
                        path=path, field="results")
-    iris: dict[str, str] = {}  # each topic or value IRI to its terminal segment
+    iris: dict[str, str] = {}  # each topic IRI to its terminal segment
     try:
         if not cursor.at("{"):
             raise json.JSONDecodeError("Expecting value", text, cursor.pos)
@@ -556,7 +555,7 @@ def _sparql_json_rows(source: str | IO[str], topic_var: str, entity_var: str,
                         raise shape
                     held.append(shape)
                     continue
-                pos, index = cursor.pos + 1, 0
+                array, pos, index = cursor.pos, cursor.pos + 1, 0
                 if text[pos:pos + 1] in _SPACE:
                     pos = _skip_space(text, pos).end()
                 while index or not text.startswith("]", pos):  # breaks at the last item
@@ -564,8 +563,8 @@ def _sparql_json_rows(source: str | IO[str], topic_var: str, entity_var: str,
                     try:
                         binding, end = _scan(text, pos)
                     except StopIteration:  # PEP 479 would make it a RuntimeError
-                        raise _missing_item(text, end if index > 1 else cursor.pos,
-                                            pos) from None
+                        raise _array_error(text, array, end if index > 1 else None,
+                                           pos) from None
                     if (type(binding) is dict
                             and type(topic_cell := binding.get(topic_var)) is dict
                             and type(topic := topic_cell.get("value")) is str
@@ -579,9 +578,10 @@ def _sparql_json_rows(source: str | IO[str], topic_var: str, entity_var: str,
                         if entity_is_iri := entity_cell.get("type") == "uri":
                             entity = _terminal_segment(entity)
                         if value_cell.get("type") == "uri":
-                            value = iris.get(value) or iris.setdefault(
-                                value, _terminal_segment(value))
+                            value = _terminal_segment(value)
                         row: tuple | ParseError = (pos, topic, entity, entity_is_iri, value)
+                    elif held and type(held[-1]) is ParseError:
+                        pass  # past a held error, bindings are only walked
                     else:
                         try:
                             if type(binding) is not dict:
@@ -609,7 +609,7 @@ def _sparql_json_rows(source: str | IO[str], topic_var: str, entity_var: str,
                     if text[pos:pos + 1] in _SPACE:
                         pos = _skip_space(text, pos).end()
                 if not text.startswith("]", pos):
-                    raise json.JSONDecodeError("Expecting ',' delimiter", text, pos)
+                    raise _array_error(text, array, end, pos)
                 cursor.pos = _skip_space(text, pos + 1).end()
         if cursor.pos != len(text):
             raise json.JSONDecodeError("Extra data", text, cursor.pos)
@@ -693,16 +693,16 @@ class _JsonCursor:
                           line=self.text.count("\n", 0, self.key_pos) + 1, field=key)
 
 
-def _missing_item(text: str, start: int, pos: int) -> json.JSONDecodeError:
-    """The error for an array item that should start at ``pos``, worded by
-    json itself on the text from ``start``, the array's '[' or the end of
-    the item before, so that it reads as json's in every Python version."""
-    prefix = "" if text.startswith("[", start) else "[0"
+def _array_error(text: str, array: int, end: int | None, pos: int) -> json.JSONDecodeError:
+    """json's own error, met at ``pos``, in the array at offset ``array``:
+    json decodes it from ``end``, where the item before ends, after a stand-in
+    ``[0`` (or from the '[' if no item came before), not the whole array."""
+    start, prefix = (array, "") if end is None else (end, "[0")
     try:
         _decode_value(prefix + text[start:pos + 1])
     except json.JSONDecodeError as exc:
         return json.JSONDecodeError(exc.msg, text, exc.pos - len(prefix) + start)
-    return json.JSONDecodeError("Expecting value", text, pos)  # not reached
+    raise AssertionError("the text up to an array error decoded")
 
 
 def _binding_text(binding: dict, var: str, path: str, text: str, at: int,

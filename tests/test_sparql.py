@@ -482,9 +482,10 @@ GOOD_BINDING = json.dumps({"topic": literal("poet"), "entity": uri("http://x/Q1"
     f"[{GOOD_BINDING},]", f"[\n{GOOD_BINDING},\n ]", f"[{GOOD_BINDING} {GOOD_BINDING}]",
     f"[{GOOD_BINDING}", f"[{GOOD_BINDING},", f"[{GOOD_BINDING} x]", f"[{GOOD_BINDING}}}",
     f"[,{GOOD_BINDING}]", "[\n", f"[{GOOD_BINDING}\n,\n{GOOD_BINDING}\n,x]",
+    f"[{GOOD_BINDING}[{GOOD_BINDING}]]",
 ], ids=["trailing-comma", "trailing-comma-lines", "missing-comma", "unclosed",
         "unclosed-after-comma", "junk-after-value", "brace-for-bracket", "leading-comma",
-        "empty-unclosed", "junk-after-comma"])
+        "empty-unclosed", "junk-after-comma", "bracket-after-value"])
 def test_syntax_error_in_bindings_is_worded_as_json_loads(bindings, head_first):
     members = ['"head": {"vars": ["topic", "entity"]}', f'"results": {{"bindings": {bindings}}}']
     text = "{" + ",\n".join(members if head_first else members[::-1]) + "}"
@@ -509,6 +510,18 @@ def test_binding_errors_name_the_binding_at_its_first_line():
                         '"entity": {"type": "literal", "value": "http://x/Q2"}')
     assert streamed(text, strict=True) == whole_document(text, strict=True) == (
         "export.json:5: binding 3: entity binding 'http://x/Q2' is not an IRI (field: entity)")
+
+
+def test_results_before_head_builds_only_its_first_binding_error():
+    bindings = ",\n".join([GOOD_BINDING] + ['{"topic": 1}'] * 500 + [GOOD_BINDING])
+    text = (f'{{"results": {{"bindings": [\n{bindings}]}},\n'
+            f'"head": {{"vars": ["topic", "entity"]}}}}')
+    row_error = mock.Mock(wraps=ingest._row_error)
+    with mock.patch.object(ingest, "_row_error", row_error):
+        assert streamed(text) == ("export.json:3: binding 2: 'topic' must be an object "
+                                  "with a string value (field: topic)")
+    assert row_error.call_count == 1
+    assert whole_document(text) == streamed(text)
 
 
 # ---------------------------------------------------------------------------
