@@ -456,173 +456,163 @@ def parse_sparql_results(source: str | IO[str], *, topic_var: str = "topic",
     value. IRI-typed bindings are shortened to their terminal segment, so
     Wikidata-style exports key by Q-identifier.
     Rows lacking a value binding contribute membership only. In strict mode a
-    non-IRI entity binding is an error. An error in a TSV row names its line;
-    one in a JSON binding names the binding's 1-based index and the line
-    where it starts.
+    non-IRI entity binding is an error. Each decoder yields checked (topic,
+    entity, value) rows and raises its own errors: one in a TSV row names its
+    line, one in a JSON binding the binding's 1-based index and the line where
+    it starts.
     """
     path = _named(source, path, "<sparql>")
-    text = None  # a JSON export's text, in which its errors are located
     if _members_format(source) == "json":
-        text = source if isinstance(source, str) else source.read()
-        rows = _sparql_json_rows(text, topic_var, entity_var, value_var, path)
+        rows = _sparql_json_rows(source if isinstance(source, str) else source.read(),
+                                 topic_var, entity_var, value_var, strict, path)
     else:
-        rows = _sparql_tsv_rows(source, topic_var, entity_var, value_var, path)
+        rows = _sparql_tsv_rows(source, topic_var, entity_var, value_var, strict, path)
     members: defaultdict[str, set[str]] = defaultdict(set)
     label_rows: list[tuple[str, str]] = []
-    # A decoder yields (at, topic, entity, entity_is_iri, value) per result
-    # row, lazily: ``at`` is a TSV row's line or a JSON binding's offset in
-    # ``text``, and a term is None or empty when unbound.
-    for index, (at, topic, entity, entity_is_iri, value) in enumerate(rows, start=1):
-        if not topic or not entity:
-            missing = topic_var if not topic else entity_var
-            raise _row_error(f"row is missing the {missing!r} binding", path, text, at,
-                             index, missing)
-        if strict and not entity_is_iri:
-            raise _row_error(f"entity binding {entity!r} is not an IRI", path, text, at,
-                             index, entity_var)
+    # Only the decoder holds a JSON export's text, so it is freed before the copy below.
+    for topic, entity, value in rows:
         members[topic].add(entity)
         if value:
             label_rows.append((entity, value))
-    del text  # freed before the tables are copied, which would otherwise raise the peak
     return SparqlExtraction(
         members=MembershipTable({t: frozenset(s) for t, s in members.items()}),
         label_rows=tuple(label_rows))
 
 
-def _row_error(message: str, path: str, text: str | None, at: int, index: int,
-               field: str | None = None) -> ParseError:
-    """The error of result row ``index``: at line ``at`` of a TSV export
-    (``text`` None), or in binding ``index`` of the JSON ``text``, at the
-    line of offset ``at`` where the binding starts. Only errors count lines."""
-    if text is None:
-        return ParseError(message, path=path, line=at, field=field)
-    return ParseError(f"binding {index}: {message}", path=path,
-                      line=text.count("\n", 0, at) + 1, field=field)
+def _sparql_json_rows(text: str, topic_var: str, entity_var: str, value_var: str,
+                      strict: bool, path: str) -> Iterator[tuple[str, str, str | None]]:
+    """Stream the rows of a W3C SPARQL JSON results object.
 
-
-def _sparql_json_rows(text: str, topic_var: str, entity_var: str,
-                      value_var: str, path: str) -> Iterator[tuple]:
-    """Stream a W3C SPARQL JSON results object, holding one binding at a time.
-
-    ``head`` and any other top-level member are decoded whole, ``results``
-    member by member, and each of its ``bindings`` by one call of json's C
-    scanner; a row's ``at`` is the offset where its binding starts. A
-    well-formed binding's cells are checked inline, and each distinct topic
-    IRI is shortened once; any other binding goes through ``_binding_text``.
-    Members may come in any order: when ``results`` precedes ``head``, its
-    rows and its first error wait until the whole document has been read
-    and ``head`` checked (later bindings are only walked), so in a document
-    that parses as JSON errors come in the order of a whole-document walk:
-    ``head`` and its variables, ``results``, then each binding in turn. A
-    syntax error is raised where the walk meets it. A repeated ``head``,
-    ``results`` or ``bindings`` member is an error, located at its key.
+    ``head`` and any other top-level member are decoded whole and ``results``
+    is walked by ``_results_rows``. Members may come in any order: a
+    ``results`` read before ``head`` is walked there for its syntax only, and
+    again for its rows once the whole document has been read and ``head``
+    checked. So in a document that parses as JSON, errors come in the order
+    of a whole-document walk: ``head`` and its variables, ``results``, then
+    each binding in turn. A syntax error is raised where the walk meets it,
+    worded by json. A repeated ``head`` or ``results`` member is an error,
+    located at its key.
     """
     cursor = _JsonCursor(text)
+    variables = (topic_var, entity_var, value_var)
     head: object = {}  # an absent head declares no variables
-    held: list | None = None  # rows of a results read before head, to its first error
-    seen: set[str] = set()
-    shape = ParseError("results must be an object whose bindings are a list",
-                       path=path, field="results")
-    iris: dict[str, str] = {}  # each topic IRI to its terminal segment
+    checked = False  # head was read and checked before any results
+    later = None  # the offset of a results read before head
     try:
         if not cursor.at("{"):
             raise json.JSONDecodeError("Expecting value", text, cursor.pos)
-        for key in cursor.members():
-            if key not in ("head", "results"):
-                cursor.value()
-                continue
-            if key in seen:
-                raise cursor.repeated(key, path)
-            seen.add(key)
-            if key == "head":
+        for key in cursor.members(("head", "results"), path):
+            if key == "results":
+                if not checked:
+                    later = cursor.pos
+                yield from _results_rows(cursor, variables, strict, path, checked)
+            elif key == "head":
                 head = cursor.value()
-                if held is None:
+                if later is None:
                     _check_head(head, topic_var, entity_var, path)
-                continue
-            if "head" not in seen:
-                held = []
-            bound = False  # a results that is no object reads as one bad bindings
-            for member in cursor.members() if cursor.at("{") else [None]:
-                if member not in ("bindings", None):
-                    cursor.value()
-                    continue
-                if bound:
-                    raise cursor.repeated(member, path)
-                bound = True
-                if member is None or not cursor.at("["):
-                    cursor.value()
-                    if held is None:
-                        raise shape
-                    held.append(shape)
-                    continue
-                array, pos, index = cursor.pos, cursor.pos + 1, 0
-                if text[pos:pos + 1] in _SPACE:
-                    pos = _skip_space(text, pos).end()
-                while index or not text.startswith("]", pos):  # breaks at the last item
-                    index += 1
-                    try:
-                        binding, end = _scan(text, pos)
-                    except StopIteration:  # PEP 479 would make it a RuntimeError
-                        raise _array_error(text, array, end if index > 1 else None,
-                                           pos) from None
-                    if (type(binding) is dict
-                            and type(topic_cell := binding.get(topic_var)) is dict
-                            and type(topic := topic_cell.get("value")) is str
-                            and type(entity_cell := binding.get(entity_var)) is dict
-                            and type(entity := entity_cell.get("value")) is str
-                            and type(value_cell := binding.get(value_var, _UNBOUND)) is dict
-                            and type(value := value_cell.get("value")) is str):
-                        if topic_cell.get("type") == "uri":
-                            topic = iris.get(topic) or iris.setdefault(
-                                topic, _terminal_segment(topic))
-                        if entity_is_iri := entity_cell.get("type") == "uri":
-                            entity = _terminal_segment(entity)
-                        if value_cell.get("type") == "uri":
-                            value = _terminal_segment(value)
-                        row: tuple | ParseError = (pos, topic, entity, entity_is_iri, value)
-                    elif held and type(held[-1]) is ParseError:
-                        pass  # past a held error, bindings are only walked
-                    else:
-                        try:
-                            if type(binding) is not dict:
-                                raise _row_error("not an object", path, text, pos, index)
-                            topic = _binding_text(binding, topic_var, path, text, pos, index)
-                            entity = _binding_text(binding, entity_var, path, text, pos, index)
-                            row = (pos, topic, entity, entity is not None
-                                   and binding[entity_var].get("type") == "uri",
-                                   _binding_text(binding, value_var, path, text, pos, index))
-                        except ParseError as exc:
-                            if held is None:
-                                raise
-                            row = exc
-                    if held is None:
-                        yield row
-                    elif not held or type(held[-1]) is not ParseError:
-                        held.append(row)
-                    if text.startswith(",", end):
-                        pos = end + 1
-                    else:
-                        pos = _skip_space(text, end).end()
-                        if not text.startswith(",", pos):
-                            break
-                        pos += 1
-                    if text[pos:pos + 1] in _SPACE:
-                        pos = _skip_space(text, pos).end()
-                if not text.startswith("]", pos):
-                    raise _array_error(text, array, end, pos)
-                cursor.pos = _skip_space(text, pos + 1).end()
+                    checked = True
+            else:
+                cursor.value()
         if cursor.pos != len(text):
             raise json.JSONDecodeError("Extra data", text, cursor.pos)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", path=path, line=exc.lineno) from None
     except RecursionError:
         raise ParseError("invalid JSON: nested too deeply", path=path) from None
-    if held is not None or "head" not in seen:
+    if not checked:
         _check_head(head, topic_var, entity_var, path)
-        for row in held or ():
-            if type(row) is ParseError:
-                raise row
-            yield row
+        if later is not None:
+            cursor.pos = later
+            yield from _results_rows(cursor, variables, strict, path, True)
+
+
+def _results_rows(cursor: _JsonCursor, variables: tuple[str, str, str], strict: bool,
+                  path: str, rows: bool) -> Iterator[tuple[str, str, str | None]]:
+    """Walk the ``results`` value at the cursor member by member, and each of
+    its ``bindings`` by one call of json's C scanner. With ``rows``, yield each
+    binding's row or raise its first error; without, check syntax only. The
+    inline checks take a binding whose topic and entity are objects with
+    non-empty string values, whose value is absent or an object with a string
+    value and (strict) whose entity is an IRI; each topic IRI is shortened once.
+    A repeated ``bindings`` member is an error, located at its key."""
+    text, (topic_var, entity_var, value_var) = cursor.text, variables
+    iris: dict[str, str] = {}  # each topic IRI to its terminal segment
+    for member in cursor.members(("bindings",), path) if cursor.at("{") else [None]:
+        if member not in ("bindings", None):
+            cursor.value()
+            continue
+        if member is None or not cursor.at("["):
+            cursor.value()
+            if rows:
+                raise ParseError("results must be an object whose bindings are a list",
+                                 path=path, field="results")
+            continue
+        array, pos, end, index = cursor.pos, cursor.pos + 1, None, 0
+        if text[pos:pos + 1] in _SPACE:
+            pos = _skip_space(text, pos).end()
+        while index or not text.startswith("]", pos):  # breaks at the last item
+            index += 1
+            try:
+                binding, end = _scan(text, pos)
+            except StopIteration:  # PEP 479 would make it a RuntimeError
+                raise _syntax_error(text, pos, array, end) from None
+            if not rows:
+                pass
+            elif (type(binding) is dict
+                    and type(topic_cell := binding.get(topic_var)) is dict
+                    and type(topic := topic_cell.get("value")) is str and topic
+                    and type(entity_cell := binding.get(entity_var)) is dict
+                    and type(entity := entity_cell.get("value")) is str and entity
+                    and ((value_cell := binding.get(value_var)) is None
+                         or type(value_cell) is dict
+                         and type(value := value_cell.get("value")) is str)
+                    and (not strict or entity_cell.get("type") == "uri")):
+                if topic_cell.get("type") == "uri":
+                    topic = iris.get(topic) or iris.setdefault(topic, _terminal_segment(topic))
+                if entity_cell.get("type") == "uri":
+                    entity = _terminal_segment(entity)
+                if value_cell is None:
+                    value = None
+                elif value_cell.get("type") == "uri":
+                    value = _terminal_segment(value)
+                yield topic, entity, value
+            else:
+                raise _binding_error(binding, variables, path, text, pos, index)
+            if text.startswith(",", end):
+                pos = end + 1
+            else:
+                pos = _skip_space(text, end).end()
+                if not text.startswith(",", pos):
+                    break
+                pos += 1
+            if text[pos:pos + 1] in _SPACE:
+                pos = _skip_space(text, pos).end()
+        if not text.startswith("]", pos):
+            raise _syntax_error(text, pos, array, end)
+        cursor.pos = _skip_space(text, pos + 1).end()
+
+
+def _binding_error(binding: object, variables: tuple[str, str, str], path: str,
+                   text: str, at: int, index: int) -> ParseError:
+    """The first error of binding ``index``, which starts at offset ``at`` of
+    ``text`` and which the inline checks did not take: not an object, then a
+    cell that is not an object with a string value, in topic, entity and value
+    order, then a missing topic or entity, then (strict) a non-IRI entity.
+    Only errors count lines."""
+    def error(message: str, field: str | None = None) -> ParseError:
+        return ParseError(f"binding {index}: {message}", path=path,
+                          line=text.count("\n", 0, at) + 1, field=field)
+    if type(binding) is not dict:
+        return error("not an object")
+    for var in variables:
+        cell = binding.get(var)
+        if cell is not None and (type(cell) is not dict or type(cell.get("value")) is not str):
+            return error(f"{var!r} must be an object with a string value", var)
+    for var in variables[:2]:
+        if binding.get(var) is None or not binding[var]["value"]:
+            return error(f"row is missing the {var!r} binding", var)
+    return error(f"entity binding {binding[variables[1]]['value']!r} is not an IRI",
+                 variables[1])
 
 
 def _check_head(head: object, topic_var: str, entity_var: str, path: str) -> None:
@@ -640,21 +630,18 @@ _SPACE = " \t\n\r"  # JSON's four whitespace characters
 _skip_space = json.decoder.WHITESPACE.match
 _decode_value = json.JSONDecoder().raw_decode
 _scan = json.scanner.make_scanner(json.JSONDecoder())  # (value, end) of the value at an offset
-_UNBOUND = {"value": ""}  # stands in for an absent value cell: no label
 
 
 class _JsonCursor:
     """A position in one JSON text, kept past whitespace. ``value`` decodes
     the value there whole, and ``members`` walks the object there one member
-    at a time. Syntax errors are JSONDecodeErrors worded as the json module
-    words them."""
+    at a time. Syntax errors are JSONDecodeErrors worded by the json module."""
 
-    __slots__ = ("text", "pos", "key_pos")
+    __slots__ = ("text", "pos")
 
     def __init__(self, text: str):
         self.text = text
         self.pos = _skip_space(text, 0).end()
-        self.key_pos = 0
 
     def at(self, token: str) -> bool:
         return self.text.startswith(token, self.pos)
@@ -664,67 +651,51 @@ class _JsonCursor:
         self.pos = _skip_space(self.text, end).end()
         return value
 
-    def members(self) -> Iterator[str]:
+    def members(self, watched: tuple[str, ...], path: str) -> Iterator[str]:
         """Yield each key of the object at the cursor, with the cursor at its
-        value; the caller moves the cursor past the value before the next."""
-        text = self.text
-        pos = _skip_space(text, self.pos + 1).end()
+        value; the caller moves the cursor past the value before the next. A
+        key in ``watched`` that comes again is a ParseError at its line."""
+        text, start, end, seen = self.text, self.pos, None, set()
+        pos = _skip_space(text, start + 1).end()
         more = not text.startswith("}", pos)
         while more:
-            self.key_pos = pos
-            if not text.startswith('"', pos):
-                raise json.JSONDecodeError(
-                    "Expecting property name enclosed in double quotes", text, pos)
-            key, pos = json.decoder.scanstring(text, pos + 1)
-            pos = _skip_space(text, pos).end()
-            if not text.startswith(":", pos):
-                raise json.JSONDecodeError("Expecting ':' delimiter", text, pos)
+            key_start = pos
+            if text.startswith('"', pos):
+                key, pos = json.decoder.scanstring(text, pos + 1)
+                pos = _skip_space(text, pos).end()
+            if pos == key_start or not text.startswith(":", pos):
+                raise _syntax_error(text, pos, start, end)
+            if key in seen:
+                raise ParseError(f"member {key!r} is repeated", path=path,
+                                 line=text.count("\n", 0, key_start) + 1, field=key)
+            if key in watched:
+                seen.add(key)
             self.pos = _skip_space(text, pos + 1).end()
             yield key
-            pos = self.pos
+            end = pos = self.pos
             if more := text.startswith(",", pos):
                 pos = _skip_space(text, pos + 1).end()
             elif not text.startswith("}", pos):
-                raise json.JSONDecodeError("Expecting ',' delimiter", text, pos)
+                raise _syntax_error(text, pos, start, end)
         self.pos = _skip_space(text, pos + 1).end()
 
-    def repeated(self, key: str, path: str) -> ParseError:
-        return ParseError(f"member {key!r} is repeated", path=path,
-                          line=self.text.count("\n", 0, self.key_pos) + 1, field=key)
 
-
-def _array_error(text: str, array: int, end: int | None, pos: int) -> json.JSONDecodeError:
-    """json's own error, met at ``pos``, in the array at offset ``array``:
-    json decodes it from ``end``, where the item before ends, after a stand-in
-    ``[0`` (or from the '[' if no item came before), not the whole array."""
-    start, prefix = (array, "") if end is None else (end, "[0")
+def _syntax_error(text: str, pos: int, start: int, end: int | None) -> json.JSONDecodeError:
+    """json's own error for the syntax error met at ``pos`` in the array or
+    object opened at ``start``: json decodes only the text since ``end``, where
+    the item or member before ends, after ``[0`` or ``{"":0`` standing in for
+    the container up to there; or, with none before, the text from ``start``."""
+    start, prefix = (start, "") if end is None else (
+        end, "[0" if text[start] == "[" else '{"":0')
     try:
         _decode_value(prefix + text[start:pos + 1])
     except json.JSONDecodeError as exc:
         return json.JSONDecodeError(exc.msg, text, exc.pos - len(prefix) + start)
-    raise AssertionError("the text up to an array error decoded")
-
-
-def _binding_text(binding: dict, var: str, path: str, text: str, at: int,
-                  index: int) -> str | None:
-    """Text of the cell bound to ``var`` in binding ``index``, which starts
-    at offset ``at`` of ``text``; None when it is unbound or empty."""
-    cell = binding.get(var)
-    if cell is None:
-        return None
-    value = cell.get("value") if type(cell) is dict else None
-    if type(value) is not str:
-        raise _row_error(f"{var!r} must be an object with a string value", path, text,
-                         at, index, var)
-    if not value:
-        return None
-    if cell.get("type") == "uri":
-        return _terminal_segment(value)
-    return value
+    raise AssertionError("the text up to a syntax error decoded")
 
 
 def _sparql_tsv_rows(source: str | IO[str], topic_var: str, entity_var: str,
-                     value_var: str, path: str) -> Iterator[tuple]:
+                     value_var: str, strict: bool, path: str) -> Iterator[tuple]:
     lines = _source_lines(source)
     header_no, header = next(dropwhile(lambda item: item[1][0] == "#" or item[1].isspace(),
                                        enumerate(lines, start=1)), (1, None))
@@ -743,9 +714,15 @@ def _sparql_tsv_rows(source: str | IO[str], topic_var: str, entity_var: str,
     for line_no, fields in _rows(chain(repeat("\n", header_no), lines), path, (),
                                  (len(names),)):
         raw_entity = fields[entity_col].strip()
-        yield (line_no, _tsv_term(fields[topic_col]), _tsv_term(raw_entity),
-               raw_entity.startswith("<"),
-               None if value_col is None else _tsv_term(fields[value_col]))
+        topic, entity = _tsv_term(fields[topic_col]), _tsv_term(raw_entity)
+        if not topic or not entity:
+            missing = topic_var if not topic else entity_var
+            raise ParseError(f"row is missing the {missing!r} binding", path=path,
+                             line=line_no, field=missing)
+        if strict and not raw_entity.startswith("<"):
+            raise ParseError(f"entity binding {entity!r} is not an IRI", path=path,
+                             line=line_no, field=entity_var)
+        yield topic, entity, None if value_col is None else _tsv_term(fields[value_col])
 
 
 def _tsv_term(raw: str) -> str:

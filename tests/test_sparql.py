@@ -245,11 +245,11 @@ def loads_with_offsets(text):
     return decoder.decode(text), offsets
 
 
-def whole_document_rows(text, topic_var, entity_var, value_var, path):
+def whole_document_rows(text, topic_var, entity_var, value_var, strict, path):
     """The decoder the streaming reader replaced: ``json.loads`` of the whole
-    export, then a walk of the tree, with each binding's offset found by a
-    second decode that records where array elements start. Kept as the
-    reference."""
+    export, then a walk of the tree that checks each binding's cells in turn,
+    with each binding's offset found by a second decode that records where
+    array elements start. Kept as the reference."""
     try:
         json.loads(text)
     except json.JSONDecodeError as exc:
@@ -270,14 +270,25 @@ def whole_document_rows(text, topic_var, entity_var, value_var, path):
                          path=path, field="results")
     for index, (at, binding) in enumerate(zip(offsets.get(id(bindings), ()), bindings),
                                           start=1):
+        def error(message, field=None):
+            return ParseError(f"binding {index}: {message}", path=path,
+                              line=text.count("\n", 0, at) + 1, field=field)
         if type(binding) is not dict:
-            raise ParseError(f"binding {index}: not an object", path=path,
-                             line=text.count("\n", 0, at) + 1)
-        topic = ingest._binding_text(binding, topic_var, path, text, at, index)
-        entity = ingest._binding_text(binding, entity_var, path, text, at, index)
-        yield (at, topic, entity,
-               entity is not None and binding[entity_var].get("type") == "uri",
-               ingest._binding_text(binding, value_var, path, text, at, index))
+            raise error("not an object")
+        terms = {}  # each variable's text, IRIs shortened; None or empty when unbound
+        for var in (topic_var, entity_var, value_var):
+            cell = binding.get(var)
+            if cell is not None and (type(cell) is not dict or type(cell.get("value")) is not str):
+                raise error(f"{var!r} must be an object with a string value", var)
+            value = cell and cell["value"]
+            terms[var] = (ingest._terminal_segment(value) if value and cell.get("type") == "uri"
+                          else value)
+        for var in (topic_var, entity_var):
+            if not terms[var]:
+                raise error(f"row is missing the {var!r} binding", var)
+        if strict and binding[entity_var].get("type") != "uri":
+            raise error(f"entity binding {terms[entity_var]!r} is not an IRI", entity_var)
+        yield terms[topic_var], terms[entity_var], terms[value_var]
 
 
 def streamed(text, strict=False):
@@ -516,12 +527,92 @@ def test_results_before_head_builds_only_its_first_binding_error():
     bindings = ",\n".join([GOOD_BINDING] + ['{"topic": 1}'] * 500 + [GOOD_BINDING])
     text = (f'{{"results": {{"bindings": [\n{bindings}]}},\n'
             f'"head": {{"vars": ["topic", "entity"]}}}}')
-    row_error = mock.Mock(wraps=ingest._row_error)
-    with mock.patch.object(ingest, "_row_error", row_error):
+    binding_error = mock.Mock(wraps=ingest._binding_error)
+    with mock.patch.object(ingest, "_binding_error", binding_error):
         assert streamed(text) == ("export.json:3: binding 2: 'topic' must be an object "
                                   "with a string value (field: topic)")
-    assert row_error.call_count == 1
+    assert binding_error.call_count == 1
     assert whole_document(text) == streamed(text)
+
+
+HEAD = '"head": {"vars": ["topic", "entity"]}'
+RESULTS = f'"results": {{"bindings": [{GOOD_BINDING}]}}'
+
+
+@pytest.mark.parametrize("head_first", [True, False], ids=["head-first", "results-first"])
+@pytest.mark.parametrize("template, results", [
+    ("{{{0},\n{1},\n}}", RESULTS),
+    ("{{{0},\n{1}}}", RESULTS.replace('"results":', '"results"\n')),
+    ("{{{0}\n{1}}}", RESULTS),
+    ("{{{0},\njunk: 1,\n{1}}}", RESULTS),
+    ("{{\njunk,\n{0},\n{1}}}", RESULTS),
+    ("{{{0},\n{1}\n", RESULTS),
+    ("{{,{0},\n{1}}}", RESULTS),
+    ("{{{0},\n{1}}}", f'"results": {{"bindings": [{GOOD_BINDING}],\n}}'),
+    ("{{{0},\n{1}}}", f'"results": {{"bindings"\n[{GOOD_BINDING}]}}'),
+    ("{{{0},\n{1}}}", f'"results": {{"distinct": false\n"bindings": [{GOOD_BINDING}]}}'),
+    ("{{{0},\n{1}}}", f'"results": {{"bindings": [{GOOD_BINDING}],\nordered: true}}'),
+    ("{{{0},\n{1}}}", f'"results": {{\n"bindings": [{GOOD_BINDING}]'),
+    ("{{{0},\n{1}}}", f'"results": {{,"bindings": [{GOOD_BINDING}]}}'),
+], ids=["trailing-comma", "missing-colon", "missing-comma", "junk-key", "junk-first-key",
+        "unclosed", "leading-comma", "results-trailing-comma", "results-missing-colon",
+        "results-missing-comma", "results-junk-key", "results-unclosed",
+        "results-leading-comma"])
+def test_syntax_error_in_an_object_is_worded_as_json_loads(template, results, head_first):
+    text = template.format(*([HEAD, results] if head_first else [results, HEAD]))
+    with pytest.raises(json.JSONDecodeError) as err:
+        json.loads(text)
+    assert both_decoders(text) == (f"export.json:{err.value.lineno}: "
+                                   f"invalid JSON: {err.value.msg}")
+
+
+EDGE_BINDING = {"topic": literal("poet"), "entity": uri("http://x/Q1")}
+
+
+@pytest.mark.parametrize("head_first", [True, False], ids=["head-first", "results-first"])
+@pytest.mark.parametrize("head, cells, expected", [
+    (None, {}, "export.json: head must be an object whose vars are a list of strings "
+               "(field: head)"),
+    ({"vars": ["topic", "entity"]}, {"value": None},
+     SparqlExtraction(MembershipTable({"poet": frozenset({"Q1"})}), ())),
+    *(({"vars": ["topic", "entity"]}, {"value": value},
+       "export.json:1: binding 1: 'value' must be an object with a string value "
+       "(field: value)") for value in ([], "", {})),
+    ({"vars": ["topic", "entity"]}, {"topic": None},
+     "export.json:1: binding 1: row is missing the 'topic' binding (field: topic)"),
+], ids=["head-null", "value-null", "value-empty-list", "value-empty-string",
+        "value-empty-object", "topic-null"])
+def test_null_and_empty_members_match_the_whole_document_decoder(head, cells, expected,
+                                                                 head_first):
+    members = [("head", head), ("results", {"bindings": [{**EDGE_BINDING, **cells}]})]
+    assert both_decoders(json.dumps(dict(members if head_first else members[::-1]))) == expected
+
+
+def test_export_text_read_from_a_handle_is_freed_with_its_decoder(tmp_path):
+    """Read through a file handle, as the CLI reads it, the export's text is
+    alive only while its rows are read: when the member tables are built, no
+    traced block is as large as the text, and the peak stays near its size."""
+    text = json.dumps({"head": {"vars": ["topic", "entity", "value"]}, "results": {
+        "bindings": [{"topic": uri(f"http://x/topic/t{i % 20}"),
+                      "entity": uri(f"http://x/entity/t{i % 20}-p{i:04d}"),
+                      "value": literal(("female", "male")[i % 2])}
+                     for i in range(2000)]}}, separators=(",", ":"))
+    (tmp_path / "export.json").write_text(text, encoding="utf-8")
+    largest = []
+
+    def tables(members):
+        largest.append(max(trace.size for trace in tracemalloc.take_snapshot().traces))
+        return MembershipTable(members)
+    with open(tmp_path / "export.json", encoding="utf-8") as handle, \
+            mock.patch.object(ingest, "MembershipTable", tables):
+        tracemalloc.start()
+        try:
+            parse_sparql_results(handle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert largest[0] < len(text)
+    assert peak < 3 * len(text)
 
 
 # ---------------------------------------------------------------------------
