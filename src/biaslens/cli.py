@@ -18,6 +18,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 from typing import Iterator, Sequence, TextIO
 
@@ -214,6 +215,10 @@ def resolve_config(args: argparse.Namespace) -> AuditConfig:
         raise BiasLensError(f"format must be json or csv, got {config.format!r}")
     if config.table_size is not None and config.table_size < 1:
         raise BiasLensError(f"table size must be >= 1, got {config.table_size}")
+    for first, second in combinations(("topic_var", "entity_var", "value_var"), 2):
+        if getattr(config, first) == getattr(config, second):
+            raise BiasLensError(f"config keys {first!r} and {second!r} must differ, "
+                                f"both are {getattr(config, first)!r}")
 
     flag_targets = _parse_source_flags(getattr(args, "target", None), "--target")
     flag_members = _parse_source_flags(getattr(args, "members", None), "--members")

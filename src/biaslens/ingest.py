@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain, dropwhile, repeat
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 from .errors import EmptyPopulationError, ParseError, SchemeViolationError
 from .metrics import FeatureScheme, RankedRun, TargetCounts
@@ -63,11 +64,11 @@ class LabelCatalog:
 
     def __post_init__(self) -> None:
         allowed = self.scheme.admissible
-        for entity, value in self.assignments.items():
-            if value not in allowed:
-                raise SchemeViolationError(
-                    f"entity {entity!r} labeled {value!r}, which is not declared for "
-                    f"feature {self.scheme.feature_name!r}")
+        if not allowed.issuperset(self.assignments.values()):
+            entity, value = next(i for i in self.assignments.items() if i[1] not in allowed)
+            raise SchemeViolationError(
+                f"entity {entity!r} labeled {value!r}, which is not declared for "
+                f"feature {self.scheme.feature_name!r}")
         if self.provenance.keys() != self.assignments.keys():
             raise SchemeViolationError("provenance must cover exactly the assigned entities")
 
@@ -459,8 +460,10 @@ def parse_sparql_results(source: str | IO[str], *, topic_var: str = "topic",
     non-IRI entity binding is an error. Each decoder yields checked (topic,
     entity, value) rows and raises its own errors: one in a TSV row names its
     line, one in a JSON binding the binding's 1-based index and the line where
-    it starts.
+    it starts. Two variables of the same name are a ValueError.
     """
+    if len({topic_var, entity_var, value_var}) < 3:
+        raise ValueError(f"variables must differ: {topic_var!r}, {entity_var!r}, {value_var!r}")
     path = _named(source, path, "<sparql>")
     if _members_format(source) == "json":
         rows = _sparql_json_rows(source if isinstance(source, str) else source.read(),
@@ -475,7 +478,7 @@ def parse_sparql_results(source: str | IO[str], *, topic_var: str = "topic",
         if value:
             label_rows.append((entity, value))
     return SparqlExtraction(
-        members=MembershipTable({t: frozenset(s) for t, s in members.items()}),
+        members=MembershipTable({t: frozenset(members.pop(t)) for t in list(members)}),
         label_rows=tuple(label_rows))
 
 
@@ -529,14 +532,16 @@ def _sparql_json_rows(text: str, topic_var: str, entity_var: str, value_var: str
 def _results_rows(cursor: _JsonCursor, variables: tuple[str, str, str], strict: bool,
                   path: str, rows: bool) -> Iterator[tuple[str, str, str | None]]:
     """Walk the ``results`` value at the cursor member by member, and each of
-    its ``bindings`` by one call of json's C scanner. With ``rows``, yield each
-    binding's row or raise its first error; without, check syntax only. The
-    inline checks take a binding whose topic and entity are objects with
-    non-empty string values, whose value is absent or an object with a string
-    value and (strict) whose entity is an IRI; each topic IRI is shortened once.
-    A repeated ``bindings`` member is an error, located at its key."""
+    its ``bindings`` by one match of ``_plain_binding``'s pattern or else one
+    call of json's C scanner. With ``rows``, yield each binding's row or raise
+    its first error; without, check syntax only. The scanner's inline checks
+    take a binding whose topic and entity are objects with non-empty string
+    values, whose value is absent or an object with a string value and (strict)
+    whose entity is an IRI. Each topic IRI is shortened once. A repeated
+    ``bindings`` member is an error, located at its key."""
     text, (topic_var, entity_var, value_var) = cursor.text, variables
     iris: dict[str, str] = {}  # each topic IRI to its terminal segment
+    fast = _plain_binding(variables, strict)
     for member in cursor.members(("bindings",), path) if cursor.at("{") else [None]:
         if member not in ("bindings", None):
             cursor.value()
@@ -552,32 +557,38 @@ def _results_rows(cursor: _JsonCursor, variables: tuple[str, str, str], strict: 
             pos = _skip_space(text, pos).end()
         while index or not text.startswith("]", pos):  # breaks at the last item
             index += 1
-            try:
-                binding, end = _scan(text, pos)
-            except StopIteration:  # PEP 479 would make it a RuntimeError
-                raise _syntax_error(text, pos, array, end) from None
-            if not rows:
-                pass
-            elif (type(binding) is dict
-                    and type(topic_cell := binding.get(topic_var)) is dict
-                    and type(topic := topic_cell.get("value")) is str and topic
-                    and type(entity_cell := binding.get(entity_var)) is dict
-                    and type(entity := entity_cell.get("value")) is str and entity
-                    and ((value_cell := binding.get(value_var)) is None
-                         or type(value_cell) is dict
-                         and type(value := value_cell.get("value")) is str)
-                    and (not strict or entity_cell.get("type") == "uri")):
-                if topic_cell.get("type") == "uri":
+            if plain := fast and fast(text, pos):
+                end = plain.end()
+                topic_type, topic, entity_type, entity, value_type, value = plain.groups()
+            else:
+                try:
+                    binding, end = _scan(text, pos)
+                except StopIteration:  # PEP 479 would make it a RuntimeError
+                    raise _syntax_error(text, pos, array, end) from None
+                if not rows:
+                    pass
+                elif (type(binding) is dict
+                        and type(topic_cell := binding.get(topic_var)) is dict
+                        and type(topic := topic_cell.get("value")) is str and topic
+                        and type(entity_cell := binding.get(entity_var)) is dict
+                        and type(entity := entity_cell.get("value")) is str and entity
+                        and ((value_cell := binding.get(value_var)) is None
+                             or type(value_cell) is dict
+                             and type(value := value_cell.get("value")) is str)
+                        and (not strict or entity_cell.get("type") == "uri")):
+                    topic_type, entity_type = topic_cell.get("type"), entity_cell.get("type")
+                    value_type = value_cell and value_cell.get("type")
+                    value = value_cell and value  # None when unbound
+                else:
+                    raise _binding_error(binding, variables, path, text, pos, index)
+            if rows:
+                if topic_type == "uri":
                     topic = iris.get(topic) or iris.setdefault(topic, _terminal_segment(topic))
-                if entity_cell.get("type") == "uri":
+                if entity_type == "uri":
                     entity = _terminal_segment(entity)
-                if value_cell is None:
-                    value = None
-                elif value_cell.get("type") == "uri":
+                if value_type == "uri":
                     value = _terminal_segment(value)
                 yield topic, entity, value
-            else:
-                raise _binding_error(binding, variables, path, text, pos, index)
             if text.startswith(",", end):
                 pos = end + 1
             else:
@@ -590,6 +601,25 @@ def _results_rows(cursor: _JsonCursor, variables: tuple[str, str, str], strict: 
         if not text.startswith("]", pos):
             raise _syntax_error(text, pos, array, end)
         cursor.pos = _skip_space(text, pos + 1).end()
+
+
+def _plain_binding(variables: tuple[str, str, str],
+                   strict: bool) -> Callable[[str, int], re.Match[str] | None] | None:
+    """The ``match`` of a pattern for a binding of exactly the topic, entity and
+    optional value cells, in that order, each exactly ``{"type": T, "value": V}``
+    of plain strings, with a non-empty topic and entity and (strict) a ``uri``
+    entity; its groups are the cells' types and values. None on Python 3.10,
+    whose ``re`` has no possessive repeats, or for names not distinct and plain."""
+    plain = r'[^"\\\x00-\x1f]'  # a character a JSON string holds as written
+    if (sys.version_info < (3, 11) or len(set(variables)) < 3
+            or not re.fullmatch(f"{plain}*", "".join(variables))):
+        return None
+    cell = r'"{}" : \{{ "type" : "({})" , "value" : "({})" \}}'  # each ' ' is JSON space
+    template = r"\{{ " + cell + " , " + cell + "(?: , " + cell + r")?+ \}}"
+    chars, some = plain + "*+", plain + "++"
+    topic, entity, value = map(re.escape, variables)
+    return re.compile(template.replace(" ", r"[ \t\n\r]*+").format(
+        topic, chars, some, entity, "uri" if strict else chars, some, value, chars, chars)).match
 
 
 def _binding_error(binding: object, variables: tuple[str, str, str], path: str,

@@ -650,6 +650,27 @@ target.kb = targets_kb.tsv
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("lines, message", [
+    ("entity_var = topic", "config keys 'topic_var' and 'entity_var' must differ, "
+                           "both are 'topic'"),
+    ("value_var = topic", "config keys 'topic_var' and 'value_var' must differ, "
+                          "both are 'topic'"),
+    ("entity_var = v\nvalue_var = v", "config keys 'entity_var' and 'value_var' must "
+                                      "differ, both are 'v'"),
+])
+def test_equal_sparql_variables_name_the_keys(audit_dir, tmp_path, capsys, lines, message):
+    config = write(audit_dir / "audit.cfg", f"""feature = gender
+values = female,male
+runs = runs.tsv
+labels = labels.tsv
+target.kb = targets_kb.tsv
+{lines}
+""")
+    assert cli.main(["evaluate", "--config", config, "--out", str(tmp_path / "out")]) == 1
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("line, message", [
     ("cutof = 5", "unknown config key 'cutof' (field: cutof)"),
     ("target = t.tsv", "unknown config key 'target' (field: target)"),

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -349,9 +350,20 @@ def bindings(draw):
 
 
 @st.composite
-def exports(draw):
+def plain_bindings(draw):
+    """A binding of the shape the fast path reads, most often with plain
+    strings: the topic, entity and optional value cells in that order, each
+    with exactly a type and a value."""
+    cell = st.builds(lambda kind, value: Obj([("type", kind), ("value", value)]),
+                     st.sampled_from(["uri", "literal", ""]), TERM_VALUES | st.just(""))
+    variables = ("topic", "entity", "value") if draw(st.booleans()) else ("topic", "entity")
+    return Obj((var, draw(cell)) for var in variables)
+
+
+@st.composite
+def exports(draw, binding=bindings()):
     """A W3C SPARQL JSON results export, well-formed JSON with no repeated
-    member, most often of the right shape."""
+    member, most often of the right shape, with bindings drawn from ``binding``."""
     members = []
     head_kind = draw(st.integers(0, 9))
     if head_kind == 0:
@@ -369,7 +381,7 @@ def exports(draw):
     if results_kind == 0:
         members.append(("results", draw(st.sampled_from([[], None, "r", Obj([("bindings", 5)])]))))
     elif results_kind > 1:
-        results = [("bindings", draw(st.lists(bindings(), max_size=6)))]
+        results = [("bindings", draw(st.lists(binding, max_size=6)))]
         results += draw(st.lists(st.sampled_from(
             [("distinct", False), ("ordered", True), ("link", [Obj()])]),
             unique_by=lambda member: member[0]))
@@ -613,6 +625,123 @@ def test_export_text_read_from_a_handle_is_freed_with_its_decoder(tmp_path):
             tracemalloc.stop()
     assert largest[0] < len(text)
     assert peak < 3 * len(text)
+
+
+# ---------------------------------------------------------------------------
+# Plain bindings read by one pattern match, all others by json's scanner
+# ---------------------------------------------------------------------------
+
+POSSESSIVE = sys.version_info >= (3, 11)  # re's possessive repeats, which the pattern needs
+
+
+def without_pattern(text, strict=False):
+    """The outcome with every binding read by json's scanner."""
+    with mock.patch.object(ingest, "_plain_binding", lambda variables, strict: None):
+        return streamed(text, strict)
+
+
+def scanned(text, strict=False):
+    """The outcome, and how many bindings json's scanner read."""
+    scan = mock.Mock(wraps=ingest._scan)
+    with mock.patch.object(ingest, "_scan", scan):
+        return streamed(text, strict), scan.call_count
+
+
+@given(text=exports(st.one_of(plain_bindings(), plain_bindings(), bindings())),
+       strict=st.booleans())
+def test_the_pattern_reads_as_the_scanner_reads(text, strict):
+    assert streamed(text, strict) == without_pattern(text, strict)
+
+
+def export_of(binding):
+    return ('{"head": {"vars": ["topic", "entity", "value"]},\n"results": {"bindings": [\n'
+            f'{binding}]}}}}')
+
+
+COMPACT = ('{"topic":{"type":"uri","value":"http://x/poet"},'
+           '"entity":{"type":"uri","value":"http://x/Q2"},'
+           '"value":{"type":"literal","value":"female"}}')
+
+
+@pytest.mark.parametrize("binding, plain", [
+    (COMPACT, True),
+    ('{\n  "topic" : {"type" : "uri", "value" : "http://x/poet"} ,\n'
+     '  "entity" : { "type" : "uri" , "value" : "http://x/Q2" },\r\n'
+     '\t"value" : {"type" : "literal", "value" : "female"}\n}', True),
+    (COMPACT.replace("female", "fem\\u0061le"), False),
+    (COMPACT.replace('"literal",', '"literal","xml:lang":"en",'), False),
+    ('{"entity":{"type":"uri","value":"http://x/Q2"},'
+     '"topic":{"type":"uri","value":"http://x/poet"},'
+     '"value":{"type":"literal","value":"female"}}', False),
+    (COMPACT.replace('"value":"female"', '"value":"male","value":"female"'), False),
+], ids=["compact", "pretty", "escaped", "language", "reordered", "repeated-value"])
+def test_plain_bindings_take_the_pattern_and_others_the_scanner(binding, plain):
+    text = export_of(binding)
+    outcome, scans = scanned(text)
+    assert scans == (0 if plain and POSSESSIVE else 1)
+    assert outcome == without_pattern(text) == whole_document(text)
+    assert outcome.members.members == {"poet": frozenset({"Q2"})}
+    assert outcome.label_rows == (("Q2", "female"),)
+
+
+@pytest.mark.parametrize("binding, strict, message", [
+    (COMPACT.replace("http://x/poet", ""), False, "row is missing the 'topic' binding"),
+    (COMPACT.replace("http://x/Q2", ""), False, "row is missing the 'entity' binding"),
+    (COMPACT.replace('"uri","value":"http://x/Q2"', '"literal","value":"http://x/Q2"'),
+     True, "entity binding 'http://x/Q2' is not an IRI"),
+], ids=["empty-topic", "empty-entity", "strict-literal-entity"])
+def test_plain_bindings_with_an_error_go_to_the_scanner(binding, strict, message):
+    text = export_of(binding)
+    outcome, scans = scanned(text, strict)
+    assert scans == 1
+    assert outcome == without_pattern(text, strict) == whole_document(text, strict)
+    assert outcome.startswith(f"export.json:3: binding 1: {message}")
+
+
+@pytest.mark.skipif(not POSSESSIVE, reason="before 3.11 the scanner reads every binding")
+def test_the_pattern_reads_bindings_as_the_benchmark_writes_them():
+    """Bindings shaped and written as ``perfbench/corpus.py`` writes them
+    are read without json's scanner, so the fast path cannot be lost silently."""
+    assert ingest._plain_binding(("topic", "entity", "value"), False) is not None
+    text = json.dumps({"head": {"vars": ["topic", "entity", "value"]}, "results": {
+        "bindings": [{"topic": uri("http://example.org/topic/t000001"),
+                      "entity": uri(f"http://example.org/entity/t000001-p{i:04d}"),
+                      "value": literal(("female", "male")[i % 2])} for i in range(1, 4)]}},
+        separators=(",", ":"))
+    outcome, scans = scanned(text)
+    assert scans == 0
+    assert outcome.members.members == {"t000001": frozenset({"t000001-p0001",
+                                                             "t000001-p0002",
+                                                             "t000001-p0003"})}
+
+
+@pytest.mark.parametrize("variables", [
+    ("topic", "topic", "value"), ("topic", "entity", "topic"), ("topic", "entity", "entity"),
+])
+def test_equal_variable_names_are_a_value_error(variables):
+    topic_var, entity_var, value_var = variables
+    with pytest.raises(ValueError, match="variables must differ"):
+        parse_sparql_results(TWO_ROWS_JSON, topic_var=topic_var, entity_var=entity_var,
+                             value_var=value_var)
+
+
+def test_member_sets_are_freed_as_they_are_copied():
+    """With the export's text held by the caller, the parse allocates little
+    more at its peak than the extraction it returns keeps: each topic's member
+    set is freed as it is copied into its frozenset."""
+    text = json.dumps({"head": {"vars": ["topic", "entity", "value"]}, "results": {
+        "bindings": [{"topic": uri(f"http://x/topic/t{i % 40}"),
+                      "entity": uri(f"http://x/entity/t{i % 40}-p{i:04d}"),
+                      "value": literal(("female", "male")[i % 2])}
+                     for i in range(8000)]}}, separators=(",", ":"))
+    tracemalloc.start()
+    try:
+        extraction = parse_sparql_results(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    tables = sum(map(sys.getsizeof, extraction.members.members.values()))
+    assert peak - kept < tables / 2
 
 
 # ---------------------------------------------------------------------------
