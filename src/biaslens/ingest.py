@@ -533,12 +533,12 @@ def _results_rows(cursor: _JsonCursor, variables: tuple[str, str, str], strict: 
                   path: str, rows: bool) -> Iterator[tuple[str, str, str | None]]:
     """Walk the ``results`` value at the cursor member by member, and each of
     its ``bindings`` by one match of ``_plain_binding``'s pattern or else one
-    call of json's C scanner. With ``rows``, yield each binding's row or raise
-    its first error; without, check syntax only. The scanner's inline checks
-    take a binding whose topic and entity are objects with non-empty string
-    values, whose value is absent or an object with a string value and (strict)
-    whose entity is an IRI. Each topic IRI is shortened once. A repeated
-    ``bindings`` member is an error, located at its key."""
+    call of json's C scanner, which reads every binding after the first miss.
+    With ``rows``, yield each binding's row or raise its first error; without,
+    check syntax only. The scanner's inline checks take a binding whose topic
+    and entity are objects with non-empty string values, whose value is absent
+    or an object with a string value and (strict) whose entity is an IRI. Each
+    topic IRI is shortened once; a repeated ``bindings`` member is an error."""
     text, (topic_var, entity_var, value_var) = cursor.text, variables
     iris: dict[str, str] = {}  # each topic IRI to its terminal segment
     fast = _plain_binding(variables, strict)
@@ -561,6 +561,7 @@ def _results_rows(cursor: _JsonCursor, variables: tuple[str, str, str], strict: 
                 end = plain.end()
                 topic_type, topic, entity_type, entity, value_type, value = plain.groups()
             else:
+                fast = None  # one miss, then the scanner reads the rest
                 try:
                     binding, end = _scan(text, pos)
                 except StopIteration:  # PEP 479 would make it a RuntimeError
@@ -609,10 +610,9 @@ def _plain_binding(variables: tuple[str, str, str],
     optional value cells, in that order, each exactly ``{"type": T, "value": V}``
     of plain strings, with a non-empty topic and entity and (strict) a ``uri``
     entity; its groups are the cells' types and values. None on Python 3.10,
-    whose ``re`` has no possessive repeats, or for names not distinct and plain."""
+    whose ``re`` has no possessive repeats, or for names that are not plain."""
     plain = r'[^"\\\x00-\x1f]'  # a character a JSON string holds as written
-    if (sys.version_info < (3, 11) or len(set(variables)) < 3
-            or not re.fullmatch(f"{plain}*", "".join(variables))):
+    if sys.version_info < (3, 11) or not re.fullmatch(f"{plain}*", "".join(variables)):
         return None
     cell = r'"{}" : \{{ "type" : "({})" , "value" : "({})" \}}'  # each ' ' is JSON space
     template = r"\{{ " + cell + " , " + cell + "(?: , " + cell + r")?+ \}}"

@@ -699,6 +699,19 @@ def test_plain_bindings_with_an_error_go_to_the_scanner(binding, strict, message
 
 
 @pytest.mark.skipif(not POSSESSIVE, reason="before 3.11 the scanner reads every binding")
+def test_after_one_miss_the_scanner_reads_every_later_binding():
+    """An export of another shape pays one failed match, not one per binding."""
+    language = COMPACT.replace('"literal",', '"literal","xml:lang":"en",')
+    text = export_of(",\n".join([COMPACT, language, COMPACT.replace("Q2", "Q3")]))
+    match = mock.Mock(wraps=ingest._plain_binding(("topic", "entity", "value"), False))
+    with mock.patch.object(ingest, "_plain_binding", lambda variables, strict: match):
+        outcome, scans = scanned(text)
+    assert (match.call_count, scans) == (2, 2)
+    assert outcome == without_pattern(text) == whole_document(text)
+    assert outcome.members.members == {"poet": frozenset({"Q2", "Q3"})}
+
+
+@pytest.mark.skipif(not POSSESSIVE, reason="before 3.11 the scanner reads every binding")
 def test_the_pattern_reads_bindings_as_the_benchmark_writes_them():
     """Bindings shaped and written as ``perfbench/corpus.py`` writes them
     are read without json's scanner, so the fast path cannot be lost silently."""
