@@ -50,6 +50,10 @@ SEED_ENV_VAR = "BIASLENS_SEED"
 DEFAULT_TABLE_SIZE = 11
 
 SIMULATE_HEADER = ("topic_id", "target_ratio", "bias", "length", "population")
+# Input limits on numbers that size an allocation: `simulate` builds `length`
+# entities per plan row, and `report` writes `grid + 1` exemplar buckets per block.
+MAX_PLAN_LENGTH = 100_000
+MAX_EXEMPLAR_GRID = 1_000
 
 
 @dataclass
@@ -336,7 +340,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     )
     conflicts = len(catalog.conflicts)
     # Emission needs none of the parsed inputs; releasing them first lets the
-    # report payload reuse their memory, which lowers the peak.
+    # report and its JSON or CSV text reuse their memory, which lowers the peak.
     del runs, catalog, sources
     report = build_report(meta, evaluated, skipped)
     written = emit_report(report, config.format, config.out)
@@ -396,6 +400,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         except (ValueError, ZeroDivisionError) as exc:
             failures.append(f"{spec_path}:{line_no}: unparseable row: {exc}")
             continue
+        if length > MAX_PLAN_LENGTH:
+            failures.append(f"{spec_path}:{line_no}: length {length} exceeds the "
+                            f"per-row limit of {MAX_PLAN_LENGTH}")
+            continue
         try:
             topics.append(simulate_run(topic_id, target, bias, length, scheme, value,
                                        seed=config.seed, population=population))
@@ -432,8 +440,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    if args.exemplar_grid is not None and args.exemplar_grid < 1:
-        raise BiasLensError(f"exemplar grid must be >= 1, got {args.exemplar_grid}")
+    if args.exemplar_grid is not None and not 1 <= args.exemplar_grid <= MAX_EXEMPLAR_GRID:
+        raise BiasLensError(f"exemplar grid must be between 1 and {MAX_EXEMPLAR_GRID}, "
+                            f"got {args.exemplar_grid}")
     report_path = Path(args.report)
     with _open_input(report_path) as handle:
         report = parse_report(handle.read(), path=str(report_path))
@@ -504,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
                "--out")
     simulate.add_argument("plan", metavar="PLAN_TSV",
                           help="rows: topic_id, target_ratio, bias, length"
-                               "[, population]")
+                               f"[, population]; length at most {MAX_PLAN_LENGTH:,}")
     simulate.set_defaults(handler=cmd_simulate)
 
     report = commands.add_parser(
@@ -512,8 +521,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(report, "--config", "--format", "--out", "--table-size")
     report.add_argument("report", metavar="REPORT_JSON", help="input report document")
     report.add_argument("--exemplar-grid", dest="exemplar_grid", type=int, metavar="G",
-                        help="bucket count for the unbiased exemplar table "
-                             "(default: the stored grid)")
+                        help=f"bucket count for the unbiased exemplar table, 1 to "
+                             f"{MAX_EXEMPLAR_GRID:,} (default: the stored grid)")
     report.set_defaults(handler=cmd_report)
     return parser
 

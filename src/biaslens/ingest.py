@@ -284,7 +284,7 @@ def parse_members(source: str | IO[str], path: str | None = None) -> MembershipT
             raise ParseError("empty topic_id or entity_id", path=path, line=line_no,
                              field="topic_id" if not topic_id else "entity_id")
         members.setdefault(topic_id, set()).add(entity_id)
-    return MembershipTable({t: frozenset(s) for t, s in members.items()})
+    return MembershipTable({t: frozenset(members.pop(t)) for t in list(members)})
 
 
 def serialize_members(table: MembershipTable) -> str:

@@ -449,8 +449,17 @@ def _derived(name: str, blocks: Sequence[ReportBlock]) -> list[dict]:
 
 
 def report_to_json(report: Report) -> str:
-    """Render the report as the versioned JSON document (byte-stable)."""
+    """Render the report as the versioned JSON document (byte-stable).
+
+    Records and scatter points, nearly every line of the document, are
+    written as text: each ratio object is encoded once per distinct
+    (numerator, denominator), strings go through the string encoder the
+    compact encoder uses, and ints and floats are written as it writes them.
+    The lines equal the compact encoding of ``_record_obj`` and
+    ``_scatter_entry``, which the CSV bundle and ``parse_report`` read.
+    """
     meta = report.meta
+    grid, exact = _RatioTexts(ratio_str), _RatioTexts(reduced_str)
     payload = {
         "schema": SCHEMA,
         "meta": {
@@ -466,9 +475,10 @@ def report_to_json(report: Report) -> str:
             "evaluation": "one-vs-rest",
         },
         "summaries": _derived("summaries", report.blocks),
-        "records": [_record_obj(e) for e in report.records],
+        "records": _record_lines(report.records, grid, exact),
         "histogram": _derived("histogram", report.blocks),
-        "scatter": _derived("scatter", report.blocks),
+        "scatter": [{"source": b.source, "value": b.feature_value,
+                     "points": _point_lines(b.scatter, exact)} for b in report.blocks],
         "tables": _derived("tables", report.blocks),
         "skipped": [
             {"topic": s.topic_id, "source": s.source, "reason": s.reason,
@@ -482,22 +492,89 @@ def report_to_json(report: Report) -> str:
 # CPython encodes in C only when no indent is given, so entries go through a
 # compact encoder and only the lines around them are written here.
 _encode = json.JSONEncoder(ensure_ascii=False).encode
+# The string encoder of ``_encode``; it returns the quoted JSON string.
+_string = json.encoder.encode_basestring
+_BOOLS = ("false", "true")
+
+
+class _RatioTexts(dict):
+    """JSON text of the ratio object of each (numerator, denominator) key, as
+    ``_grid_obj`` (``rendered=ratio_str``) or ``_exact_obj``
+    (``rendered=reduced_str``) encodes it, written on its first lookup."""
+
+    def __init__(self, rendered) -> None:
+        super().__init__()
+        self.rendered = rendered
+
+    def __missing__(self, key: tuple[int, int]) -> str:
+        numerator, denominator = key
+        # A ratio string holds only digits, "-" and "/", so it needs no escaping.
+        text = self[key] = (f'{{"ratio": "{self.rendered(numerator, denominator)}", '
+                            f'"value": {numerator / denominator!r}}}')
+        return text
+
+
+class _Lines(list):
+    """Array entries already rendered as compact JSON lines."""
+
+
+def _record_lines(records: Sequence[EvaluatedTopic], grid: _RatioTexts,
+                  exact: _RatioTexts) -> _Lines:
+    """The compact JSON line of each record, as ``_record_obj`` encodes."""
+    lines = _Lines()
+    for item in records:
+        r = item.record
+        m, model, ideal = r.cutoff_effective, r.model_count, r.ideal_count
+        numerator, denominator = r.target_numerator, r.target_denominator
+        lines.append(
+            f'{{"source": {_string(item.source)}, "topic": {_string(r.topic_id)}, '
+            f'"value": {_string(r.feature_value)}, '
+            f'"cutoff_requested": {r.cutoff_requested}, "cutoff_effective": {m}, '
+            f'"model_ratio": {grid[model, m]}, '
+            f'"target_ratio_raw": {exact[numerator, denominator]}, '
+            f'"rounding_remainder": {exact[numerator * m % denominator, denominator]}, '
+            f'"target_ratio_at_cutoff": {grid[ideal, m]}, '
+            f'"bias": {grid[model - ideal, m]}, '
+            f'"unknown_in_window": {r.unknown_in_window}, '
+            f'"target_population": {item.target_population}}}')
+    return lines
+
+
+def _point_lines(points: Sequence[ScatterPoint], exact: _RatioTexts) -> _Lines:
+    """The compact JSON line of each point, as ``_scatter_entry`` encodes."""
+    lines = _Lines()
+    for p in points:
+        r = p.record
+        m = r.cutoff_effective
+        lines.append(
+            f'{{"topic": {_string(r.topic_id)}, "x": {exact[r.ideal_count, m]}, '
+            f'"y": {exact[r.model_count, m]}, "cell": [{p.cell[0]}, {p.cell[1]}], '
+            f'"dx": {p.dx!r}, "dy": {p.dy!r}, "on_diagonal": {_BOOLS[p.on_diagonal]}, '
+            f'"off_grid": {_BOOLS[p.off_grid]}}}')
+    return lines
+
+
+def _spread(value) -> bool:
+    """Whether ``value`` is a non-empty list of objects or of rendered lines."""
+    return bool(value) and (type(value) is _Lines
+                            or type(value) is list and type(value[0]) is dict)
 
 
 def _layout(value, indent: str = "") -> str:
     """JSON text of ``value``. The top level, and any container that is or
-    directly holds a non-empty list of objects, puts one member or entry per
-    line with a 2-space indent; everything else is one compact line."""
+    directly holds a non-empty list of objects or a non-empty ``_Lines``,
+    puts one member or entry per line with a 2-space indent; everything else
+    is one compact line. A ``_Lines`` puts each of its given lines as one
+    entry."""
     members = value.values() if type(value) is dict else (value,)
-    if indent and (list not in map(type, members) or not any(
-            type(v) is list and v and type(v[0]) is dict for v in members)):
+    if indent and not any(map(_spread, members)):
         return _encode(value)
     inner = indent + "  "
     if type(value) is dict:
         lines = [f"{inner}{_encode(key)}: {_layout(v, inner)}" for key, v in value.items()]
         return "{\n" + ",\n".join(lines) + f"\n{indent}}}"
-    lines = [inner + _layout(v, inner) for v in value]
-    return "[\n" + ",\n".join(lines) + f"\n{indent}]"
+    lines = value if type(value) is _Lines else [_layout(v, inner) for v in value]
+    return f"[\n{inner}" + f",\n{inner}".join(lines) + f"\n{indent}]"
 
 
 # Everything a malformed document can raise while it is read; parse_report

@@ -274,6 +274,18 @@ def test_simulate_plan_row_of_the_wrong_width_is_located(tmp_path, capsys):
     assert not (tmp_path / "fixtures").exists()
 
 
+def test_simulate_plan_length_above_the_row_limit_is_located(tmp_path, capsys):
+    plan = write(tmp_path / "plan.tsv", "good\t1/2\t0\t10\n"
+                 f"long\t1/2\t0\t{cli.MAX_PLAN_LENGTH + 1}\nhuge\t1/2\t0\t{10**18}\n")
+    args = ["simulate", plan, "--feature", "gender", "--values", "female,male",
+            "--out", str(tmp_path / "fixtures")]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == (
+        f"error: {plan}:2: length 100001 exceeds the per-row limit of 100000\n"
+        f"error: {plan}:3: length {10**18} exceeds the per-row limit of 100000\n")
+    assert not (tmp_path / "fixtures").exists()
+
+
 def test_report_rederives_tables(audit_dir, tmp_path):
     out = tmp_path / "out"
     cli.main(evaluate_args(audit_dir, out, ("--table-size", "1")))
@@ -309,6 +321,22 @@ def test_report_keeps_the_stored_table_size_and_exemplar_grid(audit_dir, tmp_pat
     assert {t["unbiased"]["grid"] for t in payload["tables"]} == {4}
     assert {t["k"] for t in payload["tables"]} == {1}
     assert (again / "report.json").read_bytes() == (regridded / "report.json").read_bytes()
+
+
+def test_report_exemplar_grid_above_the_limit_is_an_input_error(audit_dir, tmp_path,
+                                                                 capsys):
+    out = tmp_path / "out"
+    assert cli.main(evaluate_args(audit_dir, out)) == 0
+    report = str(out / "report.json")
+    assert cli.main(["report", report, "--exemplar-grid", "1001",
+                     "--out", str(tmp_path / "over")]) == 1
+    assert capsys.readouterr().err == (
+        "error: exemplar grid must be between 1 and 1000, got 1001\n")
+    assert not (tmp_path / "over").exists()
+    assert cli.main(["report", report, "--exemplar-grid", str(cli.MAX_EXEMPLAR_GRID),
+                     "--out", str(tmp_path / "at")]) == 0
+    payload = json.loads((tmp_path / "at" / "report.json").read_text(encoding="utf-8"))
+    assert {len(t["unbiased"]["buckets"]) for t in payload["tables"]} == {1001}
 
 
 def test_report_table_size_comes_from_the_flag_then_the_config_then_the_report(

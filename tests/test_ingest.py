@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -183,6 +184,24 @@ class TestMembersAndCounts:
     def test_round_trip_identity(self):
         table = parse_members("t2\tz\nt1\tb\nt1\ta\n")
         assert parse_members(serialize_members(table)) == table
+
+    def test_member_sets_are_freed_as_they_are_copied(self):
+        rows = [(f"t{i % 400}", f"e{i:06d}") for i in range(40_000)]
+        text = "".join(f"{topic}\t{entity}\n" for topic, entity in rows)
+        sets: dict[str, set[str]] = {}
+        for topic, entity in rows:
+            sets.setdefault(topic, set()).add(entity)
+        set_bytes = sum(map(sys.getsizeof, sets.values()))
+        parse_members(text)  # first-call allocations are not the table's
+        tracemalloc.start()
+        try:
+            table = parse_members(text)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        frozen_bytes = sum(map(sys.getsizeof, table.members.values()))
+        # Every set alive beside every frozenset would peak at kept + set_bytes.
+        assert peak < kept + set_bytes - frozen_bytes / 2
 
     def test_counts_with_unknowns(self, gender):
         catalog = support.catalog_of(gender, {"e1": "female", "e2": "male",

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import report_reference
 import support
 from audit_rows import AUDIT_ROWS
 from biaslens import (
+    BiasRecord,
     ParseError,
     ReportMeta,
     SchemaVersionError,
@@ -28,7 +30,7 @@ from biaslens import (
     simulate_run,
     unbiased_exemplars,
 )
-from biaslens.report import EvaluatedTopic, SkippedTopic
+from biaslens.report import EvaluatedTopic, SkippedTopic, _record_obj, _scatter_entry
 
 F = Fraction
 
@@ -313,7 +315,74 @@ def _mutation_base() -> str:
 MUTATION_BASE = _mutation_base()
 
 
+# Strings a JSON writer must escape or may mangle: quotes, backslashes,
+# control characters, line separators and text outside ASCII.
+AWKWARD_TEXT = st.text(st.sampled_from('a"\\\x00\x1f\n\t\u2028\u2029é漢\U0001f600')
+                       | st.characters(), min_size=1, max_size=5)
+
+
+@st.composite
+def reports(draw):
+    """Reports over 2- or 3-valued schemes with awkward labels and topic
+    ids, windows up to the cutoff, biases of either sign and possibly no
+    records or no skipped topics."""
+    n = draw(st.integers(1, 12))
+    values = tuple(draw(st.lists(AWKWARD_TEXT, min_size=2, max_size=3, unique=True)))
+    sources = tuple(draw(st.lists(AWKWARD_TEXT, min_size=1, max_size=2, unique=True)))
+    meta = make_meta(seed=draw(st.integers(-10**6, 10**6)), cutoff=n,
+                     feature_name=draw(AWKWARD_TEXT), values=values,
+                     unknown_token=draw(AWKWARD_TEXT), sources=sources,
+                     strict=draw(st.booleans()), table_size=draw(st.integers(1, 4)),
+                     sd_divisor=draw(st.sampled_from(["sample", "population"])),
+                     exemplar_grid=draw(st.integers(1, 6)))
+    keys = draw(st.lists(st.tuples(st.sampled_from(sources), st.sampled_from(values),
+                                   AWKWARD_TEXT), max_size=12, unique=True))
+    evaluated = []
+    for source, value, topic in keys:
+        m = draw(st.integers(1, n))
+        denominator = draw(st.integers(1, 60))
+        record = BiasRecord(topic, value, n, m, draw(st.integers(0, m)),
+                            draw(st.integers(0, m)), draw(st.integers(0, denominator)),
+                            denominator, draw(st.integers(0, m)))
+        evaluated.append(EvaluatedTopic(source, draw(st.integers(1, 10**6)), record))
+    skipped = draw(st.lists(st.builds(SkippedTopic, AWKWARD_TEXT, st.sampled_from(sources),
+                                      AWKWARD_TEXT, AWKWARD_TEXT), max_size=3))
+    return build_report(meta, evaluated, skipped)
+
+
+def _entry_lines(text: str, key: str, indent: str) -> list[list[str]]:
+    """For each array ``key`` spread over lines at ``indent``, its entry
+    lines without indent and separator. Lines end only at \\n: U+2028 may
+    sit inside a string."""
+    lines = text.split("\n")
+    sections = []
+    for start, line in enumerate(lines):
+        if line == f'{indent}"{key}": [':
+            end = next(i for i in range(start + 1, len(lines))
+                       if lines[i] in (f"{indent}]", f"{indent}],"))
+            sections.append([entry.strip().removesuffix(",") for entry in lines[start + 1:end]])
+    return sections
+
+
 class TestReportDocument:
+    @given(report=reports())
+    def test_text_renderer_writes_the_bytes_of_the_dict_renderer(self, report):
+        assert report_to_json(report) == report_reference.report_to_json(report)
+
+    @given(report=reports())
+    def test_record_and_point_lines_are_their_entries(self, report):
+        text = report_to_json(report)
+        records = [_record_obj(item) for item in report.records]
+        points = [_scatter_entry(block)["points"] for block in report.blocks]
+        written_records = _entry_lines(text, "records", "  ") or [[]]
+        written_points = _entry_lines(text, "points", "      ")
+        assert [[json.loads(line) for line in lines] for lines in written_records] == [records]
+        assert [[json.loads(line) for line in lines] for lines in written_points] == points
+        # Equal as JSON values is not enough: 1 == 1.0 == True.
+        assert written_records == [[json.dumps(r, ensure_ascii=False) for r in records]]
+        assert written_points == [[json.dumps(p, ensure_ascii=False) for p in block]
+                                  for block in points]
+
     def test_json_round_trip_is_identity(self, gender):
         evaluated = simulated_corpus(gender, seed=3)
         skipped = (SkippedTopic("ghost", "kb", "missing-target", "no counts"),)
