@@ -9,6 +9,7 @@ import os
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterable, Iterator
 
 
 def ratio_str(numerator: int, grid: int) -> str:
@@ -62,6 +63,28 @@ def unit_open(seed: int, *parts: str) -> float:
     """Deterministic draw in the open interval (0, 1) keyed on (seed, *parts)."""
     raw = derive_seed(seed, *parts)
     return (raw + 0.5) / 2.0**64
+
+
+def unit_open_xy(seed: int, keys: Iterable[tuple[str, ...]]
+                 ) -> Iterator[tuple[float, float]]:
+    """``(unit_open(seed, *parts, "x"), unit_open(seed, *parts, "y"))`` for
+    each ``parts`` of ``keys``, bit for bit.
+
+    The seed is hashed once and its state copied per key, which feeds
+    ``\\x1f part \\x1f ... \\x1f`` once and is copied again for x and y. The
+    bytes hashed are those of ``derive_seed``: UTF-8 encodes a joined string
+    as the join of its encoded parts.
+    """
+    seeded = hashlib.blake2b(digest_size=8)
+    seeded.update(str(seed).encode("ascii"))
+    for parts in keys:
+        y = seeded.copy()
+        y.update("\x1f".join(("", *parts, "")).encode("utf-8"))
+        x = y.copy()
+        x.update(b"x")
+        y.update(b"y")
+        yield ((int.from_bytes(x.digest(), "big") + 0.5) / 2.0**64,
+               (int.from_bytes(y.digest(), "big") + 0.5) / 2.0**64)
 
 
 def _umask() -> int:

@@ -52,7 +52,9 @@ DEFAULT_TABLE_SIZE = 11
 SIMULATE_HEADER = ("topic_id", "target_ratio", "bias", "length", "population")
 # Input limits on numbers that size an allocation: `simulate` builds `length`
 # entities per plan row, and `report` writes `grid + 1` exemplar buckets per block.
+# The plan total is twice that of the largest bench corpus (20,000 rows of 50).
 MAX_PLAN_LENGTH = 100_000
+MAX_PLAN_TOTAL = 2_000_000
 MAX_EXEMPLAR_GRID = 1_000
 
 
@@ -384,12 +386,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     scheme = config.scheme()
     value = scheme.values[0]
     spec_path = Path(args.plan)
-    # Every row's width is checked before any row is simulated.
+    # Every row is read and checked before any row is simulated.
     with _open_input(spec_path) as handle:
         rows = list(ingest._rows(handle, str(spec_path), SIMULATE_HEADER, (4, 5)))
 
-    topics = []
+    plan = []
     failures = []
+    total = 0
     for line_no, (topic_id, target, bias, length, *rest) in rows:
         topic_id, population = topic_id.strip(), rest[0].strip() if rest else ""
         try:
@@ -404,6 +407,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             failures.append(f"{spec_path}:{line_no}: length {length} exceeds the "
                             f"per-row limit of {MAX_PLAN_LENGTH}")
             continue
+        total += max(length, 0)
+        if total > MAX_PLAN_TOTAL >= total - length:
+            failures.append(f"{spec_path}:{line_no}: total length {total} exceeds "
+                            f"the plan limit of {MAX_PLAN_TOTAL}")
+        plan.append((line_no, topic_id, target, bias, length, population))
+    topics = []
+    for line_no, topic_id, target, bias, length, population in () if failures else plan:
         try:
             topics.append(simulate_run(topic_id, target, bias, length, scheme, value,
                                        seed=config.seed, population=population))
@@ -513,7 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
                "--out")
     simulate.add_argument("plan", metavar="PLAN_TSV",
                           help="rows: topic_id, target_ratio, bias, length"
-                               f"[, population]; length at most {MAX_PLAN_LENGTH:,}")
+                               f"[, population]; length at most {MAX_PLAN_LENGTH:,} "
+                               f"per row and {MAX_PLAN_TOTAL:,} in all")
     simulate.set_defaults(handler=cmd_simulate)
 
     report = commands.add_parser(

@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
@@ -21,7 +22,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ParseError, SchemaVersionError
 from .metrics import BiasRecord, BiasSummary, aggregate
-from ._util import atomic_write, ratio_str, reduced_str, round_half_away, unit_open
+from ._util import atomic_write, ratio_str, reduced_str, round_half_away, unit_open_xy
 
 SCHEMA = "biaslens-report/1"
 
@@ -172,16 +173,16 @@ def build_scatter(records: Sequence[BiasRecord], value: str, n: int,
     if not records:
         raise ValueError("cannot build a scatter from zero records")
     points = []
-    for record in sorted(records, key=lambda r: r.topic_id):
+    ordered = sorted(records, key=lambda r: r.topic_id)
+    draws = unit_open_xy(seed, ((r.topic_id, value) for r in ordered))
+    for record, (ux, uy) in zip(ordered, draws):
         m = record.cutoff_effective
         ideal, model = record.ideal_count, record.model_count
-        dx = (unit_open(seed, record.topic_id, value, "x") - 0.5) / n
-        dy = (unit_open(seed, record.topic_id, value, "y") - 0.5) / n
         points.append(ScatterPoint(
             record=record,
             cell=(round_half_away(ideal * n, m), round_half_away(model * n, m)),
-            dx=dx,
-            dy=dy,
+            dx=(ux - 0.5) / n,
+            dy=(uy - 0.5) / n,
             on_diagonal=model == ideal,
             off_grid=m != n,
         ))
@@ -348,26 +349,6 @@ def _row_obj(r: BiasRecord) -> dict:
     }
 
 
-def _record_obj(item: EvaluatedTopic) -> dict:
-    r = item.record
-    m = r.cutoff_effective
-    numerator, denominator = r.target_numerator, r.target_denominator
-    return {
-        "source": item.source,
-        "topic": r.topic_id,
-        "value": r.feature_value,
-        "cutoff_requested": r.cutoff_requested,
-        "cutoff_effective": m,
-        "model_ratio": _grid_obj(r.model_count, m),
-        "target_ratio_raw": _exact_obj(numerator, denominator),
-        "rounding_remainder": _exact_obj(numerator * m % denominator, denominator),
-        "target_ratio_at_cutoff": _grid_obj(r.ideal_count, m),
-        "bias": _grid_obj(r.model_count - r.ideal_count, m),
-        "unknown_in_window": r.unknown_in_window,
-        "target_population": item.target_population,
-    }
-
-
 def _summary_entry(b: ReportBlock) -> dict:
     return {
         "topics": b.summary.topic_count,
@@ -455,11 +436,11 @@ def report_to_json(report: Report) -> str:
     written as text: each ratio object is encoded once per distinct
     (numerator, denominator), strings go through the string encoder the
     compact encoder uses, and ints and floats are written as it writes them.
-    The lines equal the compact encoding of ``_record_obj`` and
-    ``_scatter_entry``, which the CSV bundle and ``parse_report`` read.
+    A point's line equals the compact encoding of its ``_scatter_entry``
+    entry, which ``parse_report`` compares.
     """
     meta = report.meta
-    grid, exact = _RatioTexts(ratio_str), _RatioTexts(reduced_str)
+    grid, exact = _RatioTexts(ratio_str, _JSON_RATIO), _RatioTexts(reduced_str, _JSON_RATIO)
     payload = {
         "schema": SCHEMA,
         "meta": {
@@ -497,20 +478,27 @@ _string = json.encoder.encode_basestring
 _BOOLS = ("false", "true")
 
 
-class _RatioTexts(dict):
-    """JSON text of the ratio object of each (numerator, denominator) key, as
-    ``_grid_obj`` (``rendered=ratio_str``) or ``_exact_obj``
-    (``rendered=reduced_str``) encodes it, written on its first lookup."""
+# The ratio object's text in a JSON line, and its two cells in a CSV line.
+# A ratio string holds only digits, "-" and "/", so it needs no escaping.
+_JSON_RATIO = '{{"ratio": "{}", "value": {!r}}}'
+_CSV_RATIO = "{},{!r}"
 
-    def __init__(self, rendered) -> None:
+
+class _RatioTexts(dict):
+    """Text of the ratio object of each (numerator, denominator) key, as
+    ``_grid_obj`` (``rendered=ratio_str``) or ``_exact_obj``
+    (``rendered=reduced_str``) holds it, written by ``template`` from the
+    ratio string and the float on its first lookup."""
+
+    def __init__(self, rendered, template: str) -> None:
         super().__init__()
         self.rendered = rendered
+        self.template = template
 
     def __missing__(self, key: tuple[int, int]) -> str:
         numerator, denominator = key
-        # A ratio string holds only digits, "-" and "/", so it needs no escaping.
-        text = self[key] = (f'{{"ratio": "{self.rendered(numerator, denominator)}", '
-                            f'"value": {numerator / denominator!r}}}')
+        text = self[key] = self.template.format(self.rendered(numerator, denominator),
+                                                numerator / denominator)
         return text
 
 
@@ -520,7 +508,8 @@ class _Lines(list):
 
 def _record_lines(records: Sequence[EvaluatedTopic], grid: _RatioTexts,
                   exact: _RatioTexts) -> _Lines:
-    """The compact JSON line of each record, as ``_record_obj`` encodes."""
+    """The compact JSON line of each record: its source, topic, value and
+    cutoffs, its five ratio objects and its two counts."""
     lines = _Lines()
     for item in records:
         r = item.record
@@ -697,17 +686,50 @@ def _read_section(payload: dict, name: str, path: str, read) -> list:
         raise _malformed(exc, path, name if index is None else f"{name}[{index}]") from None
 
 
+def _same(a, b) -> bool:
+    """Whether ``a`` equals ``b`` with the same JSON type at every level, so
+    that 0, 0.0 and false differ; object members may come in any order."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is dict:
+        return a.keys() == b.keys() and all(_same(v, b[k]) for k, v in a.items())
+    if type(a) is list:
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+def _typed_points(scatter: list) -> bool:
+    """Whether a stored scatter section that equals the built one has its
+    types: int cell items, bool flags and float values and offsets. Only
+    numbers and flags can equal a value of another JSON type."""
+    for block in scatter:
+        for p in block["points"]:
+            cell = p["cell"]
+            if not (type(cell[0]) is type(cell[1]) is int
+                    and type(p["on_diagonal"]) is type(p["off_grid"]) is bool
+                    and type(p["x"]["value"]) is type(p["y"]["value"]) is float
+                    and type(p["dx"]) is type(p["dy"]) is float):
+                return False
+    return True
+
+
 def _first_difference(stored: list, built: list) -> int | None:
-    return next((i for i, (a, b) in enumerate(zip(stored, built)) if a != b), None)
+    return next((i for i, pair in enumerate(zip(stored, built)) if not _same(*pair)), None)
 
 
 def _check_section(payload: dict, name: str, report: Report, path: str) -> None:
-    """Compare the stored section ``name`` with the one ``report`` writes. A
-    ParseError names the first entry that differs; in the scatter, the point
-    and so the record that disagrees."""
+    """Compare the stored section ``name`` with the one ``report`` writes,
+    type-strictly: 0, 0.0 and false differ. A ParseError names the first
+    entry that differs; in the scatter, the point and so the record that
+    disagrees. The scatter, one point per record, is compared with ``==``
+    and then only its number and flag types are checked."""
     stored = _read_section(payload, name, path, lambda entry: entry)
     built = _derived(name, report.blocks)
-    if stored == built:
+    if name == "scatter":
+        same = stored == built and _typed_points(stored)
+    else:
+        same = _same(stored, built)
+    if same:
         return
     i = _first_difference(stored, built)
     if i is None:
@@ -794,6 +816,24 @@ def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return buffer.getvalue()
 
 
+# The characters for which csv.writer's default dialect may quote or refuse a
+# cell: its delimiter, quote character and line ends, and NUL, which Python
+# 3.10 cannot write unescaped.
+_CSV_SPECIAL = re.compile('[,"\r\n\x00]').search
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it among other cells of a row. A
+    string without a special character is written as it is; any other is
+    written by the csv module itself, so quoting follows it on every
+    Python version."""
+    if _CSV_SPECIAL(text) is None:
+        return text
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow((text, ""))
+    return buffer.getvalue()[:-3]  # the empty cell's "," and the "\r\n"
+
+
 def _cells(entry: dict) -> list:
     """CSV cells of a JSON entry: ratio objects and lists spread over their
     own cells, flags as true/false and nulls as empty cells."""
@@ -810,12 +850,58 @@ def _cells(entry: dict) -> list:
     return cells
 
 
+def _records_csv(records: Sequence[EvaluatedTopic]) -> str:
+    """records.csv: one line per record, with the cells of its JSON line."""
+    header = ("source", "value", "topic_id", "cutoff_requested", "cutoff_effective",
+              "model_ratio", "model_ratio_value", "target_ratio_raw", "target_ratio_raw_value",
+              "rounding_remainder", "rounding_remainder_value",
+              "target_ratio_at_cutoff", "target_ratio_at_cutoff_value",
+              "bias", "bias_value", "unknown_in_window", "target_population")
+    lines = [",".join(header) + "\r\n"]
+    grid, exact = _RatioTexts(ratio_str, _CSV_RATIO), _RatioTexts(reduced_str, _CSV_RATIO)
+    for item in records:
+        r = item.record
+        m, model, ideal = r.cutoff_effective, r.model_count, r.ideal_count
+        numerator, denominator = r.target_numerator, r.target_denominator
+        lines.append(
+            f"{_csv_field(item.source)},{_csv_field(r.feature_value)},"
+            f"{_csv_field(r.topic_id)},{r.cutoff_requested},{m},{grid[model, m]},"
+            f"{exact[numerator, denominator]},"
+            f"{exact[numerator * m % denominator, denominator]},{grid[ideal, m]},"
+            f"{grid[model - ideal, m]},{r.unknown_in_window},{item.target_population}\r\n")
+    return "".join(lines)
+
+
+def _scatter_csv(blocks: Sequence[ReportBlock]) -> str:
+    """scatter.csv: one line per point, with its block's source and value
+    and the cells of its JSON line."""
+    header = ("source", "value", "topic_id", "x", "x_value", "y", "y_value",
+              "cell_i", "cell_j", "dx", "dy", "on_diagonal", "off_grid")
+    lines = [",".join(header) + "\r\n"]
+    exact = _RatioTexts(reduced_str, _CSV_RATIO)
+    for b in blocks:
+        block = f"{_csv_field(b.source)},{_csv_field(b.feature_value)}"
+        for p in b.scatter:
+            r = p.record
+            m = r.cutoff_effective
+            lines.append(
+                f"{block},{_csv_field(r.topic_id)},{exact[r.ideal_count, m]},"
+                f"{exact[r.model_count, m]},{p.cell[0]},{p.cell[1]},{p.dx!r},{p.dy!r},"
+                f"{_BOOLS[p.on_diagonal]},{_BOOLS[p.off_grid]}\r\n")
+    return "".join(lines)
+
+
 def report_to_csv_bundle(report: Report) -> dict[str, str]:
-    """Render the report as named CSV files with fixed column orders; the
-    rows are the entries of the JSON document, spread by ``_cells``."""
-    # Records spread to source, topic, value, ...; the value column comes first.
-    record_rows = [(c[0], c[2], c[1], *c[3:])
-                   for c in map(_cells, map(_record_obj, report.records))]
+    """Render the report as named CSV files with fixed column orders.
+
+    ``records.csv`` and ``scatter.csv``, nearly all of the bundle, are
+    written as text lines as ``report_to_json`` writes its records and
+    points: the two cells of each ratio once per distinct (numerator,
+    denominator), ints and floats as their ``repr``, strings through
+    ``_csv_field``. The other files are the rows of the JSON document's
+    entries, spread by ``_cells``. Each file's bytes are those
+    ``csv.writer`` writes, and one file is rendered before the next.
+    """
     tables = _derived("tables", report.blocks)
 
     def table_rows(side: str) -> list:
@@ -833,24 +919,13 @@ def report_to_csv_bundle(report: Report) -> dict[str, str]:
              "single_sample", "sd_divisor"),
             [_cells(s) + [report.meta.sd_divisor]
              for s in _derived("summaries", report.blocks)]),
-        "records.csv": _csv_text(
-            ("source", "value", "topic_id", "cutoff_requested", "cutoff_effective",
-             "model_ratio", "model_ratio_value",
-             "target_ratio_raw", "target_ratio_raw_value",
-             "rounding_remainder", "rounding_remainder_value",
-             "target_ratio_at_cutoff", "target_ratio_at_cutoff_value",
-             "bias", "bias_value", "unknown_in_window", "target_population"),
-            record_rows),
+        "records.csv": _records_csv(report.records),
         "histogram.csv": _csv_text(
             ("source", "value", "center", "center_value", "count",
              "reference_count"),
             [(h["source"], h["value"], *_cells(b))
              for h in _derived("histogram", report.blocks) for b in h["bins"]]),
-        "scatter.csv": _csv_text(
-            ("source", "value", "topic_id", "x", "x_value", "y", "y_value",
-             "cell_i", "cell_j", "dx", "dy", "on_diagonal", "off_grid"),
-            [(s["source"], s["value"], *_cells(p))
-             for s in _derived("scatter", report.blocks) for p in s["points"]]),
+        "scatter.csv": _scatter_csv(report.blocks),
         "table_towards.csv": _csv_text(table_header, table_rows("towards")),
         "table_against.csv": _csv_text(table_header, table_rows("against")),
         # Each bucket's cells end with its row, which this table leaves out.

@@ -1,12 +1,18 @@
-"""The report.json renderer as it was when every entry went through the
-compact encoder as a dict, kept verbatim as the reference the text renderer
-in ``biaslens.report`` must agree with, byte for byte."""
+"""The report renderers as they were when every record and scatter point was
+built as a dict: the report.json renderer, whose entries went through the
+compact encoder, and the CSV bundle, whose rows were those dicts spread into
+cells and written by ``csv.writer``. They are kept verbatim as the reference
+the text renderers in ``biaslens.report`` must agree with, byte for byte."""
 
 from __future__ import annotations
 
+import csv
+import io
 import json
+from typing import Iterable, Sequence
 
-from biaslens.report import SCHEMA, Report, _derived, _record_obj
+from biaslens.report import (SCHEMA, EvaluatedTopic, Report, _derived, _exact_obj,
+                             _grid_obj)
 
 
 def report_to_json(report: Report) -> str:
@@ -60,3 +66,97 @@ def _layout(value, indent: str = "") -> str:
     lines = [inner + _layout(v, inner) for v in value]
     return "[\n" + ",\n".join(lines) + f"\n{indent}]"
 
+
+def _record_obj(item: EvaluatedTopic) -> dict:
+    r = item.record
+    m = r.cutoff_effective
+    numerator, denominator = r.target_numerator, r.target_denominator
+    return {
+        "source": item.source,
+        "topic": r.topic_id,
+        "value": r.feature_value,
+        "cutoff_requested": r.cutoff_requested,
+        "cutoff_effective": m,
+        "model_ratio": _grid_obj(r.model_count, m),
+        "target_ratio_raw": _exact_obj(numerator, denominator),
+        "rounding_remainder": _exact_obj(numerator * m % denominator, denominator),
+        "target_ratio_at_cutoff": _grid_obj(r.ideal_count, m),
+        "bias": _grid_obj(r.model_count - r.ideal_count, m),
+        "unknown_in_window": r.unknown_in_window,
+        "target_population": item.target_population,
+    }
+
+
+def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+def _cells(entry: dict) -> list:
+    """CSV cells of a JSON entry: ratio objects and lists spread over their
+    own cells, flags as true/false and nulls as empty cells."""
+    cells = []
+    for value in entry.values():
+        if type(value) is dict:
+            cells.extend(value.values())
+        elif type(value) is list:
+            cells.extend(value)
+        elif type(value) is bool:
+            cells.append("true" if value else "false")
+        else:
+            cells.append("" if value is None else value)
+    return cells
+
+
+def report_to_csv_bundle(report: Report) -> dict[str, str]:
+    """Render the report as named CSV files with fixed column orders; the
+    rows are the entries of the JSON document, spread by ``_cells``."""
+    # Records spread to source, topic, value, ...; the value column comes first.
+    record_rows = [(c[0], c[2], c[1], *c[3:])
+                   for c in map(_cells, map(_record_obj, report.records))]
+    tables = _derived("tables", report.blocks)
+
+    def table_rows(side: str) -> list:
+        return [(t["source"], t["value"], rank, *_cells(row))
+                for t in tables for rank, row in enumerate(t[side], start=1)]
+
+    table_header = ("source", "value", "rank", "topic_id", "cutoff_effective",
+                    "model_ratio", "model_ratio_value",
+                    "target_ratio_at_cutoff", "target_ratio_at_cutoff_value",
+                    "bias", "bias_value")
+    return {
+        "summaries.csv": _csv_text(
+            ("source", "value", "topics", "MB", "MB_value", "SB_value",
+             "MAB", "MAB_value", "min", "min_value", "max", "max_value",
+             "single_sample", "sd_divisor"),
+            [_cells(s) + [report.meta.sd_divisor]
+             for s in _derived("summaries", report.blocks)]),
+        "records.csv": _csv_text(
+            ("source", "value", "topic_id", "cutoff_requested", "cutoff_effective",
+             "model_ratio", "model_ratio_value",
+             "target_ratio_raw", "target_ratio_raw_value",
+             "rounding_remainder", "rounding_remainder_value",
+             "target_ratio_at_cutoff", "target_ratio_at_cutoff_value",
+             "bias", "bias_value", "unknown_in_window", "target_population"),
+            record_rows),
+        "histogram.csv": _csv_text(
+            ("source", "value", "center", "center_value", "count",
+             "reference_count"),
+            [(h["source"], h["value"], *_cells(b))
+             for h in _derived("histogram", report.blocks) for b in h["bins"]]),
+        "scatter.csv": _csv_text(
+            ("source", "value", "topic_id", "x", "x_value", "y", "y_value",
+             "cell_i", "cell_j", "dx", "dy", "on_diagonal", "off_grid"),
+            [(s["source"], s["value"], *_cells(p))
+             for s in _derived("scatter", report.blocks) for p in s["points"]]),
+        "table_towards.csv": _csv_text(table_header, table_rows("towards")),
+        "table_against.csv": _csv_text(table_header, table_rows("against")),
+        # Each bucket's cells end with its row, which this table leaves out.
+        "table_unbiased.csv": _csv_text(
+            ("source", "value", "bucket", "bucket_value", "topic_id", "population"),
+            [(t["source"], t["value"], *_cells(b)[:4])
+             for t in tables for b in t["unbiased"]["buckets"]]),
+    }

@@ -286,6 +286,55 @@ def test_simulate_plan_length_above_the_row_limit_is_located(tmp_path, capsys):
     assert not (tmp_path / "fixtures").exists()
 
 
+def _no_simulation(*args, **kwargs):
+    raise AssertionError("a plan row was simulated")
+
+
+def test_simulate_plan_total_above_the_limit_is_located(tmp_path, capsys, monkeypatch):
+    # The plan is checked whole before any row is simulated, so this text,
+    # which asks for about 2.2 million entities, builds none of them.
+    rows = cli.MAX_PLAN_TOTAL // cli.MAX_PLAN_LENGTH
+    plan = write(tmp_path / "plan.tsv", "".join(
+        f"t{i}\t1/2\t0\t{cli.MAX_PLAN_LENGTH}\n" for i in range(rows + 2)))
+    monkeypatch.setattr(cli, "simulate_run", _no_simulation)
+    args = ["simulate", plan, "--feature", "gender", "--values", "female,male",
+            "--out", str(tmp_path / "fixtures")]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == (
+        f"error: {plan}:{rows + 1}: total length 2100000 exceeds the plan limit "
+        f"of 2000000\n")
+    assert not (tmp_path / "fixtures").exists()
+    assert cli.main(["simulate", "--help"]) == 0
+    assert "2,000,000 in all" in " ".join(capsys.readouterr().out.split())
+
+
+def test_simulate_plan_total_at_the_limit_is_simulated(tmp_path, capsys, monkeypatch):
+    simulated = []
+
+    def infeasible(topic_id, *args, **kwargs):
+        simulated.append(topic_id)
+        raise cli.InfeasibleSimulationError(f"topic {topic_id!r}: stub")
+
+    rows = cli.MAX_PLAN_TOTAL // cli.MAX_PLAN_LENGTH
+    plan = write(tmp_path / "plan.tsv", "".join(
+        f"t{i}\t1/2\t0\t{cli.MAX_PLAN_LENGTH}\n" for i in range(rows)) + "short\t1/2\t0\t-5\n")
+    monkeypatch.setattr(cli, "simulate_run", infeasible)
+    args = ["simulate", plan, "--feature", "gender", "--values", "female,male",
+            "--out", str(tmp_path / "fixtures")]
+    assert cli.main(args) == 1
+    assert simulated == [f"t{i}" for i in range(rows)] + ["short"]
+    assert "exceeds" not in capsys.readouterr().err
+
+
+def test_simulate_plan_with_a_bad_row_simulates_none(tmp_path, capsys, monkeypatch):
+    plan = write(tmp_path / "plan.tsv", "good\t1/2\t0\t10\nbad\tx\t0\t10\n")
+    monkeypatch.setattr(cli, "simulate_run", _no_simulation)
+    args = ["simulate", plan, "--feature", "gender", "--values", "female,male",
+            "--out", str(tmp_path / "fixtures")]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err.startswith(f"error: {plan}:2: unparseable row: ")
+
+
 def test_report_rederives_tables(audit_dir, tmp_path):
     out = tmp_path / "out"
     cli.main(evaluate_args(audit_dir, out, ("--table-size", "1")))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 import random
 from fractions import Fraction
@@ -30,7 +31,8 @@ from biaslens import (
     simulate_run,
     unbiased_exemplars,
 )
-from biaslens.report import EvaluatedTopic, SkippedTopic, _record_obj, _scatter_entry
+from biaslens._util import unit_open, unit_open_xy
+from biaslens.report import EvaluatedTopic, SkippedTopic, _scatter_entry
 
 F = Fraction
 
@@ -147,6 +149,13 @@ class TestScatter:
         records = records_from_counts([("zeta", 1, 1), ("alpha", 2, 2)])
         points = build_scatter(records, "female", 10, seed=1)
         assert [p.record.topic_id for p in points] == ["alpha", "zeta"]
+
+    @given(seed=st.integers(-10**30, 10**30),
+           keys=st.lists(st.lists(st.text(), max_size=3), max_size=4))
+    def test_shared_prefix_draws_are_unit_open_draws(self, seed, keys):
+        expected = [(unit_open(seed, *parts, "x"), unit_open(seed, *parts, "y"))
+                    for parts in keys]
+        assert list(unit_open_xy(seed, keys)) == expected
 
     def test_binary_symmetry_of_point_sets(self, gender):
         evaluated = simulated_corpus(gender, seed=8)
@@ -321,22 +330,29 @@ AWKWARD_TEXT = st.text(st.sampled_from('a"\\\x00\x1f\n\t\u2028\u2029é漢\U0001f
                        | st.characters(), min_size=1, max_size=5)
 
 
+# Strings a CSV writer must quote, or may mangle: the delimiter, quotes and
+# line ends, other separators, text outside ASCII and padding spaces.
+CSV_TEXT = st.lists(st.sampled_from([",", '"', "\r", "\n", "\r\n", "\u2028", "\x1f",
+                                     "\x00", " ", "a", "é", "漢", "\U0001f600"])
+                    | st.characters(), max_size=5).map("".join)
+
+
 @st.composite
-def reports(draw):
-    """Reports over 2- or 3-valued schemes with awkward labels and topic
-    ids, windows up to the cutoff, biases of either sign and possibly no
-    records or no skipped topics."""
+def reports(draw, text=AWKWARD_TEXT):
+    """Reports over 2- or 3-valued schemes with labels and topic ids drawn
+    from ``text``, windows up to the cutoff, biases of either sign and
+    possibly no records or no skipped topics."""
     n = draw(st.integers(1, 12))
-    values = tuple(draw(st.lists(AWKWARD_TEXT, min_size=2, max_size=3, unique=True)))
-    sources = tuple(draw(st.lists(AWKWARD_TEXT, min_size=1, max_size=2, unique=True)))
+    values = tuple(draw(st.lists(text, min_size=2, max_size=3, unique=True)))
+    sources = tuple(draw(st.lists(text, min_size=1, max_size=2, unique=True)))
     meta = make_meta(seed=draw(st.integers(-10**6, 10**6)), cutoff=n,
-                     feature_name=draw(AWKWARD_TEXT), values=values,
-                     unknown_token=draw(AWKWARD_TEXT), sources=sources,
+                     feature_name=draw(text), values=values,
+                     unknown_token=draw(text), sources=sources,
                      strict=draw(st.booleans()), table_size=draw(st.integers(1, 4)),
                      sd_divisor=draw(st.sampled_from(["sample", "population"])),
                      exemplar_grid=draw(st.integers(1, 6)))
     keys = draw(st.lists(st.tuples(st.sampled_from(sources), st.sampled_from(values),
-                                   AWKWARD_TEXT), max_size=12, unique=True))
+                                   text), max_size=12, unique=True))
     evaluated = []
     for source, value, topic in keys:
         m = draw(st.integers(1, n))
@@ -345,8 +361,8 @@ def reports(draw):
                             draw(st.integers(0, m)), draw(st.integers(0, denominator)),
                             denominator, draw(st.integers(0, m)))
         evaluated.append(EvaluatedTopic(source, draw(st.integers(1, 10**6)), record))
-    skipped = draw(st.lists(st.builds(SkippedTopic, AWKWARD_TEXT, st.sampled_from(sources),
-                                      AWKWARD_TEXT, AWKWARD_TEXT), max_size=3))
+    skipped = draw(st.lists(st.builds(SkippedTopic, text, st.sampled_from(sources),
+                                      text, text), max_size=3))
     return build_report(meta, evaluated, skipped)
 
 
@@ -372,7 +388,7 @@ class TestReportDocument:
     @given(report=reports())
     def test_record_and_point_lines_are_their_entries(self, report):
         text = report_to_json(report)
-        records = [_record_obj(item) for item in report.records]
+        records = [report_reference._record_obj(item) for item in report.records]
         points = [_scatter_entry(block)["points"] for block in report.blocks]
         written_records = _entry_lines(text, "records", "  ") or [[]]
         written_points = _entry_lines(text, "points", "      ")
@@ -507,6 +523,30 @@ class TestReportDocument:
             assert f"kb/female/{payload['scatter'][0]['points'][1]['topic']}" in str(err.value)
 
     @pytest.mark.parametrize("field, tamper", [
+        ("summaries[0]", lambda p: p["summaries"][0].update(single_sample=0)),
+        ("summaries[1]", lambda p: p["summaries"][1].update(topics=3.0)),
+        ("histogram[0]", lambda p: p["histogram"][0]["bins"][4].update(
+            count=float(p["histogram"][0]["bins"][4]["count"]))),
+        ("tables[1]", lambda p: p["tables"][1].update(towards_short=1)),
+        ("tables[0]", lambda p: p["tables"][0]["unbiased"]["buckets"][0].update(value=0)),
+        ("scatter[0].points[1]",
+         lambda p: p["scatter"][0]["points"][1]["cell"].__setitem__(0, float(
+             p["scatter"][0]["points"][1]["cell"][0]))),
+        ("scatter[1].points[0]", lambda p: p["scatter"][1]["points"][0].update(
+            on_diagonal=int(p["scatter"][1]["points"][0]["on_diagonal"]))),
+        ("scatter[0].points[2]", lambda p: p["scatter"][0]["points"][2]["y"].update(
+            value=int(p["scatter"][0]["points"][2]["y"]["value"]))),
+    ])
+    def test_equal_values_of_another_type_name_the_entry(self, field, tamper):
+        payload = json.loads(MUTATION_BASE)
+        before = json.dumps(payload)
+        tamper(payload)
+        assert json.dumps(payload) != before and json.loads(before) == payload
+        with pytest.raises(ParseError) as err:
+            parse_report(json.dumps(payload), path="report.json")
+        assert err.value.field == field
+
+    @pytest.mark.parametrize("field, tamper", [
         ("records[1]", lambda p: p["records"].insert(1, p["records"][0])),
         ("records[0]", lambda p: p["records"][0].update(source="zz")),
         ("meta", lambda p: p["meta"].update(sd_divisor="foo")),
@@ -587,6 +627,20 @@ class TestReportDocument:
                      "scatter.csv", "table_towards.csv", "table_against.csv",
                      "table_unbiased.csv"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    @given(report=reports(CSV_TEXT))
+    def test_text_csv_bundle_writes_the_bytes_of_the_cell_writer(self, report):
+        try:
+            expected = report_reference.report_to_csv_bundle(report)
+        except csv.Error:
+            # Python 3.10's csv module cannot write a NUL unescaped.
+            with pytest.raises(csv.Error):
+                report_to_csv_bundle(report)
+            return
+        bundle = report_to_csv_bundle(report)
+        assert list(bundle) == list(expected)
+        for name, text in expected.items():
+            assert bundle[name] == text, name
 
     def test_csv_bundle_shape(self, gender):
         evaluated = simulated_corpus(gender, seed=10, topics=6)
