@@ -59,16 +59,10 @@ def derive_seed(seed: int, *parts: str) -> int:
     return int.from_bytes(digest.digest(), "big")
 
 
-def unit_open(seed: int, *parts: str) -> float:
-    """Deterministic draw in the open interval (0, 1) keyed on (seed, *parts)."""
-    raw = derive_seed(seed, *parts)
-    return (raw + 0.5) / 2.0**64
-
-
 def unit_open_xy(seed: int, keys: Iterable[tuple[str, ...]]
                  ) -> Iterator[tuple[float, float]]:
-    """``(unit_open(seed, *parts, "x"), unit_open(seed, *parts, "y"))`` for
-    each ``parts`` of ``keys``, bit for bit.
+    """Draws in the open interval (0, 1) for each ``parts`` of ``keys``: the x
+    and y of ``(derive_seed(seed, *parts, axis) + 0.5) / 2**64``, bit for bit.
 
     The seed is hashed once and its state copied per key, which feeds
     ``\\x1f part \\x1f ... \\x1f`` once and is copied again for x and y. The

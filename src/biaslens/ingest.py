@@ -82,9 +82,6 @@ class LabelCatalog:
             return None
         return value
 
-    def __len__(self) -> int:
-        return len(self.assignments)
-
     @classmethod
     def build(cls, scheme: FeatureScheme,
               rows: Iterable[tuple[str, str, str]]) -> "LabelCatalog":
@@ -133,9 +130,6 @@ class MembershipTable:
     """Reference-population membership: topic_id to the set of its entities."""
 
     members: dict[str, frozenset[str]]
-
-    def __len__(self) -> int:
-        return len(self.members)
 
 
 def _priority(provenance: str) -> int:

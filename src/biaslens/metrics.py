@@ -409,7 +409,6 @@ class SimulatedTopic:
     run: RankedRun
     labels: "LabelCatalog"
     target: TargetCounts
-    planted_bias: Ratio
 
 
 def simulate_run(topic_id: str, target: Ratio, bias: Ratio, m: int,
@@ -475,5 +474,4 @@ def simulate_run(topic_id: str, target: Ratio, bias: Ratio, m: int,
         labels=labels,
         target=TargetCounts(topic_id=topic_id, feature_name=scheme.feature_name,
                             counts=counts),
-        planted_bias=bias,
     )

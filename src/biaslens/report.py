@@ -5,7 +5,9 @@ the 1/n grid, jittered target-vs-model scatter points, ranked most-biased
 tables, and per-bucket unbiased exemplars. Emission is byte-stable: given
 the same records and seed, the JSON document and every CSV in the bundle
 come out identical, and files are written atomically so a failed run never
-leaves a partial report behind.
+leaves a partial report behind. A summary, record or scatter point line has
+one definition, the field list ``_SUMMARY``, ``_RECORD`` or ``_POINT``: its
+JSON line, its CSV line and its CSV header are all built from it.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import math
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -27,8 +31,6 @@ from ._util import atomic_write, ratio_str, reduced_str, round_half_away, unit_o
 SCHEMA = "biaslens-report/1"
 
 JSON_NAME = "report.json"
-CSV_NAMES = ("summaries.csv", "records.csv", "histogram.csv", "scatter.csv",
-             "table_towards.csv", "table_against.csv", "table_unbiased.csv")
 
 
 @dataclass(frozen=True)
@@ -45,10 +47,6 @@ class HistogramSpec:
     counts: tuple[int, ...]
     reference_counts: tuple[int, ...]
     off_grid_topics: tuple[str, ...]
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
 
 
 @dataclass(frozen=True)
@@ -349,18 +347,6 @@ def _row_obj(r: BiasRecord) -> dict:
     }
 
 
-def _summary_entry(b: ReportBlock) -> dict:
-    return {
-        "topics": b.summary.topic_count,
-        "MB": _exact_obj(*b.summary.mean_bias.as_integer_ratio()),
-        "SB": b.summary.stdev_bias,
-        "MAB": _exact_obj(*b.summary.mean_abs_bias.as_integer_ratio()),
-        "min": _exact_obj(*b.summary.min_bias.as_integer_ratio()),
-        "max": _exact_obj(*b.summary.max_bias.as_integer_ratio()),
-        "single_sample": b.summary.single_sample,
-    }
-
-
 def _histogram_entry(b: ReportBlock) -> dict:
     n = b.histogram.cutoff
     return {
@@ -418,13 +404,16 @@ def _tables_entry(b: ReportBlock) -> dict:
     }
 
 
-_DERIVED_ENTRIES = {"summaries": _summary_entry, "histogram": _histogram_entry,
-                    "scatter": _scatter_entry, "tables": _tables_entry}
+_DERIVED_ENTRIES = {"histogram": _histogram_entry, "scatter": _scatter_entry,
+                    "tables": _tables_entry}
 
 
 def _derived(name: str, blocks: Sequence[ReportBlock]) -> list[dict]:
-    """The document's section ``name``, one entry per block. Writing a report,
-    checking a stored one and the CSV bundle all take their entries from here."""
+    """The document's section ``name``, one entry per block, as a stored one
+    is checked; the histogram and tables are also written from it."""
+    if name == "summaries":  # its lines read back: ``_SUMMARY`` defines them
+        exact = _RatioTexts(reduced_str, _JSON_RATIO)
+        return list(map(json.loads, _SUMMARY.json(_summary_cells(blocks, _string, exact))))
     entry = _DERIVED_ENTRIES[name]
     return [{"source": b.source, "value": b.feature_value, **entry(b)} for b in blocks]
 
@@ -432,12 +421,12 @@ def _derived(name: str, blocks: Sequence[ReportBlock]) -> list[dict]:
 def report_to_json(report: Report) -> str:
     """Render the report as the versioned JSON document (byte-stable).
 
-    Records and scatter points, nearly every line of the document, are
-    written as text: each ratio object is encoded once per distinct
-    (numerator, denominator), strings go through the string encoder the
-    compact encoder uses, and ints and floats are written as it writes them.
-    A point's line equals the compact encoding of its ``_scatter_entry``
-    entry, which ``parse_report`` compares.
+    Summaries, records and scatter points, nearly every line, are written by
+    the field lists ``_SUMMARY``, ``_RECORD`` and ``_POINT``, the one
+    definition of each line, which the CSV bundle shares. Each ratio object
+    is encoded once per distinct (numerator, denominator), and a point's
+    line equals the compact encoding of its ``_scatter_entry`` entry, which
+    ``parse_report`` compares.
     """
     meta = report.meta
     grid, exact = _RatioTexts(ratio_str, _JSON_RATIO), _RatioTexts(reduced_str, _JSON_RATIO)
@@ -455,11 +444,12 @@ def report_to_json(report: Report) -> str:
             "sd_divisor": meta.sd_divisor,
             "evaluation": "one-vs-rest",
         },
-        "summaries": _derived("summaries", report.blocks),
-        "records": _record_lines(report.records, grid, exact),
+        "summaries": _SUMMARY.json(_summary_cells(report.blocks, _string, exact)),
+        "records": _RECORD.json(_record_cells(report.records, _string, grid, exact)),
         "histogram": _derived("histogram", report.blocks),
         "scatter": [{"source": b.source, "value": b.feature_value,
-                     "points": _point_lines(b.scatter, exact)} for b in report.blocks],
+                     "points": _POINT.json(_point_cells((b,), _string, exact))}
+                    for b in report.blocks],
         "tables": _derived("tables", report.blocks),
         "skipped": [
             {"topic": s.topic_id, "source": s.source, "reason": s.reason,
@@ -480,8 +470,8 @@ _BOOLS = ("false", "true")
 
 # The ratio object's text in a JSON line, and its two cells in a CSV line.
 # A ratio string holds only digits, "-" and "/", so it needs no escaping.
-_JSON_RATIO = '{{"ratio": "{}", "value": {!r}}}'
-_CSV_RATIO = "{},{!r}"
+_JSON_RATIO = '{"ratio": "%s", "value": %r}'
+_CSV_RATIO = "%s,%r"
 
 
 class _RatioTexts(dict):
@@ -491,14 +481,13 @@ class _RatioTexts(dict):
     ratio string and the float on its first lookup."""
 
     def __init__(self, rendered, template: str) -> None:
-        super().__init__()
         self.rendered = rendered
         self.template = template
 
     def __missing__(self, key: tuple[int, int]) -> str:
         numerator, denominator = key
-        text = self[key] = self.template.format(self.rendered(numerator, denominator),
-                                                numerator / denominator)
+        text = self[key] = self.template % (self.rendered(numerator, denominator),
+                                            numerator / denominator)
         return text
 
 
@@ -506,41 +495,92 @@ class _Lines(list):
     """Array entries already rendered as compact JSON lines."""
 
 
-def _record_lines(records: Sequence[EvaluatedTopic], grid: _RatioTexts,
-                  exact: _RatioTexts) -> _Lines:
-    """The compact JSON line of each record: its source, topic, value and
-    cutoffs, its five ratio objects and its two counts."""
-    lines = _Lines()
+class _Shape:
+    """A line shape whose JSON line, CSV line and CSV header are all built from
+    ``fields``: the cells its cells function yields, in CSV column order, each
+    a JSON key (None for a CSV-only cell) and the CSV columns its text fills.
+    JSON holds keyed cells in field order, ``json_first`` keys first, and cells
+    of one key in a row as a list. ``%s`` writes numbers as json and csv do."""
+
+    def __init__(self, *fields: tuple[str | None, str],
+                 json_first: tuple[str, ...] = ()) -> None:
+        self.header = ",".join(c for _, columns in fields for c in columns.split()) + "\r\n"
+        self.csv_line = ",".join(["%s"] * len(fields)) + "\r\n"
+        keyed = sorted((i for i, (key, _) in enumerate(fields) if key),
+                       key=lambda i: fields[i][0] not in json_first)
+        members = []
+        for key, cells in groupby(keyed, lambda i: fields[i][0]):
+            value = ", ".join("%s" for _ in cells)
+            members.append(f'"{key}": {value}' if value == "%s" else f'"{key}": [{value}]')
+        self.json_line = "{" + ", ".join(members) + "}"
+        self.json_cells = itemgetter(*keyed)
+
+    def json(self, cells: Iterable[tuple]) -> _Lines:
+        line, pick = self.json_line, self.json_cells
+        return _Lines([line % pick(c) for c in cells])
+
+    def csv(self, cells: Iterable[tuple]) -> str:
+        line = self.csv_line
+        return self.header + "".join([line % c for c in cells])
+
+
+# records.csv puts the value column before topic_id, and a JSON record its
+# topic before its value; the golden digests pin both orders.
+_RECORD = _Shape(
+    ("source", "source"), ("value", "value"), ("topic", "topic_id"),
+    ("cutoff_requested", "cutoff_requested"), ("cutoff_effective", "cutoff_effective"),
+    ("model_ratio", "model_ratio model_ratio_value"),
+    ("target_ratio_raw", "target_ratio_raw target_ratio_raw_value"),
+    ("rounding_remainder", "rounding_remainder rounding_remainder_value"),
+    ("target_ratio_at_cutoff", "target_ratio_at_cutoff target_ratio_at_cutoff_value"),
+    ("bias", "bias bias_value"), ("unknown_in_window", "unknown_in_window"),
+    ("target_population", "target_population"), json_first=("source", "topic"))
+# A point's JSON line sits in its block's entry; scatter.csv repeats the
+# block's source and value on each line.
+_POINT = _Shape(
+    (None, "source"), (None, "value"), ("topic", "topic_id"), ("x", "x x_value"),
+    ("y", "y y_value"), ("cell", "cell_i"), ("cell", "cell_j"), ("dx", "dx"), ("dy", "dy"),
+    ("on_diagonal", "on_diagonal"), ("off_grid", "off_grid"))
+_SUMMARY = _Shape(
+    ("source", "source"), ("value", "value"), ("topics", "topics"), ("MB", "MB MB_value"),
+    ("SB", "SB_value"), ("MAB", "MAB MAB_value"), ("min", "min min_value"),
+    ("max", "max max_value"), ("single_sample", "single_sample"), (None, "sd_divisor"))
+
+
+def _record_cells(records: Iterable[EvaluatedTopic], string, grid: _RatioTexts,
+                  exact: _RatioTexts) -> Iterator[tuple]:
+    """``_RECORD`` cells, from the format's string encoder and ratio memos."""
     for item in records:
         r = item.record
         m, model, ideal = r.cutoff_effective, r.model_count, r.ideal_count
         numerator, denominator = r.target_numerator, r.target_denominator
-        lines.append(
-            f'{{"source": {_string(item.source)}, "topic": {_string(r.topic_id)}, '
-            f'"value": {_string(r.feature_value)}, '
-            f'"cutoff_requested": {r.cutoff_requested}, "cutoff_effective": {m}, '
-            f'"model_ratio": {grid[model, m]}, '
-            f'"target_ratio_raw": {exact[numerator, denominator]}, '
-            f'"rounding_remainder": {exact[numerator * m % denominator, denominator]}, '
-            f'"target_ratio_at_cutoff": {grid[ideal, m]}, '
-            f'"bias": {grid[model - ideal, m]}, '
-            f'"unknown_in_window": {r.unknown_in_window}, '
-            f'"target_population": {item.target_population}}}')
-    return lines
+        yield (string(item.source), string(r.feature_value), string(r.topic_id),
+               r.cutoff_requested, m, grid[model, m], exact[numerator, denominator],
+               exact[numerator * m % denominator, denominator], grid[ideal, m],
+               grid[model - ideal, m], r.unknown_in_window, item.target_population)
 
 
-def _point_lines(points: Sequence[ScatterPoint], exact: _RatioTexts) -> _Lines:
-    """The compact JSON line of each point, as ``_scatter_entry`` encodes."""
-    lines = _Lines()
-    for p in points:
-        r = p.record
-        m = r.cutoff_effective
-        lines.append(
-            f'{{"topic": {_string(r.topic_id)}, "x": {exact[r.ideal_count, m]}, '
-            f'"y": {exact[r.model_count, m]}, "cell": [{p.cell[0]}, {p.cell[1]}], '
-            f'"dx": {p.dx!r}, "dy": {p.dy!r}, "on_diagonal": {_BOOLS[p.on_diagonal]}, '
-            f'"off_grid": {_BOOLS[p.off_grid]}}}')
-    return lines
+def _point_cells(blocks: Iterable[ReportBlock], string, exact: _RatioTexts
+                 ) -> Iterator[tuple]:
+    for b in blocks:
+        source, value = string(b.source), string(b.feature_value)
+        for p in b.scatter:
+            r, (i, j) = p.record, p.cell
+            m = r.cutoff_effective
+            yield (source, value, string(r.topic_id), exact[r.ideal_count, m],
+                   exact[r.model_count, m], i, j, p.dx, p.dy, _BOOLS[p.on_diagonal],
+                   _BOOLS[p.off_grid])
+
+
+def _summary_cells(blocks: Iterable[ReportBlock], string, exact: _RatioTexts
+                   ) -> Iterator[tuple]:
+    for b in blocks:
+        s = b.summary
+        yield (string(b.source), string(b.feature_value), s.topic_count,
+               exact[s.mean_bias.as_integer_ratio()], s.stdev_bias,
+               exact[s.mean_abs_bias.as_integer_ratio()], exact[s.min_bias.as_integer_ratio()],
+               exact[s.max_bias.as_integer_ratio()], _BOOLS[s.single_sample],
+               "population" if s.population_sd else "sample")
 
 
 def _spread(value) -> bool:
@@ -572,10 +612,17 @@ _MALFORMED = (KeyError, TypeError, ValueError, AttributeError, IndexError,
               ZeroDivisionError)
 
 
+# A JSON \ud800 escape reads as a lone surrogate, which no UTF-8 file and no
+# digest can hold; an ASCII string holds none.
+_SURROGATE = re.compile("[\ud800-\udfff]").search
+
+
 def _typed(obj: dict, key: str, kind: type):
     value = obj[key]
     if type(value) is not kind:
         raise TypeError(f"{key} must be {kind.__name__}, got {value!r}")
+    if kind is str and not value.isascii() and _SURROGATE(value):
+        raise ValueError(f"{key} holds a lone surrogate: {value!r}")
     return value
 
 
@@ -613,6 +660,8 @@ def _read_meta(m: dict) -> ReportMeta:
     )
     if not all(type(name) is str for name in meta.values + meta.sources):
         raise TypeError("values and sources must be lists of strings")
+    if not all(name.isascii() or not _SURROGATE(name) for name in meta.values + meta.sources):
+        raise ValueError("values and sources must hold no lone surrogate")
     if meta.cutoff < 1 or meta.table_size < 1:
         raise ValueError("cutoff and table_size must be >= 1")
     if meta.sd_divisor not in ("sample", "population"):
@@ -835,73 +884,28 @@ def _csv_field(text: str) -> str:
 
 
 def _cells(entry: dict) -> list:
-    """CSV cells of a JSON entry: ratio objects and lists spread over their
-    own cells, flags as true/false and nulls as empty cells."""
+    """CSV cells of a histogram bin, table row or exemplar bucket: ratio
+    objects spread over their own cells and nulls as empty cells."""
     cells = []
     for value in entry.values():
         if type(value) is dict:
             cells.extend(value.values())
-        elif type(value) is list:
-            cells.extend(value)
-        elif type(value) is bool:
-            cells.append("true" if value else "false")
         else:
             cells.append("" if value is None else value)
     return cells
 
 
-def _records_csv(records: Sequence[EvaluatedTopic]) -> str:
-    """records.csv: one line per record, with the cells of its JSON line."""
-    header = ("source", "value", "topic_id", "cutoff_requested", "cutoff_effective",
-              "model_ratio", "model_ratio_value", "target_ratio_raw", "target_ratio_raw_value",
-              "rounding_remainder", "rounding_remainder_value",
-              "target_ratio_at_cutoff", "target_ratio_at_cutoff_value",
-              "bias", "bias_value", "unknown_in_window", "target_population")
-    lines = [",".join(header) + "\r\n"]
-    grid, exact = _RatioTexts(ratio_str, _CSV_RATIO), _RatioTexts(reduced_str, _CSV_RATIO)
-    for item in records:
-        r = item.record
-        m, model, ideal = r.cutoff_effective, r.model_count, r.ideal_count
-        numerator, denominator = r.target_numerator, r.target_denominator
-        lines.append(
-            f"{_csv_field(item.source)},{_csv_field(r.feature_value)},"
-            f"{_csv_field(r.topic_id)},{r.cutoff_requested},{m},{grid[model, m]},"
-            f"{exact[numerator, denominator]},"
-            f"{exact[numerator * m % denominator, denominator]},{grid[ideal, m]},"
-            f"{grid[model - ideal, m]},{r.unknown_in_window},{item.target_population}\r\n")
-    return "".join(lines)
-
-
-def _scatter_csv(blocks: Sequence[ReportBlock]) -> str:
-    """scatter.csv: one line per point, with its block's source and value
-    and the cells of its JSON line."""
-    header = ("source", "value", "topic_id", "x", "x_value", "y", "y_value",
-              "cell_i", "cell_j", "dx", "dy", "on_diagonal", "off_grid")
-    lines = [",".join(header) + "\r\n"]
-    exact = _RatioTexts(reduced_str, _CSV_RATIO)
-    for b in blocks:
-        block = f"{_csv_field(b.source)},{_csv_field(b.feature_value)}"
-        for p in b.scatter:
-            r = p.record
-            m = r.cutoff_effective
-            lines.append(
-                f"{block},{_csv_field(r.topic_id)},{exact[r.ideal_count, m]},"
-                f"{exact[r.model_count, m]},{p.cell[0]},{p.cell[1]},{p.dx!r},{p.dy!r},"
-                f"{_BOOLS[p.on_diagonal]},{_BOOLS[p.off_grid]}\r\n")
-    return "".join(lines)
-
-
 def report_to_csv_bundle(report: Report) -> dict[str, str]:
     """Render the report as named CSV files with fixed column orders.
 
-    ``records.csv`` and ``scatter.csv``, nearly all of the bundle, are
-    written as text lines as ``report_to_json`` writes its records and
-    points: the two cells of each ratio once per distinct (numerator,
-    denominator), ints and floats as their ``repr``, strings through
+    ``summaries.csv``, ``records.csv`` and ``scatter.csv``, nearly all of
+    the bundle, are written by the field lists ``_SUMMARY``, ``_RECORD`` and
+    ``_POINT``, which also define the JSON lines: strings go through
     ``_csv_field``. The other files are the rows of the JSON document's
     entries, spread by ``_cells``. Each file's bytes are those
     ``csv.writer`` writes, and one file is rendered before the next.
     """
+    grid, exact = _RatioTexts(ratio_str, _CSV_RATIO), _RatioTexts(reduced_str, _CSV_RATIO)
     tables = _derived("tables", report.blocks)
 
     def table_rows(side: str) -> list:
@@ -913,19 +917,14 @@ def report_to_csv_bundle(report: Report) -> dict[str, str]:
                     "target_ratio_at_cutoff", "target_ratio_at_cutoff_value",
                     "bias", "bias_value")
     return {
-        "summaries.csv": _csv_text(
-            ("source", "value", "topics", "MB", "MB_value", "SB_value",
-             "MAB", "MAB_value", "min", "min_value", "max", "max_value",
-             "single_sample", "sd_divisor"),
-            [_cells(s) + [report.meta.sd_divisor]
-             for s in _derived("summaries", report.blocks)]),
-        "records.csv": _records_csv(report.records),
+        "summaries.csv": _SUMMARY.csv(_summary_cells(report.blocks, _csv_field, exact)),
+        "records.csv": _RECORD.csv(_record_cells(report.records, _csv_field, grid, exact)),
         "histogram.csv": _csv_text(
             ("source", "value", "center", "center_value", "count",
              "reference_count"),
             [(h["source"], h["value"], *_cells(b))
              for h in _derived("histogram", report.blocks) for b in h["bins"]]),
-        "scatter.csv": _scatter_csv(report.blocks),
+        "scatter.csv": _POINT.csv(_point_cells(report.blocks, _csv_field, exact)),
         "table_towards.csv": _csv_text(table_header, table_rows("towards")),
         "table_against.csv": _csv_text(table_header, table_rows("against")),
         # Each bucket's cells end with its row, which this table leaves out.

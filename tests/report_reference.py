@@ -2,7 +2,9 @@
 built as a dict: the report.json renderer, whose entries went through the
 compact encoder, and the CSV bundle, whose rows were those dicts spread into
 cells and written by ``csv.writer``. They are kept verbatim as the reference
-the text renderers in ``biaslens.report`` must agree with, byte for byte."""
+the text renderers in ``biaslens.report`` must agree with, byte for byte.
+``unit_open`` is the one-key draw that ``biaslens._util.unit_open_xy`` must
+agree with, bit for bit."""
 
 from __future__ import annotations
 
@@ -11,8 +13,15 @@ import io
 import json
 from typing import Iterable, Sequence
 
+from biaslens._util import derive_seed
 from biaslens.report import (SCHEMA, EvaluatedTopic, Report, _derived, _exact_obj,
                              _grid_obj)
+
+
+def unit_open(seed: int, *parts: str) -> float:
+    """Deterministic draw in the open interval (0, 1) keyed on (seed, *parts)."""
+    raw = derive_seed(seed, *parts)
+    return (raw + 0.5) / 2.0**64
 
 
 def report_to_json(report: Report) -> str:

@@ -448,6 +448,21 @@ def test_report_with_tampered_bias_exits_1(audit_dir, tmp_path, capsys):
     assert f"{path}: bias must equal" in err and "(field: records[2])" in err
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_report_with_a_lone_surrogate_exits_1(audit_dir, tmp_path, capsys, fmt):
+    assert cli.main(evaluate_args(audit_dir, tmp_path / "out")) == 0
+    path = tmp_path / "out" / "report.json"
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["records"][0]["topic"] += "\ud800"
+    write(path, json.dumps(payload, ensure_ascii=True))
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert cli.main(["report", str(path), "--format", fmt, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: topic holds a lone surrogate: ")
+    assert err.endswith("(field: records[0])\n") and not out.exists()
+
+
 def test_outputs_are_readable_under_the_umask(audit_dir, tmp_path):
     previous = os.umask(0o022)
     try:

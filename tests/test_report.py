@@ -31,7 +31,7 @@ from biaslens import (
     simulate_run,
     unbiased_exemplars,
 )
-from biaslens._util import unit_open, unit_open_xy
+from biaslens._util import unit_open_xy
 from biaslens.report import EvaluatedTopic, SkippedTopic, _scatter_entry
 
 F = Fraction
@@ -153,7 +153,8 @@ class TestScatter:
     @given(seed=st.integers(-10**30, 10**30),
            keys=st.lists(st.lists(st.text(), max_size=3), max_size=4))
     def test_shared_prefix_draws_are_unit_open_draws(self, seed, keys):
-        expected = [(unit_open(seed, *parts, "x"), unit_open(seed, *parts, "y"))
+        expected = [(report_reference.unit_open(seed, *parts, "x"),
+                     report_reference.unit_open(seed, *parts, "y"))
                     for parts in keys]
         assert list(unit_open_xy(seed, keys)) == expected
 
@@ -588,6 +589,38 @@ class TestReportDocument:
             parse_report(json.dumps(payload), path="report.json")
         assert err.value.field == field
         assert message in str(err.value)
+
+    # json.dumps escapes a lone surrogate as \udXXX, which json.loads reads back.
+    @pytest.mark.parametrize("field, tamper", [
+        ("records[0]", lambda p: p["records"][0].update(topic="t\ud800")),
+        ("records[1]", lambda p: p["records"][1].update(source="kb\udfff")),
+        ("records[2]", lambda p: p["records"][2].update(value="fe\udbffmale")),
+        ("skipped[0]", lambda p: p["skipped"][0].update(topic="gho\udc00st")),
+        ("meta", lambda p: p["meta"]["values"].__setitem__(1, "male\ud800")),
+    ])
+    def test_a_lone_surrogate_names_the_entry(self, field, tamper):
+        payload = json.loads(MUTATION_BASE)
+        tamper(payload)
+        with pytest.raises(ParseError) as err:
+            parse_report(json.dumps(payload, ensure_ascii=True), path="report.json")
+        assert err.value.field == field
+        assert "lone surrogate" in str(err.value)
+
+    @given(report=reports(), data=st.data())
+    def test_a_lone_surrogate_in_any_identifier_is_a_parse_error(self, report, data):
+        payload = json.loads(report_to_json(report))
+        meta = payload["meta"]
+        spots = [(meta, "feature"), (meta, "unknown_token"),
+                 *((meta[key], i) for key in ("values", "sources")
+                   for i in range(len(meta[key]))),
+                 *((r, key) for r in payload["records"] for key in ("source", "topic", "value")),
+                 *((s, key) for s in payload["skipped"] for key in ("topic", "source"))]
+        holder, key = data.draw(st.sampled_from(spots))
+        text, lone = holder[key], chr(data.draw(st.integers(0xD800, 0xDFFF)))
+        at = data.draw(st.integers(0, len(text)))
+        holder[key] = text[:at] + lone + text[at:]
+        with pytest.raises(ParseError):
+            parse_report(json.dumps(payload, ensure_ascii=True), path="report.json")
 
     def test_rebuild_without_arguments_keeps_the_report(self, gender):
         evaluated = simulated_corpus(gender, seed=6)
