@@ -1,11 +1,12 @@
-"""Small shared helpers: exact-ratio rendering, deterministic randomness,
-atomic file writes."""
+"""Small shared helpers: exact-ratio rendering, the lone-surrogate rule for
+identifiers, deterministic randomness, atomic file writes."""
 
 from __future__ import annotations
 
 import hashlib
 import math
 import os
+import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -26,6 +27,16 @@ def reduced_str(numerator: int, denominator: int) -> str:
     numerator //= common
     denominator //= common
     return str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
+
+
+# A JSON \ud800 escape reads as a lone surrogate, which no UTF-8 file and no
+# digest can hold; an ASCII string holds none.
+_SURROGATE = re.compile("[\ud800-\udfff]").search
+
+
+def lone_surrogate(text: str) -> bool:
+    """Whether ``text`` holds a code point in U+D800-U+DFFF."""
+    return not text.isascii() and _SURROGATE(text) is not None
 
 
 def grid_count(value: Fraction, grid: int) -> int:

@@ -26,6 +26,7 @@ from typing import IO, Callable, Iterable, Iterator
 
 from .errors import EmptyPopulationError, ParseError, SchemeViolationError
 from .metrics import FeatureScheme, RankedRun, TargetCounts
+from ._util import lone_surrogate
 
 # Higher provenance wins a conflicting assignment; unlisted tags rank lowest.
 PROVENANCE_PRIORITY = {"manual": 3, "kb": 2, "inferred": 1}
@@ -531,8 +532,9 @@ def _results_rows(cursor: _JsonCursor, variables: tuple[str, str, str], strict: 
     With ``rows``, yield each binding's row or raise its first error; without,
     check syntax only. The scanner's inline checks take a binding whose topic
     and entity are objects with non-empty string values, whose value is absent
-    or an object with a string value and (strict) whose entity is an IRI. Each
-    topic IRI is shortened once; a repeated ``bindings`` member is an error."""
+    or an object with a string value, whose strings hold no lone surrogate
+    and (strict) whose entity is an IRI. Each topic IRI is shortened once; a
+    repeated ``bindings`` member is an error."""
     text, (topic_var, entity_var, value_var) = cursor.text, variables
     iris: dict[str, str] = {}  # each topic IRI to its terminal segment
     fast = _plain_binding(variables, strict)
@@ -569,7 +571,9 @@ def _results_rows(cursor: _JsonCursor, variables: tuple[str, str, str], strict: 
                         and type(entity := entity_cell.get("value")) is str and entity
                         and ((value_cell := binding.get(value_var)) is None
                              or type(value_cell) is dict
-                             and type(value := value_cell.get("value")) is str)
+                             and type(value := value_cell.get("value")) is str
+                             and not lone_surrogate(value))
+                        and not lone_surrogate(topic) and not lone_surrogate(entity)
                         and (not strict or entity_cell.get("type") == "uri")):
                     topic_type, entity_type = topic_cell.get("type"), entity_cell.get("type")
                     value_type = value_cell and value_cell.get("type")
@@ -605,7 +609,7 @@ def _plain_binding(variables: tuple[str, str, str],
     of plain strings, with a non-empty topic and entity and (strict) a ``uri``
     entity; its groups are the cells' types and values. None on Python 3.10,
     whose ``re`` has no possessive repeats, or for names that are not plain."""
-    plain = r'[^"\\\x00-\x1f]'  # a character a JSON string holds as written
+    plain = r'[^"\\\x00-\x1f\ud800-\udfff]'  # held as written in a JSON string; no surrogate
     if sys.version_info < (3, 11) or not re.fullmatch(f"{plain}*", "".join(variables)):
         return None
     cell = r'"{}" : \{{ "type" : "({})" , "value" : "({})" \}}'  # each ' ' is JSON space
@@ -620,9 +624,9 @@ def _binding_error(binding: object, variables: tuple[str, str, str], path: str,
                    text: str, at: int, index: int) -> ParseError:
     """The first error of binding ``index``, which starts at offset ``at`` of
     ``text`` and which the inline checks did not take: not an object, then a
-    cell that is not an object with a string value, in topic, entity and value
-    order, then a missing topic or entity, then (strict) a non-IRI entity.
-    Only errors count lines."""
+    cell that is not an object with a string value or whose value holds a
+    lone surrogate, in topic, entity and value order, then a missing topic
+    or entity, then (strict) a non-IRI entity. Only errors count lines."""
     def error(message: str, field: str | None = None) -> ParseError:
         return ParseError(f"binding {index}: {message}", path=path,
                           line=text.count("\n", 0, at) + 1, field=field)
@@ -632,6 +636,8 @@ def _binding_error(binding: object, variables: tuple[str, str, str], path: str,
         cell = binding.get(var)
         if cell is not None and (type(cell) is not dict or type(cell.get("value")) is not str):
             return error(f"{var!r} must be an object with a string value", var)
+        if cell is not None and lone_surrogate(cell["value"]):
+            return error(f"{var!r} holds a lone surrogate", var)
     for var in variables[:2]:
         if binding.get(var) is None or not binding[var]["value"]:
             return error(f"row is missing the {var!r} binding", var)

@@ -5,9 +5,10 @@ the 1/n grid, jittered target-vs-model scatter points, ranked most-biased
 tables, and per-bucket unbiased exemplars. Emission is byte-stable: given
 the same records and seed, the JSON document and every CSV in the bundle
 come out identical, and files are written atomically so a failed run never
-leaves a partial report behind. A summary, record or scatter point line has
-one definition, the field list ``_SUMMARY``, ``_RECORD`` or ``_POINT``: its
-JSON line, its CSV line and its CSV header are all built from it.
+leaves a partial report behind. Each line shape (summary, record, histogram
+bin, scatter point, table row, exemplar bucket) has one definition, a
+``_Shape`` field list: its JSON line, its CSV line and its CSV header are
+all built from it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ParseError, SchemaVersionError
 from .metrics import BiasRecord, BiasSummary, aggregate
-from ._util import atomic_write, ratio_str, reduced_str, round_half_away, unit_open_xy
+from ._util import (atomic_write, lone_surrogate, ratio_str, reduced_str, round_half_away,
+                    unit_open_xy)
 
 SCHEMA = "biaslens-report/1"
 
@@ -332,37 +334,10 @@ def _exact_obj(numerator: int, denominator: int) -> dict:
     return {"ratio": reduced_str(numerator, denominator), "value": numerator / denominator}
 
 
-def _grid_obj(count: int, grid: int) -> dict:
-    return {"ratio": ratio_str(count, grid), "value": count / grid}
-
-
-def _row_obj(r: BiasRecord) -> dict:
-    m = r.cutoff_effective
-    return {
-        "topic": r.topic_id,
-        "cutoff_effective": m,
-        "model_ratio": _grid_obj(r.model_count, m),
-        "target_ratio_at_cutoff": _grid_obj(r.ideal_count, m),
-        "bias": _grid_obj(r.model_count - r.ideal_count, m),
-    }
-
-
-def _histogram_entry(b: ReportBlock) -> dict:
-    n = b.histogram.cutoff
-    return {
-        "cutoff": n,
-        "bins": [
-            {"center": ratio_str(k, n), "value": k / n, "count": count,
-             "reference_count": ref}
-            for k, count, ref in zip(range(-n, n + 1), b.histogram.counts,
-                                     b.histogram.reference_counts)
-        ],
-        "off_grid_topics": list(b.histogram.off_grid_topics),
-    }
-
-
 def _scatter_entry(b: ReportBlock) -> dict:
     return {
+        "source": b.source,
+        "value": b.feature_value,
         "points": [
             {
                 "topic": p.record.topic_id,
@@ -379,54 +354,13 @@ def _scatter_entry(b: ReportBlock) -> dict:
     }
 
 
-def _tables_entry(b: ReportBlock) -> dict:
-    grid = b.unbiased.grid
-    return {
-        "k": b.tables.requested_size,
-        "towards": [_row_obj(r) for r in b.tables.towards],
-        "against": [_row_obj(r) for r in b.tables.against],
-        "towards_short": b.tables.towards_short,
-        "against_short": b.tables.against_short,
-        "unbiased": {
-            "grid": grid,
-            "buckets": [
-                {
-                    "bucket": ratio_str(bk.bucket, grid),
-                    "value": bk.bucket / grid,
-                    "topic": bk.row.topic_id if bk.row else None,
-                    "population": bk.population,
-                    "row": _row_obj(bk.row) if bk.row else None,
-                }
-                for bk in b.unbiased.buckets
-            ],
-            "skipped": [{"topic": t, "reason": reason} for t, reason in b.unbiased.skipped],
-        },
-    }
-
-
-_DERIVED_ENTRIES = {"histogram": _histogram_entry, "scatter": _scatter_entry,
-                    "tables": _tables_entry}
-
-
-def _derived(name: str, blocks: Sequence[ReportBlock]) -> list[dict]:
-    """The document's section ``name``, one entry per block, as a stored one
-    is checked; the histogram and tables are also written from it."""
-    if name == "summaries":  # its lines read back: ``_SUMMARY`` defines them
-        exact = _RatioTexts(reduced_str, _JSON_RATIO)
-        return list(map(json.loads, _SUMMARY.json(_summary_cells(blocks, _string, exact))))
-    entry = _DERIVED_ENTRIES[name]
-    return [{"source": b.source, "value": b.feature_value, **entry(b)} for b in blocks]
-
-
 def report_to_json(report: Report) -> str:
     """Render the report as the versioned JSON document (byte-stable).
 
-    Summaries, records and scatter points, nearly every line, are written by
-    the field lists ``_SUMMARY``, ``_RECORD`` and ``_POINT``, the one
-    definition of each line, which the CSV bundle shares. Each ratio object
-    is encoded once per distinct (numerator, denominator), and a point's
-    line equals the compact encoding of its ``_scatter_entry`` entry, which
-    ``parse_report`` compares.
+    Each line of an array of objects is written by its shape's field list,
+    which the CSV bundle shares, each ratio object encoded once per distinct
+    (numerator, denominator). A point's line is the compact encoding of its
+    ``_scatter_entry`` point, which ``parse_report`` compares.
     """
     meta = report.meta
     grid, exact = _RatioTexts(ratio_str, _JSON_RATIO), _RatioTexts(reduced_str, _JSON_RATIO)
@@ -444,13 +378,13 @@ def report_to_json(report: Report) -> str:
             "sd_divisor": meta.sd_divisor,
             "evaluation": "one-vs-rest",
         },
-        "summaries": _SUMMARY.json(_summary_cells(report.blocks, _string, exact)),
+        "summaries": _summaries(report.blocks),
         "records": _RECORD.json(_record_cells(report.records, _string, grid, exact)),
-        "histogram": _derived("histogram", report.blocks),
+        "histogram": _histogram(report.blocks),
         "scatter": [{"source": b.source, "value": b.feature_value,
                      "points": _POINT.json(_point_cells((b,), _string, exact))}
                     for b in report.blocks],
-        "tables": _derived("tables", report.blocks),
+        "tables": _tables(report.blocks),
         "skipped": [
             {"topic": s.topic_id, "source": s.source, "reason": s.reason,
              "detail": s.detail}
@@ -458,6 +392,35 @@ def report_to_json(report: Report) -> str:
         ],
     }
     return _layout(payload) + "\n"
+
+
+# The sections that parse_report also reads back from their text to compare.
+def _summaries(blocks: Sequence[ReportBlock]) -> _Lines:
+    return _SUMMARY.json(_summary_cells(blocks, _string, _RatioTexts(reduced_str, _JSON_RATIO)))
+
+
+def _histogram(blocks: Sequence[ReportBlock]) -> list[dict]:
+    return [{"source": b.source, "value": b.feature_value, "cutoff": b.histogram.cutoff,
+             "bins": _BIN.json(_bin_cells((b,), _string)),
+             "off_grid_topics": list(b.histogram.off_grid_topics)} for b in blocks]
+
+
+def _tables(blocks: Sequence[ReportBlock]) -> list[dict]:
+    grid = _RatioTexts(ratio_str, _JSON_RATIO)
+    return [{
+        "source": b.source,
+        "value": b.feature_value,
+        "k": b.tables.requested_size,
+        "towards": _ROW.json(_row_cells([(b, b.tables.towards)], _string, grid)),
+        "against": _ROW.json(_row_cells([(b, b.tables.against)], _string, grid)),
+        "towards_short": b.tables.towards_short,
+        "against_short": b.tables.against_short,
+        "unbiased": {
+            "grid": b.unbiased.grid,
+            "buckets": _BUCKET.json(_bucket_cells((b,), _string, "null", grid)),
+            "skipped": [{"topic": t, "reason": reason} for t, reason in b.unbiased.skipped],
+        },
+    } for b in blocks]
 
 
 # CPython encodes in C only when no indent is given, so entries go through a
@@ -475,10 +438,9 @@ _CSV_RATIO = "%s,%r"
 
 
 class _RatioTexts(dict):
-    """Text of the ratio object of each (numerator, denominator) key, as
-    ``_grid_obj`` (``rendered=ratio_str``) or ``_exact_obj``
-    (``rendered=reduced_str``) holds it, written by ``template`` from the
-    ratio string and the float on its first lookup."""
+    """Text of the ratio of each (numerator, denominator) key, written by
+    ``template`` from the ratio string that ``rendered`` gives (``ratio_str``
+    on the grid, ``reduced_str`` exact) and the float, on its first lookup."""
 
     def __init__(self, rendered, template: str) -> None:
         self.rendered = rendered
@@ -497,15 +459,19 @@ class _Lines(list):
 
 class _Shape:
     """A line shape whose JSON line, CSV line and CSV header are all built from
-    ``fields``: the cells its cells function yields, in CSV column order, each
-    a JSON key (None for a CSV-only cell) and the CSV columns its text fills.
-    JSON holds keyed cells in field order, ``json_first`` keys first, and cells
-    of one key in a row as a list. ``%s`` writes numbers as json and csv do."""
+    ``fields``: the cells its cells function yields, each a JSON key (None
+    for a CSV-only cell) and the CSV columns its text fills, in column order
+    ("" for a JSON-only cell). JSON holds keyed cells in field order,
+    ``json_first`` keys first, and cells of one key in a row as a list.
+    ``%s`` writes numbers as json and csv do."""
 
     def __init__(self, *fields: tuple[str | None, str],
                  json_first: tuple[str, ...] = ()) -> None:
         self.header = ",".join(c for _, columns in fields for c in columns.split()) + "\r\n"
-        self.csv_line = ",".join(["%s"] * len(fields)) + "\r\n"
+        written = [i for i, (_, columns) in enumerate(fields) if columns]
+        self.csv_line = ",".join(["%s"] * len(written)) + "\r\n"
+        # Only a shape with a JSON-only cell picks its CSV cells.
+        self.csv_cells = itemgetter(*written) if len(written) < len(fields) else None
         keyed = sorted((i for i, (key, _) in enumerate(fields) if key),
                        key=lambda i: fields[i][0] not in json_first)
         members = []
@@ -521,6 +487,8 @@ class _Shape:
 
     def csv(self, cells: Iterable[tuple]) -> str:
         line = self.csv_line
+        if self.csv_cells:
+            cells = map(self.csv_cells, cells)
         return self.header + "".join([line % c for c in cells])
 
 
@@ -535,8 +503,8 @@ _RECORD = _Shape(
     ("target_ratio_at_cutoff", "target_ratio_at_cutoff target_ratio_at_cutoff_value"),
     ("bias", "bias bias_value"), ("unknown_in_window", "unknown_in_window"),
     ("target_population", "target_population"), json_first=("source", "topic"))
-# A point's JSON line sits in its block's entry; scatter.csv repeats the
-# block's source and value on each line.
+# A point's, bin's, row's or bucket's JSON line sits in its block's entry;
+# its CSV file repeats the block's source and value on each line.
 _POINT = _Shape(
     (None, "source"), (None, "value"), ("topic", "topic_id"), ("x", "x x_value"),
     ("y", "y y_value"), ("cell", "cell_i"), ("cell", "cell_j"), ("dx", "dx"), ("dy", "dy"),
@@ -545,6 +513,17 @@ _SUMMARY = _Shape(
     ("source", "source"), ("value", "value"), ("topics", "topics"), ("MB", "MB MB_value"),
     ("SB", "SB_value"), ("MAB", "MAB MAB_value"), ("min", "min min_value"),
     ("max", "max max_value"), ("single_sample", "single_sample"), (None, "sd_divisor"))
+_BIN = _Shape(
+    (None, "source"), (None, "value"), ("center", "center"), ("value", "center_value"),
+    ("count", "count"), ("reference_count", "reference_count"))
+_ROW = _Shape(
+    (None, "source"), (None, "value"), (None, "rank"), ("topic", "topic_id"),
+    ("cutoff_effective", "cutoff_effective"), ("model_ratio", "model_ratio model_ratio_value"),
+    ("target_ratio_at_cutoff", "target_ratio_at_cutoff target_ratio_at_cutoff_value"),
+    ("bias", "bias bias_value"))
+_BUCKET = _Shape(
+    (None, "source"), (None, "value"), ("bucket", "bucket"), ("value", "bucket_value"),
+    ("topic", "topic_id"), ("population", "population"), ("row", ""))
 
 
 def _record_cells(records: Iterable[EvaluatedTopic], string, grid: _RatioTexts,
@@ -583,27 +562,66 @@ def _summary_cells(blocks: Iterable[ReportBlock], string, exact: _RatioTexts
                "population" if s.population_sd else "sample")
 
 
+def _bin_cells(blocks: Iterable[ReportBlock], string) -> Iterator[tuple]:
+    for b in blocks:
+        source, value, n = string(b.source), string(b.feature_value), b.histogram.cutoff
+        for k, count, reference in zip(range(-n, n + 1), b.histogram.counts,
+                                       b.histogram.reference_counts):
+            yield source, value, string(ratio_str(k, n)), k / n, count, reference
+
+
+def _row_cells(tables: Iterable[tuple[ReportBlock, Sequence[BiasRecord]]], string,
+               grid: _RatioTexts) -> Iterator[tuple]:
+    """``_ROW`` cells of each (block, table) pair, the table ranked from 1."""
+    for b, table in tables:
+        source, value = string(b.source), string(b.feature_value)
+        for rank, r in enumerate(table, start=1):
+            m, model, ideal = r.cutoff_effective, r.model_count, r.ideal_count
+            yield (source, value, rank, string(r.topic_id), m, grid[model, m],
+                   grid[ideal, m], grid[model - ideal, m])
+
+
+def _bucket_cells(blocks: Iterable[ReportBlock], string, null: str,
+                  grid: _RatioTexts | None = None) -> Iterator[tuple]:
+    """``_BUCKET`` cells, each of a gap ``null``. With a JSON ``grid`` memo, a
+    row cell is the ``_ROW`` line of the bucket's record; CSV has none."""
+    for b in blocks:
+        source, value, n = string(b.source), string(b.feature_value), b.unbiased.grid
+        for bk in b.unbiased.buckets:
+            bucket = (source, value, string(ratio_str(bk.bucket, n)), bk.bucket / n)
+            r = bk.row
+            if r is None:
+                yield (*bucket, null, null, null)
+            else:
+                row = grid is not None and _ROW.json(_row_cells([(b, (r,))], string, grid))[0]
+                yield (*bucket, string(r.topic_id), bk.population, row)
+
+
 def _spread(value) -> bool:
     """Whether ``value`` is a non-empty list of objects or of rendered lines."""
     return bool(value) and (type(value) is _Lines
                             or type(value) is list and type(value[0]) is dict)
 
 
-def _layout(value, indent: str = "") -> str:
+def _layout(value, indent: str | None = "") -> str:
     """JSON text of ``value``. The top level, and any container that is or
     directly holds a non-empty list of objects or a non-empty ``_Lines``,
     puts one member or entry per line with a 2-space indent; everything else
-    is one compact line. A ``_Lines`` puts each of its given lines as one
-    entry."""
+    is one compact line, as with ``indent`` None. A ``_Lines`` holds each of
+    its entries as a rendered line, in a compact line too."""
     members = value.values() if type(value) is dict else (value,)
-    if indent and not any(map(_spread, members)):
-        return _encode(value)
-    inner = indent + "  "
+    if indent is None or indent and not any(map(_spread, members)):
+        if type(value) is not dict and type(value) is not _Lines:
+            return _encode(value)
+        inner, first, sep, last = None, "", ", ", ""
+    else:
+        inner = indent + "  "
+        first, sep, last = "\n" + inner, ",\n" + inner, "\n" + indent
     if type(value) is dict:
-        lines = [f"{inner}{_encode(key)}: {_layout(v, inner)}" for key, v in value.items()]
-        return "{\n" + ",\n".join(lines) + f"\n{indent}}}"
+        lines = [f"{_encode(key)}: {_layout(v, inner)}" for key, v in value.items()]
+        return "{" + first + sep.join(lines) + last + "}"
     lines = value if type(value) is _Lines else [_layout(v, inner) for v in value]
-    return f"[\n{inner}" + f",\n{inner}".join(lines) + f"\n{indent}]"
+    return "[" + first + sep.join(lines) + last + "]"
 
 
 # Everything a malformed document can raise while it is read; parse_report
@@ -612,16 +630,11 @@ _MALFORMED = (KeyError, TypeError, ValueError, AttributeError, IndexError,
               ZeroDivisionError)
 
 
-# A JSON \ud800 escape reads as a lone surrogate, which no UTF-8 file and no
-# digest can hold; an ASCII string holds none.
-_SURROGATE = re.compile("[\ud800-\udfff]").search
-
-
 def _typed(obj: dict, key: str, kind: type):
     value = obj[key]
     if type(value) is not kind:
         raise TypeError(f"{key} must be {kind.__name__}, got {value!r}")
-    if kind is str and not value.isascii() and _SURROGATE(value):
+    if kind is str and lone_surrogate(value):
         raise ValueError(f"{key} holds a lone surrogate: {value!r}")
     return value
 
@@ -660,7 +673,7 @@ def _read_meta(m: dict) -> ReportMeta:
     )
     if not all(type(name) is str for name in meta.values + meta.sources):
         raise TypeError("values and sources must be lists of strings")
-    if not all(name.isascii() or not _SURROGATE(name) for name in meta.values + meta.sources):
+    if any(map(lone_surrogate, meta.values + meta.sources)):
         raise ValueError("values and sources must hold no lone surrogate")
     if meta.cutoff < 1 or meta.table_size < 1:
         raise ValueError("cutoff and table_size must be >= 1")
@@ -771,12 +784,15 @@ def _check_section(payload: dict, name: str, report: Report, path: str) -> None:
     type-strictly: 0, 0.0 and false differ. A ParseError names the first
     entry that differs; in the scatter, the point and so the record that
     disagrees. The scatter, one point per record, is compared with ``==``
-    and then only its number and flag types are checked."""
+    and then only its number and flag types are checked; the other sections
+    are compared with their written JSON as it reads back."""
     stored = _read_section(payload, name, path, lambda entry: entry)
-    built = _derived(name, report.blocks)
     if name == "scatter":
+        built = [_scatter_entry(b) for b in report.blocks]
         same = stored == built and _typed_points(stored)
     else:
+        written = {"summaries": _summaries, "histogram": _histogram, "tables": _tables}[name]
+        built = json.loads(_layout(written(report.blocks), "  "))
         same = _same(stored, built)
     if same:
         return
@@ -857,14 +873,6 @@ def parse_report(text: str, path: str = "<report>") -> Report:
 # CSV bundle
 # ---------------------------------------------------------------------------
 
-def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
-
-
 # The characters for which csv.writer's default dialect may quote or refuse a
 # cell: its delimiter, quote character and line ends, and NUL, which Python
 # 3.10 cannot write unescaped.
@@ -883,55 +891,26 @@ def _csv_field(text: str) -> str:
     return buffer.getvalue()[:-3]  # the empty cell's "," and the "\r\n"
 
 
-def _cells(entry: dict) -> list:
-    """CSV cells of a histogram bin, table row or exemplar bucket: ratio
-    objects spread over their own cells and nulls as empty cells."""
-    cells = []
-    for value in entry.values():
-        if type(value) is dict:
-            cells.extend(value.values())
-        else:
-            cells.append("" if value is None else value)
-    return cells
-
-
 def report_to_csv_bundle(report: Report) -> dict[str, str]:
     """Render the report as named CSV files with fixed column orders.
 
-    ``summaries.csv``, ``records.csv`` and ``scatter.csv``, nearly all of
-    the bundle, are written by the field lists ``_SUMMARY``, ``_RECORD`` and
-    ``_POINT``, which also define the JSON lines: strings go through
-    ``_csv_field``. The other files are the rows of the JSON document's
-    entries, spread by ``_cells``. Each file's bytes are those
-    ``csv.writer`` writes, and one file is rendered before the next.
+    Each file is written by the field list of its line shape, which the JSON
+    document shares, and strings go through ``_csv_field``, so each file's
+    bytes are those ``csv.writer`` writes. One file is rendered before the
+    next.
     """
     grid, exact = _RatioTexts(ratio_str, _CSV_RATIO), _RatioTexts(reduced_str, _CSV_RATIO)
-    tables = _derived("tables", report.blocks)
-
-    def table_rows(side: str) -> list:
-        return [(t["source"], t["value"], rank, *_cells(row))
-                for t in tables for rank, row in enumerate(t[side], start=1)]
-
-    table_header = ("source", "value", "rank", "topic_id", "cutoff_effective",
-                    "model_ratio", "model_ratio_value",
-                    "target_ratio_at_cutoff", "target_ratio_at_cutoff_value",
-                    "bias", "bias_value")
+    blocks = report.blocks
     return {
-        "summaries.csv": _SUMMARY.csv(_summary_cells(report.blocks, _csv_field, exact)),
+        "summaries.csv": _SUMMARY.csv(_summary_cells(blocks, _csv_field, exact)),
         "records.csv": _RECORD.csv(_record_cells(report.records, _csv_field, grid, exact)),
-        "histogram.csv": _csv_text(
-            ("source", "value", "center", "center_value", "count",
-             "reference_count"),
-            [(h["source"], h["value"], *_cells(b))
-             for h in _derived("histogram", report.blocks) for b in h["bins"]]),
-        "scatter.csv": _POINT.csv(_point_cells(report.blocks, _csv_field, exact)),
-        "table_towards.csv": _csv_text(table_header, table_rows("towards")),
-        "table_against.csv": _csv_text(table_header, table_rows("against")),
-        # Each bucket's cells end with its row, which this table leaves out.
-        "table_unbiased.csv": _csv_text(
-            ("source", "value", "bucket", "bucket_value", "topic_id", "population"),
-            [(t["source"], t["value"], *_cells(b)[:4])
-             for t in tables for b in t["unbiased"]["buckets"]]),
+        "histogram.csv": _BIN.csv(_bin_cells(blocks, _csv_field)),
+        "scatter.csv": _POINT.csv(_point_cells(blocks, _csv_field, exact)),
+        "table_towards.csv": _ROW.csv(_row_cells([(b, b.tables.towards) for b in blocks],
+                                                 _csv_field, grid)),
+        "table_against.csv": _ROW.csv(_row_cells([(b, b.tables.against) for b in blocks],
+                                                 _csv_field, grid)),
+        "table_unbiased.csv": _BUCKET.csv(_bucket_cells(blocks, _csv_field, "")),
     }
 
 

@@ -12,6 +12,9 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# The renderer byte properties run under this profile too, in CI, by
+# ``--hypothesis-profile repo-thorough``.
+settings.register_profile("repo-thorough", settings.get_profile("repo"), max_examples=1000)
 settings.load_profile("repo")
 
 

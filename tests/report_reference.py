@@ -1,10 +1,11 @@
-"""The report renderers as they were when every record and scatter point was
-built as a dict: the report.json renderer, whose entries went through the
-compact encoder, and the CSV bundle, whose rows were those dicts spread into
-cells and written by ``csv.writer``. They are kept verbatim as the reference
-the text renderers in ``biaslens.report`` must agree with, byte for byte.
-``unit_open`` is the one-key draw that ``biaslens._util.unit_open_xy`` must
-agree with, bit for bit."""
+"""The report renderers as they were when every line was built as a dict:
+the report.json renderer, whose entries went through the compact encoder,
+and the CSV bundle, whose rows were those dicts spread into cells and
+written by ``csv.writer``. They and the dict builders they read are kept
+verbatim, and import from ``biaslens.report`` only its schema and data
+classes, as the reference the text renderers in ``biaslens.report`` must
+agree with, byte for byte. ``unit_open`` is the one-key draw that
+``biaslens._util.unit_open_xy`` must agree with, bit for bit."""
 
 from __future__ import annotations
 
@@ -13,15 +14,114 @@ import io
 import json
 from typing import Iterable, Sequence
 
-from biaslens._util import derive_seed
-from biaslens.report import (SCHEMA, EvaluatedTopic, Report, _derived, _exact_obj,
-                             _grid_obj)
+from biaslens._util import derive_seed, ratio_str, reduced_str
+from biaslens.metrics import BiasRecord
+from biaslens.report import SCHEMA, EvaluatedTopic, Report, ReportBlock
 
 
 def unit_open(seed: int, *parts: str) -> float:
     """Deterministic draw in the open interval (0, 1) keyed on (seed, *parts)."""
     raw = derive_seed(seed, *parts)
     return (raw + 0.5) / 2.0**64
+
+
+def _exact_obj(numerator: int, denominator: int) -> dict:
+    return {"ratio": reduced_str(numerator, denominator), "value": numerator / denominator}
+
+
+def _grid_obj(count: int, grid: int) -> dict:
+    return {"ratio": ratio_str(count, grid), "value": count / grid}
+
+
+def _row_obj(r: BiasRecord) -> dict:
+    m = r.cutoff_effective
+    return {
+        "topic": r.topic_id,
+        "cutoff_effective": m,
+        "model_ratio": _grid_obj(r.model_count, m),
+        "target_ratio_at_cutoff": _grid_obj(r.ideal_count, m),
+        "bias": _grid_obj(r.model_count - r.ideal_count, m),
+    }
+
+
+def _summary_entry(b: ReportBlock) -> dict:
+    return {
+        "topics": b.summary.topic_count,
+        "MB": _exact_obj(*b.summary.mean_bias.as_integer_ratio()),
+        "SB": b.summary.stdev_bias,
+        "MAB": _exact_obj(*b.summary.mean_abs_bias.as_integer_ratio()),
+        "min": _exact_obj(*b.summary.min_bias.as_integer_ratio()),
+        "max": _exact_obj(*b.summary.max_bias.as_integer_ratio()),
+        "single_sample": b.summary.single_sample,
+    }
+
+
+def _histogram_entry(b: ReportBlock) -> dict:
+    n = b.histogram.cutoff
+    return {
+        "cutoff": n,
+        "bins": [
+            {"center": ratio_str(k, n), "value": k / n, "count": count,
+             "reference_count": ref}
+            for k, count, ref in zip(range(-n, n + 1), b.histogram.counts,
+                                     b.histogram.reference_counts)
+        ],
+        "off_grid_topics": list(b.histogram.off_grid_topics),
+    }
+
+
+def _scatter_entry(b: ReportBlock) -> dict:
+    return {
+        "points": [
+            {
+                "topic": p.record.topic_id,
+                "x": _exact_obj(p.record.ideal_count, p.record.cutoff_effective),
+                "y": _exact_obj(p.record.model_count, p.record.cutoff_effective),
+                "cell": list(p.cell),
+                "dx": p.dx,
+                "dy": p.dy,
+                "on_diagonal": p.on_diagonal,
+                "off_grid": p.off_grid,
+            }
+            for p in b.scatter
+        ],
+    }
+
+
+def _tables_entry(b: ReportBlock) -> dict:
+    grid = b.unbiased.grid
+    return {
+        "k": b.tables.requested_size,
+        "towards": [_row_obj(r) for r in b.tables.towards],
+        "against": [_row_obj(r) for r in b.tables.against],
+        "towards_short": b.tables.towards_short,
+        "against_short": b.tables.against_short,
+        "unbiased": {
+            "grid": grid,
+            "buckets": [
+                {
+                    "bucket": ratio_str(bk.bucket, grid),
+                    "value": bk.bucket / grid,
+                    "topic": bk.row.topic_id if bk.row else None,
+                    "population": bk.population,
+                    "row": _row_obj(bk.row) if bk.row else None,
+                }
+                for bk in b.unbiased.buckets
+            ],
+            "skipped": [{"topic": t, "reason": reason} for t, reason in b.unbiased.skipped],
+        },
+    }
+
+
+_DERIVED_ENTRIES = {"summaries": _summary_entry, "histogram": _histogram_entry,
+                    "scatter": _scatter_entry, "tables": _tables_entry}
+
+
+def _derived(name: str, blocks: Sequence[ReportBlock]) -> list[dict]:
+    """The document's section ``name``, one entry per block. Writing a report,
+    checking a stored one and the CSV bundle all take their entries from here."""
+    entry = _DERIVED_ENTRIES[name]
+    return [{"source": b.source, "value": b.feature_value, **entry(b)} for b in blocks]
 
 
 def report_to_json(report: Report) -> str:

@@ -197,6 +197,30 @@ def test_evaluate_sparql_members_source(audit_dir, tmp_path):
     assert reasons.get("archivist") == "missing-target"
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_lone_surrogate_topic_in_a_sparql_export_is_a_located_error(audit_dir, tmp_path,
+                                                                    capsys, fmt):
+    bindings = [{
+        "topic": {"type": "literal", "value": "announcer" if i else "t\ud800"},
+        "entity": {"type": "uri", "value": f"http://x/ann:e{i}"},
+        "value": {"type": "literal", "value": "male"},
+    } for i in range(10)]
+    export = {"head": {"vars": ["topic", "entity", "value"]},
+              "results": {"bindings": bindings}}
+    write(audit_dir / "kb.json", json.dumps(export))
+    out = tmp_path / "out"
+    args = ["evaluate",
+            "--runs", str(audit_dir / "runs.tsv"),
+            "--labels", str(audit_dir / "labels.tsv"),
+            "--members", f"wiki={audit_dir / 'kb.json'}",
+            "--feature", "gender", "--values", "female,male",
+            "--format", fmt, "--out", str(out)]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == (f"error: {audit_dir / 'kb.json'}:1: binding 1: "
+                                       "'topic' holds a lone surrogate (field: topic)\n")
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_sparql_values_outside_the_scheme_are_counted(audit_dir, tmp_path, capsys):
     bindings = [{
         "topic": {"type": "literal", "value": "announcer"},

@@ -282,6 +282,8 @@ def whole_document_rows(text, topic_var, entity_var, value_var, strict, path):
             if cell is not None and (type(cell) is not dict or type(cell.get("value")) is not str):
                 raise error(f"{var!r} must be an object with a string value", var)
             value = cell and cell["value"]
+            if value and any("\ud800" <= char <= "\udfff" for char in value):
+                raise error(f"{var!r} holds a lone surrogate", var)
             terms[var] = (ingest._terminal_segment(value) if value and cell.get("type") == "uri"
                           else value)
         for var in (topic_var, entity_var):
@@ -322,7 +324,8 @@ def render(value, space):
 
 
 TERM_VALUES = st.sampled_from(["poet", "Q1", "http://x/Q1", "http://x/Q2/",
-                               "http://x.org/ont#E42", "female", "male", "é\u2028"])
+                               "http://x.org/ont#E42", "female", "male", "é\u2028",
+                               "t\ud800"])
 GOOD_CELL = st.builds(
     lambda kind, value, extra: Obj([("type", kind), ("value", value), *extra]),
     st.sampled_from(["uri", "literal", "bnode", "typed-literal"]), TERM_VALUES,
@@ -533,6 +536,23 @@ def test_binding_errors_name_the_binding_at_its_first_line():
                         '"entity": {"type": "literal", "value": "http://x/Q2"}')
     assert streamed(text, strict=True) == whole_document(text, strict=True) == (
         "export.json:5: binding 3: entity binding 'http://x/Q2' is not an IRI (field: entity)")
+
+
+@pytest.mark.parametrize("escaped", [True, False], ids=["escaped", "raw"])
+@pytest.mark.parametrize("var", ["topic", "entity", "value"])
+def test_a_lone_surrogate_is_a_located_binding_error(var, escaped):
+    cells = {"topic": literal("poet"), "entity": uri("http://x/Q1"), "value": literal("male")}
+    cells[var] = literal("x\udc00")
+    binding = json.dumps(cells, ensure_ascii=escaped)
+    text = export_of(f"{GOOD_BINDING},\n{binding}")
+    assert both_decoders(text) == (f"export.json:4: binding 2: {var!r} holds a lone "
+                                   f"surrogate (field: {var})")
+    # A cell of the wrong type before it is the error named first.
+    if var != "topic":
+        cells["topic"] = 1
+        assert both_decoders(export_of(json.dumps(cells))) == (
+            "export.json:3: binding 1: 'topic' must be an object with a string value "
+            "(field: topic)")
 
 
 def test_results_before_head_builds_only_its_first_binding_error():
