@@ -41,7 +41,7 @@ from .report import (
     parse_report,
     rebuild_report,
 )
-from ._util import atomic_write
+from ._util import atomic_write, lone_surrogate
 
 # Fixed default so repeated audits are comparable without a flag.
 DEFAULT_SEED = 20191201
@@ -234,6 +234,12 @@ def resolve_config(args: argparse.Namespace) -> AuditConfig:
     if overlap:
         raise BiasLensError(
             f"source labels used for both --target and --members: {', '.join(overlap)}")
+    # A config file is strict UTF-8, but on POSIX argv bytes that are not UTF-8
+    # decode to lone surrogates, which no report or digest can hold.
+    for text in (config.feature or "", *config.values, config.unknown_token,
+                 *config.targets, *config.members):
+        if lone_surrogate(text):
+            raise BiasLensError(f"argument {text!r} holds a lone surrogate")
     return config
 
 

@@ -169,23 +169,29 @@ def build_histogram(records: Sequence[BiasRecord], value: str,
 
 def build_scatter(records: Sequence[BiasRecord], value: str, n: int,
                   seed: int) -> tuple[ScatterPoint, ...]:
-    """Target-vs-model points with deterministic in-cell jitter, by topic."""
+    """Target-vs-model points with deterministic in-cell jitter, by topic.
+    The jitter digests each topic and ``value`` as UTF-8, so one that holds
+    a lone surrogate is a ValueError."""
     if not records:
         raise ValueError("cannot build a scatter from zero records")
     points = []
     ordered = sorted(records, key=lambda r: r.topic_id)
     draws = unit_open_xy(seed, ((r.topic_id, value) for r in ordered))
-    for record, (ux, uy) in zip(ordered, draws):
-        m = record.cutoff_effective
-        ideal, model = record.ideal_count, record.model_count
-        points.append(ScatterPoint(
-            record=record,
-            cell=(round_half_away(ideal * n, m), round_half_away(model * n, m)),
-            dx=(ux - 0.5) / n,
-            dy=(uy - 0.5) / n,
-            on_diagonal=model == ideal,
-            off_grid=m != n,
-        ))
+    try:
+        for record, (ux, uy) in zip(ordered, draws):
+            m = record.cutoff_effective
+            ideal, model = record.ideal_count, record.model_count
+            points.append(ScatterPoint(
+                record=record,
+                cell=(round_half_away(ideal * n, m), round_half_away(model * n, m)),
+                dx=(ux - 0.5) / n,
+                dy=(uy - 0.5) / n,
+                on_diagonal=model == ideal,
+                off_grid=m != n,
+            ))
+    except UnicodeEncodeError:
+        text = next(t for t in (value, *(r.topic_id for r in ordered)) if lone_surrogate(t))
+        raise ValueError(f"{text!r} holds a lone surrogate") from None
     return tuple(points)
 
 
@@ -246,7 +252,7 @@ def unbiased_exemplars(records: Sequence[BiasRecord],
     from zero). Bias-free topics without a known population are skipped with
     a per-topic warning entry; empty buckets stay in the output as gaps.
     """
-    best: dict[int, tuple[int, str, BiasRecord]] = {}
+    best: dict[int, ExemplarBucket] = {}
     skipped = []
     for record in sorted(records, key=lambda r: r.topic_id):
         if record.model_count != record.ideal_count:
@@ -257,17 +263,10 @@ def unbiased_exemplars(records: Sequence[BiasRecord],
             continue
         index = round_half_away(record.ideal_count * grid, record.cutoff_effective)
         held = best.get(index)
-        if held is None or population > held[0]:
-            best[index] = (population, record.topic_id, record)
-    buckets = []
-    for index in range(grid + 1):
-        held = best.get(index)
-        buckets.append(ExemplarBucket(
-            bucket=index,
-            row=held[2] if held else None,
-            population=held[0] if held else None,
-        ))
-    return ExemplarTable(grid=grid, buckets=tuple(buckets), skipped=tuple(skipped))
+        if held is None or population > held.population:
+            best[index] = ExemplarBucket(bucket=index, row=record, population=population)
+    buckets = tuple(best.get(i) or ExemplarBucket(i, None, None) for i in range(grid + 1))
+    return ExemplarTable(grid=grid, buckets=buckets, skipped=tuple(skipped))
 
 
 def _groups(meta: ReportMeta, evaluated: Sequence[EvaluatedTopic]
@@ -461,17 +460,15 @@ class _Shape:
     """A line shape whose JSON line, CSV line and CSV header are all built from
     ``fields``: the cells its cells function yields, each a JSON key (None
     for a CSV-only cell) and the CSV columns its text fills, in column order
-    ("" for a JSON-only cell). JSON holds keyed cells in field order,
+    ("" for a JSON-only cell, which comes last and which the cells function
+    yields only for JSON). JSON holds keyed cells in field order,
     ``json_first`` keys first, and cells of one key in a row as a list.
     ``%s`` writes numbers as json and csv do."""
 
     def __init__(self, *fields: tuple[str | None, str],
                  json_first: tuple[str, ...] = ()) -> None:
         self.header = ",".join(c for _, columns in fields for c in columns.split()) + "\r\n"
-        written = [i for i, (_, columns) in enumerate(fields) if columns]
-        self.csv_line = ",".join(["%s"] * len(written)) + "\r\n"
-        # Only a shape with a JSON-only cell picks its CSV cells.
-        self.csv_cells = itemgetter(*written) if len(written) < len(fields) else None
+        self.csv_line = ",".join(["%s" for _, columns in fields if columns]) + "\r\n"
         keyed = sorted((i for i, (key, _) in enumerate(fields) if key),
                        key=lambda i: fields[i][0] not in json_first)
         members = []
@@ -487,8 +484,6 @@ class _Shape:
 
     def csv(self, cells: Iterable[tuple]) -> str:
         line = self.csv_line
-        if self.csv_cells:
-            cells = map(self.csv_cells, cells)
         return self.header + "".join([line % c for c in cells])
 
 
@@ -583,18 +578,20 @@ def _row_cells(tables: Iterable[tuple[ReportBlock, Sequence[BiasRecord]]], strin
 
 def _bucket_cells(blocks: Iterable[ReportBlock], string, null: str,
                   grid: _RatioTexts | None = None) -> Iterator[tuple]:
-    """``_BUCKET`` cells, each of a gap ``null``. With a JSON ``grid`` memo, a
-    row cell is the ``_ROW`` line of the bucket's record; CSV has none."""
+    """``_BUCKET`` cells, each of a gap ``null``. Only with a JSON ``grid``
+    memo do they end in the row cell, the ``_ROW`` line of the bucket's record."""
     for b in blocks:
         source, value, n = string(b.source), string(b.feature_value), b.unbiased.grid
         for bk in b.unbiased.buckets:
             bucket = (source, value, string(ratio_str(bk.bucket, n)), bk.bucket / n)
             r = bk.row
             if r is None:
-                yield (*bucket, null, null, null)
+                yield (*bucket, null, null) if grid is None else (*bucket, null, null, null)
+            elif grid is None:
+                yield (*bucket, string(r.topic_id), bk.population)
             else:
-                row = grid is not None and _ROW.json(_row_cells([(b, (r,))], string, grid))[0]
-                yield (*bucket, string(r.topic_id), bk.population, row)
+                yield (*bucket, string(r.topic_id), bk.population,
+                       _ROW.json(_row_cells([(b, (r,))], string, grid))[0])
 
 
 def _spread(value) -> bool:
@@ -928,9 +925,6 @@ def emit_report(report: Report, fmt: str, out_dir: Path | str) -> list[Path]:
         documents = {JSON_NAME: report_to_json(report)}
     else:
         documents = report_to_csv_bundle(report)
-    written = []
     for name, content in sorted(documents.items()):
-        target = out / name
-        atomic_write(target, content)
-        written.append(target)
-    return written
+        atomic_write(out / name, content)
+    return [out / name for name in sorted(documents)]

@@ -221,6 +221,21 @@ def test_lone_surrogate_topic_in_a_sparql_export_is_a_located_error(audit_dir, t
     assert not out.exists() or not any(out.iterdir())
 
 
+# On POSIX, Python decodes argv bytes that are not UTF-8 to lone surrogates.
+NOT_UTF8 = os.fsdecode(b"m\xffale")
+
+
+@pytest.mark.parametrize("extra", [
+    ("--values", f"female,{NOT_UTF8}"), ("--feature", NOT_UTF8),
+    ("--unknown-token", NOT_UTF8), ("--members", f"{NOT_UTF8}=members.tsv"),
+])
+def test_an_argument_that_is_not_utf8_exits_1(audit_dir, tmp_path, capsys, extra):
+    out = tmp_path / "out"
+    assert cli.main(evaluate_args(audit_dir, out, extra)) == 1
+    assert capsys.readouterr().err == f"error: argument {NOT_UTF8!r} holds a lone surrogate\n"
+    assert not out.exists()
+
+
 def test_sparql_values_outside_the_scheme_are_counted(audit_dir, tmp_path, capsys):
     bindings = [{
         "topic": {"type": "literal", "value": "announcer"},

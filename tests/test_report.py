@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import report_reference
@@ -157,6 +157,17 @@ class TestScatter:
                      report_reference.unit_open(seed, *parts, "y"))
                     for parts in keys]
         assert list(unit_open_xy(seed, keys)) == expected
+
+    @pytest.mark.parametrize("topic, value, named", [
+        ("t\ud800", "female", "t\ud800"), ("t", "fe\udbffmale", "fe\udbffmale"),
+    ])
+    def test_a_lone_surrogate_in_a_digested_string_is_named(self, topic, value, named):
+        records = [BiasRecord(topic, value, 10, 10, 5, 5, 1, 2, 0),
+                   BiasRecord("u", value, 10, 10, 5, 5, 1, 2, 0)]
+        evaluated = [EvaluatedTopic("kb", 9, r) for r in records]
+        with pytest.raises(ValueError) as err:
+            build_report(make_meta(values=("male", value)), evaluated)
+        assert str(err.value) == f"{named!r} holds a lone surrogate"
 
     def test_binary_symmetry_of_point_sets(self, gender):
         evaluated = simulated_corpus(gender, seed=8)
@@ -325,31 +336,35 @@ def _mutation_base() -> str:
 MUTATION_BASE = _mutation_base()
 
 
-# Any character but a lone surrogate, which no identifier may hold: every
-# reader rejects one, and build_report cannot digest one for the jitter.
-CHARACTERS = st.characters(exclude_categories=("Cs",))
-
-
 # Strings a JSON writer must escape or may mangle: quotes, backslashes,
-# control characters, line separators and text outside ASCII.
-AWKWARD_TEXT = st.text(st.sampled_from('a"\\\x00\x1f\n\t\u2028\u2029é漢\U0001f600')
-                       | CHARACTERS, min_size=1, max_size=5)
+# control characters, line separators, text outside ASCII and lone surrogates.
+AWKWARD_TEXT = st.text(st.sampled_from('a"\\\x00\x1f\n\t\u2028\u2029é漢\U0001f600\ud800')
+                       | st.characters(), min_size=1, max_size=5)
 
 
 # Strings a CSV writer must quote, or may mangle: the delimiter, quotes and
-# line ends, other separators, text outside ASCII and padding spaces.
+# line ends, other separators, text outside ASCII, lone surrogates and padding
+# spaces.
 CSV_TEXT = st.lists(st.sampled_from([",", '"', "\r", "\n", "\r\n", "\u2028", "\x1f",
-                                     "\x00", " ", "a", "é", "漢", "\U0001f600"])
-                    | CHARACTERS, max_size=5).map("".join)
+                                     "\x00", " ", "a", "é", "漢", "\U0001f600", "\udfff"])
+                    | st.characters(), max_size=5).map("".join)
+
+
+def _surrogate_free(text: str) -> bool:
+    """Whether ``text`` holds no code point in U+D800-U+DFFF."""
+    return not any("\ud800" <= c <= "\udfff" for c in text)
 
 
 @st.composite
 def reports(draw, text=AWKWARD_TEXT):
     """Reports over 2- or 3-valued schemes with labels and topic ids drawn
     from ``text``, windows up to the cutoff, biases of either sign and
-    possibly no records or no skipped topics."""
+    possibly no records or no skipped topics. Only the values and the
+    records' topics hold no lone surrogate: the scatter jitter digests them
+    as UTF-8, so build_report rejects one there."""
     n = draw(st.integers(1, 12))
-    values = tuple(draw(st.lists(text, min_size=2, max_size=3, unique=True)))
+    digested = text.filter(_surrogate_free)
+    values = tuple(draw(st.lists(digested, min_size=2, max_size=3, unique=True)))
     sources = tuple(draw(st.lists(text, min_size=1, max_size=2, unique=True)))
     meta = make_meta(seed=draw(st.integers(-10**6, 10**6)), cutoff=n,
                      feature_name=draw(text), values=values,
@@ -358,7 +373,7 @@ def reports(draw, text=AWKWARD_TEXT):
                      sd_divisor=draw(st.sampled_from(["sample", "population"])),
                      exemplar_grid=draw(st.integers(1, 6)))
     keys = draw(st.lists(st.tuples(st.sampled_from(sources), st.sampled_from(values),
-                                   text), max_size=12, unique=True))
+                                   digested), max_size=12, unique=True))
     evaluated = []
     for source, value, topic in keys:
         m = draw(st.integers(1, n))
@@ -644,6 +659,9 @@ class TestReportDocument:
         text, lone = holder[key], chr(data.draw(st.integers(0xD800, 0xDFFF)))
         at = data.draw(st.integers(0, len(text)))
         holder[key] = text[:at] + lone + text[at:]
+        # A high surrogate before a low one is written as a pair, which reads
+        # back as one character.
+        assume(not _surrogate_free(json.loads(json.dumps(holder[key]))))
         with pytest.raises(ParseError):
             parse_report(json.dumps(payload, ensure_ascii=True), path="report.json")
 
