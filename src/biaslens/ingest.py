@@ -448,10 +448,13 @@ def parse_sparql_results(source: str | IO[str], *, topic_var: str = "topic",
 
     A source that ``_members_format`` does not tell as JSON is read as TSV;
     a handle must be seekable, since the format is read before the rows.
-    The three variables name the bindings acting as topic, entity and feature
-    value. IRI-typed bindings are shortened to their terminal segment, so
-    Wikidata-style exports key by Q-identifier.
-    Rows lacking a value binding contribute membership only. In strict mode a
+    A handle is read in bounded pieces, so memory follows the rows kept, not
+    the size of the file, and bytes that are not UTF-8 raise where the read
+    meets them. The three variables name the bindings acting as topic, entity
+    and feature value. IRI-typed bindings are shortened to their terminal
+    segment, so Wikidata-style exports key by Q-identifier.
+    Rows lacking a value binding contribute membership only; each value
+    string is kept once, however many rows carry it. In strict mode a
     non-IRI entity binding is an error. Each decoder yields checked (topic,
     entity, value) rows and raises its own errors: one in a TSV row names its
     line, one in a JSON binding the binding's 1-based index and the line where
@@ -460,68 +463,70 @@ def parse_sparql_results(source: str | IO[str], *, topic_var: str = "topic",
     if len({topic_var, entity_var, value_var}) < 3:
         raise ValueError(f"variables must differ: {topic_var!r}, {entity_var!r}, {value_var!r}")
     path = _named(source, path, "<sparql>")
-    if _members_format(source) == "json":
-        rows = _sparql_json_rows(source if isinstance(source, str) else source.read(),
-                                 topic_var, entity_var, value_var, strict, path)
-    else:
-        rows = _sparql_tsv_rows(source, topic_var, entity_var, value_var, strict, path)
+    decode = _sparql_json_rows if _members_format(source) == "json" else _sparql_tsv_rows
     members: defaultdict[str, set[str]] = defaultdict(set)
     label_rows: list[tuple[str, str]] = []
-    # Only the decoder holds a JSON export's text, so it is freed before the copy below.
-    for topic, entity, value in rows:
+    values: dict[str, str] = {}  # each value string to the one kept
+    for topic, entity, value in decode(source, topic_var, entity_var, value_var, strict, path):
         members[topic].add(entity)
         if value:
-            label_rows.append((entity, value))
+            label_rows.append((entity, values.setdefault(value, value)))
     return SparqlExtraction(
         members=MembershipTable({t: frozenset(members.pop(t)) for t in list(members)}),
         label_rows=tuple(label_rows))
 
 
-def _sparql_json_rows(text: str, topic_var: str, entity_var: str, value_var: str,
-                      strict: bool, path: str) -> Iterator[tuple[str, str, str | None]]:
-    """Stream the rows of a W3C SPARQL JSON results object.
+def _sparql_json_rows(source: str | IO[str], topic_var: str, entity_var: str,
+                      value_var: str, strict: bool,
+                      path: str) -> Iterator[tuple[str, str, str | None]]:
+    """Stream the rows of a W3C SPARQL JSON results object, read through a
+    ``_JsonCursor``'s window.
 
     ``head`` and any other top-level member are decoded whole and ``results``
     is walked by ``_results_rows``. Members may come in any order: a
     ``results`` read before ``head`` is walked there for its syntax only, and
-    again for its rows once the whole document has been read and ``head``
-    checked. So in a document that parses as JSON, errors come in the order
-    of a whole-document walk: ``head`` and its variables, ``results``, then
-    each binding in turn. A syntax error is raised where the walk meets it,
-    worded by json. A repeated ``head`` or ``results`` member is an error,
-    located at its key.
+    again for its rows, read a second time from the start of the source, once
+    the whole document has been read and ``head`` checked. So in a document
+    that parses as JSON, errors come in the order of a whole-document walk:
+    ``head`` and its variables, ``results``, then each binding in turn. A
+    syntax error is raised where the walk meets it, worded by json. A
+    repeated ``head`` or ``results`` member is an error, located at its key.
     """
-    cursor = _JsonCursor(text)
+    cursor = _JsonCursor(source)
     variables = (topic_var, entity_var, value_var)
     head: object = {}  # an absent head declares no variables
     checked = False  # head was read and checked before any results
-    later = None  # the offset of a results read before head
+    deferred = False  # results came before head, so its rows are read again
     try:
         if not cursor.at("{"):
-            raise json.JSONDecodeError("Expecting value", text, cursor.pos)
+            raise json.JSONDecodeError("Expecting value", cursor.text, cursor.pos)
         for key in cursor.members(("head", "results"), path):
             if key == "results":
-                if not checked:
-                    later = cursor.pos
+                deferred = not checked
                 yield from _results_rows(cursor, variables, strict, path, checked)
             elif key == "head":
                 head = cursor.value()
-                if later is None:
+                if not deferred:
                     _check_head(head, topic_var, entity_var, path)
                     checked = True
             else:
                 cursor.value()
-        if cursor.pos != len(text):
-            raise json.JSONDecodeError("Extra data", text, cursor.pos)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", path=path, line=exc.lineno) from None
+        if cursor.pos != len(cursor.text):
+            raise json.JSONDecodeError("Extra data", cursor.text, cursor.pos)
+        if not checked:
+            _check_head(head, topic_var, entity_var, path)
+        if deferred:
+            cursor.rewind()
+            for key in cursor.members((), path):
+                if key == "results":
+                    yield from _results_rows(cursor, variables, strict, path, True)
+                    break
+                cursor.value()
+    except json.JSONDecodeError as exc:  # its line is counted in the window
+        raise ParseError(f"invalid JSON: {exc.msg}", path=path,
+                         line=cursor.lines + exc.lineno) from None
     except RecursionError:
         raise ParseError("invalid JSON: nested too deeply", path=path) from None
-    if not checked:
-        _check_head(head, topic_var, entity_var, path)
-        if later is not None:
-            cursor.pos = later
-            yield from _results_rows(cursor, variables, strict, path, True)
 
 
 def _results_rows(cursor: _JsonCursor, variables: tuple[str, str, str], strict: bool,
@@ -529,13 +534,15 @@ def _results_rows(cursor: _JsonCursor, variables: tuple[str, str, str], strict: 
     """Walk the ``results`` value at the cursor member by member, and each of
     its ``bindings`` by one match of ``_plain_binding``'s pattern or else one
     call of json's C scanner, which reads every binding after the first miss.
-    With ``rows``, yield each binding's row or raise its first error; without,
-    check syntax only. The scanner's inline checks take a binding whose topic
-    and entity are objects with non-empty string values, whose value is absent
-    or an object with a string value, whose strings hold no lone surrogate
-    and (strict) whose entity is an IRI. Each topic IRI is shortened once; a
-    repeated ``bindings`` member is an error."""
-    text, (topic_var, entity_var, value_var) = cursor.text, variables
+    The window is topped up before each binding, so a binding shorter than
+    ``_WINDOW`` is never missed for being cut off. With ``rows``, yield each
+    binding's row or raise its first error; without, check syntax only. The
+    scanner's inline checks take a binding whose topic and entity are objects
+    with non-empty string values, whose value is absent or an object with a
+    string value, whose strings hold no lone surrogate and (strict) whose
+    entity is an IRI. Each topic IRI is shortened once; a repeated
+    ``bindings`` member is an error."""
+    topic_var, entity_var, value_var = variables
     iris: dict[str, str] = {}  # each topic IRI to its terminal segment
     fast = _plain_binding(variables, strict)
     for member in cursor.members(("bindings",), path) if cursor.at("{") else [None]:
@@ -548,20 +555,24 @@ def _results_rows(cursor: _JsonCursor, variables: tuple[str, str, str], strict: 
                 raise ParseError("results must be an object whose bindings are a list",
                                  path=path, field="results")
             continue
-        array, pos, end, index = cursor.pos, cursor.pos + 1, None, 0
-        if text[pos:pos + 1] in _SPACE:
-            pos = _skip_space(text, pos).end()
+        since, prefix, index = cursor.pos, "", 0  # where json words an error from
+        pos = cursor.skip(since + 1)
+        text = cursor.text
         while index or not text.startswith("]", pos):  # breaks at the last item
             index += 1
+            if pos > cursor.limit:
+                pos, since = cursor.fill(since, pos), 0
+                text = cursor.text
             if plain := fast and fast(text, pos):
                 end = plain.end()
                 topic_type, topic, entity_type, entity, value_type, value = plain.groups()
             else:
                 fast = None  # one miss, then the scanner reads the rest
                 try:
-                    binding, end = _scan(text, pos)
+                    binding, end = cursor.read(_scan, pos)
                 except StopIteration:  # PEP 479 would make it a RuntimeError
-                    raise _syntax_error(text, pos, array, end) from None
+                    raise _syntax_error(cursor.text, pos, since, prefix) from None
+                text = cursor.text
                 if not rows:
                     pass
                 elif (type(binding) is dict
@@ -579,7 +590,7 @@ def _results_rows(cursor: _JsonCursor, variables: tuple[str, str, str], strict: 
                     value_type = value_cell and value_cell.get("type")
                     value = value_cell and value  # None when unbound
                 else:
-                    raise _binding_error(binding, variables, path, text, pos, index)
+                    raise _binding_error(binding, variables, path, cursor.line(pos), index)
             if rows:
                 if topic_type == "uri":
                     topic = iris.get(topic) or iris.setdefault(topic, _terminal_segment(topic))
@@ -588,18 +599,21 @@ def _results_rows(cursor: _JsonCursor, variables: tuple[str, str, str], strict: 
                 if value_type == "uri":
                     value = _terminal_segment(value)
                 yield topic, entity, value
+            since, prefix = end, "[0"
             if text.startswith(",", end):
                 pos = end + 1
             else:
-                pos = _skip_space(text, end).end()
+                pos = cursor.skip(end)
+                text = cursor.text
                 if not text.startswith(",", pos):
                     break
                 pos += 1
-            if text[pos:pos + 1] in _SPACE:
-                pos = _skip_space(text, pos).end()
+            if text[pos:pos + 1] in _SPACE:  # also at the window's end
+                pos = cursor.skip(pos)
+                text = cursor.text
         if not text.startswith("]", pos):
-            raise _syntax_error(text, pos, array, end)
-        cursor.pos = _skip_space(text, pos + 1).end()
+            raise _syntax_error(text, pos, since, prefix)
+        cursor.pos = cursor.skip(pos + 1)
 
 
 def _plain_binding(variables: tuple[str, str, str],
@@ -621,15 +635,14 @@ def _plain_binding(variables: tuple[str, str, str],
 
 
 def _binding_error(binding: object, variables: tuple[str, str, str], path: str,
-                   text: str, at: int, index: int) -> ParseError:
-    """The first error of binding ``index``, which starts at offset ``at`` of
-    ``text`` and which the inline checks did not take: not an object, then a
-    cell that is not an object with a string value or whose value holds a
-    lone surrogate, in topic, entity and value order, then a missing topic
-    or entity, then (strict) a non-IRI entity. Only errors count lines."""
+                   line: int, index: int) -> ParseError:
+    """The first error of binding ``index``, which starts on ``line`` and
+    which the inline checks did not take: not an object, then a cell that is
+    not an object with a string value or whose value holds a lone surrogate,
+    in topic, entity and value order, then a missing topic or entity, then
+    (strict) a non-IRI entity."""
     def error(message: str, field: str | None = None) -> ParseError:
-        return ParseError(f"binding {index}: {message}", path=path,
-                          line=text.count("\n", 0, at) + 1, field=field)
+        return ParseError(f"binding {index}: {message}", path=path, line=line, field=field)
     if type(binding) is not dict:
         return error("not an object")
     for var in variables:
@@ -660,67 +673,139 @@ _SPACE = " \t\n\r"  # JSON's four whitespace characters
 _skip_space = json.decoder.WHITESPACE.match
 _decode_value = json.JSONDecoder().raw_decode
 _scan = json.scanner.make_scanner(json.JSONDecoder())  # (value, end) of the value at an offset
+# Characters read from a handle at a time. Before each binding or member,
+# the window is topped up until this many lie past the cursor.
+_WINDOW = 1 << 16
 
 
 class _JsonCursor:
-    """A position in one JSON text, kept past whitespace. ``value`` decodes
-    the value there whole, and ``members`` walks the object there one member
-    at a time. Syntax errors are JSONDecodeErrors worded by the json module."""
+    """A position in a JSON text, kept past whitespace, and the window of the
+    text around it. A handle is read in pieces of ``_WINDOW`` characters; a
+    ``str`` source is a window already at the end of its text. ``value``
+    decodes the value at the cursor whole, and ``members`` walks the object
+    there one member at a time. Offsets are into the window, ``text``:
+    ``fill`` lets go of the text before an offset and counts its lines in
+    ``lines``, and every other read appends, so offsets keep their meaning.
+    A read that fails or stops at the window's end is tried again on a longer
+    window, until the source is exhausted (``more`` is false). Syntax errors
+    are JSONDecodeErrors worded by the json module, whose line is counted in
+    the window."""
 
-    __slots__ = ("text", "pos")
+    __slots__ = ("text", "pos", "lines", "limit", "more", "_source", "_start")
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = _skip_space(text, 0).end()
+    def __init__(self, source: str | IO[str]):
+        self._source = source
+        self._start = None if isinstance(source, str) else source.tell()
+        self.rewind()
+
+    def rewind(self) -> None:
+        """Go back to the start of the text: a handle is sought back to where
+        it was when the cursor was made, and read again."""
+        if self._start is None:
+            self.text, self.more = self._source, False
+        else:
+            self._source.seek(self._start)
+            self.text, self.more = "", True
+        self.lines = 0
+        self.pos = self.skip(self.fill(0, 0))
+
+    def fill(self, keep: int, pos: int) -> int:
+        """Let go of the text before offset ``keep``, counting its newlines,
+        and read on until ``_WINDOW`` characters lie past ``pos`` or the
+        source is exhausted. Offsets move back by ``keep``; the cursor moves
+        to ``pos``, whose new offset is returned. ``limit`` becomes the offset
+        past which the window is due to be topped up again."""
+        self.lines += self.text.count("\n", 0, keep)
+        self.text = self.text[keep:]
+        self.pos = pos = pos - keep
+        while self.more and len(self.text) - pos < _WINDOW:
+            self.extend()
+        self.limit = len(self.text) - _WINDOW if self.more else len(self.text)
+        return pos
+
+    def extend(self) -> None:
+        """Read on by a piece, or by as much as the window holds if that is
+        more, so that a long value tried again and again is read in linear time."""
+        piece = self._source.read(max(_WINDOW, len(self.text)))
+        self.more = bool(piece)
+        self.text += piece
+
+    def skip(self, pos: int) -> int:
+        """The offset of the first non-space at or after ``pos``."""
+        while (pos := _skip_space(self.text, pos).end()) == len(self.text) and self.more:
+            self.extend()
+        return pos
+
+    def read(self, decode: Callable[[str, int], tuple[object, int]],
+             pos: int) -> tuple[object, int]:
+        """``decode(text, pos)``: the value that starts at ``pos`` and the
+        offset where it ends. A value that fails, or that ends at the window's
+        end (a number may go on), is read again on a longer window."""
+        while True:
+            try:
+                value, end = decode(self.text, pos)
+                if end < len(self.text) or not self.more:
+                    return value, end
+            except (StopIteration, json.JSONDecodeError):
+                if not self.more:
+                    raise
+            self.extend()
+
+    def line(self, at: int) -> int:
+        """The 1-based line of offset ``at`` in the whole text."""
+        return self.lines + self.text.count("\n", 0, at) + 1
 
     def at(self, token: str) -> bool:
         return self.text.startswith(token, self.pos)
 
     def value(self) -> object:
-        value, end = _decode_value(self.text, self.pos)
-        self.pos = _skip_space(self.text, end).end()
+        value, end = self.read(_decode_value, self.pos)
+        self.pos = self.skip(end)
         return value
 
     def members(self, watched: tuple[str, ...], path: str) -> Iterator[str]:
         """Yield each key of the object at the cursor, with the cursor at its
-        value; the caller moves the cursor past the value before the next. A
-        key in ``watched`` that comes again is a ParseError at its line."""
-        text, start, end, seen = self.text, self.pos, None, set()
-        pos = _skip_space(text, start + 1).end()
-        more = not text.startswith("}", pos)
+        value; the caller moves the cursor past the value before the next. The
+        window is topped up before each member. A key in ``watched`` that
+        comes again is a ParseError at its line."""
+        since, prefix, seen = self.pos, "", set()  # where json words an error from
+        pos = self.skip(since + 1)
+        more = not self.text.startswith("}", pos)
         while more:
+            if pos > self.limit:
+                pos, since = self.fill(since, pos), 0
             key_start = pos
-            if text.startswith('"', pos):
-                key, pos = json.decoder.scanstring(text, pos + 1)
-                pos = _skip_space(text, pos).end()
-            if pos == key_start or not text.startswith(":", pos):
-                raise _syntax_error(text, pos, start, end)
+            if self.text.startswith('"', pos):
+                key, pos = self.read(_decode_value, pos)
+                pos = self.skip(pos)
+            if pos == key_start or not self.text.startswith(":", pos):
+                raise _syntax_error(self.text, pos, since, prefix)
             if key in seen:
                 raise ParseError(f"member {key!r} is repeated", path=path,
-                                 line=text.count("\n", 0, key_start) + 1, field=key)
+                                 line=self.line(key_start), field=key)
             if key in watched:
                 seen.add(key)
-            self.pos = _skip_space(text, pos + 1).end()
+            self.pos = self.skip(pos + 1)
             yield key
-            end = pos = self.pos
-            if more := text.startswith(",", pos):
-                pos = _skip_space(text, pos + 1).end()
-            elif not text.startswith("}", pos):
-                raise _syntax_error(text, pos, start, end)
-        self.pos = _skip_space(text, pos + 1).end()
+            since = pos = self.pos
+            prefix = '{"":0'
+            if more := self.text.startswith(",", pos):
+                pos = self.skip(pos + 1)
+            elif not self.text.startswith("}", pos):
+                raise _syntax_error(self.text, pos, since, prefix)
+        self.pos = self.skip(pos + 1)
 
 
-def _syntax_error(text: str, pos: int, start: int, end: int | None) -> json.JSONDecodeError:
-    """json's own error for the syntax error met at ``pos`` in the array or
-    object opened at ``start``: json decodes only the text since ``end``, where
-    the item or member before ends, after ``[0`` or ``{"":0`` standing in for
-    the container up to there; or, with none before, the text from ``start``."""
-    start, prefix = (start, "") if end is None else (
-        end, "[0" if text[start] == "[" else '{"":0')
+def _syntax_error(text: str, pos: int, since: int, prefix: str) -> json.JSONDecodeError:
+    """json's own error for the syntax error met at ``pos`` in an array or
+    object: json decodes only the text from ``since`` on, after ``prefix``.
+    ``since`` is the container's opener, after no prefix, or where the item or
+    member before ends, after ``[0`` or ``{"":0`` standing in for the
+    container up to there."""
     try:
-        _decode_value(prefix + text[start:pos + 1])
+        _decode_value(prefix + text[since:pos + 1])
     except json.JSONDecodeError as exc:
-        return json.JSONDecodeError(exc.msg, text, exc.pos - len(prefix) + start)
+        return json.JSONDecodeError(exc.msg, text, exc.pos - len(prefix) + since)
     raise AssertionError("the text up to a syntax error decoded")
 
 

@@ -878,10 +878,11 @@ _CSV_SPECIAL = re.compile('[,"\r\n\x00]').search
 
 def _csv_field(text: str) -> str:
     """``text`` as ``csv.writer`` writes it among other cells of a row. A
-    string without a special character is written as it is; any other is
+    string without a special character is written as it is (an alphanumeric
+    one, most cells, is known to be such without a search); any other is
     written by the csv module itself, so quoting follows it on every
     Python version."""
-    if _CSV_SPECIAL(text) is None:
+    if text.isalnum() or _CSV_SPECIAL(text) is None:
         return text
     buffer = io.StringIO()
     csv.writer(buffer).writerow((text, ""))

@@ -221,6 +221,34 @@ def test_lone_surrogate_topic_in_a_sparql_export_is_a_located_error(audit_dir, t
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("bad_first", [False, True], ids=["syntax-first", "bad-byte-first"])
+def test_a_sparql_export_reports_the_error_its_read_meets_first(audit_dir, tmp_path,
+                                                                capsys, bad_first):
+    """A JSON export is read in pieces, as the TSV readers read, so of a
+    syntax error and a byte that is not UTF-8 the one reported comes first."""
+    binding = json.dumps({"topic": {"type": "literal", "value": "announcer"},
+                          "entity": {"type": "uri", "value": "http://x/ann:e0"}}).encode()
+    bad = binding.replace(b"ann:e0", b"ann:\xff")
+    unbroken = b",\n".join([binding] * 5000)  # about 500 KB
+    broken = binding + b"\n" + binding  # a missing comma
+    bindings = [bad, broken, unbroken] if bad_first else [broken, unbroken, bad]
+    path = audit_dir / "kb.json"
+    path.write_bytes(b'{"head": {"vars": ["topic", "entity"]}, "results": {"bindings": [\n'
+                     + b",\n".join(bindings) + b"]}}")
+    out = tmp_path / "out"
+    args = ["evaluate",
+            "--runs", str(audit_dir / "runs.tsv"),
+            "--labels", str(audit_dir / "labels.tsv"),
+            "--members", f"wiki={path}",
+            "--feature", "gender", "--values", "female,male",
+            "--out", str(out)]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}:2: not UTF-8 text: invalid start byte\n" if bad_first else
+        f"error: {path}:3: invalid JSON: Expecting ',' delimiter\n")
+    assert not out.exists()
+
+
 # On POSIX, Python decodes argv bytes that are not UTF-8 to lone surrogates.
 NOT_UTF8 = os.fsdecode(b"m\xffale")
 

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -31,6 +33,7 @@ from biaslens import (
     simulate_run,
     unbiased_exemplars,
 )
+from biaslens import report as report_module
 from biaslens._util import unit_open_xy
 from biaslens.report import EvaluatedTopic, SkippedTopic
 
@@ -753,6 +756,16 @@ class TestReportDocument:
         rows = list(csv.DictReader(io.StringIO(bundle["records.csv"])))
         assert rows[0]["topic_id"] == topic
         assert rows[0]["bias"] == "0/10"
+
+
+@given(text=st.text() | st.sampled_from(["t0042", "t٤٢", "female", "", "a,b", "a\x00"]))
+def test_a_csv_field_is_what_the_csv_writer_writes(text):
+    """``_csv_field``, with its alphanumeric shortcut, writes a cell as
+    ``csv.writer`` writes it among other cells (3.10's writer cannot write NUL)."""
+    assume("\x00" not in text or sys.version_info >= (3, 11))
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow((text, ""))
+    assert report_module._csv_field(text) + ",\r\n" == buffer.getvalue()
 
 
 class TestPartition:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import sys
 import tracemalloc
@@ -307,6 +308,23 @@ def whole_document(text, strict=False):
         return streamed(text, strict)
 
 
+def windowed(text, window, strict=False):
+    """The outcome of reading ``text`` from a handle through a window of
+    ``window`` characters."""
+    with mock.patch.object(ingest, "_WINDOW", window):
+        return streamed(io.StringIO(text), strict)
+
+
+def through_handle(text, strict=False):
+    """The outcome of reading ``text`` from a handle, the same through every
+    window of 1 to 16 characters, so that every token, string and binding
+    falls across a refill."""
+    outcome = windowed(text, 1, strict)
+    for window in range(2, 17):
+        assert windowed(text, window, strict) == outcome, window
+    return outcome
+
+
 class Obj(tuple):
     """A JSON object as its (key, value) pairs, in the order they are written."""
 
@@ -401,6 +419,11 @@ class TestStreamedDecoder:
     def test_equals_the_whole_document_decoder(self, text, strict):
         assert streamed(text, strict) == whole_document(text, strict)
 
+    @given(text=exports(), strict=st.booleans(), window=st.integers(1, 16))
+    def test_a_handle_read_through_a_window_equals_the_whole_document_decoder(
+            self, text, strict, window):
+        assert windowed(text, window, strict) == whole_document(text, strict)
+
     @given(text=exports(), cut=st.floats(0, 1), edits=st.lists(st.tuples(
         st.floats(0, 1), st.sampled_from(["", *'{}[]:,"\\ \n0-1eflnrstu']))),
         strict=st.booleans())
@@ -416,12 +439,15 @@ class TestStreamedDecoder:
     def test_any_object_text_is_a_parse_error(self, text, strict):
         assert isinstance(streamed("{" + text, strict), (SparqlExtraction, str))
 
-    def test_results_before_head_reads_as_head_first(self):
+    def test_results_before_head_reads_as_head_first(self, read=streamed):
         head_last = json.dumps({"results": json.loads(TWO_ROWS_JSON)["results"],
                                 "head": json.loads(TWO_ROWS_JSON)["head"]})
-        assert parse_sparql_results(head_last) == parse_sparql_results(TWO_ROWS_JSON)
+        assert read(head_last) == read(TWO_ROWS_JSON) == parse_sparql_results(TWO_ROWS_JSON)
 
-    @pytest.mark.parametrize("text, message", [
+    def test_results_before_head_reads_as_head_first_through_a_handle(self):
+        self.test_results_before_head_reads_as_head_first(through_handle)
+
+    ERRORS = pytest.mark.parametrize("text, message", [
         ('{"head": {"vars": ["topic", "entity"]}} x', "export.json:1: invalid JSON: Extra data"),
         ('{"head": {"vars": ["topic", "entity"]},\n "results": {"bindings": [{]}}',
          "export.json:2: invalid JSON: Expecting property name enclosed in double quotes"),
@@ -430,10 +456,16 @@ class TestStreamedDecoder:
         ('{"head": ' + "[" * 100_000 + "]" * 100_000 + "}",
          "export.json: invalid JSON: nested too deeply"),
     ], ids=["trailing-data", "syntax", "head-checked-before-held-bindings", "deep"])
-    def test_errors(self, text, message):
-        assert streamed(text) == message
 
-    @pytest.mark.parametrize("text, member", [
+    @ERRORS
+    def test_errors(self, text, message, read=streamed):
+        assert read(text) == message
+
+    @ERRORS
+    def test_errors_through_a_handle(self, text, message):
+        self.test_errors(text, message, through_handle)
+
+    REPEATS = pytest.mark.parametrize("text, member", [
         ('{"head": {"vars": ["topic", "entity"]},\n "results": {"bindings": []},\n'
          ' "head": {"vars": ["topic", "entity"]}}', "head"),
         ('{"head": {"vars": ["topic", "entity"]},\n "results": {"bindings": []},\n'
@@ -441,9 +473,15 @@ class TestStreamedDecoder:
         ('{"head": {"vars": ["topic", "entity"]},\n "results": {"bindings": [],\n'
          ' "bindings": []}}', "bindings"),
     ], ids=["head", "results", "bindings"])
-    def test_repeated_member_is_a_located_error(self, text, member):
-        assert streamed(text) == (f"export.json:3: member {member!r} is repeated "
-                                  f"(field: {member})")
+
+    @REPEATS
+    def test_repeated_member_is_a_located_error(self, text, member, read=streamed):
+        assert read(text) == (f"export.json:3: member {member!r} is repeated "
+                              f"(field: {member})")
+
+    @REPEATS
+    def test_repeated_member_is_a_located_error_through_a_handle(self, text, member):
+        self.test_repeated_member_is_a_located_error(text, member, through_handle)
 
     def test_peak_memory_stays_near_the_text_size(self):
         text = json.dumps({"head": {"vars": ["topic", "entity", "value"]}, "results": {
@@ -464,10 +502,10 @@ class TestStreamedDecoder:
 # Bindings the inline cell checks take, and syntax errors inside the array
 # ---------------------------------------------------------------------------
 
-def both_decoders(text):
+def both_decoders(text, read=streamed, strict=False):
     """The extraction or error text, which both decoders must agree on."""
-    outcome = streamed(text)
-    assert outcome == whole_document(text)
+    outcome = read(text, strict)
+    assert outcome == whole_document(text, strict)
     return outcome
 
 
@@ -521,38 +559,48 @@ def test_syntax_error_in_bindings_is_worded_as_json_loads(bindings, head_first):
                                    f"invalid JSON: {err.value.msg}")
 
 
-def test_binding_errors_name_the_binding_at_its_first_line():
+def test_binding_errors_name_the_binding_at_its_first_line(read=streamed):
     text = ('{"head": {"vars": ["topic", "entity"]},\n"results": {"bindings": [\n'
             f'{GOOD_BINDING},\n{GOOD_BINDING}, 7,\n{{\n"topic": 1}}]}}}}')
-    assert both_decoders(text) == "export.json:4: binding 3: not an object"
+    assert both_decoders(text, read) == "export.json:4: binding 3: not an object"
     text = text.replace(" 7,", "")
-    assert both_decoders(text) == ("export.json:5: binding 3: 'topic' must be an object "
-                                   "with a string value (field: topic)")
+    assert both_decoders(text, read) == ("export.json:5: binding 3: 'topic' must be an "
+                                         "object with a string value (field: topic)")
     text = text.replace('"topic": 1', '"entity": {"type": "uri", "value": "http://x/Q2"}')
-    assert both_decoders(text) == ("export.json:5: binding 3: row is missing the 'topic' "
-                                   "binding (field: topic)")
+    assert both_decoders(text, read) == ("export.json:5: binding 3: row is missing the "
+                                         "'topic' binding (field: topic)")
     text = text.replace('"entity": {"type": "uri", "value": "http://x/Q2"}',
                         '"topic": {"type": "literal", "value": "poet"}, '
                         '"entity": {"type": "literal", "value": "http://x/Q2"}')
-    assert streamed(text, strict=True) == whole_document(text, strict=True) == (
+    assert both_decoders(text, read, strict=True) == (
         "export.json:5: binding 3: entity binding 'http://x/Q2' is not an IRI (field: entity)")
+
+
+def test_binding_errors_name_the_binding_at_its_first_line_through_a_handle():
+    test_binding_errors_name_the_binding_at_its_first_line(through_handle)
 
 
 @pytest.mark.parametrize("escaped", [True, False], ids=["escaped", "raw"])
 @pytest.mark.parametrize("var", ["topic", "entity", "value"])
-def test_a_lone_surrogate_is_a_located_binding_error(var, escaped):
+def test_a_lone_surrogate_is_a_located_binding_error(var, escaped, read=streamed):
     cells = {"topic": literal("poet"), "entity": uri("http://x/Q1"), "value": literal("male")}
     cells[var] = literal("x\udc00")
     binding = json.dumps(cells, ensure_ascii=escaped)
     text = export_of(f"{GOOD_BINDING},\n{binding}")
-    assert both_decoders(text) == (f"export.json:4: binding 2: {var!r} holds a lone "
-                                   f"surrogate (field: {var})")
+    assert both_decoders(text, read) == (f"export.json:4: binding 2: {var!r} holds a lone "
+                                         f"surrogate (field: {var})")
     # A cell of the wrong type before it is the error named first.
     if var != "topic":
         cells["topic"] = 1
-        assert both_decoders(export_of(json.dumps(cells))) == (
+        assert both_decoders(export_of(json.dumps(cells)), read) == (
             "export.json:3: binding 1: 'topic' must be an object with a string value "
             "(field: topic)")
+
+
+@pytest.mark.parametrize("escaped", [True, False], ids=["escaped", "raw"])
+@pytest.mark.parametrize("var", ["topic", "entity", "value"])
+def test_a_lone_surrogate_is_a_located_binding_error_through_a_handle(var, escaped):
+    test_a_lone_surrogate_is_a_located_binding_error(var, escaped, through_handle)
 
 
 def test_results_before_head_builds_only_its_first_binding_error():
@@ -622,8 +670,8 @@ def test_null_and_empty_members_match_the_whole_document_decoder(head, cells, ex
 
 def test_export_text_read_from_a_handle_is_freed_with_its_decoder(tmp_path):
     """Read through a file handle, as the CLI reads it, the export's text is
-    alive only while its rows are read: when the member tables are built, no
-    traced block is as large as the text, and the peak stays near its size."""
+    never held whole: when the member tables are built, no traced block is as
+    large as the text, and the peak stays near its size."""
     text = json.dumps({"head": {"vars": ["topic", "entity", "value"]}, "results": {
         "bindings": [{"topic": uri(f"http://x/topic/t{i % 20}"),
                       "entity": uri(f"http://x/entity/t{i % 20}-p{i:04d}"),
@@ -645,6 +693,43 @@ def test_export_text_read_from_a_handle_is_freed_with_its_decoder(tmp_path):
             tracemalloc.stop()
     assert largest[0] < len(text)
     assert peak < 3 * len(text)
+
+
+def test_a_handle_is_read_through_a_window_and_values_are_shared(tmp_path):
+    """Read through a file handle, the parse holds a window of the export, not
+    its text: at its peak it allocates less than a quarter of the text's size
+    beyond what the extraction it returns keeps. Each label value is kept once."""
+    text = json.dumps({"head": {"vars": ["topic", "entity", "value"]}, "results": {
+        "bindings": [{"topic": uri(f"http://x/topic/t{i % 20}"),
+                      "entity": uri(f"http://x/entity/t{i % 20}-p{i:05d}"),
+                      "value": literal(("female", "male")[i % 2])}
+                     for i in range(20_000)]}}, separators=(",", ":"))
+    (tmp_path / "export.json").write_text(text, encoding="utf-8")
+    with open(tmp_path / "export.json", encoding="utf-8") as handle:
+        tracemalloc.start()
+        try:
+            extraction = parse_sparql_results(handle)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak - kept < len(text) / 4
+    assert len(extraction.label_rows) == 20_000
+    assert len({id(value) for _, value in extraction.label_rows}) == 2
+
+
+@pytest.mark.parametrize("head_first", [True, False], ids=["head-first", "results-first"])
+def test_a_file_with_a_byte_order_mark_reads_through_any_window(tmp_path, head_first):
+    """A UTF-8 file that starts with a byte order mark, opened as the CLI opens
+    it, reads as its text through every window of 1 to 16 characters, also
+    when its results come first and it is read a second time."""
+    members = [("head", {"vars": ["topic", "entity", "value"]}),
+               ("results", json.loads(TWO_ROWS_JSON)["results"])]
+    text = json.dumps(dict(members if head_first else members[::-1]), indent=1)
+    (tmp_path / "export.json").write_text(text, encoding="utf-8-sig")
+    for window in range(1, 17):
+        with open(tmp_path / "export.json", encoding="utf-8-sig") as handle, \
+                mock.patch.object(ingest, "_WINDOW", window):
+            assert parse_sparql_results(handle) == parse_sparql_results(TWO_ROWS_JSON)
 
 
 # ---------------------------------------------------------------------------
