@@ -128,9 +128,16 @@ class LabelCatalog:
 
 @dataclass(frozen=True)
 class MembershipTable:
-    """Reference-population membership: topic_id to the set of its entities."""
+    """Reference-population membership: topic_id to a tuple of its distinct
+    entities, in the order each was first seen. Equality is order-sensitive."""
 
-    members: dict[str, frozenset[str]]
+    members: dict[str, tuple[str, ...]]
+
+
+def _membership_table(members: dict[str, list[str]]) -> MembershipTable:
+    """The table of one list of entities per topic, each list deduplicated in
+    first-seen order and freed as its tuple is made."""
+    return MembershipTable({t: tuple(dict.fromkeys(members.pop(t))) for t in list(members)})
 
 
 def _priority(provenance: str) -> int:
@@ -270,21 +277,24 @@ def serialize_labels(catalog: LabelCatalog) -> str:
 # ---------------------------------------------------------------------------
 
 def parse_members(source: str | IO[str], path: str | None = None) -> MembershipTable:
-    """Parse topic membership rows; duplicate pairs are deduplicated."""
+    """Parse topic membership rows. Each topic's entities are kept once, in
+    the order of the line that first names them."""
     path = _named(source, path, "<members>")
-    members: dict[str, set[str]] = {}
+    members: defaultdict[str, list[str]] = defaultdict(list)
     for line_no, (topic_id, entity_id) in _rows(source, path, MEMBERS_HEADER, (2,)):
         topic_id, entity_id = topic_id.strip(), entity_id.strip()
         if not topic_id or not entity_id:
             raise ParseError("empty topic_id or entity_id", path=path, line=line_no,
                              field="topic_id" if not topic_id else "entity_id")
-        members.setdefault(topic_id, set()).add(entity_id)
-    return MembershipTable({t: frozenset(members.pop(t)) for t in list(members)})
+        members[topic_id].append(entity_id)
+    return _membership_table(members)
 
 
 def serialize_members(table: MembershipTable) -> str:
+    """Topics in sorted order, each topic's entities in the table's order, so
+    that ``parse_members`` reads the table back equal."""
     return _tsv_text(MEMBERS_HEADER, ((topic, entity) for topic in sorted(table.members)
-                                      for entity in sorted(table.members[topic])))
+                                      for entity in table.members[topic]))
 
 
 def counts_for_topic(topic_id: str, entity_ids: Iterable[str],
@@ -409,10 +419,36 @@ def serialize_target_counts(counts: Iterable[TargetCounts],
 
 @dataclass(frozen=True)
 class SparqlExtraction:
-    """Membership plus raw label rows pulled from a SPARQL result export."""
+    """Membership plus raw label rows pulled from a SPARQL result export.
+
+    Label row i, in file order, is entity ``label_entities[i]`` with raw
+    value ``label_values[i]``: two parallel tuples of the strings the parse
+    holds, with no object per row. ``label_rows`` is a read-only view of the
+    same rows as (entity_id, raw value) pairs."""
 
     members: MembershipTable
-    label_rows: tuple[tuple[str, str], ...]  # (entity_id, raw value), in file order
+    label_entities: tuple[str, ...]
+    label_values: tuple[str, ...]
+
+    @property
+    def label_rows(self) -> _LabelRows:
+        return _LabelRows(self.label_entities, self.label_values)
+
+
+class _LabelRows:
+    """The (entity_id, raw value) pairs of two parallel tuples: a sized view
+    that makes each pair only as it is iterated."""
+
+    __slots__ = ("entities", "values")
+
+    def __init__(self, entities: tuple[str, ...], values: tuple[str, ...]):
+        self.entities, self.values = entities, values
+
+    def __len__(self) -> int:
+        return len(self.entities)
+
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        return zip(self.entities, self.values)
 
 
 def _terminal_segment(iri: str) -> str:
@@ -429,13 +465,17 @@ def _members_format(source: str | IO[str]) -> str:
     '#' lines: '{' opens a SPARQL JSON export ("json"), '?' a SPARQL TSV
     export's variable header ("tsv"), and anything else is a members TSV
     ("members"). A handle is read in bounded pieces, so that a one-line JSON
-    export is not read whole, and sought back to where it was."""
+    export is not read whole, and sought back to where it was. Each piece is
+    matched after the first character of the last line before it: the '#'
+    of a cut-off comment, a blank's first space, or nothing, which is all
+    the match needs of that line. So each character is scanned about once."""
     if isinstance(source, str):
         text = source
     else:
         start, text = source.tell(), ""
         while _PREAMBLE.match(text).end() == len(text) and (piece := source.read(4096)):
-            text += piece
+            line = max(text.rfind("\n"), text.rfind("\r")) + 1
+            text = text[line:line + 1] + piece
         source.seek(start)
     first = _PREAMBLE.match(text).end()
     return {"{": "json", "?": "tsv"}.get(text[first:first + 1], "members")
@@ -453,8 +493,11 @@ def parse_sparql_results(source: str | IO[str], *, topic_var: str = "topic",
     meets them. The three variables name the bindings acting as topic, entity
     and feature value. IRI-typed bindings are shortened to their terminal
     segment, so Wikidata-style exports key by Q-identifier.
-    Rows lacking a value binding contribute membership only; each value
-    string is kept once, however many rows carry it. In strict mode a
+    Each row adds its entity to its topic's members, kept once per topic in
+    first-seen order as ``parse_members`` keeps them. A row with a value
+    binding also adds a label row: its entity and value are appended to the
+    extraction's two parallel tuples, with no object made per row, and each
+    value string is kept once, however many rows carry it. In strict mode a
     non-IRI entity binding is an error. Each decoder yields checked (topic,
     entity, value) rows and raises its own errors: one in a TSV row names its
     line, one in a JSON binding the binding's 1-based index and the line where
@@ -464,16 +507,20 @@ def parse_sparql_results(source: str | IO[str], *, topic_var: str = "topic",
         raise ValueError(f"variables must differ: {topic_var!r}, {entity_var!r}, {value_var!r}")
     path = _named(source, path, "<sparql>")
     decode = _sparql_json_rows if _members_format(source) == "json" else _sparql_tsv_rows
-    members: defaultdict[str, set[str]] = defaultdict(set)
-    label_rows: list[tuple[str, str]] = []
+    members: defaultdict[str, list[str]] = defaultdict(list)
+    entities: list[str] = []
+    labels: list[str] = []
     values: dict[str, str] = {}  # each value string to the one kept
     for topic, entity, value in decode(source, topic_var, entity_var, value_var, strict, path):
-        members[topic].add(entity)
+        members[topic].append(entity)
         if value:
-            label_rows.append((entity, values.setdefault(value, value)))
-    return SparqlExtraction(
-        members=MembershipTable({t: frozenset(members.pop(t)) for t in list(members)}),
-        label_rows=tuple(label_rows))
+            entities.append(entity)
+            labels.append(values.setdefault(value, value))
+    table = _membership_table(members)
+    label_entities = tuple(entities)
+    entities.clear()  # freed before the values are copied
+    return SparqlExtraction(members=table, label_entities=label_entities,
+                            label_values=tuple(labels))
 
 
 def _sparql_json_rows(source: str | IO[str], topic_var: str, entity_var: str,
@@ -858,7 +905,8 @@ def _tsv_term(raw: str) -> str:
 def extraction_to_catalog(extraction: SparqlExtraction, catalog: LabelCatalog, *,
                           value_map: dict[str, str] | None = None
                           ) -> tuple[LabelCatalog, int]:
-    """Fold an export's label rows into ``catalog`` at ``kb`` provenance.
+    """Fold an export's label rows, ``zip(label_entities, label_values)`` in
+    file order, into ``catalog`` at ``kb`` provenance.
 
     ``value_map`` translates raw export values (for example Q-identifiers)
     into declared values or the unknown token; unmapped raw values are taken
@@ -869,7 +917,7 @@ def extraction_to_catalog(extraction: SparqlExtraction, catalog: LabelCatalog, *
     dropped = 0
     def rows() -> Iterator[tuple[str, str, str]]:
         nonlocal dropped
-        for entity, raw in extraction.label_rows:
+        for entity, raw in zip(extraction.label_entities, extraction.label_values):
             if (value := mapping.get(raw, raw)) in allowed:
                 yield entity, value, DEFAULT_PROVENANCE
             else:

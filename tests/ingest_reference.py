@@ -101,15 +101,17 @@ def parse_labels(source: str | IO[str], scheme: FeatureScheme,
 
 
 def parse_members(source: str | IO[str], path: str | None = None) -> MembershipTable:
-    """Parse topic membership rows; duplicate pairs are deduplicated."""
+    """Parse topic membership rows; duplicate pairs are deduplicated, and each
+    topic's entities are kept in first-seen order, as ``MembershipTable``
+    now holds them (the one change to this reader)."""
     path = _named(source, path, "<members>")
-    members: dict[str, set[str]] = {}
+    members: dict[str, dict[str, None]] = {}
     for line_no, (topic_id, entity_id) in _rows(source, path, MEMBERS_HEADER, (2,)):
         if not topic_id or not entity_id:
             raise ParseError("empty topic_id or entity_id", path=path, line=line_no,
                              field="topic_id" if not topic_id else "entity_id")
-        members.setdefault(topic_id, set()).add(entity_id)
-    return MembershipTable({t: frozenset(s) for t, s in members.items()})
+        members.setdefault(topic_id, {})[entity_id] = None
+    return MembershipTable({t: tuple(s) for t, s in members.items()})
 
 
 def parse_target_counts(source: str | IO[str], scheme: FeatureScheme,

@@ -178,20 +178,19 @@ class TestParseLabels:
 class TestMembersAndCounts:
     def test_parse_and_dedupe(self):
         table = parse_members("t1\te1\nt1\te1\nt1\te2\nt2\te9\n")
-        assert table.members == {"t1": frozenset({"e1", "e2"}),
-                                 "t2": frozenset({"e9"})}
+        assert table.members == {"t1": ("e1", "e2"), "t2": ("e9",)}
 
     def test_round_trip_identity(self):
         table = parse_members("t2\tz\nt1\tb\nt1\ta\n")
         assert parse_members(serialize_members(table)) == table
 
-    def test_member_sets_are_freed_as_they_are_copied(self):
+    def test_member_lists_are_freed_as_they_are_copied(self):
         rows = [(f"t{i % 400}", f"e{i:06d}") for i in range(40_000)]
         text = "".join(f"{topic}\t{entity}\n" for topic, entity in rows)
-        sets: dict[str, set[str]] = {}
+        lists: dict[str, list[str]] = {}
         for topic, entity in rows:
-            sets.setdefault(topic, set()).add(entity)
-        set_bytes = sum(map(sys.getsizeof, sets.values()))
+            lists.setdefault(topic, []).append(entity)
+        list_bytes = sum(map(sys.getsizeof, lists.values()))
         parse_members(text)  # first-call allocations are not the table's
         tracemalloc.start()
         try:
@@ -199,14 +198,14 @@ class TestMembersAndCounts:
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        frozen_bytes = sum(map(sys.getsizeof, table.members.values()))
-        # Every set alive beside every frozenset would peak at kept + set_bytes.
-        assert peak < kept + set_bytes - frozen_bytes / 2
+        tuple_bytes = sum(map(sys.getsizeof, table.members.values()))
+        # Every list alive beside every tuple would peak at kept + list_bytes.
+        assert peak < kept + list_bytes - tuple_bytes / 2
 
     def test_counts_with_unknowns(self, gender):
         catalog = support.catalog_of(gender, {"e1": "female", "e2": "male",
                                               "e3": "male"})
-        table = MembershipTable({"t": frozenset({"e1", "e2", "e3", "e4"})})
+        table = MembershipTable({"t": ("e1", "e2", "e3", "e4")})
         (counts,) = tally(table, catalog)
         assert counts.counts == {"female": 1, "male": 2}
         assert counts.total == 3
@@ -214,13 +213,13 @@ class TestMembersAndCounts:
 
     def test_single_valued_population(self, gender):
         catalog = support.catalog_of(gender, {"e1": "male", "e2": "male"})
-        table = MembershipTable({"t": frozenset({"e1", "e2"})})
+        table = MembershipTable({"t": ("e1", "e2")})
         (counts,) = tally(table, catalog)
         assert F(counts.count_of("male"), counts.total) == 1
 
     def test_zero_labeled_members_names_topic(self, gender):
         catalog = support.catalog_of(gender, {"other": "male"})
-        table = MembershipTable({"ghost-topic": frozenset({"e1", "e2"})})
+        table = MembershipTable({"ghost-topic": ("e1", "e2")})
         with pytest.raises(EmptyPopulationError, match="ghost-topic"):
             tally(table, catalog)
 
@@ -246,7 +245,7 @@ class TestMembersAndCounts:
         for topic, entities in members.items():
             mapping[sorted(entities)[0]] = "female"
         catalog = support.catalog_of(gender, mapping)
-        table = MembershipTable({t: frozenset(s) for t, s in members.items()})
+        table = MembershipTable({t: tuple(s) for t, s in members.items()})
         result = {c.topic_id: c for c in tally(table, catalog)}
 
         oracle: dict[str, dict[str, int]] = {}
@@ -271,7 +270,7 @@ class TestMembersAndCounts:
         outcomes = []
         for count in (counts_for_topic, label_of_counts):
             try:
-                outcomes.append(count("t", frozenset(entities), catalog))
+                outcomes.append(count("t", tuple(entities), catalog))
             except EmptyPopulationError as exc:
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1]
@@ -298,6 +297,48 @@ def label_of_counts(topic_id, entity_ids, labels):
     return TargetCounts(topic_id=topic_id, feature_name=labels.feature_name,
                         counts={v: c for v, c in counts.items() if c > 0},
                         unknown_count=unknown)
+
+
+class TestMembersFormat:
+    @pytest.mark.parametrize("first, expected", [
+        ("{", "json"), ("  ?topic\t?entity", "tsv"), ("t1\te1", "members"),
+        ("  # not a comment", "members")])
+    def test_a_long_preamble_is_scanned_once(self, monkeypatch, first, expected):
+        """Telling the format of a handle that opens with 20,000 blank and
+        comment lines scans each character about once: the texts given to
+        the preamble pattern sum to at most twice the text read. The handle
+        is sought back to where it was."""
+        ends = ("\n", "\r\n", "\r")
+        preamble = "".join(("   " if i % 5 == 0 else f"# line {i} " + "x" * (i % 97))
+                           + ends[i % 3] for i in range(20_000))
+        text = preamble + first + "\n"
+        handle = io.StringIO("skipped" + text)
+        handle.seek(7)
+        scanned = []
+        pattern = ingest._PREAMBLE
+
+        class Counting:
+            def match(self, text):
+                scanned.append(len(text))
+                return pattern.match(text)
+        monkeypatch.setattr(ingest, "_PREAMBLE", Counting())
+        assert ingest._members_format(handle) == expected
+        assert handle.tell() == 7
+        assert sum(scanned) <= 2 * len(text)
+
+    @given(lines=st.lists(st.tuples(st.sampled_from(("", " ", "\t ", "#", "# x", "#{")),
+                                    st.sampled_from(("\n", "\r\n", "\r"))), max_size=8),
+           first=st.sampled_from(("{", "?t", " {", "t1\te1", " #", "", "\t?")),
+           step=st.integers(1, 5))
+    def test_a_handle_read_in_any_pieces_reads_as_its_text(self, lines, first, step):
+        text = "".join(line + end for line, end in lines) + first
+
+        class Pieces(io.StringIO):  # never more than ``step`` characters a read
+            def read(self, size=-1):
+                return super().read(step if size < 0 else min(size, step))
+        handle = Pieces(text)
+        assert ingest._members_format(handle) == ingest._members_format(text)
+        assert handle.tell() == 0
 
 
 class TestParseTargetCounts:
@@ -347,8 +388,7 @@ class TestParseTargetCounts:
     def test_membership_round_trip(self, gender):
         catalog = support.catalog_of(
             gender, {"a": "female", "b": "male", "c": "male", "d": "female"})
-        table = MembershipTable({"t1": frozenset({"a", "b", "e"}),
-                                 "t2": frozenset({"c", "d"})})
+        table = MembershipTable({"t1": ("a", "b", "e"), "t2": ("c", "d")})
         first = tally(table, catalog)
         text = serialize_target_counts(first, gender)
         assert parse_target_counts(text, gender) == first

@@ -35,6 +35,11 @@ def json_export(rows, variables=("topic", "entity", "value")):
                        "results": {"bindings": bindings}})
 
 
+def label_rows(extraction):
+    """An extraction's label rows as (entity, raw value) pairs, in file order."""
+    return tuple(zip(extraction.label_entities, extraction.label_values))
+
+
 def uri(value):
     return {"type": "uri", "value": value}
 
@@ -59,8 +64,11 @@ TWO_ROWS_TSV = (
 
 def test_json_two_rows():
     extraction = parse_sparql_results(TWO_ROWS_JSON)
-    assert extraction.members.members == {"philosopher": frozenset({"Q123", "Q456"})}
-    assert extraction.label_rows == (("Q123", "female"), ("Q456", "male"))
+    assert extraction.members.members == {"philosopher": ("Q123", "Q456")}
+    assert label_rows(extraction) == (("Q123", "female"), ("Q456", "male"))
+    # The view kept for readers of the old field: its length and its pairs.
+    assert len(extraction.label_rows) == 2
+    assert tuple(extraction.label_rows) == label_rows(extraction)
 
 
 def test_tsv_matches_json():
@@ -71,7 +79,7 @@ def test_hash_fragment_iris_shorten():
     export = json_export([(literal("poet"), uri("http://example.org/ont#E42"),
                            literal("female"))])
     extraction = parse_sparql_results(export)
-    assert extraction.members.members == {"poet": frozenset({"E42"})}
+    assert extraction.members.members == {"poet": ("E42",)}
 
 
 def test_iri_valued_feature_shortens_too():
@@ -80,7 +88,7 @@ def test_iri_valued_feature_shortens_too():
          uri("http://www.wikidata.org/entity/Q6581072")),
     ])
     extraction = parse_sparql_results(export)
-    assert extraction.label_rows == (("Q1", "Q6581072"),)
+    assert label_rows(extraction) == (("Q1", "Q6581072"),)
 
 
 def test_missing_binding_column():
@@ -134,8 +142,8 @@ def test_optional_value_binding_contributes_membership_only():
         (literal("poet"), uri("http://x.org/Q2"), literal("male")),
     ])
     extraction = parse_sparql_results(export)
-    assert extraction.members.members["poet"] == frozenset({"Q1", "Q2"})
-    assert extraction.label_rows == (("Q2", "male"),)
+    assert extraction.members.members["poet"] == ("Q1", "Q2")
+    assert label_rows(extraction) == (("Q2", "male"),)
 
 
 def test_strict_rejects_literal_entity():
@@ -144,7 +152,7 @@ def test_strict_rejects_literal_entity():
         parse_sparql_results(export, strict=True)
     # Tolerated when strict is off.
     extraction = parse_sparql_results(export)
-    assert extraction.members.members["poet"] == frozenset({"plain-text"})
+    assert extraction.members.members["poet"] == ("plain-text",)
 
 
 def test_invalid_json_names_position():
@@ -166,8 +174,8 @@ def test_tsv_literal_suffixes_stripped():
             '"poet"@en\t<http://x/Q1>\t"female"^^<http://www.w3.org/2001/'
             'XMLSchema#string>\n')
     extraction = parse_sparql_results(text)
-    assert extraction.members.members == {"poet": frozenset({"Q1"})}
-    assert extraction.label_rows == (("Q1", "female"),)
+    assert extraction.members.members == {"poet": ("Q1",)}
+    assert label_rows(extraction) == (("Q1", "female"),)
 
 
 def test_custom_variable_names():
@@ -177,7 +185,7 @@ def test_custom_variable_names():
     )
     extraction = parse_sparql_results(export, topic_var="occupation",
                                       entity_var="person", value_var="genderValue")
-    assert extraction.label_rows == (("Q1", "male"),)
+    assert label_rows(extraction) == (("Q1", "male"),)
 
 
 def test_extraction_to_catalog_with_value_map(gender):
@@ -515,16 +523,16 @@ def test_one_iri_typed_uri_in_one_binding_and_literal_in_another():
         (literal("http://x/poet"), uri("http://x/Q2"), literal("http://x/poet")),
         (uri("http://x/poet"), uri("http://x/Q3"), uri("http://x/poet")),
     ]))
-    assert extraction.members.members == {"poet": frozenset({"Q1", "Q3"}),
-                                          "http://x/poet": frozenset({"Q2"})}
-    assert extraction.label_rows == (("Q1", "female"), ("Q2", "http://x/poet"), ("Q3", "poet"))
+    assert extraction.members.members == {"poet": ("Q1", "Q3"),
+                                          "http://x/poet": ("Q2",)}
+    assert label_rows(extraction) == (("Q1", "female"), ("Q2", "http://x/poet"), ("Q3", "poet"))
 
 
 def test_distinct_iris_sharing_a_terminal_segment_are_one_topic():
     extraction = both_decoders(json_export(
         (uri(topic), uri(f"http://x/E{i}"), literal("male"))
         for i, topic in enumerate(("http://a/Q1", "http://b/Q1/", "http://c/x#Q1"))))
-    assert extraction.members.members == {"Q1": frozenset({"E0", "E1", "E2"})}
+    assert extraction.members.members == {"Q1": ("E0", "E1", "E2")}
 
 
 def test_cells_with_a_language_or_a_datatype():
@@ -534,8 +542,8 @@ def test_cells_with_a_language_or_a_datatype():
         {"type": "literal", "value": "female",
          "datatype": "http://www.w3.org/2001/XMLSchema#string"},
     )]))
-    assert extraction.members.members == {"poet": frozenset({"Q1"})}
-    assert extraction.label_rows == (("Q1", "female"),)
+    assert extraction.members.members == {"poet": ("Q1",)}
+    assert label_rows(extraction) == (("Q1", "female"),)
 
 
 GOOD_BINDING = json.dumps({"topic": literal("poet"), "entity": uri("http://x/Q1")})
@@ -654,7 +662,7 @@ EDGE_BINDING = {"topic": literal("poet"), "entity": uri("http://x/Q1")}
     (None, {}, "export.json: head must be an object whose vars are a list of strings "
                "(field: head)"),
     ({"vars": ["topic", "entity"]}, {"value": None},
-     SparqlExtraction(MembershipTable({"poet": frozenset({"Q1"})}), ())),
+     SparqlExtraction(MembershipTable({"poet": ("Q1",)}), (), ())),
     *(({"vars": ["topic", "entity"]}, {"value": value},
        "export.json:1: binding 1: 'value' must be an object with a string value "
        "(field: value)") for value in ([], "", {})),
@@ -713,8 +721,61 @@ def test_a_handle_is_read_through_a_window_and_values_are_shared(tmp_path):
         finally:
             tracemalloc.stop()
     assert peak - kept < len(text) / 4
-    assert len(extraction.label_rows) == 20_000
-    assert len({id(value) for _, value in extraction.label_rows}) == 2
+    assert len(extraction.label_entities) == len(extraction.label_values) == 20_000
+    assert len({id(value) for value in extraction.label_values}) == 2
+
+
+def test_an_extraction_keeps_no_object_per_row():
+    """Beyond its entity strings, what an extraction keeps is under 40 bytes
+    per binding: a slot in its topic's member tuple and one in each label
+    tuple, with no pair or set entry made per row."""
+    bindings = 20_000
+    text = json.dumps({"head": {"vars": ["topic", "entity", "value"]}, "results": {
+        "bindings": [{"topic": uri(f"http://x/topic/t{i % 20}"),
+                      "entity": uri(f"http://x/entity/t{i % 20}-p{i:05d}"),
+                      "value": literal(("female", "male")[i % 2])}
+                     for i in range(bindings)]}}, separators=(",", ":"))
+    parse_sparql_results(TWO_ROWS_JSON)  # first-call allocations are not the extraction's
+    tracemalloc.start()
+    try:
+        extraction = parse_sparql_results(text)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    entities = {id(entity): entity for members in extraction.members.members.values()
+                for entity in members}
+    assert len(entities) == bindings
+    assert (kept - sum(map(sys.getsizeof, entities.values()))) / bindings < 40
+
+
+MEMBER_TOPICS = st.sampled_from(["t1", "t2", "t3"])
+MEMBER_ENTITIES = st.sampled_from(["Q1", "Q2", "Q3", "Q4"])
+
+
+@given(rows=st.lists(st.tuples(MEMBER_TOPICS, MEMBER_ENTITIES,
+                               st.none() | st.sampled_from(["female", "male"])),
+                     max_size=24))
+def test_every_reader_keeps_members_once_in_first_seen_order(rows):
+    """A SPARQL JSON export, a SPARQL TSV export and a members TSV of the same
+    rows, duplicates included, give the same member tuples: each topic's
+    distinct entities in the order of the rows that first name them."""
+    exported = json_export((uri(f"http://x/{topic}"), uri(f"http://x/{entity}"),
+                            value and literal(value)) for topic, entity, value in rows)
+    tsv = "?topic\t?entity\t?value\n" + "".join(
+        f"<http://x/{topic}>\t<http://x/{entity}>\t{value or ''}\n"
+        for topic, entity, value in rows)
+    members = "".join(f"{topic}\t{entity}\n" for topic, entity, _ in rows)
+    tables = [parse_sparql_results(exported).members, parse_sparql_results(tsv).members,
+              ingest.parse_members(members)]
+    in_order: dict[str, list[str]] = {}
+    as_sets: dict[str, set[str]] = {}
+    for topic, entity, _ in rows:
+        in_order.setdefault(topic, []).append(entity)
+        as_sets.setdefault(topic, set()).add(entity)
+    for table in tables:
+        assert table.members == {t: tuple(dict.fromkeys(e)) for t, e in in_order.items()}
+        assert {t: set(e) for t, e in table.members.items()} == as_sets
+    assert tables[0] == tables[1] == tables[2]
 
 
 @pytest.mark.parametrize("head_first", [True, False], ids=["head-first", "results-first"])
@@ -785,8 +846,8 @@ def test_plain_bindings_take_the_pattern_and_others_the_scanner(binding, plain):
     outcome, scans = scanned(text)
     assert scans == (0 if plain and POSSESSIVE else 1)
     assert outcome == without_pattern(text) == whole_document(text)
-    assert outcome.members.members == {"poet": frozenset({"Q2"})}
-    assert outcome.label_rows == (("Q2", "female"),)
+    assert outcome.members.members == {"poet": ("Q2",)}
+    assert label_rows(outcome) == (("Q2", "female"),)
 
 
 @pytest.mark.parametrize("binding, strict, message", [
@@ -813,7 +874,7 @@ def test_after_one_miss_the_scanner_reads_every_later_binding():
         outcome, scans = scanned(text)
     assert (match.call_count, scans) == (2, 2)
     assert outcome == without_pattern(text) == whole_document(text)
-    assert outcome.members.members == {"poet": frozenset({"Q2", "Q3"})}
+    assert outcome.members.members == {"poet": ("Q2", "Q3")}
 
 
 @pytest.mark.skipif(not POSSESSIVE, reason="before 3.11 the scanner reads every binding")
@@ -828,9 +889,8 @@ def test_the_pattern_reads_bindings_as_the_benchmark_writes_them():
         separators=(",", ":"))
     outcome, scans = scanned(text)
     assert scans == 0
-    assert outcome.members.members == {"t000001": frozenset({"t000001-p0001",
-                                                             "t000001-p0002",
-                                                             "t000001-p0003"})}
+    assert outcome.members.members == {"t000001": ("t000001-p0001", "t000001-p0002",
+                                                   "t000001-p0003")}
 
 
 @pytest.mark.parametrize("variables", [
@@ -843,10 +903,11 @@ def test_equal_variable_names_are_a_value_error(variables):
                              value_var=value_var)
 
 
-def test_member_sets_are_freed_as_they_are_copied():
+def test_member_lists_are_freed_as_they_are_copied():
     """With the export's text held by the caller, the parse allocates little
     more at its peak than the extraction it returns keeps: each topic's member
-    set is freed as it is copied into its frozenset."""
+    list is freed as it is copied into its tuple, and the entity list of the
+    label rows before their values are copied."""
     text = json.dumps({"head": {"vars": ["topic", "entity", "value"]}, "results": {
         "bindings": [{"topic": uri(f"http://x/topic/t{i % 40}"),
                       "entity": uri(f"http://x/entity/t{i % 40}-p{i:04d}"),
@@ -858,8 +919,9 @@ def test_member_sets_are_freed_as_they_are_copied():
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    tables = sum(map(sys.getsizeof, extraction.members.members.values()))
-    assert peak - kept < tables / 2
+    tuples = sum(map(sys.getsizeof, (*extraction.members.members.values(),
+                                     extraction.label_entities, extraction.label_values)))
+    assert peak - kept < tuples / 2
 
 
 # ---------------------------------------------------------------------------
@@ -874,8 +936,9 @@ RAW_VALUES = st.sampled_from(["female", "male", "unknown", "Q6581072", "other", 
 def two_pass_catalog(extraction, catalog, value_map=None):
     """``extraction_to_catalog`` as it was: a count of the drops, then the fold."""
     allowed, mapping = catalog.scheme.admissible, value_map or {}
-    dropped = sum(mapping.get(raw, raw) not in allowed for _, raw in extraction.label_rows)
-    merged = catalog.merged((entity, value, "kb") for entity, raw in extraction.label_rows
+    rows = label_rows(extraction)
+    dropped = sum(mapping.get(raw, raw) not in allowed for _, raw in rows)
+    merged = catalog.merged((entity, value, "kb") for entity, raw in rows
                             if (value := mapping.get(raw, raw)) in allowed)
     return merged, dropped
 
@@ -886,7 +949,8 @@ def two_pass_catalog(extraction, catalog, value_map=None):
        value_map=st.none() | st.dictionaries(RAW_VALUES, st.sampled_from(
            ["female", "male", "unknown", "other"])))
 def test_extraction_to_catalog_equals_the_two_pass_fold(rows, base, value_map):
-    extraction = SparqlExtraction(MembershipTable({}), tuple(rows))
+    extraction = SparqlExtraction(MembershipTable({}), tuple(entity for entity, _ in rows),
+                                  tuple(raw for _, raw in rows))
     catalog = LabelCatalog.build(GENDER, base)
     outcomes = [fold(extraction, catalog, value_map=value_map)
                 for fold in (extraction_to_catalog, two_pass_catalog)]
