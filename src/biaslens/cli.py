@@ -331,6 +331,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         runs = ingest.parse_runs(handle, path=str(config.runs))
     if not runs:
         raise BiasLensError(f"{config.runs}: no runs found")
+    if config.cutoff > (longest := max(map(len, runs))):
+        raise BiasLensError(f"{config.runs}: cutoff {config.cutoff} exceeds the longest "
+                            f"ranked run ({longest} entries)")
     with _open_input(config.labels) as handle:
         catalog = ingest.parse_labels(handle, scheme, path=str(config.labels))
 

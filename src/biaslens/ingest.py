@@ -527,14 +527,13 @@ def _sparql_json_rows(source: str | IO[str], topic_var: str, entity_var: str,
                       value_var: str, strict: bool,
                       path: str) -> Iterator[tuple[str, str, str | None]]:
     """Stream the rows of a W3C SPARQL JSON results object, read through a
-    ``_JsonCursor``'s window.
+    ``_JsonCursor``'s window in one pass.
 
     ``head`` and any other top-level member are decoded whole and ``results``
-    is walked by ``_results_rows``. Members may come in any order: a
-    ``results`` read before ``head`` is walked there for its syntax only, and
-    again for its rows, read a second time from the start of the source, once
-    the whole document has been read and ``head`` checked. So in a document
-    that parses as JSON, errors come in the order of a whole-document walk:
+    is walked by ``_results_rows``. Members may come in any order: the first
+    error of a ``results`` read before ``head`` is held, and raised once the
+    whole document has been read and ``head`` checked. So in a document that
+    parses as JSON, errors come in the order of a whole-document walk:
     ``head`` and its variables, ``results``, then each binding in turn. A
     syntax error is raised where the walk meets it, worded by json. A
     repeated ``head`` or ``results`` member is an error, located at its key.
@@ -543,17 +542,17 @@ def _sparql_json_rows(source: str | IO[str], topic_var: str, entity_var: str,
     variables = (topic_var, entity_var, value_var)
     head: object = {}  # an absent head declares no variables
     checked = False  # head was read and checked before any results
-    deferred = False  # results came before head, so its rows are read again
+    held: list[ParseError] | None = None  # the first error of results read before head
     try:
         if not cursor.at("{"):
             raise json.JSONDecodeError("Expecting value", cursor.text, cursor.pos)
         for key in cursor.members(("head", "results"), path):
             if key == "results":
-                deferred = not checked
-                yield from _results_rows(cursor, variables, strict, path, checked)
+                held = None if checked else []
+                yield from _results_rows(cursor, variables, strict, path, held)
             elif key == "head":
                 head = cursor.value()
-                if not deferred:
+                if held is None:
                     _check_head(head, topic_var, entity_var, path)
                     checked = True
             else:
@@ -562,13 +561,8 @@ def _sparql_json_rows(source: str | IO[str], topic_var: str, entity_var: str,
             raise json.JSONDecodeError("Extra data", cursor.text, cursor.pos)
         if not checked:
             _check_head(head, topic_var, entity_var, path)
-        if deferred:
-            cursor.rewind()
-            for key in cursor.members((), path):
-                if key == "results":
-                    yield from _results_rows(cursor, variables, strict, path, True)
-                    break
-                cursor.value()
+        if held:
+            raise held[0]
     except json.JSONDecodeError as exc:  # its line is counted in the window
         raise ParseError(f"invalid JSON: {exc.msg}", path=path,
                          line=cursor.lines + exc.lineno) from None
@@ -577,18 +571,19 @@ def _sparql_json_rows(source: str | IO[str], topic_var: str, entity_var: str,
 
 
 def _results_rows(cursor: _JsonCursor, variables: tuple[str, str, str], strict: bool,
-                  path: str, rows: bool) -> Iterator[tuple[str, str, str | None]]:
+                  path: str, held: list[ParseError] | None
+                  ) -> Iterator[tuple[str, str, str | None]]:
     """Walk the ``results`` value at the cursor member by member, and each of
     its ``bindings`` by one match of ``_plain_binding``'s pattern or else one
     call of json's C scanner, which reads every binding after the first miss.
     The window is topped up before each binding, so a binding shorter than
-    ``_WINDOW`` is never missed for being cut off. With ``rows``, yield each
-    binding's row or raise its first error; without, check syntax only. The
-    scanner's inline checks take a binding whose topic and entity are objects
-    with non-empty string values, whose value is absent or an object with a
-    string value, whose strings hold no lone surrogate and (strict) whose
-    entity is an IRI. Each topic IRI is shortened once; a repeated
-    ``bindings`` member is an error."""
+    ``_WINDOW`` is never missed for being cut off. Yield each binding's row
+    until the first error, which is raised, or with ``held`` a list, appended
+    to it, and the rest read for syntax only. The scanner's inline checks
+    take a binding whose topic and entity are objects with non-empty string
+    values, whose value is absent or an object with a string value, whose
+    strings hold no lone surrogate and (strict) whose entity is an IRI. Each
+    topic IRI is shortened once; a repeated ``bindings`` member is an error."""
     topic_var, entity_var, value_var = variables
     iris: dict[str, str] = {}  # each topic IRI to its terminal segment
     fast = _plain_binding(variables, strict)
@@ -598,9 +593,9 @@ def _results_rows(cursor: _JsonCursor, variables: tuple[str, str, str], strict: 
             continue
         if member is None or not cursor.at("["):
             cursor.value()
-            if rows:
-                raise ParseError("results must be an object whose bindings are a list",
-                                 path=path, field="results")
+            if not held:
+                _raise_or_hold(ParseError("results must be an object whose bindings are "
+                                          "a list", path=path, field="results"), held)
             continue
         since, prefix, index = cursor.pos, "", 0  # where json words an error from
         pos = cursor.skip(since + 1)
@@ -620,7 +615,7 @@ def _results_rows(cursor: _JsonCursor, variables: tuple[str, str, str], strict: 
                 except StopIteration:  # PEP 479 would make it a RuntimeError
                     raise _syntax_error(cursor.text, pos, since, prefix) from None
                 text = cursor.text
-                if not rows:
+                if held:
                     pass
                 elif (type(binding) is dict
                         and type(topic_cell := binding.get(topic_var)) is dict
@@ -637,8 +632,9 @@ def _results_rows(cursor: _JsonCursor, variables: tuple[str, str, str], strict: 
                     value_type = value_cell and value_cell.get("type")
                     value = value_cell and value  # None when unbound
                 else:
-                    raise _binding_error(binding, variables, path, cursor.line(pos), index)
-            if rows:
+                    _raise_or_hold(_binding_error(binding, variables, path,
+                                                  cursor.line(pos), index), held)
+            if not held:
                 if topic_type == "uri":
                     topic = iris.get(topic) or iris.setdefault(topic, _terminal_segment(topic))
                 if entity_type == "uri":
@@ -661,6 +657,13 @@ def _results_rows(cursor: _JsonCursor, variables: tuple[str, str, str], strict: 
         if not text.startswith("]", pos):
             raise _syntax_error(text, pos, since, prefix)
         cursor.pos = cursor.skip(pos + 1)
+
+
+def _raise_or_hold(error: ParseError, held: list[ParseError] | None) -> None:
+    """Raise ``error``, or with ``held`` a list append it there."""
+    if held is None:
+        raise error
+    held.append(error)
 
 
 def _plain_binding(variables: tuple[str, str, str],
@@ -727,8 +730,9 @@ _WINDOW = 1 << 16
 
 class _JsonCursor:
     """A position in a JSON text, kept past whitespace, and the window of the
-    text around it. A handle is read in pieces of ``_WINDOW`` characters; a
-    ``str`` source is a window already at the end of its text. ``value``
+    text around it. A handle is read once, from where it stands, in pieces of
+    ``_WINDOW`` characters, and never sought; a ``str`` source is a window
+    already at the end of its text. ``value``
     decodes the value at the cursor whole, and ``members`` walks the object
     there one member at a time. Offsets are into the window, ``text``:
     ``fill`` lets go of the text before an offset and counts its lines in
@@ -738,21 +742,11 @@ class _JsonCursor:
     are JSONDecodeErrors worded by the json module, whose line is counted in
     the window."""
 
-    __slots__ = ("text", "pos", "lines", "limit", "more", "_source", "_start")
+    __slots__ = ("text", "pos", "lines", "limit", "more", "_source")
 
     def __init__(self, source: str | IO[str]):
         self._source = source
-        self._start = None if isinstance(source, str) else source.tell()
-        self.rewind()
-
-    def rewind(self) -> None:
-        """Go back to the start of the text: a handle is sought back to where
-        it was when the cursor was made, and read again."""
-        if self._start is None:
-            self.text, self.more = self._source, False
-        else:
-            self._source.seek(self._start)
-            self.text, self.more = "", True
+        self.text, self.more = (source, False) if isinstance(source, str) else ("", True)
         self.lines = 0
         self.pos = self.skip(self.fill(0, 0))
 

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import shutil
 import stat
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -136,6 +137,15 @@ def test_evaluate_strict_violation_exits_2(audit_dir, tmp_path, capsys):
     assert "strict" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cutoff", ["11", "100000000000000000000"])
+def test_evaluate_cutoff_above_the_longest_run_exits_1(audit_dir, tmp_path, capsys, cutoff):
+    out = tmp_path / "out"
+    assert cli.main(evaluate_args(audit_dir, out, ("--cutoff", cutoff))) == 1
+    assert capsys.readouterr().err == (f"error: {audit_dir / 'runs.tsv'}: cutoff {cutoff} "
+                                       "exceeds the longest ranked run (10 entries)\n")
+    assert not out.exists()
+
+
 def test_evaluate_parse_error_names_file_and_line(audit_dir, tmp_path, capsys):
     write(audit_dir / "runs.tsv", "announcer\t1\te1\nannouncer\t3\te3\n")
     code = cli.main(evaluate_args(audit_dir, tmp_path / "out"))
@@ -195,6 +205,34 @@ def test_evaluate_sparql_members_source(audit_dir, tmp_path):
     assert [b.source for b in report.blocks] == ["wiki", "wiki"]
     reasons = {s.topic_id: s.reason for s in report.skipped}
     assert reasons.get("archivist") == "missing-target"
+
+
+def test_a_sparql_export_reads_the_same_in_either_member_order(audit_dir, tmp_path,
+                                                               capsys):
+    """An export written results first evaluates to the bytes and the summary
+    of the same export written head first."""
+    bindings = [{"topic": {"type": "literal", "value": topic},
+                 "entity": {"type": "uri", "value": f"http://x/{prefix}:e{i}"},
+                 "value": {"type": "literal", "value": ("female", "male")[i % 3 == 0]}}
+                for topic, prefix in (("announcer", "ann"), ("archivist", "arc"))
+                for i in range(12)]
+    members = [("head", {"vars": ["topic", "entity", "value"]}),
+               ("results", {"bindings": bindings})]
+    out, outcomes = tmp_path / "out", []
+    for order in ("head-first", "results-first"):
+        export = write(audit_dir / "kb.json", json.dumps(
+            dict(members if order == "head-first" else members[::-1]), indent=1))
+        code = cli.main(["evaluate",
+                         "--runs", str(audit_dir / "runs.tsv"),
+                         "--labels", str(audit_dir / "labels.tsv"),
+                         "--members", f"wiki={export}",
+                         "--feature", "gender", "--values", "female,male",
+                         "--out", str(out)])
+        written = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        shutil.rmtree(out)
+        outcomes.append((code, capsys.readouterr(), written))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == 0 and outcomes[0][2]
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

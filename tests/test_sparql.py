@@ -782,7 +782,7 @@ def test_every_reader_keeps_members_once_in_first_seen_order(rows):
 def test_a_file_with_a_byte_order_mark_reads_through_any_window(tmp_path, head_first):
     """A UTF-8 file that starts with a byte order mark, opened as the CLI opens
     it, reads as its text through every window of 1 to 16 characters, also
-    when its results come first and it is read a second time."""
+    when its results come first."""
     members = [("head", {"vars": ["topic", "entity", "value"]}),
                ("results", json.loads(TWO_ROWS_JSON)["results"])]
     text = json.dumps(dict(members if head_first else members[::-1]), indent=1)
@@ -791,6 +791,38 @@ def test_a_file_with_a_byte_order_mark_reads_through_any_window(tmp_path, head_f
         with open(tmp_path / "export.json", encoding="utf-8-sig") as handle, \
                 mock.patch.object(ingest, "_WINDOW", window):
             assert parse_sparql_results(handle) == parse_sparql_results(TWO_ROWS_JSON)
+
+
+class CountingHandle(io.StringIO):
+    """A text handle that counts the characters read from it and its seeks."""
+
+    def __init__(self, text):
+        super().__init__(text)
+        self.chars = self.seeks = 0
+
+    def read(self, size=-1):
+        piece = super().read(size)
+        self.chars += len(piece)
+        return piece
+
+    def seek(self, *args):
+        self.seeks += 1
+        return super().seek(*args)
+
+
+@pytest.mark.parametrize("head_first", [True, False], ids=["head-first", "results-first"])
+def test_a_handle_is_read_once_whatever_the_member_order(head_first):
+    """An export is read once, in either member order: beyond its text, only
+    the format check's first 4,096 characters, and the one seek back after
+    that check."""
+    rows = [(uri(f"http://x/t{i % 7}"), uri(f"http://x/Q{i}"), literal("female"))
+            for i in range(2_000)]
+    members = list(json.loads(json_export(rows)).items())
+    text = json.dumps(dict(members if head_first else members[::-1]), indent=1)
+    handle = CountingHandle(text)
+    assert parse_sparql_results(handle) == parse_sparql_results(json_export(rows))
+    assert handle.chars <= len(text) + 4096
+    assert handle.seeks == 1
 
 
 # ---------------------------------------------------------------------------
