@@ -25,7 +25,7 @@ from itertools import chain, dropwhile, repeat
 from typing import IO, Callable, Iterable, Iterator
 
 from .errors import EmptyPopulationError, ParseError, SchemeViolationError
-from .metrics import FeatureScheme, RankedRun, TargetCounts
+from .metrics import FeatureScheme, RankedRun, TargetCounts, label_tally
 from ._util import lone_surrogate
 
 # Higher provenance wins a conflicting assignment; unlisted tags rank lowest.
@@ -305,14 +305,7 @@ def counts_for_topic(topic_id: str, entity_ids: Iterable[str],
     the total: the target ratio is a ratio over the labeled population.
     Raises EmptyPopulationError when no member is labeled.
     """
-    counts = {value: 0 for value in labels.scheme.values}
-    assignments, unknown = labels.assignments, 0
-    for entity in entity_ids:  # an explicit unknown, like a missing label, is no value
-        value = assignments.get(entity)
-        if value in counts:
-            counts[value] += 1
-        else:
-            unknown += 1
+    counts, unknown = label_tally(entity_ids, labels)
     if sum(counts.values()) == 0:
         raise EmptyPopulationError(
             f"topic {topic_id!r} has no labeled members for feature "
@@ -423,32 +416,16 @@ class SparqlExtraction:
 
     Label row i, in file order, is entity ``label_entities[i]`` with raw
     value ``label_values[i]``: two parallel tuples of the strings the parse
-    holds, with no object per row. ``label_rows`` is a read-only view of the
-    same rows as (entity_id, raw value) pairs."""
+    holds, with no object per row. ``label_rows`` builds the same rows as a
+    tuple of (entity_id, raw value) pairs on each access."""
 
     members: MembershipTable
     label_entities: tuple[str, ...]
     label_values: tuple[str, ...]
 
     @property
-    def label_rows(self) -> _LabelRows:
-        return _LabelRows(self.label_entities, self.label_values)
-
-
-class _LabelRows:
-    """The (entity_id, raw value) pairs of two parallel tuples: a sized view
-    that makes each pair only as it is iterated."""
-
-    __slots__ = ("entities", "values")
-
-    def __init__(self, entities: tuple[str, ...], values: tuple[str, ...]):
-        self.entities, self.values = entities, values
-
-    def __len__(self) -> int:
-        return len(self.entities)
-
-    def __iter__(self) -> Iterator[tuple[str, str]]:
-        return zip(self.entities, self.values)
+    def label_rows(self) -> tuple[tuple[str, str], ...]:
+        return tuple(zip(self.label_entities, self.label_values))
 
 
 def _terminal_segment(iri: str) -> str:
@@ -790,6 +767,9 @@ class _JsonCursor:
             except (StopIteration, json.JSONDecodeError):
                 if not self.more:
                     raise
+            except ValueError:  # an integer too long for int(), however it ends
+                raise json.JSONDecodeError(f"integer longer than {sys.get_int_max_str_digits()} "
+                                           "digits", self.text, pos) from None
             self.extend()
 
     def line(self, at: int) -> int:

@@ -22,7 +22,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import (
     EmptyAggregateError,
@@ -148,9 +148,9 @@ class BiasRecord:
     stores integer counts on the 1/m grid (``model_count`` window hits,
     ``ideal_count`` the attainable target count) and the raw target ratio in
     lowest terms; its ratios are Fraction properties over those counts.
-    Ratio keywords let ``dataclasses.replace`` work in ratio terms: a given
-    model, ideal or raw ratio replaces its counts, a given ``bias`` or
-    ``rounding_remainder`` must agree with them.
+    The ``model_ratio`` and ``bias`` keywords let ``dataclasses.replace`` work
+    in ratio terms: a given model ratio replaces the window hits, and a given
+    bias must agree with the counts.
     """
 
     topic_id: str
@@ -166,17 +166,13 @@ class BiasRecord:
     def __init__(self, topic_id: str, feature_value: str, cutoff_requested: int,
                  cutoff_effective: int, model_count: int, ideal_count: int,
                  target_numerator: int, target_denominator: int,
-                 unknown_in_window: int = 0, **ratios: Ratio) -> None:
+                 unknown_in_window: int = 0, *, model_ratio: Ratio | None = None,
+                 bias: Ratio | None = None) -> None:
         m = cutoff_effective
         if not 1 <= m <= cutoff_requested:
             raise ValueError(f"effective cutoff {m} outside [1, {cutoff_requested}]")
-        if "model_ratio" in ratios:
-            model_count = grid_count(ratios.pop("model_ratio"), m)
-        if "target_ratio_at_cutoff" in ratios:
-            ideal_count = grid_count(ratios.pop("target_ratio_at_cutoff"), m)
-        if "target_ratio_raw" in ratios:
-            raw = Fraction(ratios.pop("target_ratio_raw"))
-            target_numerator, target_denominator = raw.numerator, raw.denominator
+        if model_ratio is not None:
+            model_count = grid_count(model_ratio, m)
         if not (0 <= model_count <= m and 0 <= ideal_count <= m
                 and 0 <= unknown_in_window <= m):
             raise ValueError(f"window counts {model_count}, {ideal_count}, "
@@ -189,11 +185,8 @@ class BiasRecord:
         vars(self).update(zip(self.__dataclass_fields__, (
             topic_id, feature_value, cutoff_requested, m, model_count, ideal_count,
             target_numerator // common, target_denominator // common, unknown_in_window)))
-        for name, value in ratios.items():
-            if name not in ("bias", "rounding_remainder"):
-                raise TypeError(f"BiasRecord got an unexpected keyword argument {name!r}")
-            if value != getattr(self, name):
-                raise ValueError(f"{name} {value} does not match the record's counts")
+        if bias is not None and bias != self.bias:
+            raise ValueError(f"bias {bias} does not match the record's counts")
 
     @property
     def bias_count(self) -> int:
@@ -258,30 +251,20 @@ def _labeled_total(counts: TargetCounts, scheme: FeatureScheme) -> int:
     return counts.total  # at least 1: TargetCounts rejects empty populations
 
 
-def _tally(run: RankedRun, labels: "LabelCatalog", n: int,
-           strict: bool) -> tuple[dict[str, int], int, int]:
-    """Hits per scheme value (in scheme order), window length m = min(n, run
-    length) and unlabeled slots of the top-m window, in one pass. In strict
-    mode an unlabeled entity inside the window is an error."""
-    if n < 1:
-        raise ValueError(f"cutoff must be >= 1, got {n}")
-    m = min(n, len(run.entries))
-    window = run.entries[:m]
-    hits = dict.fromkeys(labels.scheme.values, 0)
-    assignments = labels.assignments
-    unknown = 0
-    for entity in window:
+def label_tally(entities: Iterable[str],
+                labels: "LabelCatalog") -> tuple[dict[str, int], int]:
+    """Entities per scheme value (in scheme order) and entities with no usable
+    label, missing or the explicit unknown token, in one pass. A window and a
+    reference population are both counted so."""
+    counts = dict.fromkeys(labels.scheme.values, 0)
+    assignments, unknown = labels.assignments, 0
+    for entity in entities:
         label = assignments.get(entity)
-        if label in hits:
-            hits[label] += 1
-        else:  # missing, or the explicit unknown token
+        if label in counts:
+            counts[label] += 1
+        else:
             unknown += 1
-    if strict and unknown:
-        missing = [e for e in window if labels.label_of(e) is None]
-        raise UnlabeledEntityError(
-            f"topic {run.topic_id!r}: {unknown} unlabeled entities in the top-{m} window: "
-            f"{', '.join(missing)}")
-    return hits, m, unknown
+    return counts, unknown
 
 
 def attainable_count(count: int, total: int, m: int, shown: int) -> int:
@@ -324,12 +307,13 @@ def ideal_target_ratio_at_n(target: Ratio, model: Ratio, m: int) -> tuple[Ratio,
 def measure_topic(run: RankedRun, labels: "LabelCatalog", target: TargetCounts,
                   n: int, *, strict: bool = False) -> list[BiasRecord]:
     """Bias records of one topic for every scheme value, in scheme order,
-    from one pass over the window.
+    from one pass over the top-m window, m = min(n, run length).
 
     Positive bias means the window over-represents a value relative to the
     attainable target share; negative means under-representation. Run and
     target must describe the same topic, and the label catalog must carry the
-    target's feature.
+    target's feature. In strict mode an unlabeled entity inside the window is
+    an error.
     """
     if run.topic_id != target.topic_id:
         raise TopicMismatchError(
@@ -338,7 +322,16 @@ def measure_topic(run: RankedRun, labels: "LabelCatalog", target: TargetCounts,
         raise SchemeViolationError(
             f"label catalog is for feature {labels.feature_name!r} but target counts "
             f"are for {target.feature_name!r}")
-    hits, m, unknown = _tally(run, labels, n, strict)
+    if n < 1:
+        raise ValueError(f"cutoff must be >= 1, got {n}")
+    m = min(n, len(run.entries))
+    window = run.entries[:m]
+    hits, unknown = label_tally(window, labels)
+    if strict and unknown:
+        missing = [e for e in window if labels.label_of(e) is None]
+        raise UnlabeledEntityError(
+            f"topic {run.topic_id!r}: {unknown} unlabeled entities in the top-{m} window: "
+            f"{', '.join(missing)}")
     total = _labeled_total(target, labels.scheme)
     records = []
     for value, shown in hits.items():

@@ -18,6 +18,7 @@ import io
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import groupby
@@ -822,6 +823,11 @@ def parse_report(text: str, path: str = "<report>") -> Report:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", path=path, line=exc.lineno) from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply", path=path) from None
+    except ValueError:  # an integer too long for int()
+        raise ParseError(f"invalid JSON: integer longer than {sys.get_int_max_str_digits()} "
+                         "digits", path=path) from None
     if type(payload) is not dict:
         raise ParseError("a report document must be a JSON object", path=path)
     schema = payload.get("schema")

@@ -7,6 +7,7 @@ import os
 import re
 import shutil
 import stat
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -553,6 +554,30 @@ def test_report_with_tampered_bias_exits_1(audit_dir, tmp_path, capsys):
     assert f"{path}: bias must equal" in err and "(field: records[2])" in err
 
 
+# Digits in the longest integer literal that int() converts; 0 is no limit.
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+beyond_int_digits = pytest.mark.skipif(not INT_DIGITS, reason="no integer digit limit")
+
+
+@pytest.mark.parametrize("kind", ["nested",
+                                  pytest.param("long-seed", marks=beyond_int_digits)])
+def test_report_json_past_the_interpreters_limits_exits_1(audit_dir, tmp_path, capsys, kind):
+    path = tmp_path / "report.json"
+    if kind == "nested":
+        write(path, "[" * 200_000 + "]" * 200_000)
+        message = "invalid JSON: nested too deeply"
+    else:
+        assert cli.main(evaluate_args(audit_dir, tmp_path / "out")) == 0
+        stored = (tmp_path / "out" / "report.json").read_text(encoding="utf-8")
+        write(path, re.sub(r'"seed": \d+', f'"seed": {"7" * (INT_DIGITS + 1)}', stored))
+        message = f"invalid JSON: integer longer than {INT_DIGITS} digits"
+    capsys.readouterr()
+    assert cli.main(["report", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: {message}\n"
+    assert "Traceback" not in err and not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_report_with_a_lone_surrogate_exits_1(audit_dir, tmp_path, capsys, fmt):
     assert cli.main(evaluate_args(audit_dir, tmp_path / "out")) == 0
@@ -742,6 +767,33 @@ def test_malformed_sparql_export_exits_1(audit_dir, tmp_path, capsys):
                          ("--members", f"wiki={audit_dir / 'kb.json'}"))
     assert cli.main(args) == 1
     assert f"{audit_dir / 'kb.json'}:1: binding 2: not an object" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@beyond_int_digits
+def test_an_integer_too_long_in_a_sparql_export_exits_1(audit_dir, tmp_path, capsys):
+    export = sparql_export([("announcer", f"ann:e{i}", "male") for i in range(10)])
+    path = write(audit_dir / "kb.json", export.replace('"male"', "7" * (INT_DIGITS + 1), 1))
+    args = evaluate_args(audit_dir, tmp_path / "out", ("--members", f"wiki={path}"))
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}:1: invalid JSON: integer longer than {INT_DIGITS} digits\n"
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("row, extra, message", [
+    ('\t<http://x/ann:e1>\t"male"', (), "row is missing the 'topic' binding (field: topic)"),
+    ('"announcer"\t"Q2"\t"male"', ("--strict",),
+     "entity binding 'Q2' is not an IRI (field: entity)"),
+], ids=["empty-topic", "strict-literal-entity"])
+def test_a_sparql_tsv_export_row_error_is_located(audit_dir, tmp_path, capsys, row, extra,
+                                                   message):
+    path = write(audit_dir / "kb.tsv", '?topic\t?entity\t?value\n'
+                 '"announcer"\t<http://x/ann:e0>\t"male"\n' + row + "\n")
+    args = evaluate_args(audit_dir, tmp_path / "out",
+                         ("--members", f"wiki={path}", "--cutoff", "2", *extra))
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == f"error: {path}:3: {message}\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -66,9 +66,7 @@ def test_json_two_rows():
     extraction = parse_sparql_results(TWO_ROWS_JSON)
     assert extraction.members.members == {"philosopher": ("Q123", "Q456")}
     assert label_rows(extraction) == (("Q123", "female"), ("Q456", "male"))
-    # The view kept for readers of the old field: its length and its pairs.
-    assert len(extraction.label_rows) == 2
-    assert tuple(extraction.label_rows) == label_rows(extraction)
+    assert extraction.label_rows == label_rows(extraction)  # kept for its old readers
 
 
 def test_tsv_matches_json():
