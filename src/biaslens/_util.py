@@ -10,7 +10,7 @@ import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 
 def ratio_str(numerator: int, grid: int) -> str:
@@ -98,21 +98,30 @@ def _umask() -> int:
     return mask
 
 
-def atomic_write(path: Path, content: str) -> None:
-    """Write content to path via a temp file and rename; no partial files.
+def atomic_write(files: Mapping[Path, Iterable[str]]) -> None:
+    """Write each path's pieces of text to it, all the files or none.
 
-    The file gets the mode open() would give a new file (0o666 less the
-    umask), not the 0600 that mkstemp creates temp files with.
+    Each file is written with ``writelines`` to a temp file beside it, and
+    the temp files are renamed over their paths only after the last one is
+    written; any failure before then unlinks every temp file and leaves the
+    paths as they were. A file gets the mode open() would give a new file
+    (0o666 less the umask), not the 0600 that mkstemp creates temp files with.
     """
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    mode = 0o666 & ~_umask()
+    written: list[tuple[str, Path]] = []
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(content)
-            os.fchmod(handle.fileno(), 0o666 & ~_umask())
-        os.replace(tmp_name, path)
+        for path, pieces in files.items():
+            fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+            written.append((tmp_name, path))
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+                handle.writelines(pieces)
+                os.fchmod(handle.fileno(), mode)
+        for tmp_name, path in written:
+            os.replace(tmp_name, path)
     except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except FileNotFoundError:
-            pass
+        for tmp_name, _ in written:
+            try:
+                os.unlink(tmp_name)
+            except FileNotFoundError:
+                pass
         raise

@@ -444,10 +444,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     out = config.out
     out.mkdir(parents=True, exist_ok=True)
-    atomic_write(out / "runs.tsv", ingest.serialize_runs(t.run for t in topics))
-    atomic_write(out / "labels.tsv", ingest.serialize_labels(catalog))
-    atomic_write(out / "targets.tsv",
-                 ingest.serialize_target_counts((t.target for t in topics), scheme))
+    atomic_write({
+        out / "runs.tsv": (ingest.serialize_runs(t.run for t in topics),),
+        out / "labels.tsv": (ingest.serialize_labels(catalog),),
+        out / "targets.tsv": (ingest.serialize_target_counts((t.target for t in topics),
+                                                             scheme),),
+    })
     print(f"simulated {len(topics)} topics for value {value!r} "
           f"(runs.tsv, labels.tsv, targets.tsv in {out})")
     return 0

@@ -247,6 +247,10 @@ def parse_labels(source: str | IO[str], scheme: FeatureScheme,
     """
     path = _named(source, path, "<labels>")
     allowed = scheme.admissible
+    # Each row's value and provenance is a fresh string cut from its line;
+    # the catalog keeps one object per distinct text instead.
+    shared = {text: text for text in (*allowed, *PROVENANCE_PRIORITY, DEFAULT_PROVENANCE)}
+
     def rows() -> Iterator[tuple[str, str, str]]:
         for line_no, fields in _rows(source, path, LABELS_HEADER, (3, 4)):
             entity_id, feature_name, value, prov = fields if len(fields) == 4 else (*fields, "")
@@ -262,7 +266,8 @@ def parse_labels(source: str | IO[str], scheme: FeatureScheme,
                     f"(declared: {', '.join(scheme.values)}; "
                     f"unknown: {scheme.unknown_token!r})",
                     path=path, line=line_no, field="value")
-            yield entity_id, value, prov.strip() or DEFAULT_PROVENANCE
+            prov = prov.strip() or DEFAULT_PROVENANCE
+            yield entity_id, shared[value], shared.setdefault(prov, prov)
     return LabelCatalog.build(scheme, rows())
 
 

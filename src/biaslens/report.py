@@ -21,7 +21,7 @@ import re
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import groupby
+from itertools import chain, groupby, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -355,7 +355,12 @@ def _scatter_entry(b: ReportBlock) -> dict:
 
 
 def report_to_json(report: Report) -> str:
-    """Render the report as the versioned JSON document (byte-stable).
+    """Render the report as the versioned JSON document (byte-stable)."""
+    return "".join(_json_pieces(report))
+
+
+def _json_pieces(report: Report) -> list[str]:
+    """The text of ``report_to_json`` as the pieces that make it up in order.
 
     Each line of an array of objects is written by its shape's field list,
     which the CSV bundle shares, each ratio object encoded once per distinct
@@ -391,7 +396,10 @@ def report_to_json(report: Report) -> str:
             for s in report.skipped
         ],
     }
-    return _layout(payload) + "\n"
+    pieces: list[str] = []
+    _layout(payload, pieces)
+    pieces.append("\n")
+    return pieces
 
 
 # The sections that parse_report also reads back from their text to compare.
@@ -601,25 +609,39 @@ def _spread(value) -> bool:
                             or type(value) is list and type(value[0]) is dict)
 
 
-def _layout(value, indent: str | None = "") -> str:
-    """JSON text of ``value``. The top level, and any container that is or
-    directly holds a non-empty list of objects or a non-empty ``_Lines``,
-    puts one member or entry per line with a 2-space indent; everything else
-    is one compact line, as with ``indent`` None. A ``_Lines`` holds each of
-    its entries as a rendered line, in a compact line too."""
+def _layout(value, pieces: list[str], indent: str | None = "") -> None:
+    """Append the JSON text of ``value`` to ``pieces``. The top level, and any
+    container that is or directly holds a non-empty list of objects or a
+    non-empty ``_Lines``, puts one member or entry per line with a 2-space
+    indent; everything else is one compact line, as with ``indent`` None. A
+    ``_Lines`` holds each of its entries as a rendered line, in a compact line
+    too; its lines go into ``pieces`` as they are, with no joined copy."""
     members = value.values() if type(value) is dict else (value,)
     if indent is None or indent and not any(map(_spread, members)):
         if type(value) is not dict and type(value) is not _Lines:
-            return _encode(value)
+            pieces.append(_encode(value))
+            return
         inner, first, sep, last = None, "", ", ", ""
     else:
         inner = indent + "  "
         first, sep, last = "\n" + inner, ",\n" + inner, "\n" + indent
     if type(value) is dict:
-        lines = [f"{_encode(key)}: {_layout(v, inner)}" for key, v in value.items()]
-        return "{" + first + sep.join(lines) + last + "}"
-    lines = value if type(value) is _Lines else [_layout(v, inner) for v in value]
-    return "[" + first + sep.join(lines) + last + "]"
+        pieces.append("{" + first)
+        for i, (key, v) in enumerate(value.items()):
+            pieces.append(f"{sep if i else ''}{_encode(key)}: ")
+            _layout(v, pieces, inner)
+        pieces.append(last + "}")
+        return
+    pieces.append("[" + first)
+    if type(value) is _Lines:
+        # sep, line, sep, line, ...: every line but the first after a sep.
+        pieces += islice(chain.from_iterable(zip(repeat(sep), value)), 1, None)
+    else:
+        for i, v in enumerate(value):
+            if i:
+                pieces.append(sep)
+            _layout(v, pieces, inner)
+    pieces.append(last + "]")
 
 
 # Everything a malformed document can raise while it is read; parse_report
@@ -790,7 +812,9 @@ def _check_section(payload: dict, name: str, report: Report, path: str) -> None:
         same = stored == built and _typed_points(stored)
     else:
         written = {"summaries": _summaries, "histogram": _histogram, "tables": _tables}[name]
-        built = json.loads(_layout(written(report.blocks), "  "))
+        pieces: list[str] = []
+        _layout(written(report.blocks), pieces, "  ")
+        built = json.loads("".join(pieces))
         same = _same(stored, built)
     if same:
         return
@@ -921,17 +945,19 @@ def report_to_csv_bundle(report: Report) -> dict[str, str]:
 def emit_report(report: Report, fmt: str, out_dir: Path | str) -> list[Path]:
     """Write the report to ``out_dir`` as JSON or a CSV bundle, atomically.
 
-    All file contents are rendered before anything touches the disk, so a
-    rendering failure leaves no partial output.
+    ``report.json`` is written from the pieces of its text, with no joined
+    copy. Every file goes to a temp file first, and the temp files replace
+    the old ones only once the last is written, so a failure while rendering
+    or writing leaves the previous output set as it was and no temp file.
     """
     if fmt not in ("json", "csv"):
         raise ValueError(f"unsupported report format {fmt!r} (use json or csv)")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if fmt == "json":
-        documents = {JSON_NAME: report_to_json(report)}
+        documents = {JSON_NAME: _json_pieces(report)}
     else:
-        documents = report_to_csv_bundle(report)
-    for name, content in sorted(documents.items()):
-        atomic_write(out / name, content)
-    return [out / name for name in sorted(documents)]
+        documents = {name: (text,) for name, text in report_to_csv_bundle(report).items()}
+    files = {out / name: documents[name] for name in sorted(documents)}
+    atomic_write(files)
+    return list(files)

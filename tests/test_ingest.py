@@ -161,6 +161,17 @@ class TestParseLabels:
         first = parse_labels(text, gender)
         assert parse_labels(serialize_labels(first), gender) == first
 
+    def test_the_catalog_keeps_each_value_and_provenance_once(self, gender):
+        provenances = ("manual", "kb", "inferred", "crowd", "")
+        text = "".join(f"e{i:05d}\tgender\t{('female', 'male', 'unknown')[i % 3]}\t"
+                       f"{provenances[i % 5]}\n" for i in range(5_000))
+        catalog = parse_labels(text, gender)
+        assert len(catalog.assignments) == 5_000
+        assert len({id(v) for v in catalog.assignments.values()}) <= len(gender.admissible)
+        texts = set(catalog.provenance.values())
+        assert texts == {"manual", "kb", "inferred", "crowd"}
+        assert len({id(p) for p in catalog.provenance.values()}) <= len(texts)
+
     def test_unknown_in_window_matches_hand_count(self, gender):
         # 20-entity fixture: entities e00..e19; labels only for even indexes,
         # with e04/e08 explicitly unknown. Window of 10 therefore has 5

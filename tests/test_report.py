@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import json
+import os
 import random
 import sys
+import tempfile
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given
@@ -739,6 +744,68 @@ class TestReportDocument:
         report = build_report(make_meta(), evaluated)
         with pytest.raises(ValueError):
             emit_report(report, "xml", tmp_path)
+
+    @given(report=reports())
+    @example(report=UNBIASED_REPORT)
+    def test_emitted_json_is_the_rendered_text(self, report):
+        with tempfile.TemporaryDirectory() as out:
+            try:
+                expected = report_to_json(report).encode()
+            except UnicodeEncodeError:  # a lone surrogate in a string no digest reads
+                with pytest.raises(UnicodeEncodeError):
+                    emit_report(report, "json", out)
+                assert os.listdir(out) == []
+                return
+            emit_report(report, "json", out)
+            assert (Path(out) / "report.json").read_bytes() == expected
+
+    def test_json_emission_holds_no_joined_copy(self, gender, tmp_path):
+        report = build_report(make_meta(), simulated_corpus(gender, seed=13, topics=1000))
+        assert len(report.records) == 2000
+        emit_report(report, "json", tmp_path)  # first-call allocations are not the text's
+        tracemalloc.start()
+        try:
+            emit_report(report, "json", tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The rendered entry lines take about the file's size. A joined copy
+        # of the text, or its whole encoding, would take that size again.
+        assert peak <= 2 * (tmp_path / "report.json").stat().st_size
+
+    def test_a_failed_write_leaves_the_previous_csv_set(self, gender, tmp_path,
+                                                         monkeypatch):
+        emit_report(build_report(make_meta(), simulated_corpus(gender, seed=14, topics=6)),
+                    "csv", tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        report = build_report(make_meta(), simulated_corpus(gender, seed=15, topics=6))
+        bundle = report_to_csv_bundle(report)
+        # The files written before the failing one would each replace an old one.
+        assert all(bundle[name].encode() != before[name] for name in sorted(bundle)[:3])
+
+        class FullDisk(io.TextIOWrapper):
+            """A file whose disk fills half-way through its first write."""
+
+            def write(self, text):
+                super().write(text[:len(text) // 2])
+                self.flush()
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        real_fdopen, opened = os.fdopen, []
+
+        def fdopen(fd, mode, **kwargs):
+            opened.append(fd)
+            if len(opened) < 4:
+                return real_fdopen(fd, mode, **kwargs)
+            return FullDisk(open(fd, "wb"), **kwargs)
+
+        monkeypatch.setattr(os, "fdopen", fdopen)
+        with pytest.raises(OSError) as err:
+            emit_report(report, "csv", tmp_path)
+        monkeypatch.undo()
+        assert err.value.errno == errno.ENOSPC and len(opened) == 4
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        assert not list(tmp_path.glob(".*"))
 
     def test_csv_quotes_awkward_topic_ids(self, gender):
         import csv
