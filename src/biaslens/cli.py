@@ -401,9 +401,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     plan = []
     failures = []
+    first_lines = {}
     total = 0
     for line_no, (topic_id, target, bias, length, *rest) in rows:
         topic_id, population = topic_id.strip(), rest[0].strip() if rest else ""
+        if not topic_id:
+            failures.append(f"{spec_path}:{line_no}: empty topic_id")
+            continue
+        first = first_lines.setdefault(topic_id, line_no)
+        if first != line_no:
+            failures.append(f"{spec_path}:{line_no}: topic {topic_id!r} is repeated "
+                            f"(first on line {first})")
+            continue
         try:
             target = Fraction(target.strip())
             bias = Fraction(bias.strip())

@@ -653,10 +653,10 @@ def _plain_binding(variables: tuple[str, str, str],
     """The ``match`` of a pattern for a binding of exactly the topic, entity and
     optional value cells, in that order, each exactly ``{"type": T, "value": V}``
     of plain strings, with a non-empty topic and entity and (strict) a ``uri``
-    entity; its groups are the cells' types and values. None on Python 3.10,
-    whose ``re`` has no possessive repeats, or for names that are not plain."""
+    entity; its groups are the cells' types and values. None for names that
+    are not plain."""
     plain = r'[^"\\\x00-\x1f\ud800-\udfff]'  # held as written in a JSON string; no surrogate
-    if sys.version_info < (3, 11) or not re.fullmatch(f"{plain}*", "".join(variables)):
+    if not re.fullmatch(f"{plain}*", "".join(variables)):
         return None
     cell = r'"{}" : \{{ "type" : "({})" , "value" : "({})" \}}'  # each ' ' is JSON space
     template = r"\{{ " + cell + " , " + cell + "(?: , " + cell + r")?+ \}}"

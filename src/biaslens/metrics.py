@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -98,7 +99,7 @@ class RankedRun:
         if not entries:
             raise EmptyRunError(f"run for topic {self.topic_id!r} has no entries")
         if len(set(entries)) != len(entries):
-            dupes = sorted({e for e in entries if entries.count(e) > 1})
+            dupes = sorted(e for e, n in Counter(entries).items() if n > 1)
             raise SchemeViolationError(
                 f"run for topic {self.topic_id!r} lists duplicate entities: {', '.join(dupes)}")
 

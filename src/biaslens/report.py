@@ -659,15 +659,18 @@ def _typed(obj: dict, key: str, kind: type):
     return value
 
 
+# A ratio as evaluate writes it: an ASCII integer, or "p/q" of two.
+_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?").fullmatch
+
+
 def _read_pair(obj: dict) -> tuple[int, int]:
     """Numerator and denominator of a {"ratio": "p/q"} object, as written."""
     text = _typed(obj, "ratio", str)
-    numerator, sep, denominator = text.partition("/")
-    try:
-        pair = int(numerator), int(denominator) if sep else 1
-    except ValueError:
-        value = Fraction(text)
-        pair = value.numerator, value.denominator
+    match = _RATIO(text)
+    if match is None:
+        raise ValueError(f"ratio {text!r} is not written as p/q or an integer")
+    numerator, denominator = match.groups("1")
+    pair = int(numerator), int(denominator)
     if pair[1] < 1:
         raise ValueError(f"ratio {text!r} has a non-positive denominator")
     return pair
@@ -900,10 +903,9 @@ def parse_report(text: str, path: str = "<report>") -> Report:
 # CSV bundle
 # ---------------------------------------------------------------------------
 
-# The characters for which csv.writer's default dialect may quote or refuse a
-# cell: its delimiter, quote character and line ends, and NUL, which Python
-# 3.10 cannot write unescaped.
-_CSV_SPECIAL = re.compile('[,"\r\n\x00]').search
+# The characters for which csv.writer's default dialect may quote a cell: its
+# delimiter, quote character and line ends.
+_CSV_SPECIAL = re.compile('[,"\r\n]').search
 
 
 def _csv_field(text: str) -> str:

@@ -441,6 +441,23 @@ def test_simulate_plan_with_a_bad_row_simulates_none(tmp_path, capsys, monkeypat
     assert capsys.readouterr().err.startswith(f"error: {plan}:2: unparseable row: ")
 
 
+# Simulated, a repeated topic would append a second ranked run for it, which
+# evaluate rejects in runs.tsv, and a blank one would end in an error that
+# names no line.
+@pytest.mark.parametrize("text, errors", [
+    ("t1\t1/2\t0\t4\nt1\t1/2\t0\t4\nt2\t1/2\t0\t4\n",
+     ["2: topic 't1' is repeated (first on line 1)"]),
+    (" \t1/2\t0\t4\nt2\t1/2\t0\t4\n\t1/2\t0\t4\n", ["1: empty topic_id", "3: empty topic_id"]),
+], ids=["repeated", "empty"])
+def test_simulate_plan_topic_is_located(tmp_path, capsys, text, errors):
+    plan = write(tmp_path / "plan.tsv", text)
+    args = ["simulate", plan, "--feature", "gender", "--values", "female,male",
+            "--out", str(tmp_path / "fixtures")]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == "".join(f"error: {plan}:{e}\n" for e in errors)
+    assert not (tmp_path / "fixtures").exists()
+
+
 def test_report_rederives_tables(audit_dir, tmp_path):
     out = tmp_path / "out"
     cli.main(evaluate_args(audit_dir, out, ("--table-size", "1")))
@@ -554,8 +571,9 @@ def test_report_with_tampered_bias_exits_1(audit_dir, tmp_path, capsys):
     assert f"{path}: bias must equal" in err and "(field: records[2])" in err
 
 
-# Digits in the longest integer literal that int() converts; 0 is no limit.
-INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+# Digits in the longest integer literal that int() converts; 0 is no limit
+# (PYTHONINTMAXSTRDIGITS=0).
+INT_DIGITS = sys.get_int_max_str_digits()
 beyond_int_digits = pytest.mark.skipif(not INT_DIGITS, reason="no integer digit limit")
 
 

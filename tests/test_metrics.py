@@ -61,6 +61,25 @@ class TestRankedRun:
         with pytest.raises(SchemeViolationError):
             RankedRun(topic_id="t", entries=("a", "b", "a"))
 
+    def test_finds_duplicates_in_one_pass(self):
+        comparisons = 0
+
+        class Counted(str):
+            __hash__ = str.__hash__
+
+            def __eq__(self, other):
+                nonlocal comparisons
+                comparisons += 1
+                return str.__eq__(self, other)
+
+        # Each entry a distinct object, so no comparison is skipped by identity.
+        entries = [Counted(f"e{i:04d}") for i in range(2_000)] + [Counted("e0007"),
+                                                                   Counted("e0003")]
+        with pytest.raises(SchemeViolationError) as err:
+            RankedRun(topic_id="t", entries=entries)
+        assert str(err.value) == "run for topic 't' lists duplicate entities: e0003, e0007"
+        assert comparisons <= 4 * len(entries)
+
 
 class TestTargetRatio:
     def test_symmetric_population(self, gender):

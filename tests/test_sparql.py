@@ -425,10 +425,15 @@ class TestStreamedDecoder:
     def test_equals_the_whole_document_decoder(self, text, strict):
         assert streamed(text, strict) == whole_document(text, strict)
 
-    @given(text=exports(), strict=st.booleans(), window=st.integers(1, 16))
+    @given(text=exports(), strict=st.booleans(), window=st.integers(1, 16),
+           pattern=st.booleans())
     def test_a_handle_read_through_a_window_equals_the_whole_document_decoder(
-            self, text, strict, window):
-        assert windowed(text, window, strict) == whole_document(text, strict)
+            self, text, strict, window, pattern):
+        """With ``pattern`` false, every binding goes through json's scanner."""
+        with mock.patch.object(ingest, "_plain_binding", ingest._plain_binding if pattern
+                               else lambda variables, strict: None):
+            outcome = windowed(text, window, strict)
+        assert outcome == whole_document(text, strict)
 
     @given(text=exports(), cut=st.floats(0, 1), edits=st.lists(st.tuples(
         st.floats(0, 1), st.sampled_from(["", *'{}[]:,"\\ \n0-1eflnrstu']))),
@@ -827,9 +832,6 @@ def test_a_handle_is_read_once_whatever_the_member_order(head_first):
 # Plain bindings read by one pattern match, all others by json's scanner
 # ---------------------------------------------------------------------------
 
-POSSESSIVE = sys.version_info >= (3, 11)  # re's possessive repeats, which the pattern needs
-
-
 def without_pattern(text, strict=False):
     """The outcome with every binding read by json's scanner."""
     with mock.patch.object(ingest, "_plain_binding", lambda variables, strict: None):
@@ -874,7 +876,7 @@ COMPACT = ('{"topic":{"type":"uri","value":"http://x/poet"},'
 def test_plain_bindings_take_the_pattern_and_others_the_scanner(binding, plain):
     text = export_of(binding)
     outcome, scans = scanned(text)
-    assert scans == (0 if plain and POSSESSIVE else 1)
+    assert scans == (0 if plain else 1)
     assert outcome == without_pattern(text) == whole_document(text)
     assert outcome.members.members == {"poet": ("Q2",)}
     assert label_rows(outcome) == (("Q2", "female"),)
@@ -894,7 +896,6 @@ def test_plain_bindings_with_an_error_go_to_the_scanner(binding, strict, message
     assert outcome.startswith(f"export.json:3: binding 1: {message}")
 
 
-@pytest.mark.skipif(not POSSESSIVE, reason="before 3.11 the scanner reads every binding")
 def test_after_one_miss_the_scanner_reads_every_later_binding():
     """An export of another shape pays one failed match, not one per binding."""
     language = COMPACT.replace('"literal",', '"literal","xml:lang":"en",')
@@ -907,7 +908,6 @@ def test_after_one_miss_the_scanner_reads_every_later_binding():
     assert outcome.members.members == {"poet": ("Q2", "Q3")}
 
 
-@pytest.mark.skipif(not POSSESSIVE, reason="before 3.11 the scanner reads every binding")
 def test_the_pattern_reads_bindings_as_the_benchmark_writes_them():
     """Bindings shaped and written as ``perfbench/corpus.py`` writes them
     are read without json's scanner, so the fast path cannot be lost silently."""
