@@ -475,7 +475,7 @@ def cmd_report(args: argparse.Namespace) -> int:
                             f"got {args.exemplar_grid}")
     report_path = Path(args.report)
     with _open_input(report_path) as handle:
-        report = parse_report(handle.read(), path=str(report_path))
+        report = parse_report(handle, path=str(report_path))
     report = rebuild_report(report, table_size=config.table_size,
                             exemplar_grid=args.exemplar_grid)
     for path in emit_report(report, config.format, config.out):

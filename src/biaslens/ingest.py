@@ -215,6 +215,10 @@ def parse_runs(source: str | IO[str], path: str | None = None) -> list[RankedRun
         entries = ordered[topic_id]
         expected = len(entries) + 1
         if rank != expected:
+            if rank == 1:
+                raise ParseError(f"topic {topic_id!r} is listed again: rank 1 comes after "
+                                 f"its rank {len(entries)}", path=path, line=line_no,
+                                 field="rank")
             raise ParseError(
                 f"topic {topic_id!r}: expected rank {expected}, got {rank} "
                 f"(ranks must be contiguous from 1)",
@@ -594,8 +598,8 @@ def _results_rows(cursor: _JsonCursor, variables: tuple[str, str, str], strict: 
                 fast = None  # one miss, then the scanner reads the rest
                 try:
                     binding, end = cursor.read(_scan, pos)
-                except StopIteration:  # PEP 479 would make it a RuntimeError
-                    raise _syntax_error(cursor.text, pos, since, prefix) from None
+                except StopIteration as stop:  # PEP 479 would make it a RuntimeError
+                    raise _syntax_error(cursor.text, stop.value, since, prefix) from None
                 text = cursor.text
                 if held:
                     pass
@@ -710,6 +714,10 @@ _scan = json.scanner.make_scanner(json.JSONDecoder())  # (value, end) of the val
 _WINDOW = 1 << 16
 
 
+class _LongInteger(json.JSONDecodeError):
+    """An integer literal longer than ``int()`` converts, met by a read."""
+
+
 class _JsonCursor:
     """A position in a JSON text, kept past whitespace, and the window of the
     text around it. A handle is read once, from where it stands, in pieces of
@@ -773,8 +781,8 @@ class _JsonCursor:
                 if not self.more:
                     raise
             except ValueError:  # an integer too long for int(), however it ends
-                raise json.JSONDecodeError(f"integer longer than {sys.get_int_max_str_digits()} "
-                                           "digits", self.text, pos) from None
+                raise _LongInteger(f"integer longer than {sys.get_int_max_str_digits()} "
+                                   "digits", self.text, pos) from None
             self.extend()
 
     def line(self, at: int) -> int:

@@ -18,15 +18,15 @@ import io
 import json
 import math
 import re
-import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain, groupby, islice, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ParseError, SchemaVersionError
+from .ingest import _SPACE, _JsonCursor, _LongInteger, _scan, _syntax_error
 from .metrics import BiasRecord, BiasSummary, aggregate
 from ._util import (atomic_write, lone_surrogate, ratio_str, reduced_str, round_half_away,
                     unit_open_xy)
@@ -335,10 +335,12 @@ def _exact_obj(numerator: int, denominator: int) -> dict:
 
 
 def _scatter_entry(b: ReportBlock) -> dict:
+    """A block's scatter entry, its points made one at a time as they are
+    iterated."""
     return {
         "source": b.source,
         "value": b.feature_value,
-        "points": [
+        "points": (
             {
                 "topic": p.record.topic_id,
                 "x": _exact_obj(p.record.ideal_count, p.record.cutoff_effective),
@@ -350,7 +352,7 @@ def _scatter_entry(b: ReportBlock) -> dict:
                 "off_grid": p.off_grid,
             }
             for p in b.scatter
-        ],
+        ),
     }
 
 
@@ -465,6 +467,9 @@ class _Lines(list):
     """Array entries already rendered as compact JSON lines."""
 
 
+_CSV_CHUNK = 128  # CSV lines per piece written
+
+
 class _Shape:
     """A line shape whose JSON line, CSV line and CSV header are all built from
     ``fields``: the cells its cells function yields, each a JSON key (None
@@ -491,9 +496,14 @@ class _Shape:
         line, pick = self.json_line, self.json_cells
         return _Lines([line % pick(c) for c in cells])
 
-    def csv(self, cells: Iterable[tuple]) -> str:
-        line = self.csv_line
-        return self.header + "".join([line % c for c in cells])
+    def csv(self, cells: Iterable[tuple]) -> Iterator[str]:
+        """The CSV header, then the lines of ``cells``, made as they are read
+        and joined ``_CSV_CHUNK`` at a time: one write per line costs more
+        than the join."""
+        line, cells = self.csv_line, iter(cells)
+        yield self.header
+        while chunk := "".join([line % c for c in islice(cells, _CSV_CHUNK)]):
+            yield chunk
 
 
 # records.csv puts the value column before topic_id, and a JSON record its
@@ -783,78 +793,191 @@ def _same(a, b) -> bool:
     return a == b
 
 
-def _typed_points(scatter: list) -> bool:
-    """Whether a stored scatter section that equals the built one has its
-    types: int cell items, bool flags and float values and offsets. Only
-    numbers and flags can equal a value of another JSON type."""
-    for block in scatter:
-        for p in block["points"]:
-            cell = p["cell"]
-            if not (type(cell[0]) is type(cell[1]) is int
-                    and type(p["on_diagonal"]) is type(p["off_grid"]) is bool
-                    and type(p["x"]["value"]) is type(p["y"]["value"]) is float
-                    and type(p["dx"]) is type(p["dy"]) is float):
-                return False
-    return True
+def _typed_point(p: dict) -> bool:
+    """Whether a stored point that equals the built one has its types: int
+    cell items, bool flags and float values and offsets. Only numbers and
+    flags can equal a value of another JSON type."""
+    cell = p["cell"]
+    return (type(cell[0]) is type(cell[1]) is int
+            and type(p["on_diagonal"]) is type(p["off_grid"]) is bool
+            and type(p["x"]["value"]) is type(p["y"]["value"]) is float
+            and type(p["dx"]) is type(p["dy"]) is float)
 
 
-def _first_difference(stored: list, built: list) -> int | None:
-    return next((i for i, pair in enumerate(zip(stored, built)) if not _same(*pair)), None)
+def _check_scatter(stored: list, report: Report, path: str) -> None:
+    """Compare the stored scatter with the one ``report`` writes, point by
+    point as each built point is made: a point is the same when it is ``==``
+    to the built one and ``_typed_point`` holds. A ParseError names the
+    first entry that differs and, within it, the first point, and so the
+    record that disagrees."""
+    for i, (entry, block) in enumerate(zip(stored, report.blocks)):
+        built = _scatter_entry(block)
+        points = entry.get("points") if type(entry) is dict else None
+        if type(points) is not list:
+            raise ParseError("entry differs from the one the records give",
+                             path=path, field=f"scatter[{i}]")
+        for j, (point, made) in enumerate(zip(points, built["points"])):
+            if point != made or not _typed_point(point):
+                raise ParseError(f"point differs from the one the record {block.source}/"
+                                 f"{block.feature_value}/{made['topic']} gives",
+                                 path=path, field=f"scatter[{i}].points[{j}]")
+        if len(points) != len(block.scatter) or entry != dict(built, points=points):
+            raise ParseError("entry differs from the one the records give",
+                             path=path, field=f"scatter[{i}]")
+    if len(stored) != len(report.blocks):
+        raise ParseError(f"{len(stored)} entries, the records give {len(report.blocks)}",
+                         path=path, field="scatter")
 
 
 def _check_section(payload: dict, name: str, report: Report, path: str) -> None:
     """Compare the stored section ``name`` with the one ``report`` writes,
     type-strictly: 0, 0.0 and false differ. A ParseError names the first
-    entry that differs; in the scatter, the point and so the record that
-    disagrees. The scatter, one point per record, is compared with ``==``
-    and then only its number and flag types are checked; the other sections
-    are compared with their written JSON as it reads back."""
+    entry that differs. The scatter, one point per record, is compared by
+    ``_check_scatter``; the other sections are compared with their written
+    JSON as it reads back."""
     stored = _read_section(payload, name, path, lambda entry: entry)
     if name == "scatter":
-        built = [_scatter_entry(b) for b in report.blocks]
-        same = stored == built and _typed_points(stored)
-    else:
-        written = {"summaries": _summaries, "histogram": _histogram, "tables": _tables}[name]
-        pieces: list[str] = []
-        _layout(written(report.blocks), pieces, "  ")
-        built = json.loads("".join(pieces))
-        same = _same(stored, built)
-    if same:
+        _check_scatter(stored, report, path)
         return
-    i = _first_difference(stored, built)
+    written = {"summaries": _summaries, "histogram": _histogram, "tables": _tables}[name]
+    pieces: list[str] = []
+    _layout(written(report.blocks), pieces, "  ")
+    built = json.loads("".join(pieces))
+    if _same(stored, built):
+        return
+    i = next((i for i, pair in enumerate(zip(stored, built)) if not _same(*pair)), None)
     if i is None:
         raise ParseError(f"{len(stored)} entries, the records give {len(built)}",
                          path=path, field=name)
-    points = stored[i].get("points") if name == "scatter" and type(stored[i]) is dict else None
-    j = _first_difference(points, built[i]["points"]) if type(points) is list else None
-    if j is None:
-        raise ParseError("entry differs from the one the records give",
-                         path=path, field=f"{name}[{i}]")
-    block = report.blocks[i]
-    raise ParseError(f"point differs from the one the record {block.source}/"
-                     f"{block.feature_value}/{built[i]['points'][j]['topic']} gives",
-                     path=path, field=f"scatter[{i}].points[{j}]")
+    raise ParseError("entry differs from the one the records give",
+                     path=path, field=f"{name}[{i}]")
 
 
-def parse_report(text: str, path: str = "<report>") -> Report:
+# The members of a report document; any of them that comes twice is an error.
+_MEMBERS = ("schema", "meta", "summaries", "records", "histogram", "scatter", "tables",
+            "skipped")
+
+
+def _read_document(cursor: _JsonCursor, path: str
+                   ) -> tuple[object, list[EvaluatedTopic] | None, ParseError | None]:
+    """Walk the JSON text at the cursor: the document, each member decoded
+    whole but a ``records`` list, which ``_read_records`` reads; its records,
+    or None when it has no ``records`` list; and the first record's error.
+    A syntax error is a ParseError worded by json at its line, but a value
+    nested too deeply or an integer too long for ``int()`` names no line."""
+    records, held = None, []
+    try:
+        if cursor.text.startswith("\ufeff"):  # as json.loads rejects a text
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)",
+                                       cursor.text, 0)
+        if cursor.at("{"):
+            payload = {}
+            for key in cursor.members(_MEMBERS, path):
+                if key == "records" and cursor.at("["):
+                    records = _read_records(cursor, path, held)
+                else:
+                    payload[key] = cursor.value()
+        else:
+            payload = cursor.value()
+        if cursor.pos != len(cursor.text):
+            raise json.JSONDecodeError("Extra data", cursor.text, cursor.pos)
+    except _LongInteger as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", path=path) from None
+    except json.JSONDecodeError as exc:  # its line is counted in the window
+        raise ParseError(f"invalid JSON: {exc.msg}", path=path,
+                         line=cursor.lines + exc.lineno) from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply", path=path) from None
+    return payload, records, held[0] if held else None
+
+
+def _read_records(cursor: _JsonCursor, path: str,
+                  held: list[ParseError]) -> list[EvaluatedTopic]:
+    """Walk the ``records`` list at the cursor one entry at a time, each
+    decoded by one call of json's C scanner and read as an EvaluatedTopic at
+    once, so that no entry's dict outlives it. The window is topped up before
+    each entry, as ``_results_rows`` does. The error of the first entry that
+    ``_read_record`` rejects is appended to ``held``, and the entries after it
+    are read for syntax only."""
+    records: list[EvaluatedTopic] = []
+    since, prefix, index = cursor.pos, "", 0  # where json words an error from
+    pos = cursor.skip(since + 1)
+    text = cursor.text
+    while index or not text.startswith("]", pos):  # breaks at the last entry
+        if pos > cursor.limit:
+            pos, since = cursor.fill(since, pos), 0
+        try:
+            entry, end = cursor.read(_scan, pos)
+        except StopIteration as stop:  # PEP 479 would make it a RuntimeError
+            raise _syntax_error(cursor.text, stop.value, since, prefix) from None
+        text = cursor.text
+        if not held:
+            try:
+                records.append(_read_record(entry))
+            except _MALFORMED as exc:
+                held.append(_malformed(exc, path, f"records[{index}]"))
+        index += 1
+        since, prefix = end, "[0"
+        if text.startswith(",", end):
+            pos = end + 1
+        else:
+            pos = cursor.skip(end)
+            text = cursor.text
+            if not text.startswith(",", pos):
+                break
+            pos += 1
+        if text[pos:pos + 1] in _SPACE:  # also at the window's end
+            pos = cursor.skip(pos)
+            text = cursor.text
+    if not text.startswith("]", pos):
+        raise _syntax_error(text, pos, since, prefix)
+    cursor.pos = cursor.skip(pos + 1)
+    return records
+
+
+def _check_records(payload: dict, records: list[EvaluatedTopic] | None,
+                   held: ParseError | None, meta: ReportMeta, path: str) -> None:
+    """Check each record read against ``meta``, in order: its source and
+    value are listed, its cutoff is meta's, and it comes once. A ParseError
+    names the first record that fails, this or the held read error; with no
+    records read, ``payload`` holds no ``records`` list, which is named."""
+    seen: set[tuple[str, str, str]] = set()
+    index = None
+    try:
+        if records is None:
+            _typed(payload, "records", list)  # absent or not a list: raises
+        for index, item in enumerate(records):
+            key = (item.source, item.record.feature_value, item.record.topic_id)
+            if item.source not in meta.sources or key[1] not in meta.values:
+                raise ValueError(f"source {key[0]!r} and value {key[1]!r} must be listed in "
+                                 "meta")
+            if item.record.cutoff_requested != meta.cutoff:
+                raise ValueError(f"cutoff_requested must be meta's cutoff {meta.cutoff}")
+            if key in seen:
+                raise ValueError(f"repeats the record of {'/'.join(key)}")
+            seen.add(key)
+    except _MALFORMED as exc:
+        raise _malformed(exc, path, "records" if index is None else f"records[{index}]") from None
+    if held is not None:
+        raise held
+
+
+def parse_report(source: str | IO[str], path: str = "<report>") -> Report:
     """Read a report document and check it against its own records.
 
-    Only ``meta``, ``records`` and ``skipped`` are read, and ``build_report``
+    ``source`` is the text or a handle, read once through a ``_JsonCursor``
+    window as ``parse_sparql_results`` reads an export. Each ``records``
+    entry becomes an EvaluatedTopic as it is read, and every other member is
+    decoded whole. A syntax error is raised where the walk meets it, and a
+    repeated member at its key's line; every other error once the whole text
+    has been read, in a fixed order. Only ``meta``, ``records`` and ``skipped`` are read, and ``build_report``
     rebuilds the rest with the exemplar grid of the stored tables; each
     stored derived section must equal the rebuilt one. Any malformed
     document, from a wrong type or an off-grid ratio to a repeated record or
     a stale section, raises a ParseError naming the file, the section and,
     within a list, the entry.
     """
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", path=path, line=exc.lineno) from None
-    except RecursionError:
-        raise ParseError("invalid JSON: nested too deeply", path=path) from None
-    except ValueError:  # an integer too long for int()
-        raise ParseError(f"invalid JSON: integer longer than {sys.get_int_max_str_digits()} "
-                         "digits", path=path) from None
+    payload, records, held = _read_document(_JsonCursor(source), path)
     if type(payload) is not dict:
         raise ParseError("a report document must be a JSON object", path=path)
     schema = payload.get("schema")
@@ -869,21 +992,7 @@ def parse_report(text: str, path: str = "<report>") -> Report:
         meta = replace(meta, exemplar_grid=_read_grid(_typed(payload, "tables", list)))
     except _MALFORMED as exc:
         raise _malformed(exc, path, "tables") from None
-    seen: set[tuple[str, str, str]] = set()
-
-    def read_record(obj: dict) -> EvaluatedTopic:
-        item = _read_record(obj)
-        key = (item.source, item.record.feature_value, item.record.topic_id)
-        if item.source not in meta.sources or key[1] not in meta.values:
-            raise ValueError(f"source {key[0]!r} and value {key[1]!r} must be listed in meta")
-        if item.record.cutoff_requested != meta.cutoff:
-            raise ValueError(f"cutoff_requested must be meta's cutoff {meta.cutoff}")
-        if key in seen:
-            raise ValueError(f"repeats the record of {'/'.join(key)}")
-        seen.add(key)
-        return item
-
-    records = _read_section(payload, "records", path, read_record)
+    _check_records(payload, records, held, meta, path)
     try:
         # The rebuild allocates 2 * cutoff + 1 bins per block; the stored bins bound it.
         histogram = _typed(payload, "histogram", list)
@@ -929,6 +1038,12 @@ def report_to_csv_bundle(report: Report) -> dict[str, str]:
     bytes are those ``csv.writer`` writes. One file is rendered before the
     next.
     """
+    return {name: "".join(lines) for name, lines in _csv_lines(report).items()}
+
+
+def _csv_lines(report: Report) -> dict[str, Iterator[str]]:
+    """The lines of each file of ``report_to_csv_bundle``, each made as it is
+    read."""
     grid, exact = _RatioTexts(ratio_str, _CSV_RATIO), _RatioTexts(reduced_str, _CSV_RATIO)
     blocks = report.blocks
     return {
@@ -947,10 +1062,11 @@ def report_to_csv_bundle(report: Report) -> dict[str, str]:
 def emit_report(report: Report, fmt: str, out_dir: Path | str) -> list[Path]:
     """Write the report to ``out_dir`` as JSON or a CSV bundle, atomically.
 
-    ``report.json`` is written from the pieces of its text, with no joined
-    copy. Every file goes to a temp file first, and the temp files replace
-    the old ones only once the last is written, so a failure while rendering
-    or writing leaves the previous output set as it was and no temp file.
+    ``report.json`` is written from the pieces of its text, and each CSV
+    file from its lines as they are made, with no joined copy. Every file
+    goes to a temp file first, and the temp files replace the old ones only
+    once the last is written, so a failure while rendering or writing leaves
+    the previous output set as it was and no temp file.
     """
     if fmt not in ("json", "csv"):
         raise ValueError(f"unsupported report format {fmt!r} (use json or csv)")
@@ -959,7 +1075,7 @@ def emit_report(report: Report, fmt: str, out_dir: Path | str) -> list[Path]:
     if fmt == "json":
         documents = {JSON_NAME: _json_pieces(report)}
     else:
-        documents = {name: (text,) for name, text in report_to_csv_bundle(report).items()}
+        documents = _csv_lines(report)
     files = {out / name: documents[name] for name in sorted(documents)}
     atomic_write(files)
     return list(files)

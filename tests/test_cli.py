@@ -559,6 +559,37 @@ def test_report_that_is_not_utf8_exits_1(tmp_path, capsys):
     assert f"error: {path}:1: not UTF-8 text" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad_first", [False, True], ids=["syntax-first", "bad-byte-first"])
+def test_a_report_reports_the_error_its_read_meets_first(tmp_path, capsys, bad_first):
+    """report.json is read in pieces, as a SPARQL export is, so of a syntax
+    error and a byte that is not UTF-8 the one reported comes first."""
+    bad, broken = b'"pad": "\xff",\n', b'"skipped": [] "meta": {},\n'  # a missing comma
+    filler = b'"filler": "' + b"x" * 500_000 + b'",\n'
+    members = [bad, filler, broken] if bad_first else [broken, filler, bad]
+    path = tmp_path / "report.json"
+    path.write_bytes(b'{\n' + b"".join(members) + b'"schema": "biaslens-report/1"}\n')
+    assert cli.main(["report", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}:2: not UTF-8 text: invalid start byte\n" if bad_first else
+        f"error: {path}:2: invalid JSON: Expecting ',' delimiter\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_repeated_report_member_exits_1(audit_dir, tmp_path, capsys):
+    """json.loads would keep the last copy of a member; the reader names it."""
+    assert cli.main(evaluate_args(audit_dir, tmp_path / "out")) == 0
+    path = tmp_path / "out" / "report.json"
+    text = path.read_text(encoding="utf-8")
+    assert text.endswith('  "skipped": []\n}\n')
+    write(path, text[:-3] + ',\n  "skipped": []\n}\n')
+    line = text.count("\n")
+    capsys.readouterr()
+    assert cli.main(["report", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (f"error: {path}:{line}: member 'skipped' is repeated "
+                                       "(field: skipped)\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_report_with_tampered_bias_exits_1(audit_dir, tmp_path, capsys):
     assert cli.main(evaluate_args(audit_dir, tmp_path / "out")) == 0
     path = tmp_path / "out" / "report.json"

@@ -65,6 +65,16 @@ class TestParseRuns:
         assert "runs.tsv:2" in str(err.value)
         assert "expected rank 2" in str(err.value)
 
+    @pytest.mark.parametrize("text, line, last", [
+        ("t1\t1\te1\nt1\t2\te2\nt2\t1\te9\nt1\t1\te3\n", 4, 2),
+        ("t1\t1\te1\nt1\t1\te3\n", 2, 1),
+    ], ids=["after-another-topic", "at-once"])
+    def test_a_topic_listed_again_is_named(self, text, line, last):
+        with pytest.raises(ParseError) as err:
+            parse_runs(text, path="runs.tsv")
+        assert str(err.value) == (f"runs.tsv:{line}: topic 't1' is listed again: rank 1 "
+                                  f"comes after its rank {last} (field: rank)")
+
     def test_rank_not_integer(self):
         with pytest.raises(ParseError, match="rank"):
             parse_runs("t1\tfirst\te1\n")

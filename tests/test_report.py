@@ -10,6 +10,7 @@ import tempfile
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given
@@ -37,6 +38,7 @@ from biaslens import (
     simulate_run,
     unbiased_exemplars,
 )
+from biaslens import ingest
 from biaslens import report as report_module
 from biaslens._util import unit_open_xy
 from biaslens.report import EvaluatedTopic, SkippedTopic
@@ -782,6 +784,19 @@ class TestReportDocument:
         # of the text, or its whole encoding, would take that size again.
         assert peak <= 2 * (tmp_path / "report.json").stat().st_size
 
+    def test_csv_emission_holds_no_joined_copy(self, gender, tmp_path):
+        report = build_report(make_meta(), simulated_corpus(gender, seed=13, topics=1000))
+        emit_report(report, "csv", tmp_path)  # first-call allocations are not the lines'
+        tracemalloc.start()
+        try:
+            emit_report(report, "csv", tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Each line is written as it is made; the largest file's text, joined,
+        # would take its size, and all seven rendered first twice the bundle's.
+        assert peak < max(p.stat().st_size for p in tmp_path.iterdir()) / 2
+
     def test_a_failed_write_leaves_the_previous_csv_set(self, gender, tmp_path,
                                                          monkeypatch):
         emit_report(build_report(make_meta(), simulated_corpus(gender, seed=14, topics=6)),
@@ -841,6 +856,93 @@ def test_a_csv_field_is_what_the_csv_writer_writes(text):
     buffer = io.StringIO()
     csv.writer(buffer).writerow((text, ""))
     assert report_module._csv_field(text) + ",\r\n" == buffer.getvalue()
+
+
+def outcome(source):
+    """The report ``parse_report`` reads from ``source``, or its error's text."""
+    try:
+        return parse_report(source, path="report.json")
+    except (ParseError, SchemaVersionError) as exc:
+        return str(exc)
+
+
+def windowed(text, window):
+    """The outcome of reading ``text`` from a handle through a window of
+    ``window`` characters."""
+    with mock.patch.object(ingest, "_WINDOW", window):
+        return outcome(io.StringIO(text))
+
+
+class TestStreamedReader:
+    @given(report=reports(), indent=st.booleans(), window=st.integers(1, 16))
+    @example(report=UNBIASED_REPORT, indent=False, window=1)
+    def test_a_handle_read_through_a_window_equals_the_text(self, report, indent, window):
+        text = report_to_json(report)
+        if indent:
+            text = json.dumps(json.loads(text), indent=2, ensure_ascii=False) + "\n"
+        assert windowed(text, window) == outcome(text)
+
+    @given(indent=st.booleans(), at=st.floats(0, 1), edit=st.sampled_from(
+        ["", *'{}[]:,"\\ \n0-1eflnrstuE.+', "NaN", "\ufeff", "\x00"]),
+        insert=st.booleans(), window=st.integers(1, 16))
+    def test_a_syntax_error_reads_as_json_words_it(self, indent, at, edit, insert, window):
+        """An edit at any offset that json.loads rejects is the error it
+        raises, at its line, from a text and from a handle."""
+        text = MUTATION_BASE if not indent else json.dumps(json.loads(MUTATION_BASE), indent=2)
+        at = round(at * len(text))
+        text = text[:at] + edit + text[at + (not insert):]
+        try:
+            json.loads(text)
+        except json.JSONDecodeError as exc:
+            expected = f"report.json:{exc.lineno}: invalid JSON: {exc.msg}"
+        else:
+            assume(False)
+        assert outcome(text) == expected
+        assert windowed(text, window) == expected
+
+    def test_a_syntax_error_in_a_record_reads_as_json_words_it(self):
+        # json's scanner stops inside the entry, at the missing value.
+        payload = json.loads(MUTATION_BASE)
+        text = json.dumps(payload, indent=2).replace('"topic": "t001"', '"topic": }', 1)
+        with pytest.raises(json.JSONDecodeError) as err:
+            json.loads(text)
+        assert err.value.msg == "Expecting value"
+        expected = f"report.json:{err.value.lineno}: invalid JSON: Expecting value"
+        assert outcome(text) == windowed(text, 3) == expected
+
+    @pytest.mark.parametrize("member", ["schema", "meta", "records", "scatter", "skipped"])
+    def test_a_repeated_member_is_a_located_error(self, member):
+        *members, last = MUTATION_BASE.rstrip("\n").split("\n")  # last is "}"
+        repeat = next(line for line in members if line.startswith(f'  "{member}": '))
+        text = "\n".join([*members[:-1], members[-1] + ",", repeat.rstrip(","), last])
+        assert outcome(text) == windowed(text, 5) == (
+            f"report.json:{len(members) + 1}: member {member!r} is repeated (field: {member})")
+
+    def test_records_before_meta_name_the_first_record_that_fails(self):
+        """A record that fails a check against meta before one that fails to
+        read is the one named, wherever meta is."""
+        payload = json.loads(MUTATION_BASE)
+        payload["records"][1]["source"] = "zz"
+        payload["records"][2]["bias"]["ratio"] = "x"
+        for order in (payload, {"records": payload["records"], **payload}):
+            assert outcome(json.dumps(order)) == (
+                "report.json: source 'zz' and value 'female' must be listed in meta "
+                "(field: records[1])")
+
+    def test_peak_memory_stays_near_the_text_size(self, gender):
+        text = report_to_json(build_report(make_meta(),
+                                           simulated_corpus(gender, seed=16, topics=1000)))
+        parse_report(io.StringIO(text))  # first-call allocations are not the reader's
+        handle = io.StringIO(text)  # which holds a copy of the text of its own
+        tracemalloc.start()
+        try:
+            parse_report(handle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # About 2.8 times the text's size; with the text and its whole
+        # json.loads tree, as parse_report(handle.read()) held them, 6.2 times.
+        assert peak < 4 * len(text)
 
 
 class TestPartition:

@@ -476,6 +476,16 @@ class TestStreamedDecoder:
     def test_errors_through_a_handle(self, text, message):
         self.test_errors(text, message, through_handle)
 
+    def test_a_value_missing_inside_a_binding_reads_as_json_words_it(self):
+        """json's scanner stops at the missing value, not at the binding."""
+        text = ('{"head": {"vars": ["topic", "entity"]}, "results": {"bindings": [\n'
+                '{"topic": {"type": "literal",\n"value": }}]}}')
+        with pytest.raises(json.JSONDecodeError) as err:
+            json.loads(text)
+        assert (err.value.lineno, err.value.msg) == (3, "Expecting value")
+        assert streamed(text) == through_handle(text) == (
+            "export.json:3: invalid JSON: Expecting value")
+
     REPEATS = pytest.mark.parametrize("text, member", [
         ('{"head": {"vars": ["topic", "entity"]},\n "results": {"bindings": []},\n'
          ' "head": {"vars": ["topic", "entity"]}}', "head"),
