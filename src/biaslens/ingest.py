@@ -712,6 +712,8 @@ _scan = json.scanner.make_scanner(json.JSONDecoder())  # (value, end) of the val
 # Characters read from a handle at a time. Before each binding or member,
 # the window is topped up until this many lie past the cursor.
 _WINDOW = 1 << 16
+# A decode that fails this close to the window's end may fail for the cut.
+_LOOKAHEAD = 16
 
 
 class _LongInteger(json.JSONDecodeError):
@@ -727,10 +729,10 @@ class _JsonCursor:
     there one member at a time. Offsets are into the window, ``text``:
     ``fill`` lets go of the text before an offset and counts its lines in
     ``lines``, and every other read appends, so offsets keep their meaning.
-    A read that fails or stops at the window's end is tried again on a longer
-    window, until the source is exhausted (``more`` is false). Syntax errors
-    are JSONDecodeErrors worded by the json module, whose line is counted in
-    the window."""
+    A read that stops at the window's end, or that fails where the window's
+    end may be the cause, is tried again on a longer window, until the source
+    is exhausted (``more`` is false). Syntax errors are JSONDecodeErrors
+    worded by the json module, whose line is counted in the window."""
 
     __slots__ = ("text", "pos", "lines", "limit", "more", "_source")
 
@@ -770,15 +772,22 @@ class _JsonCursor:
     def read(self, decode: Callable[[str, int], tuple[object, int]],
              pos: int) -> tuple[object, int]:
         """``decode(text, pos)``: the value that starts at ``pos`` and the
-        offset where it ends. A value that fails, or that ends at the window's
-        end (a number may go on), is read again on a longer window."""
+        offset where it ends. A value that ends at the window's end (a number
+        may go on) is read again on a longer window, and so is one that fails
+        within ``_LOOKAHEAD`` characters of it or as an unterminated string,
+        which json locates at its start. Any other failure lies in the window
+        and is raised at once, before a later byte is read."""
         while True:
             try:
                 value, end = decode(self.text, pos)
                 if end < len(self.text) or not self.more:
                     return value, end
-            except (StopIteration, json.JSONDecodeError):
-                if not self.more:
+            except StopIteration as stop:
+                if not self.more or stop.value < len(self.text) - _LOOKAHEAD:
+                    raise
+            except json.JSONDecodeError as exc:
+                if not self.more or (exc.pos < len(self.text) - _LOOKAHEAD
+                                     and not exc.msg.startswith("Unterminated string")):
                     raise
             except ValueError:  # an integer too long for int(), however it ends
                 raise _LongInteger(f"integer longer than {sys.get_int_max_str_digits()} "

@@ -330,32 +330,6 @@ def rebuild_report(report: Report, *, table_size: int | None = None,
 # JSON document
 # ---------------------------------------------------------------------------
 
-def _exact_obj(numerator: int, denominator: int) -> dict:
-    return {"ratio": reduced_str(numerator, denominator), "value": numerator / denominator}
-
-
-def _scatter_entry(b: ReportBlock) -> dict:
-    """A block's scatter entry, its points made one at a time as they are
-    iterated."""
-    return {
-        "source": b.source,
-        "value": b.feature_value,
-        "points": (
-            {
-                "topic": p.record.topic_id,
-                "x": _exact_obj(p.record.ideal_count, p.record.cutoff_effective),
-                "y": _exact_obj(p.record.model_count, p.record.cutoff_effective),
-                "cell": list(p.cell),
-                "dx": p.dx,
-                "dy": p.dy,
-                "on_diagonal": p.on_diagonal,
-                "off_grid": p.off_grid,
-            }
-            for p in b.scatter
-        ),
-    }
-
-
 def report_to_json(report: Report) -> str:
     """Render the report as the versioned JSON document (byte-stable)."""
     return "".join(_json_pieces(report))
@@ -366,8 +340,8 @@ def _json_pieces(report: Report) -> list[str]:
 
     Each line of an array of objects is written by its shape's field list,
     which the CSV bundle shares, each ratio object encoded once per distinct
-    (numerator, denominator). A point's line is the compact encoding of its
-    ``_scatter_entry`` point, which ``parse_report`` compares.
+    (numerator, denominator). A point's line holds its ``_point_values``, in
+    that order, which ``parse_report`` compares.
     """
     meta = report.meta
     grid, exact = _RatioTexts(ratio_str, _JSON_RATIO), _RatioTexts(reduced_str, _JSON_RATIO)
@@ -793,35 +767,56 @@ def _same(a, b) -> bool:
     return a == b
 
 
-def _typed_point(p: dict) -> bool:
-    """Whether a stored point that equals the built one has its types: int
-    cell items, bool flags and float values and offsets. Only numbers and
-    flags can equal a value of another JSON type."""
-    cell = p["cell"]
-    return (type(cell[0]) is type(cell[1]) is int
+# The members of a stored point, and of its x and y ratio objects.
+_POINT_KEYS = frozenset(("topic", "x", "y", "cell", "dx", "dy", "on_diagonal", "off_grid"))
+_RATIO_KEYS = frozenset(("ratio", "value"))
+
+
+def _point_values(p: ScatterPoint) -> tuple:
+    """The values of a point's JSON line, flat and in its order."""
+    r, m = p.record, p.record.cutoff_effective
+    return (r.topic_id, reduced_str(r.ideal_count, m), r.ideal_count / m,
+            reduced_str(r.model_count, m), r.model_count / m, *p.cell, p.dx, p.dy,
+            p.on_diagonal, p.off_grid)
+
+
+def _stored_point(p: object) -> tuple | None:
+    """The ``_point_values`` of a decoded point that has exactly a point's
+    members, x and y exactly a ratio and a value, and a cell of two items,
+    with their types: int cell items, bool flags and float values and
+    offsets (only numbers and flags can equal a value of another JSON type).
+    None, which no built point equals, for anything else."""
+    if type(p) is not dict or p.keys() != _POINT_KEYS:
+        return None
+    x, y, cell = p["x"], p["y"], p["cell"]
+    if (type(x) is type(y) is dict and x.keys() == y.keys() == _RATIO_KEYS
+            and type(cell) is list and len(cell) == 2
+            and type(cell[0]) is type(cell[1]) is int
             and type(p["on_diagonal"]) is type(p["off_grid"]) is bool
-            and type(p["x"]["value"]) is type(p["y"]["value"]) is float
-            and type(p["dx"]) is type(p["dy"]) is float)
+            and type(x["value"]) is type(y["value"]) is type(p["dx"]) is type(p["dy"]) is float):
+        return (p["topic"], x["ratio"], x["value"], y["ratio"], y["value"], *cell, p["dx"],
+                p["dy"], p["on_diagonal"], p["off_grid"])
+    return None
 
 
 def _check_scatter(stored: list, report: Report, path: str) -> None:
-    """Compare the stored scatter with the one ``report`` writes, point by
-    point as each built point is made: a point is the same when it is ``==``
-    to the built one and ``_typed_point`` holds. A ParseError names the
-    first entry that differs and, within it, the first point, and so the
-    record that disagrees."""
+    """Compare the stored scatter, each point read as its ``_stored_point``,
+    with the one ``report`` writes, point by point as each built point's
+    ``_point_values`` are made. A ParseError names the first entry that
+    differs and, within it, the first point, and so the record that
+    disagrees."""
     for i, (entry, block) in enumerate(zip(stored, report.blocks)):
-        built = _scatter_entry(block)
         points = entry.get("points") if type(entry) is dict else None
         if type(points) is not list:
             raise ParseError("entry differs from the one the records give",
                              path=path, field=f"scatter[{i}]")
-        for j, (point, made) in enumerate(zip(points, built["points"])):
-            if point != made or not _typed_point(point):
+        for j, (point, made) in enumerate(zip(points, map(_point_values, block.scatter))):
+            if point != made:
                 raise ParseError(f"point differs from the one the record {block.source}/"
-                                 f"{block.feature_value}/{made['topic']} gives",
+                                 f"{block.feature_value}/{made[0]} gives",
                                  path=path, field=f"scatter[{i}].points[{j}]")
-        if len(points) != len(block.scatter) or entry != dict(built, points=points):
+        if len(points) != len(block.scatter) or entry != {
+                "source": block.source, "value": block.feature_value, "points": points}:
             raise ParseError("entry differs from the one the records give",
                              path=path, field=f"scatter[{i}]")
     if len(stored) != len(report.blocks):
@@ -861,10 +856,12 @@ _MEMBERS = ("schema", "meta", "summaries", "records", "histogram", "scatter", "t
 def _read_document(cursor: _JsonCursor, path: str
                    ) -> tuple[object, list[EvaluatedTopic] | None, ParseError | None]:
     """Walk the JSON text at the cursor: the document, each member decoded
-    whole but a ``records`` list, which ``_read_records`` reads; its records,
-    or None when it has no ``records`` list; and the first record's error.
-    A syntax error is a ParseError worded by json at its line, but a value
-    nested too deeply or an integer too long for ``int()`` names no line."""
+    whole but a ``records`` list, which ``_read_records`` reads, and a
+    ``scatter`` list, whose entries ``_walk_scatter_entry`` reads; its
+    records, or None when it has no ``records`` list; and the first record's
+    error. A syntax error is a ParseError worded by json at its line, but a
+    value nested too deeply or an integer too long for ``int()`` names no
+    line."""
     records, held = None, []
     try:
         if cursor.text.startswith("\ufeff"):  # as json.loads rejects a text
@@ -875,6 +872,8 @@ def _read_document(cursor: _JsonCursor, path: str
             for key in cursor.members(_MEMBERS, path):
                 if key == "records" and cursor.at("["):
                     records = _read_records(cursor, path, held)
+                elif key == "scatter" and cursor.at("["):
+                    payload[key] = list(_entries(cursor, _walk_scatter_entry))
                 else:
                     payload[key] = cursor.value()
         else:
@@ -891,32 +890,25 @@ def _read_document(cursor: _JsonCursor, path: str
     return payload, records, held[0] if held else None
 
 
-def _read_records(cursor: _JsonCursor, path: str,
-                  held: list[ParseError]) -> list[EvaluatedTopic]:
-    """Walk the ``records`` list at the cursor one entry at a time, each
-    decoded by one call of json's C scanner and read as an EvaluatedTopic at
-    once, so that no entry's dict outlives it. The window is topped up before
-    each entry, as ``_results_rows`` does. The error of the first entry that
-    ``_read_record`` rejects is appended to ``held``, and the entries after it
-    are read for syntax only."""
-    records: list[EvaluatedTopic] = []
-    since, prefix, index = cursor.pos, "", 0  # where json words an error from
+def _entries(cursor: _JsonCursor, walk=None) -> Iterator[object]:
+    """Yield each entry of the array at the cursor, decoded by one call of
+    json's C scanner or, with ``walk``, read by ``walk(cursor, pos)``, which
+    returns the entry at ``pos`` and the offset where it ends; then move the
+    cursor past the array. The window is topped up before each entry, as
+    ``_results_rows`` does, so only the entries kept outlive the text."""
+    since, prefix, first = cursor.pos, "", True  # where json words an error from
     pos = cursor.skip(since + 1)
     text = cursor.text
-    while index or not text.startswith("]", pos):  # breaks at the last entry
+    while not first or not text.startswith("]", pos):  # breaks at the last entry
+        first = False
         if pos > cursor.limit:
             pos, since = cursor.fill(since, pos), 0
         try:
-            entry, end = cursor.read(_scan, pos)
+            entry, end = cursor.read(_scan, pos) if walk is None else walk(cursor, pos)
         except StopIteration as stop:  # PEP 479 would make it a RuntimeError
             raise _syntax_error(cursor.text, stop.value, since, prefix) from None
         text = cursor.text
-        if not held:
-            try:
-                records.append(_read_record(entry))
-            except _MALFORMED as exc:
-                held.append(_malformed(exc, path, f"records[{index}]"))
-        index += 1
+        yield entry
         since, prefix = end, "[0"
         if text.startswith(",", end):
             pos = end + 1
@@ -932,7 +924,36 @@ def _read_records(cursor: _JsonCursor, path: str,
     if not text.startswith("]", pos):
         raise _syntax_error(text, pos, since, prefix)
     cursor.pos = cursor.skip(pos + 1)
+
+
+def _read_records(cursor: _JsonCursor, path: str,
+                  held: list[ParseError]) -> list[EvaluatedTopic]:
+    """The ``records`` list at the cursor, each entry read as an
+    EvaluatedTopic as soon as it is decoded, so that no entry's dict
+    outlives it. The error of the first entry that ``_read_record`` rejects
+    is appended to ``held``, and the entries after it are read for syntax
+    only."""
+    records: list[EvaluatedTopic] = []
+    for entry in _entries(cursor):
+        if not held:
+            try:
+                records.append(_read_record(entry))
+            except _MALFORMED as exc:
+                held.append(_malformed(exc, path, f"records[{len(records)}]"))
     return records
+
+
+def _walk_scatter_entry(cursor: _JsonCursor, pos: int) -> tuple[object, int]:
+    """The scatter entry at ``pos`` and the offset where it ends. An object
+    is walked member by member, and its ``points`` list one point at a time,
+    each kept as its ``_stored_point``; anything else is decoded whole."""
+    if not cursor.text.startswith("{", pos):
+        return cursor.read(_scan, pos)
+    cursor.pos, entry = pos, {}
+    for key in cursor.members((), ""):  # watching no key, it names no path
+        entry[key] = (list(map(_stored_point, _entries(cursor)))
+                      if key == "points" and cursor.at("[") else cursor.value())
+    return entry, cursor.pos
 
 
 def _check_records(payload: dict, records: list[EvaluatedTopic] | None,
@@ -967,15 +988,16 @@ def parse_report(source: str | IO[str], path: str = "<report>") -> Report:
 
     ``source`` is the text or a handle, read once through a ``_JsonCursor``
     window as ``parse_sparql_results`` reads an export. Each ``records``
-    entry becomes an EvaluatedTopic as it is read, and every other member is
-    decoded whole. A syntax error is raised where the walk meets it, and a
-    repeated member at its key's line; every other error once the whole text
-    has been read, in a fixed order. Only ``meta``, ``records`` and ``skipped`` are read, and ``build_report``
-    rebuilds the rest with the exemplar grid of the stored tables; each
-    stored derived section must equal the rebuilt one. Any malformed
-    document, from a wrong type or an off-grid ratio to a repeated record or
-    a stale section, raises a ParseError naming the file, the section and,
-    within a list, the entry.
+    entry becomes an EvaluatedTopic as it is read, and each ``scatter`` point
+    a flat tuple of its values; every other member is decoded whole. A
+    syntax error is raised where the walk meets it, and a repeated member at
+    its key's line; every other error once the whole text has been read, in
+    a fixed order. Only ``meta``, ``records`` and ``skipped`` are read, and
+    ``build_report`` rebuilds the rest with the exemplar grid of the stored
+    tables; each stored derived section must equal the rebuilt one. Any
+    malformed document, from a wrong type or an off-grid ratio to a repeated
+    record or a stale section, raises a ParseError naming the file, the
+    section and, within a list, the entry.
     """
     payload, records, held = _read_document(_JsonCursor(source), path)
     if type(payload) is not dict:

@@ -575,6 +575,29 @@ def test_a_report_reports_the_error_its_read_meets_first(tmp_path, capsys, bad_f
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("name, broken, message", [
+    ("report.json", b'"meta": {]},', "Expecting property name enclosed in double quotes"),
+    ("report.json", b'"records": [{"a": ]}],', "Expecting value"),
+    ("kb.json", b'"head": {"vars": ]},', "Expecting value"),
+], ids=["report-meta", "report-record", "sparql-head"])
+def test_a_syntax_error_is_reported_before_a_later_byte_that_is_not_utf8(
+        audit_dir, tmp_path, capsys, name, broken, message):
+    """A syntax error inside a member is reported where the read meets it;
+    the byte that is not UTF-8 on line 4, 500 kB on, is never read."""
+    path = tmp_path / name
+    path.write_bytes(b"{\n" + broken + b'\n"pad": "' + b"x" * 500_000 + b'",\n"bad": "\xff"}\n')
+    out = tmp_path / "out"
+    if name == "report.json":
+        args = ["report", str(path), "--out", str(out)]
+    else:
+        args = ["evaluate", "--runs", str(audit_dir / "runs.tsv"),
+                "--labels", str(audit_dir / "labels.tsv"), "--members", f"wiki={path}",
+                "--feature", "gender", "--values", "female,male", "--out", str(out)]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == f"error: {path}:2: invalid JSON: {message}\n"
+    assert not out.exists()
+
+
 def test_a_repeated_report_member_exits_1(audit_dir, tmp_path, capsys):
     """json.loads would keep the last copy of a member; the reader names it."""
     assert cli.main(evaluate_args(audit_dir, tmp_path / "out")) == 0

@@ -929,6 +929,84 @@ class TestStreamedReader:
                 "report.json: source 'zz' and value 'female' must be listed in meta "
                 "(field: records[1])")
 
+    @staticmethod
+    def _reads_as(payload, expected):
+        for text in (json.dumps(payload), json.dumps(payload, indent=2)):
+            assert outcome(text) == windowed(text, 3) == expected
+
+    @pytest.mark.parametrize("i, j, record, tamper", [
+        (0, 1, "female/t001", lambda p: {**p, "extra": 1}),
+        (1, 2, "male/t002", lambda p: {k: v for k, v in p.items() if k != "dy"}),
+        (0, 0, "female/t000", lambda p: {**p, "x": {**p["x"], "extra": 1}}),
+        (0, 2, "female/t002", lambda p: {**p, "x": {"value": p["x"]["value"]}}),
+        (1, 0, "male/t000", lambda p: {**p, "y": {**p["y"], "extra": None}}),
+        (1, 1, "male/t001", lambda p: {**p, "y": {"ratio": p["y"]["ratio"]}}),
+        (0, 1, "female/t001", lambda p: {**p, "cell": p["cell"][:1]}),
+        (1, 2, "male/t002", lambda p: {**p, "cell": [*p["cell"], 0]}),
+        (0, 2, "female/t002", lambda p: None),
+        (1, 1, "male/t001", lambda p: list(p.values())),
+    ], ids=["extra-key", "missing-key", "x-extra-key", "x-missing-key", "y-extra-key",
+            "y-missing-key", "cell-of-1", "cell-of-3", "null", "list"])
+    def test_a_point_of_another_shape_is_named(self, i, j, record, tamper):
+        """A point that its flat tuple cannot hold is named as when the
+        scatter was decoded whole."""
+        payload = json.loads(MUTATION_BASE)
+        points = payload["scatter"][i]["points"]
+        points[j] = tamper(points[j])
+        self._reads_as(payload, f"report.json: point differs from the one the record "
+                                f"kb/{record} gives (field: scatter[{i}].points[{j}])")
+
+    @pytest.mark.parametrize("i, tamper", [
+        (1, lambda entry: {**entry, "points": dict(enumerate(entry["points"]))}),
+        (0, lambda entry: list(entry.items())),
+    ], ids=["points-not-a-list", "not-an-object"])
+    def test_a_scatter_entry_of_another_shape_is_named(self, i, tamper):
+        payload = json.loads(MUTATION_BASE)
+        payload["scatter"][i] = tamper(payload["scatter"][i])
+        self._reads_as(payload, "report.json: entry differs from the one the records give "
+                                f"(field: scatter[{i}])")
+
+    @given(at=st.floats(0, 1), edit=st.sampled_from(
+        ["", *'{}[]:,"\\ \n0-1eflnrstuE.+', "NaN", "\ufeff", "\x00"]),
+        insert=st.booleans(), window=st.integers(1, 16))
+    def test_a_syntax_error_is_raised_before_a_later_byte_is_read(self, at, edit, insert,
+                                                                  window):
+        """A syntax error that json locates inside the text is raised where
+        the walk meets it: the padding after the text, longer than a chunk
+        that io.TextIOWrapper decodes at a time, and a byte that is not
+        UTF-8 after it are never decoded."""
+        at = round(at * len(MUTATION_BASE))
+        text = MUTATION_BASE[:at] + edit + MUTATION_BASE[at + (not insert):]
+        padding = " " * (len(text) + 8192)
+        try:
+            json.loads(text + padding)
+        except json.JSONDecodeError as exc:
+            assume(exc.pos < len(text) and not exc.msg.startswith("Unterminated string"))
+            expected = f"report.json:{exc.lineno}: invalid JSON: {exc.msg}"
+        else:
+            assume(False)
+        data = (text + padding).encode() + b"\xff"
+        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as handle, \
+                mock.patch.object(ingest, "_WINDOW", window):
+            assert outcome(handle) == expected
+
+    def test_the_window_stays_bounded(self, gender):
+        """Through a handle, the window holds a few pieces of the text at a
+        time: records and scatter points are read one at a time, and every
+        other member is short."""
+        text = report_to_json(build_report(make_meta(),
+                                           simulated_corpus(gender, seed=16, topics=2000)))
+        extend, sizes = ingest._JsonCursor.extend, []
+
+        def recorded(cursor):
+            extend(cursor)
+            sizes.append(len(cursor.text))
+
+        with mock.patch.object(ingest._JsonCursor, "extend", recorded):
+            parse_report(io.StringIO(text))
+        assert len(text) > 16 * ingest._WINDOW
+        assert max(sizes) <= 4 * ingest._WINDOW
+
     def test_peak_memory_stays_near_the_text_size(self, gender):
         text = report_to_json(build_report(make_meta(),
                                            simulated_corpus(gender, seed=16, topics=1000)))
@@ -940,9 +1018,11 @@ class TestStreamedReader:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # About 2.8 times the text's size; with the text and its whole
-        # json.loads tree, as parse_report(handle.read()) held them, 6.2 times.
-        assert peak < 4 * len(text)
+        # About 1.6 times the text's size, with each scatter point kept as a
+        # flat tuple; 2.8 times with the scatter decoded whole, and 6.2 times
+        # with the text and its whole json.loads tree, as
+        # parse_report(handle.read()) held them.
+        assert peak < 2 * len(text)
 
 
 class TestPartition:

@@ -486,6 +486,14 @@ class TestStreamedDecoder:
         assert streamed(text) == through_handle(text) == (
             "export.json:3: invalid JSON: Expecting value")
 
+    def test_a_syntax_error_in_head_is_raised_before_a_later_byte_is_read(self):
+        """A member decoded whole is read no further than its syntax error:
+        the byte that is not UTF-8, 500 kB on, is never decoded."""
+        data = (b'{\n"head": {"vars": ]},\n"pad": "' + b"x" * 500_000
+                + b'",\n"results": {"bindings": [{"topic": "\xff"}]}}')
+        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as handle:
+            assert streamed(handle) == "export.json:2: invalid JSON: Expecting value"
+
     REPEATS = pytest.mark.parametrize("text, member", [
         ('{"head": {"vars": ["topic", "entity"]},\n "results": {"bindings": []},\n'
          ' "head": {"vars": ["topic", "entity"]}}', "head"),
