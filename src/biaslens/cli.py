@@ -445,10 +445,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise BiasLensError(f"{spec_path}: no simulation rows found")
 
     label_rows = []
-    for topic in topics:
-        assignments = topic.labels.assignments
-        label_rows.extend((entity, assignments[entity], topic.labels.provenance[entity])
-                          for entity in sorted(assignments))
+    for topic in topics:  # serialize_labels sorts the entities
+        tags = topic.labels.provenance.tags
+        label_rows.extend((entity, value, tags.get(entity, ingest.DEFAULT_PROVENANCE))
+                          for entity, value in topic.labels.assignments.items())
     catalog = ingest.LabelCatalog.build(scheme, label_rows)
 
     out = config.out

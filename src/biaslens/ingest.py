@@ -20,6 +20,7 @@ import json
 import re
 import sys
 from collections import defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import chain, dropwhile, repeat
 from typing import IO, Callable, Iterable, Iterator
@@ -49,18 +50,43 @@ class LabelConflict:
     dropped_provenance: str
 
 
+class _ProvenanceView(Mapping[str, str]):
+    """Read-only provenance of each assigned entity: its tag in ``tags``,
+    which holds only tags other than DEFAULT_PROVENANCE, else that default."""
+
+    __slots__ = ("assignments", "tags")
+
+    def __init__(self, assignments: dict[str, str], tags: dict[str, str]) -> None:
+        self.assignments, self.tags = assignments, tags
+
+    def __getitem__(self, entity: str) -> str:
+        if entity not in self.assignments:
+            raise KeyError(entity)
+        return self.tags.get(entity, DEFAULT_PROVENANCE)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.assignments)
+
+    def __len__(self) -> int:
+        return len(self.assignments)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
 @dataclass(frozen=True)
 class LabelCatalog:
     """Entity-to-value assignments for one feature, with provenance.
 
     Assignments may carry the scheme's unknown token to record an explicit
     unknown. ``label_of`` collapses explicit unknowns and missing entities
-    to None, which is how the metrics treat both.
+    to None, which is how the metrics treat both. ``provenance`` is given as
+    any mapping over the assigned entities and held as a read-only view.
     """
 
     scheme: FeatureScheme
     assignments: dict[str, str]
-    provenance: dict[str, str]
+    provenance: Mapping[str, str]
     conflicts: tuple[LabelConflict, ...] = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
@@ -70,8 +96,13 @@ class LabelCatalog:
             raise SchemeViolationError(
                 f"entity {entity!r} labeled {value!r}, which is not declared for "
                 f"feature {self.scheme.feature_name!r}")
-        if self.provenance.keys() != self.assignments.keys():
+        given = self.provenance
+        if isinstance(given, _ProvenanceView) and given.assignments is self.assignments:
+            return
+        if given.keys() != self.assignments.keys():
             raise SchemeViolationError("provenance must cover exactly the assigned entities")
+        tags = {e: t for e, t in given.items() if t != DEFAULT_PROVENANCE}
+        object.__setattr__(self, "provenance", _ProvenanceView(self.assignments, tags))
 
     @property
     def feature_name(self) -> str:
@@ -98,32 +129,34 @@ class LabelCatalog:
         """New catalog with extra rows folded in under the same priority rules.
         Its conflicts are this catalog's, then those the rows add."""
         return self._fold(self.scheme, rows, dict(self.assignments),
-                          dict(self.provenance), list(self.conflicts))
+                          dict(self.provenance.tags), list(self.conflicts))
 
     @classmethod
     def _fold(cls, scheme: FeatureScheme, rows: Iterable[tuple[str, str, str]],
-              assignments: dict[str, str], provenance: dict[str, str],
+              assignments: dict[str, str], tags: dict[str, str],
               conflicts: list[LabelConflict]) -> "LabelCatalog":
+        # ``tags`` holds exactly the assigned entities whose tag is not the default.
         for entity, value, prov in rows:
-            if entity in assignments:
-                held_value, held_prov = assignments[entity], provenance[entity]
-                if value == held_value:
-                    if _priority(prov) > _priority(held_prov):
-                        provenance[entity] = prov
-                    continue
-                if _priority(prov) > _priority(held_prov):
+            held_value = assignments.get(entity)
+            if held_value is None:
+                assignments[entity] = value
+                if prov != DEFAULT_PROVENANCE:
+                    tags[entity] = prov
+                continue
+            held_prov = tags.get(entity, DEFAULT_PROVENANCE)
+            if _priority(prov) > _priority(held_prov):
+                if value != held_value:
                     conflicts.append(LabelConflict(entity, value, prov,
                                                    held_value, held_prov))
                     assignments[entity] = value
-                    provenance[entity] = prov
+                if prov == DEFAULT_PROVENANCE:
+                    del tags[entity]
                 else:
-                    conflicts.append(LabelConflict(entity, held_value, held_prov,
-                                                   value, prov))
-            else:
-                assignments[entity] = value
-                provenance[entity] = prov
-        return cls(scheme=scheme, assignments=assignments, provenance=provenance,
-                   conflicts=tuple(conflicts))
+                    tags[entity] = prov
+            elif value != held_value:
+                conflicts.append(LabelConflict(entity, held_value, held_prov, value, prov))
+        return cls(scheme=scheme, assignments=assignments,
+                   provenance=_ProvenanceView(assignments, tags), conflicts=tuple(conflicts))
 
 
 @dataclass(frozen=True)
@@ -276,9 +309,10 @@ def parse_labels(source: str | IO[str], scheme: FeatureScheme,
 
 
 def serialize_labels(catalog: LabelCatalog) -> str:
-    return _tsv_text(LABELS_HEADER, ((entity, catalog.feature_name,
-                                      catalog.assignments[entity], catalog.provenance[entity])
-                                     for entity in sorted(catalog.assignments)))
+    assignments, tags = catalog.assignments, catalog.provenance.tags
+    return _tsv_text(LABELS_HEADER, ((entity, catalog.feature_name, assignments[entity],
+                                      tags.get(entity, DEFAULT_PROVENANCE))
+                                     for entity in sorted(assignments)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """The TSV readers as they were before each parser did its own stripping,
-kept verbatim as the reference the rewritten parsers in ``biaslens.ingest``
+and the label fold as it was while the catalog kept a full provenance dict,
+kept verbatim as the reference the rewritten code in ``biaslens.ingest``
 must agree with, result for result and error message for error message."""
 
 from __future__ import annotations
 
-from typing import IO, Iterator
+from dataclasses import dataclass
+from typing import IO, Iterable, Iterator
 
 from biaslens.errors import ParseError
 from biaslens.ingest import (
@@ -14,8 +16,10 @@ from biaslens.ingest import (
     RUNS_HEADER,
     TARGETS_HEADER,
     LabelCatalog,
+    LabelConflict,
     MembershipTable,
     _named,
+    _priority,
     _source_lines,
 )
 from biaslens.metrics import FeatureScheme, RankedRun, TargetCounts
@@ -192,3 +196,48 @@ def parse_target_counts(source: str | IO[str], scheme: FeatureScheme,
                                    counts=labeled,
                                    unknown_count=unknowns.get(topic_id, 0)))
     return result
+
+
+@dataclass(frozen=True)
+class TwoDictCatalog:
+    """The fold of ``LabelCatalog`` with ``provenance`` a second dict over
+    the same keys as ``assignments``, one entry per entity."""
+
+    scheme: FeatureScheme
+    assignments: dict[str, str]
+    provenance: dict[str, str]
+    conflicts: tuple[LabelConflict, ...] = ()
+
+    @classmethod
+    def build(cls, scheme: FeatureScheme,
+              rows: Iterable[tuple[str, str, str]]) -> "TwoDictCatalog":
+        return cls._fold(scheme, rows, {}, {}, [])
+
+    def merged(self, rows: Iterable[tuple[str, str, str]]) -> "TwoDictCatalog":
+        return self._fold(self.scheme, rows, dict(self.assignments),
+                          dict(self.provenance), list(self.conflicts))
+
+    @classmethod
+    def _fold(cls, scheme: FeatureScheme, rows: Iterable[tuple[str, str, str]],
+              assignments: dict[str, str], provenance: dict[str, str],
+              conflicts: list[LabelConflict]) -> "TwoDictCatalog":
+        for entity, value, prov in rows:
+            if entity in assignments:
+                held_value, held_prov = assignments[entity], provenance[entity]
+                if value == held_value:
+                    if _priority(prov) > _priority(held_prov):
+                        provenance[entity] = prov
+                    continue
+                if _priority(prov) > _priority(held_prov):
+                    conflicts.append(LabelConflict(entity, value, prov,
+                                                   held_value, held_prov))
+                    assignments[entity] = value
+                    provenance[entity] = prov
+                else:
+                    conflicts.append(LabelConflict(entity, held_value, held_prov,
+                                                   value, prov))
+            else:
+                assignments[entity] = value
+                provenance[entity] = prov
+        return cls(scheme=scheme, assignments=assignments, provenance=provenance,
+                   conflicts=tuple(conflicts))

@@ -164,6 +164,29 @@ def test_evaluate_runs_that_are_not_utf8_exit_1(audit_dir, tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+def test_evaluate_runs_with_no_rows_exits_1(audit_dir, tmp_path, capsys):
+    runs = write(audit_dir / "runs.tsv", "# no runs yet\n")
+    assert cli.main(evaluate_args(audit_dir, tmp_path / "out")) == 1
+    assert capsys.readouterr().err == f"error: {runs}: no runs found\n"
+
+
+@pytest.mark.parametrize("text, error", [
+    ("t1\tgender\tfemale\tx\n", "1: count 'x' is not an integer (field: count)"),
+    ("t1\tgender\tunknown\t1\nt1\tgender\tfemale\t1\nt1\tgender\tunknown\t2\n",
+     "3: topic 't1' repeats its unknown row (field: value)"),
+], ids=["count", "unknown"])
+def test_evaluate_targets_row_error_is_located(audit_dir, tmp_path, capsys, text, error):
+    targets = write(audit_dir / "targets_kb.tsv", text)
+    assert cli.main(evaluate_args(audit_dir, tmp_path / "out")) == 1
+    assert capsys.readouterr().err == f"error: {targets}:{error}\n"
+
+
+def test_a_seed_env_that_is_not_an_integer_exits_1(audit_dir, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("BIASLENS_SEED", "abc")
+    assert cli.main(evaluate_args(audit_dir, tmp_path / "out")) == 1
+    assert capsys.readouterr().err == "error: BIASLENS_SEED must be an integer, got 'abc'\n"
+
+
 def test_evaluate_members_source(audit_dir, tmp_path):
     members = ["announcer\tann:e%d" % i for i in range(10)]
     members += ["archivist\tarc:e%d" % i for i in range(10)]
@@ -455,6 +478,15 @@ def test_simulate_plan_topic_is_located(tmp_path, capsys, text, errors):
             "--out", str(tmp_path / "fixtures")]
     assert cli.main(args) == 1
     assert capsys.readouterr().err == "".join(f"error: {plan}:{e}\n" for e in errors)
+    assert not (tmp_path / "fixtures").exists()
+
+
+def test_simulate_plan_with_no_rows_exits_1(tmp_path, capsys):
+    plan = write(tmp_path / "empty.tsv", "# nothing planned\n")
+    args = ["simulate", plan, "--feature", "gender", "--values", "female,male",
+            "--out", str(tmp_path / "fixtures")]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == f"error: {plan}: no simulation rows found\n"
     assert not (tmp_path / "fixtures").exists()
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import io
 import random
 import sys
@@ -7,7 +8,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import ingest_reference
@@ -20,6 +21,7 @@ from biaslens import (
     MembershipTable,
     ParseError,
     RankedRun,
+    SchemeViolationError,
     TargetCounts,
     counts_for_topic,
     ingest,
@@ -494,6 +496,15 @@ class TestLineBreaks:
             assert parse_runs(handle) == runs
 
 
+GENDER = FeatureScheme("gender", ("female", "male"))
+GENDER_VALUES = ("female", "male", "unknown")
+# Rows over at most six entities, at the listed tags and one unlisted tag.
+LABEL_ROWS = st.lists(st.tuples(st.sampled_from(("e1", "e2", "e3", "e4", "e5", "e6")),
+                                st.sampled_from(GENDER_VALUES),
+                                st.sampled_from(("manual", "kb", "inferred", "crowd"))),
+                      max_size=12)
+
+
 class TestCatalogMerge:
     def test_merge_respects_priorities(self, gender):
         base = LabelCatalog.build(gender, [("e1", "female", "manual"),
@@ -514,6 +525,66 @@ class TestCatalogMerge:
         with pytest.raises(Exception):
             LabelCatalog(scheme=gender, assignments={"e": "dog"},
                          provenance={"e": "kb"})
+
+    def test_the_constructor_takes_a_provenance_dict_over_the_assigned_entities(self, gender):
+        catalog = LabelCatalog(scheme=gender, assignments={"e1": "female", "e2": "male"},
+                               provenance={"e1": "kb", "e2": "inferred"})
+        assert catalog == LabelCatalog.build(gender, [("e1", "female", "kb"),
+                                                      ("e2", "male", "inferred")])
+        for assignments in ({"e1": "female"}, {"e1": "female", "e2": "male", "e3": "male"}):
+            with pytest.raises(SchemeViolationError, match="provenance must cover"):
+                dataclasses.replace(catalog, assignments=assignments)
+
+    def test_provenance_is_a_read_only_view(self, gender):
+        catalog = parse_labels("e1\tgender\tfemale\ne2\tgender\tmale\tmanual\n", gender)
+        assert catalog.provenance == {"e1": "kb", "e2": "manual"}
+        with pytest.raises(TypeError):
+            catalog.provenance["e1"] = "manual"
+        with pytest.raises(KeyError):
+            catalog.provenance["e3"]
+
+    def test_a_catalog_of_kb_rows_holds_one_dict(self, gender):
+        text = "".join(f"e{i:06d}\tgender\t{('female', 'male')[i % 2]}\n"
+                       for i in range(50_000))
+        parse_labels(io.StringIO(text), gender)  # first-call allocations are not the catalog's
+        handle = io.StringIO(text)
+        tracemalloc.start()
+        try:
+            catalog = parse_labels(handle, gender)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        dict_bytes = sys.getsizeof(catalog.assignments)
+        one_dict = dict_bytes + sum(map(sys.getsizeof, catalog.assignments))
+        # A provenance dict beside the assignments would keep dict_bytes more.
+        assert kept < one_dict + dict_bytes / 2
+
+    @given(base=LABEL_ROWS, rows=LABEL_ROWS,
+           relabel=st.none() | st.lists(st.sampled_from(GENDER_VALUES), min_size=6,
+                                        max_size=6))
+    @example(base=[("e1", "female", "inferred")], rows=[("e1", "female", "kb")],
+             relabel=None)
+    @example(base=[("e1", "female", "inferred")], rows=[("e1", "male", "kb")],
+             relabel=None)
+    @example(base=[("e1", "female", "inferred"), ("e2", "male", "crowd"),
+                   ("e3", "unknown", "kb")],
+             rows=[("e1", "female", "kb"), ("e2", "male", "manual"), ("e3", "male", "kb")],
+             relabel=["male", "female", "unknown", "male", "male", "male"])
+    def test_the_fold_equals_the_two_dict_fold(self, base, rows, relabel):
+        """``build`` then ``merged`` against the fold that kept a full
+        provenance dict, also after ``dataclasses.replace`` gave the catalog
+        new assignments over the same entities."""
+        catalog = LabelCatalog.build(GENDER, base)
+        reference = ingest_reference.TwoDictCatalog.build(GENDER, base)
+        if relabel is not None:
+            assignments = dict(zip(catalog.assignments, relabel))
+            catalog = dataclasses.replace(catalog, assignments=assignments)
+            reference = dataclasses.replace(reference, assignments=dict(assignments))
+        assert dict(catalog.provenance) == reference.provenance
+        merged, expected = catalog.merged(rows), reference.merged(rows)
+        assert merged.assignments == expected.assignments
+        assert dict(merged.provenance) == expected.provenance
+        assert merged.conflicts == expected.conflicts
 
 
 # ---------------------------------------------------------------------------
