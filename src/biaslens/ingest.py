@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import re
-import sys
 from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -26,6 +25,7 @@ from itertools import chain, dropwhile, repeat
 from typing import IO, Callable, Iterable, Iterator
 
 from .errors import EmptyPopulationError, ParseError, SchemeViolationError
+from ._jsonwalk import _JsonCursor, _entries, located
 from .metrics import FeatureScheme, RankedRun, TargetCounts, label_tally
 from ._util import lone_surrogate
 
@@ -555,15 +555,16 @@ def _sparql_json_rows(source: str | IO[str], topic_var: str, entity_var: str,
     whole document has been read and ``head`` checked. So in a document that
     parses as JSON, errors come in the order of a whole-document walk:
     ``head`` and its variables, ``results``, then each binding in turn. A
-    syntax error is raised where the walk meets it, worded by json. A
-    repeated ``head`` or ``results`` member is an error, located at its key.
+    syntax error is raised where the walk meets it, worded by json, at its
+    line (``located``). A repeated ``head`` or ``results`` member is an
+    error, located at its key.
     """
     cursor = _JsonCursor(source)
     variables = (topic_var, entity_var, value_var)
     head: object = {}  # an absent head declares no variables
     checked = False  # head was read and checked before any results
     held: list[ParseError] | None = None  # the first error of results read before head
-    try:
+    with located(cursor, path):
         if not cursor.at("{"):
             raise json.JSONDecodeError("Expecting value", cursor.text, cursor.pos)
         for key in cursor.members(("head", "results"), path):
@@ -577,27 +578,19 @@ def _sparql_json_rows(source: str | IO[str], topic_var: str, entity_var: str,
                     checked = True
             else:
                 cursor.value()
-        if cursor.pos != len(cursor.text):
-            raise json.JSONDecodeError("Extra data", cursor.text, cursor.pos)
-        if not checked:
-            _check_head(head, topic_var, entity_var, path)
-        if held:
-            raise held[0]
-    except json.JSONDecodeError as exc:  # its line is counted in the window
-        raise ParseError(f"invalid JSON: {exc.msg}", path=path,
-                         line=cursor.lines + exc.lineno) from None
-    except RecursionError:
-        raise ParseError("invalid JSON: nested too deeply", path=path) from None
+    if not checked:
+        _check_head(head, topic_var, entity_var, path)
+    if held:
+        raise held[0]
 
 
 def _results_rows(cursor: _JsonCursor, variables: tuple[str, str, str], strict: bool,
                   path: str, held: list[ParseError] | None
                   ) -> Iterator[tuple[str, str, str | None]]:
-    """Walk the ``results`` value at the cursor member by member, and each of
-    its ``bindings`` by one match of ``_plain_binding``'s pattern or else one
-    call of json's C scanner, which reads every binding after the first miss.
-    The window is topped up before each binding, so a binding shorter than
-    ``_WINDOW`` is never missed for being cut off. Yield each binding's row
+    """Walk the ``results`` value at the cursor member by member, and its
+    ``bindings`` through ``_entries``, which reads each binding by one match
+    of ``_plain_binding``'s pattern or else one call of json's C scanner,
+    which reads every binding after the first miss. Yield each binding's row
     until the first error, which is raised, or with ``held`` a list, appended
     to it, and the rest read for syntax only. The scanner's inline checks
     take a binding whose topic and entity are objects with non-empty string
@@ -617,66 +610,36 @@ def _results_rows(cursor: _JsonCursor, variables: tuple[str, str, str], strict: 
                 _raise_or_hold(ParseError("results must be an object whose bindings are "
                                           "a list", path=path, field="results"), held)
             continue
-        since, prefix, index = cursor.pos, "", 0  # where json words an error from
-        pos = cursor.skip(since + 1)
-        text = cursor.text
-        while index or not text.startswith("]", pos):  # breaks at the last item
-            index += 1
-            if pos > cursor.limit:
-                pos, since = cursor.fill(since, pos), 0
-                text = cursor.text
-            if plain := fast and fast(text, pos):
-                end = plain.end()
-                topic_type, topic, entity_type, entity, value_type, value = plain.groups()
+        for index, binding in enumerate(_entries(cursor, match=fast), 1):
+            if held:
+                continue  # read for syntax only
+            if type(binding) is re.Match:
+                topic_type, topic, entity_type, entity, value_type, value = binding.groups()
+            elif (type(binding) is dict
+                    and type(topic_cell := binding.get(topic_var)) is dict
+                    and type(topic := topic_cell.get("value")) is str and topic
+                    and type(entity_cell := binding.get(entity_var)) is dict
+                    and type(entity := entity_cell.get("value")) is str and entity
+                    and ((value_cell := binding.get(value_var)) is None
+                         or type(value_cell) is dict
+                         and type(value := value_cell.get("value")) is str
+                         and not lone_surrogate(value))
+                    and not lone_surrogate(topic) and not lone_surrogate(entity)
+                    and (not strict or entity_cell.get("type") == "uri")):
+                topic_type, entity_type = topic_cell.get("type"), entity_cell.get("type")
+                value_type = value_cell and value_cell.get("type")
+                value = value_cell and value  # None when unbound
             else:
-                fast = None  # one miss, then the scanner reads the rest
-                try:
-                    binding, end = cursor.read(_scan, pos)
-                except StopIteration as stop:  # PEP 479 would make it a RuntimeError
-                    raise _syntax_error(cursor.text, stop.value, since, prefix) from None
-                text = cursor.text
-                if held:
-                    pass
-                elif (type(binding) is dict
-                        and type(topic_cell := binding.get(topic_var)) is dict
-                        and type(topic := topic_cell.get("value")) is str and topic
-                        and type(entity_cell := binding.get(entity_var)) is dict
-                        and type(entity := entity_cell.get("value")) is str and entity
-                        and ((value_cell := binding.get(value_var)) is None
-                             or type(value_cell) is dict
-                             and type(value := value_cell.get("value")) is str
-                             and not lone_surrogate(value))
-                        and not lone_surrogate(topic) and not lone_surrogate(entity)
-                        and (not strict or entity_cell.get("type") == "uri")):
-                    topic_type, entity_type = topic_cell.get("type"), entity_cell.get("type")
-                    value_type = value_cell and value_cell.get("type")
-                    value = value_cell and value  # None when unbound
-                else:
-                    _raise_or_hold(_binding_error(binding, variables, path,
-                                                  cursor.line(pos), index), held)
-            if not held:
-                if topic_type == "uri":
-                    topic = iris.get(topic) or iris.setdefault(topic, _terminal_segment(topic))
-                if entity_type == "uri":
-                    entity = _terminal_segment(entity)
-                if value_type == "uri":
-                    value = _terminal_segment(value)
-                yield topic, entity, value
-            since, prefix = end, "[0"
-            if text.startswith(",", end):
-                pos = end + 1
-            else:
-                pos = cursor.skip(end)
-                text = cursor.text
-                if not text.startswith(",", pos):
-                    break
-                pos += 1
-            if text[pos:pos + 1] in _SPACE:  # also at the window's end
-                pos = cursor.skip(pos)
-                text = cursor.text
-        if not text.startswith("]", pos):
-            raise _syntax_error(text, pos, since, prefix)
-        cursor.pos = cursor.skip(pos + 1)
+                _raise_or_hold(_binding_error(binding, variables, path,
+                                              cursor.line(cursor.pos), index), held)
+                continue
+            if topic_type == "uri":
+                topic = iris.get(topic) or iris.setdefault(topic, _terminal_segment(topic))
+            if entity_type == "uri":
+                entity = _terminal_segment(entity)
+            if value_type == "uri":
+                value = _terminal_segment(value)
+            yield topic, entity, value
 
 
 def _raise_or_hold(error: ParseError, held: list[ParseError] | None) -> None:
@@ -737,153 +700,6 @@ def _check_head(head: object, topic_var: str, entity_var: str, path: str) -> Non
         if var not in declared:
             raise ParseError(f"missing binding column {var!r} (declared: "
                              f"{', '.join(declared) or 'none'})", path=path, field=var)
-
-
-_SPACE = " \t\n\r"  # JSON's four whitespace characters
-_skip_space = json.decoder.WHITESPACE.match
-_decode_value = json.JSONDecoder().raw_decode
-_scan = json.scanner.make_scanner(json.JSONDecoder())  # (value, end) of the value at an offset
-# Characters read from a handle at a time. Before each binding or member,
-# the window is topped up until this many lie past the cursor.
-_WINDOW = 1 << 16
-# A decode that fails this close to the window's end may fail for the cut.
-_LOOKAHEAD = 16
-
-
-class _LongInteger(json.JSONDecodeError):
-    """An integer literal longer than ``int()`` converts, met by a read."""
-
-
-class _JsonCursor:
-    """A position in a JSON text, kept past whitespace, and the window of the
-    text around it. A handle is read once, from where it stands, in pieces of
-    ``_WINDOW`` characters, and never sought; a ``str`` source is a window
-    already at the end of its text. ``value``
-    decodes the value at the cursor whole, and ``members`` walks the object
-    there one member at a time. Offsets are into the window, ``text``:
-    ``fill`` lets go of the text before an offset and counts its lines in
-    ``lines``, and every other read appends, so offsets keep their meaning.
-    A read that stops at the window's end, or that fails where the window's
-    end may be the cause, is tried again on a longer window, until the source
-    is exhausted (``more`` is false). Syntax errors are JSONDecodeErrors
-    worded by the json module, whose line is counted in the window."""
-
-    __slots__ = ("text", "pos", "lines", "limit", "more", "_source")
-
-    def __init__(self, source: str | IO[str]):
-        self._source = source
-        self.text, self.more = (source, False) if isinstance(source, str) else ("", True)
-        self.lines = 0
-        self.pos = self.skip(self.fill(0, 0))
-
-    def fill(self, keep: int, pos: int) -> int:
-        """Let go of the text before offset ``keep``, counting its newlines,
-        and read on until ``_WINDOW`` characters lie past ``pos`` or the
-        source is exhausted. Offsets move back by ``keep``; the cursor moves
-        to ``pos``, whose new offset is returned. ``limit`` becomes the offset
-        past which the window is due to be topped up again."""
-        self.lines += self.text.count("\n", 0, keep)
-        self.text = self.text[keep:]
-        self.pos = pos = pos - keep
-        while self.more and len(self.text) - pos < _WINDOW:
-            self.extend()
-        self.limit = len(self.text) - _WINDOW if self.more else len(self.text)
-        return pos
-
-    def extend(self) -> None:
-        """Read on by a piece, or by as much as the window holds if that is
-        more, so that a long value tried again and again is read in linear time."""
-        piece = self._source.read(max(_WINDOW, len(self.text)))
-        self.more = bool(piece)
-        self.text += piece
-
-    def skip(self, pos: int) -> int:
-        """The offset of the first non-space at or after ``pos``."""
-        while (pos := _skip_space(self.text, pos).end()) == len(self.text) and self.more:
-            self.extend()
-        return pos
-
-    def read(self, decode: Callable[[str, int], tuple[object, int]],
-             pos: int) -> tuple[object, int]:
-        """``decode(text, pos)``: the value that starts at ``pos`` and the
-        offset where it ends. A value that ends at the window's end (a number
-        may go on) is read again on a longer window, and so is one that fails
-        within ``_LOOKAHEAD`` characters of it or as an unterminated string,
-        which json locates at its start. Any other failure lies in the window
-        and is raised at once, before a later byte is read."""
-        while True:
-            try:
-                value, end = decode(self.text, pos)
-                if end < len(self.text) or not self.more:
-                    return value, end
-            except StopIteration as stop:
-                if not self.more or stop.value < len(self.text) - _LOOKAHEAD:
-                    raise
-            except json.JSONDecodeError as exc:
-                if not self.more or (exc.pos < len(self.text) - _LOOKAHEAD
-                                     and not exc.msg.startswith("Unterminated string")):
-                    raise
-            except ValueError:  # an integer too long for int(), however it ends
-                raise _LongInteger(f"integer longer than {sys.get_int_max_str_digits()} "
-                                   "digits", self.text, pos) from None
-            self.extend()
-
-    def line(self, at: int) -> int:
-        """The 1-based line of offset ``at`` in the whole text."""
-        return self.lines + self.text.count("\n", 0, at) + 1
-
-    def at(self, token: str) -> bool:
-        return self.text.startswith(token, self.pos)
-
-    def value(self) -> object:
-        value, end = self.read(_decode_value, self.pos)
-        self.pos = self.skip(end)
-        return value
-
-    def members(self, watched: tuple[str, ...], path: str) -> Iterator[str]:
-        """Yield each key of the object at the cursor, with the cursor at its
-        value; the caller moves the cursor past the value before the next. The
-        window is topped up before each member. A key in ``watched`` that
-        comes again is a ParseError at its line."""
-        since, prefix, seen = self.pos, "", set()  # where json words an error from
-        pos = self.skip(since + 1)
-        more = not self.text.startswith("}", pos)
-        while more:
-            if pos > self.limit:
-                pos, since = self.fill(since, pos), 0
-            key_start = pos
-            if self.text.startswith('"', pos):
-                key, pos = self.read(_decode_value, pos)
-                pos = self.skip(pos)
-            if pos == key_start or not self.text.startswith(":", pos):
-                raise _syntax_error(self.text, pos, since, prefix)
-            if key in seen:
-                raise ParseError(f"member {key!r} is repeated", path=path,
-                                 line=self.line(key_start), field=key)
-            if key in watched:
-                seen.add(key)
-            self.pos = self.skip(pos + 1)
-            yield key
-            since = pos = self.pos
-            prefix = '{"":0'
-            if more := self.text.startswith(",", pos):
-                pos = self.skip(pos + 1)
-            elif not self.text.startswith("}", pos):
-                raise _syntax_error(self.text, pos, since, prefix)
-        self.pos = self.skip(pos + 1)
-
-
-def _syntax_error(text: str, pos: int, since: int, prefix: str) -> json.JSONDecodeError:
-    """json's own error for the syntax error met at ``pos`` in an array or
-    object: json decodes only the text from ``since`` on, after ``prefix``.
-    ``since`` is the container's opener, after no prefix, or where the item or
-    member before ends, after ``[0`` or ``{"":0`` standing in for the
-    container up to there."""
-    try:
-        _decode_value(prefix + text[since:pos + 1])
-    except json.JSONDecodeError as exc:
-        return json.JSONDecodeError(exc.msg, text, exc.pos - len(prefix) + since)
-    raise AssertionError("the text up to a syntax error decoded")
 
 
 def _sparql_tsv_rows(source: str | IO[str], topic_var: str, entity_var: str,

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ParseError, SchemaVersionError
-from .ingest import _SPACE, _JsonCursor, _LongInteger, _scan, _syntax_error
+from ._jsonwalk import _JsonCursor, _entries, _scan, located
 from .metrics import BiasRecord, BiasSummary, aggregate
 from ._util import (atomic_write, lone_surrogate, ratio_str, reduced_str, round_half_away,
                     unit_open_xy)
@@ -859,11 +859,11 @@ def _read_document(cursor: _JsonCursor, path: str
     whole but a ``records`` list, which ``_read_records`` reads, and a
     ``scatter`` list, whose entries ``_walk_scatter_entry`` reads; its
     records, or None when it has no ``records`` list; and the first record's
-    error. A syntax error is a ParseError worded by json at its line, but a
-    value nested too deeply or an integer too long for ``int()`` names no
-    line."""
+    error. A syntax error, or an integer too long for ``int()``, is a
+    ParseError worded by json at its line, but a value nested too deeply
+    names no line (``located``)."""
     records, held = None, []
-    try:
+    with located(cursor, path):
         if cursor.text.startswith("\ufeff"):  # as json.loads rejects a text
             raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)",
                                        cursor.text, 0)
@@ -878,52 +878,7 @@ def _read_document(cursor: _JsonCursor, path: str
                     payload[key] = cursor.value()
         else:
             payload = cursor.value()
-        if cursor.pos != len(cursor.text):
-            raise json.JSONDecodeError("Extra data", cursor.text, cursor.pos)
-    except _LongInteger as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", path=path) from None
-    except json.JSONDecodeError as exc:  # its line is counted in the window
-        raise ParseError(f"invalid JSON: {exc.msg}", path=path,
-                         line=cursor.lines + exc.lineno) from None
-    except RecursionError:
-        raise ParseError("invalid JSON: nested too deeply", path=path) from None
     return payload, records, held[0] if held else None
-
-
-def _entries(cursor: _JsonCursor, walk=None) -> Iterator[object]:
-    """Yield each entry of the array at the cursor, decoded by one call of
-    json's C scanner or, with ``walk``, read by ``walk(cursor, pos)``, which
-    returns the entry at ``pos`` and the offset where it ends; then move the
-    cursor past the array. The window is topped up before each entry, as
-    ``_results_rows`` does, so only the entries kept outlive the text."""
-    since, prefix, first = cursor.pos, "", True  # where json words an error from
-    pos = cursor.skip(since + 1)
-    text = cursor.text
-    while not first or not text.startswith("]", pos):  # breaks at the last entry
-        first = False
-        if pos > cursor.limit:
-            pos, since = cursor.fill(since, pos), 0
-        try:
-            entry, end = cursor.read(_scan, pos) if walk is None else walk(cursor, pos)
-        except StopIteration as stop:  # PEP 479 would make it a RuntimeError
-            raise _syntax_error(cursor.text, stop.value, since, prefix) from None
-        text = cursor.text
-        yield entry
-        since, prefix = end, "[0"
-        if text.startswith(",", end):
-            pos = end + 1
-        else:
-            pos = cursor.skip(end)
-            text = cursor.text
-            if not text.startswith(",", pos):
-                break
-            pos += 1
-        if text[pos:pos + 1] in _SPACE:  # also at the window's end
-            pos = cursor.skip(pos)
-            text = cursor.text
-    if not text.startswith("]", pos):
-        raise _syntax_error(text, pos, since, prefix)
-    cursor.pos = cursor.skip(pos + 1)
 
 
 def _read_records(cursor: _JsonCursor, path: str,
@@ -943,13 +898,13 @@ def _read_records(cursor: _JsonCursor, path: str,
     return records
 
 
-def _walk_scatter_entry(cursor: _JsonCursor, pos: int) -> tuple[object, int]:
-    """The scatter entry at ``pos`` and the offset where it ends. An object
+def _walk_scatter_entry(cursor: _JsonCursor) -> tuple[object, int]:
+    """The scatter entry at the cursor and the offset where it ends. An object
     is walked member by member, and its ``points`` list one point at a time,
     each kept as its ``_stored_point``; anything else is decoded whole."""
-    if not cursor.text.startswith("{", pos):
-        return cursor.read(_scan, pos)
-    cursor.pos, entry = pos, {}
+    if not cursor.at("{"):
+        return cursor.read(_scan, cursor.pos)
+    entry = {}
     for key in cursor.members((), ""):  # watching no key, it names no path
         entry[key] = (list(map(_stored_point, _entries(cursor)))
                       if key == "points" and cursor.at("[") else cursor.value())

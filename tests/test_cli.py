@@ -187,6 +187,21 @@ def test_a_seed_env_that_is_not_an_integer_exits_1(audit_dir, tmp_path, capsys, 
     assert capsys.readouterr().err == "error: BIASLENS_SEED must be an integer, got 'abc'\n"
 
 
+
+@pytest.mark.parametrize("drop, message", [
+    (("--runs",), "evaluate needs --runs and --labels (or config keys)"),
+    (("--labels",), "evaluate needs --runs and --labels (or config keys)"),
+    (("--target",), "evaluate needs at least one target source "
+                    "(--target/--members LABEL=FILE)"),
+], ids=["no-runs", "no-labels", "no-target-source"])
+def test_evaluate_without_a_required_input_exits_1(audit_dir, tmp_path, capsys, drop, message):
+    args = evaluate_args(audit_dir, tmp_path / "out")
+    kept = [arg for i, arg in enumerate(args)
+            if arg not in drop and (i == 0 or args[i - 1] not in drop)]
+    assert cli.main(kept) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
 def test_evaluate_members_source(audit_dir, tmp_path):
     members = ["announcer\tann:e%d" % i for i in range(10)]
     members += ["archivist\tarc:e%d" % i for i in range(10)]
@@ -657,6 +672,45 @@ def test_report_with_tampered_bias_exits_1(audit_dir, tmp_path, capsys):
     assert f"{path}: bias must equal" in err and "(field: records[2])" in err
 
 
+
+def tampered_report(audit_dir, tmp_path, change):
+    """The path of an evaluated report.json after ``change`` edits its
+    decoded document in place."""
+    assert cli.main(evaluate_args(audit_dir, tmp_path / "out")) == 0
+    path = tmp_path / "out" / "report.json"
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    change(payload)
+    write(path, json.dumps(payload, indent=2))
+    return path
+
+
+@pytest.mark.parametrize("section", ["summaries", "histogram", "scatter"])
+@pytest.mark.parametrize("extra", [1, -1], ids=["one-too-many", "one-too-few"])
+def test_a_stored_section_of_the_wrong_length_exits_1(audit_dir, tmp_path, capsys, section,
+                                                      extra):
+    def change(payload):
+        entries = payload[section]
+        payload[section] = entries + entries[-1:] if extra > 0 else entries[:-1]
+        built.append(len(entries))
+
+    built = []
+    path = tampered_report(audit_dir, tmp_path, change)
+    capsys.readouterr()
+    assert cli.main(["report", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (f"error: {path}: {built[0] + extra} entries, the "
+                                       f"records give {built[0]} (field: {section})\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_scatter_entry_one_point_short_exits_1(audit_dir, tmp_path, capsys):
+    path = tampered_report(audit_dir, tmp_path,
+                           lambda payload: payload["scatter"][0]["points"].pop())
+    capsys.readouterr()
+    assert cli.main(["report", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (f"error: {path}: entry differs from the one the "
+                                       "records give (field: scatter[0])\n")
+    assert not (tmp_path / "o").exists()
+
 # Digits in the longest integer literal that int() converts; 0 is no limit
 # (PYTHONINTMAXSTRDIGITS=0).
 INT_DIGITS = sys.get_int_max_str_digits()
@@ -669,16 +723,16 @@ def test_report_json_past_the_interpreters_limits_exits_1(audit_dir, tmp_path, c
     path = tmp_path / "report.json"
     if kind == "nested":
         write(path, "[" * 200_000 + "]" * 200_000)
-        message = "invalid JSON: nested too deeply"
-    else:
+        message = f"{path}: invalid JSON: nested too deeply"
+    else:  # named at the line where meta, the value that holds it, starts
         assert cli.main(evaluate_args(audit_dir, tmp_path / "out")) == 0
         stored = (tmp_path / "out" / "report.json").read_text(encoding="utf-8")
         write(path, re.sub(r'"seed": \d+', f'"seed": {"7" * (INT_DIGITS + 1)}', stored))
-        message = f"invalid JSON: integer longer than {INT_DIGITS} digits"
+        message = f"{path}:3: invalid JSON: integer longer than {INT_DIGITS} digits"
     capsys.readouterr()
     assert cli.main(["report", str(path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert err == f"error: {path}: {message}\n"
+    assert err == f"error: {message}\n"
     assert "Traceback" not in err and not (tmp_path / "o").exists()
 
 
@@ -1048,6 +1102,30 @@ target.kb = targets_kb.tsv
     assert f"error: {config}:6: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
+
+
+@pytest.mark.parametrize("kind, reason", [("missing", "No such file or directory"),
+                                          ("directory", "Is a directory")])
+def test_a_config_that_cannot_be_read_exits_1(audit_dir, tmp_path, capsys, kind, reason):
+    config = audit_dir / "audit.cfg"
+    if kind == "directory":
+        config.mkdir()
+    assert cli.main(["evaluate", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {config}: cannot read config: {reason}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_config_format_other_than_json_or_csv_exits_1(audit_dir, tmp_path, capsys):
+    config = write(audit_dir / "audit.cfg", """feature = gender
+values = female,male
+runs = runs.tsv
+labels = labels.tsv
+target.kb = targets_kb.tsv
+format = xml
+""")
+    assert cli.main(["evaluate", "--config", config, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: format must be json or csv, got 'xml'\n"
+    assert not (tmp_path / "out").exists()
 
 def test_config_source_label_is_stripped(audit_dir, tmp_path):
     config = write(audit_dir / "audit.cfg", """feature = gender

@@ -38,7 +38,7 @@ from biaslens import (
     simulate_run,
     unbiased_exemplars,
 )
-from biaslens import ingest
+from biaslens import _jsonwalk
 from biaslens import report as report_module
 from biaslens._util import unit_open_xy
 from biaslens.report import EvaluatedTopic, SkippedTopic
@@ -869,7 +869,7 @@ def outcome(source):
 def windowed(text, window):
     """The outcome of reading ``text`` from a handle through a window of
     ``window`` characters."""
-    with mock.patch.object(ingest, "_WINDOW", window):
+    with mock.patch.object(_jsonwalk, "_WINDOW", window):
         return outcome(io.StringIO(text))
 
 
@@ -987,7 +987,7 @@ class TestStreamedReader:
             assume(False)
         data = (text + padding).encode() + b"\xff"
         with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as handle, \
-                mock.patch.object(ingest, "_WINDOW", window):
+                mock.patch.object(_jsonwalk, "_WINDOW", window):
             assert outcome(handle) == expected
 
     def test_the_window_stays_bounded(self, gender):
@@ -996,16 +996,16 @@ class TestStreamedReader:
         other member is short."""
         text = report_to_json(build_report(make_meta(),
                                            simulated_corpus(gender, seed=16, topics=2000)))
-        extend, sizes = ingest._JsonCursor.extend, []
+        extend, sizes = _jsonwalk._JsonCursor.extend, []
 
         def recorded(cursor):
             extend(cursor)
             sizes.append(len(cursor.text))
 
-        with mock.patch.object(ingest._JsonCursor, "extend", recorded):
+        with mock.patch.object(_jsonwalk._JsonCursor, "extend", recorded):
             parse_report(io.StringIO(text))
-        assert len(text) > 16 * ingest._WINDOW
-        assert max(sizes) <= 4 * ingest._WINDOW
+        assert len(text) > 16 * _jsonwalk._WINDOW
+        assert max(sizes) <= 4 * _jsonwalk._WINDOW
 
     def test_peak_memory_stays_near_the_text_size(self, gender):
         text = report_to_json(build_report(make_meta(),

@@ -21,6 +21,7 @@ from biaslens import (
     ingest,
     parse_sparql_results,
 )
+from biaslens import _jsonwalk
 
 
 def json_export(rows, variables=("topic", "entity", "value")):
@@ -317,7 +318,7 @@ def whole_document(text, strict=False):
 def windowed(text, window, strict=False):
     """The outcome of reading ``text`` from a handle through a window of
     ``window`` characters."""
-    with mock.patch.object(ingest, "_WINDOW", window):
+    with mock.patch.object(_jsonwalk, "_WINDOW", window):
         return streamed(io.StringIO(text), strict)
 
 
@@ -810,7 +811,7 @@ def test_a_file_with_a_byte_order_mark_reads_through_any_window(tmp_path, head_f
     (tmp_path / "export.json").write_text(text, encoding="utf-8-sig")
     for window in range(1, 17):
         with open(tmp_path / "export.json", encoding="utf-8-sig") as handle, \
-                mock.patch.object(ingest, "_WINDOW", window):
+                mock.patch.object(_jsonwalk, "_WINDOW", window):
             assert parse_sparql_results(handle) == parse_sparql_results(TWO_ROWS_JSON)
 
 
@@ -858,8 +859,8 @@ def without_pattern(text, strict=False):
 
 def scanned(text, strict=False):
     """The outcome, and how many bindings json's scanner read."""
-    scan = mock.Mock(wraps=ingest._scan)
-    with mock.patch.object(ingest, "_scan", scan):
+    scan = mock.Mock(wraps=_jsonwalk._scan)
+    with mock.patch.object(_jsonwalk, "_scan", scan):
         return streamed(text, strict), scan.call_count
 
 
