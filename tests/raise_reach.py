@@ -79,15 +79,11 @@ def run_suite(args: list[str]) -> tuple[int, set[tuple[str, int]]]:
     monitoring, tool = sys.monitoring, sys.monitoring.COVERAGE_ID
     package = str(SOURCE)
     ran: set[tuple[str, int]] = set()
-    names: dict[str, str | None] = {}  # each code file name to its name in the package
 
     def line(code, number):
-        if (name := names.get(code.co_filename, "")) == "":
-            path = os.path.realpath(code.co_filename)
-            name = names[code.co_filename] = (os.path.basename(path)
-                                              if os.path.dirname(path) == package else None)
-        if name is not None:
-            ran.add((name, number))
+        path = os.path.realpath(code.co_filename)
+        if os.path.dirname(path) == package:
+            ran.add((os.path.basename(path), number))
         return monitoring.DISABLE  # each line is recorded once
 
     monitoring.use_tool_id(tool, "raise-reach")

@@ -688,12 +688,13 @@ def tampered_report(audit_dir, tmp_path, change):
 @pytest.mark.parametrize("extra", [1, -1], ids=["one-too-many", "one-too-few"])
 def test_a_stored_section_of_the_wrong_length_exits_1(audit_dir, tmp_path, capsys, section,
                                                       extra):
+    built = []  # the length the records give
+
     def change(payload):
         entries = payload[section]
-        payload[section] = entries + entries[-1:] if extra > 0 else entries[:-1]
         built.append(len(entries))
+        payload[section] = entries + entries[-1:] if extra > 0 else entries[:-1]
 
-    built = []
     path = tampered_report(audit_dir, tmp_path, change)
     capsys.readouterr()
     assert cli.main(["report", str(path), "--out", str(tmp_path / "o")]) == 1
