@@ -1,8 +1,8 @@
 """The streamed JSON walk that the SPARQL JSON reader and ``parse_report``
 share: a window over a JSON text or handle (``_JsonCursor``), the walk of
-an array at the cursor one entry at a time (``_entries``), and the
-translation of a failed read into a ParseError that names its line
-(``located``)."""
+an array at the cursor one entry, or one batch of an entry pattern's
+matches, at a time (``_entries``), and the translation of a failed read
+into a ParseError that names its line (``located``)."""
 
 from __future__ import annotations
 
@@ -23,6 +23,11 @@ _scan = json.scanner.make_scanner(json.JSONDecoder())  # (value, end) of the val
 _WINDOW = 1 << 16
 # A decode that fails this close to the window's end may fail for the cut.
 _LOOKAHEAD = 16
+# Characters an entry pattern scans at a time: bounds the matches held at once.
+_BATCH = 1 << 13
+# How an entry pattern of ``_entries`` ends: the space and the comma after the
+# entry, or the space before the array's "]" or before the scanned text's end.
+_SEPARATED = r"[ \t\n\r]*+(?:,[ \t\n\r]*+|(?=\])|\Z)"
 
 
 class _JsonCursor:
@@ -148,17 +153,21 @@ class _JsonCursor:
 
 def _entries(cursor: _JsonCursor,
              walk: Callable[[_JsonCursor], tuple[object, int]] | None = None,
-             match: Callable[[str, int], re.Match[str] | None] | None = None
-             ) -> Iterator[object]:
+             pattern: re.Pattern[str] | None = None) -> Iterator[object]:
     """Yield each entry of the array at the cursor, then move the cursor past
-    the array. An entry is ``match(text, pos)`` until that first returns
-    None: then, and for every later entry, json's C scanner decodes it in one
-    call or, with ``walk``, ``walk(cursor)`` reads the entry at the cursor
-    and returns it and the offset where it ends. The cursor stands at each
-    entry's start while it is yielded, unless ``walk`` moved it on, so the
-    caller can name the entry's line. The window is topped up before each
-    entry, so an entry shorter than ``_WINDOW`` is never missed for being cut
-    off, and only the entries kept outlive the text."""
+    the array. With ``pattern``, which matches an object entry and the
+    separator after it (``_SEPARATED``), the entries it matches one after
+    another are yielded as one tuple of their matches: a batch is scanned in
+    a C loop over at most ``_BATCH`` characters, and an entry longer than
+    that is tried once on the whole window. The first entry the pattern does
+    not take ends its use: that entry and every later one are decoded by one
+    call of json's C scanner or, with ``walk``, ``walk(cursor)`` reads the
+    entry at the cursor and returns it and the offset where it ends. The
+    cursor stands at each entry's start while it is yielded, unless ``walk``
+    moved it on, so the caller can name the entry's line. The window is
+    topped up before each entry or batch, so an entry shorter than
+    ``_WINDOW`` is never missed for being cut off, and only the entries kept
+    outlive the text."""
     since, prefix, first = cursor.pos, "", True  # where json words an error from
     pos = cursor.skip(since + 1)
     text = cursor.text
@@ -168,10 +177,10 @@ def _entries(cursor: _JsonCursor,
             pos, since = cursor.fill(since, pos), 0
             text = cursor.text
         cursor.pos = pos
-        if match and (entry := match(text, pos)):
-            end = entry.end()
+        if pattern and (entry := _batch(pattern, text, pos)):
+            end = text.rindex("}", pos, entry[-1].end()) + 1  # the last object's end
         else:
-            match = None  # one miss, then the scanner reads the rest
+            pattern = None  # one miss, then the scanner reads the rest
             try:
                 entry, end = cursor.read(_scan, pos) if walk is None else walk(cursor)
             except StopIteration as stop:  # PEP 479 would make it a RuntimeError
@@ -193,6 +202,14 @@ def _entries(cursor: _JsonCursor,
     if not text.startswith("]", pos):
         raise _syntax_error(text, pos, since, prefix)
     cursor.pos = cursor.skip(pos + 1)
+
+
+def _batch(pattern: re.Pattern[str], text: str, pos: int) -> tuple[re.Match[str], ...]:
+    """The matches of ``pattern`` one after another from ``pos`` within
+    ``_BATCH`` characters or, when there are none, its one match on the
+    whole text; () if it does not match at ``pos``."""
+    return (tuple(iter(pattern.scanner(text, pos, pos + _BATCH).match, None))
+            or ((one,) if (one := pattern.match(text, pos)) else ()))
 
 
 def _syntax_error(text: str, pos: int, since: int, prefix: str) -> json.JSONDecodeError:

@@ -22,10 +22,10 @@ from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import chain, dropwhile, repeat
-from typing import IO, Callable, Iterable, Iterator
+from typing import IO, Iterable, Iterator
 
 from .errors import EmptyPopulationError, ParseError, SchemeViolationError
-from ._jsonwalk import _JsonCursor, _entries, located
+from ._jsonwalk import _SEPARATED, _JsonCursor, _entries, located
 from .metrics import FeatureScheme, RankedRun, TargetCounts, label_tally
 from ._util import lone_surrogate
 
@@ -588,15 +588,17 @@ def _results_rows(cursor: _JsonCursor, variables: tuple[str, str, str], strict: 
                   path: str, held: list[ParseError] | None
                   ) -> Iterator[tuple[str, str, str | None]]:
     """Walk the ``results`` value at the cursor member by member, and its
-    ``bindings`` through ``_entries``, which reads each binding by one match
-    of ``_plain_binding``'s pattern or else one call of json's C scanner,
-    which reads every binding after the first miss. Yield each binding's row
-    until the first error, which is raised, or with ``held`` a list, appended
-    to it, and the rest read for syntax only. The scanner's inline checks
-    take a binding whose topic and entity are objects with non-empty string
-    values, whose value is absent or an object with a string value, whose
-    strings hold no lone surrogate and (strict) whose entity is an IRI. Each
-    topic IRI is shortened once; a repeated ``bindings`` member is an error."""
+    ``bindings`` through ``_entries``, which reads each run of bindings that
+    ``_plain_binding``'s pattern takes as one batch of matches, whose rows
+    are made in one loop, and else each binding by one call of json's C
+    scanner, which reads every binding after the first miss. Yield each
+    binding's row until the first error, which is raised, or with ``held`` a
+    list, appended to it, and the rest read for syntax only. The pattern takes
+    no binding with an error. The scanner's inline checks take a binding
+    whose topic and entity are objects with non-empty string values, whose
+    value is absent or an object with a string value, whose strings hold no
+    lone surrogate and (strict) whose entity is an IRI. Each topic IRI is
+    shortened once; a repeated ``bindings`` member is an error."""
     topic_var, entity_var, value_var = variables
     iris: dict[str, str] = {}  # each topic IRI to its terminal segment
     fast = _plain_binding(variables, strict)
@@ -610,11 +612,13 @@ def _results_rows(cursor: _JsonCursor, variables: tuple[str, str, str], strict: 
                 _raise_or_hold(ParseError("results must be an object whose bindings are "
                                           "a list", path=path, field="results"), held)
             continue
-        for index, binding in enumerate(_entries(cursor, match=fast), 1):
+        index = 0  # of the last binding read
+        for binding in _entries(cursor, pattern=fast):
             if held:
                 continue  # read for syntax only
-            if type(binding) is re.Match:
-                topic_type, topic, entity_type, entity, value_type, value = binding.groups()
+            if type(binding) is tuple:  # a batch of matches
+                index += len(binding)
+                cells = map(re.Match.groups, binding)
             elif (type(binding) is dict
                     and type(topic_cell := binding.get(topic_var)) is dict
                     and type(topic := topic_cell.get("value")) is str and topic
@@ -626,20 +630,23 @@ def _results_rows(cursor: _JsonCursor, variables: tuple[str, str, str], strict: 
                          and not lone_surrogate(value))
                     and not lone_surrogate(topic) and not lone_surrogate(entity)
                     and (not strict or entity_cell.get("type") == "uri")):
-                topic_type, entity_type = topic_cell.get("type"), entity_cell.get("type")
-                value_type = value_cell and value_cell.get("type")
-                value = value_cell and value  # None when unbound
+                index += 1
+                cells = ((topic_cell.get("type"), topic, entity_cell.get("type"), entity,
+                          value_cell and value_cell.get("type"),
+                          value_cell and value),)  # None when unbound
             else:
+                index += 1
                 _raise_or_hold(_binding_error(binding, variables, path,
                                               cursor.line(cursor.pos), index), held)
                 continue
-            if topic_type == "uri":
-                topic = iris.get(topic) or iris.setdefault(topic, _terminal_segment(topic))
-            if entity_type == "uri":
-                entity = _terminal_segment(entity)
-            if value_type == "uri":
-                value = _terminal_segment(value)
-            yield topic, entity, value
+            for topic_type, topic, entity_type, entity, value_type, value in cells:
+                if topic_type == "uri":
+                    topic = iris.get(topic) or iris.setdefault(topic, _terminal_segment(topic))
+                if entity_type == "uri":
+                    entity = _terminal_segment(entity)
+                if value_type == "uri":
+                    value = _terminal_segment(value)
+                yield topic, entity, value
 
 
 def _raise_or_hold(error: ParseError, held: list[ParseError] | None) -> None:
@@ -649,13 +656,13 @@ def _raise_or_hold(error: ParseError, held: list[ParseError] | None) -> None:
     held.append(error)
 
 
-def _plain_binding(variables: tuple[str, str, str],
-                   strict: bool) -> Callable[[str, int], re.Match[str] | None] | None:
-    """The ``match`` of a pattern for a binding of exactly the topic, entity and
-    optional value cells, in that order, each exactly ``{"type": T, "value": V}``
-    of plain strings, with a non-empty topic and entity and (strict) a ``uri``
-    entity; its groups are the cells' types and values. None for names that
-    are not plain."""
+def _plain_binding(variables: tuple[str, str, str], strict: bool) -> re.Pattern[str] | None:
+    """A pattern for a binding of exactly the topic, entity and optional value
+    cells, in that order, each exactly ``{"type": T, "value": V}`` of plain
+    strings, with a non-empty topic and entity and (strict) a ``uri`` entity,
+    and for the separator after it, so that ``_entries`` can scan bindings
+    one after another; its groups are the cells' types and values. None for
+    names that are not plain."""
     plain = r'[^"\\\x00-\x1f\ud800-\udfff]'  # held as written in a JSON string; no surrogate
     if not re.fullmatch(f"{plain}*", "".join(variables)):
         return None
@@ -664,7 +671,8 @@ def _plain_binding(variables: tuple[str, str, str],
     chars, some = plain + "*+", plain + "++"
     topic, entity, value = map(re.escape, variables)
     return re.compile(template.replace(" ", r"[ \t\n\r]*+").format(
-        topic, chars, some, entity, "uri" if strict else chars, some, value, chars, chars)).match
+        topic, chars, some, entity, "uri" if strict else chars, some, value, chars, chars)
+        + _SEPARATED)
 
 
 def _binding_error(binding: object, variables: tuple[str, str, str], path: str,

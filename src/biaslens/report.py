@@ -34,6 +34,8 @@ from ._util import (atomic_write, lone_surrogate, ratio_str, reduced_str, round_
 SCHEMA = "biaslens-report/1"
 
 JSON_NAME = "report.json"
+CSV_NAMES = ("summaries.csv", "records.csv", "histogram.csv", "scatter.csv",
+             "table_towards.csv", "table_against.csv", "table_unbiased.csv")
 
 
 @dataclass(frozen=True)
@@ -1023,17 +1025,15 @@ def _csv_lines(report: Report) -> dict[str, Iterator[str]]:
     read."""
     grid, exact = _RatioTexts(ratio_str, _CSV_RATIO), _RatioTexts(reduced_str, _CSV_RATIO)
     blocks = report.blocks
-    return {
-        "summaries.csv": _SUMMARY.csv(_summary_cells(blocks, _csv_field, exact)),
-        "records.csv": _RECORD.csv(_record_cells(report.records, _csv_field, grid, exact)),
-        "histogram.csv": _BIN.csv(_bin_cells(blocks, _csv_field)),
-        "scatter.csv": _POINT.csv(_point_cells(blocks, _csv_field, exact)),
-        "table_towards.csv": _ROW.csv(_row_cells([(b, b.tables.towards) for b in blocks],
-                                                 _csv_field, grid)),
-        "table_against.csv": _ROW.csv(_row_cells([(b, b.tables.against) for b in blocks],
-                                                 _csv_field, grid)),
-        "table_unbiased.csv": _BUCKET.csv(_bucket_cells(blocks, _csv_field, "")),
-    }
+    return dict(zip(CSV_NAMES, (
+        _SUMMARY.csv(_summary_cells(blocks, _csv_field, exact)),
+        _RECORD.csv(_record_cells(report.records, _csv_field, grid, exact)),
+        _BIN.csv(_bin_cells(blocks, _csv_field)),
+        _POINT.csv(_point_cells(blocks, _csv_field, exact)),
+        _ROW.csv(_row_cells([(b, b.tables.towards) for b in blocks], _csv_field, grid)),
+        _ROW.csv(_row_cells([(b, b.tables.against) for b in blocks], _csv_field, grid)),
+        _BUCKET.csv(_bucket_cells(blocks, _csv_field, "")),
+    ), strict=True))
 
 
 def emit_report(report: Report, fmt: str, out_dir: Path | str) -> list[Path]:
@@ -1043,7 +1043,10 @@ def emit_report(report: Report, fmt: str, out_dir: Path | str) -> list[Path]:
     file from its lines as they are made, with no joined copy. Every file
     goes to a temp file first, and the temp files replace the old ones only
     once the last is written, so a failure while rendering or writing leaves
-    the previous output set as it was and no temp file.
+    the previous output set as it was and no temp file. Once the set is in
+    place, a report file of the other format that an earlier run left in
+    ``out_dir`` is removed, so the directory holds one report; no other file
+    is touched.
     """
     if fmt not in ("json", "csv"):
         raise ValueError(f"unsupported report format {fmt!r} (use json or csv)")
@@ -1055,4 +1058,6 @@ def emit_report(report: Report, fmt: str, out_dir: Path | str) -> list[Path]:
         documents = _csv_lines(report)
     files = {out / name: documents[name] for name in sorted(documents)}
     atomic_write(files)
+    for name in {JSON_NAME, *CSV_NAMES} - documents.keys():
+        (out / name).unlink(missing_ok=True)
     return list(files)

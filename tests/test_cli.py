@@ -103,6 +103,28 @@ def test_evaluate_csv_format(audit_dir, tmp_path):
     assert not (out / "report.json").exists()
 
 
+CSV_NAMES = ["histogram.csv", "records.csv", "scatter.csv", "summaries.csv",
+             "table_against.csv", "table_towards.csv", "table_unbiased.csv"]
+
+
+@pytest.mark.parametrize("first, then, left", [
+    ("csv", "json", ["report.json"]), ("json", "csv", CSV_NAMES),
+], ids=["csv-then-json", "json-then-csv"])
+def test_a_run_into_an_old_out_leaves_only_its_own_report(audit_dir, tmp_path, first,
+                                                          then, left):
+    """The report files of the earlier run's format are removed; a file of
+    another name in ``--out`` is kept as it was."""
+    out = tmp_path / "out"
+    out.mkdir()
+    write(out / "notes.txt", "mine")
+    write(out / "report.csv", "mine too")
+    assert cli.main(evaluate_args(audit_dir, out, ("--format", first))) == 0
+    assert cli.main(evaluate_args(audit_dir, out, ("--format", then))) == 0
+    assert sorted(os.listdir(out)) == sorted([*left, "notes.txt", "report.csv"])
+    assert (out / "notes.txt").read_text(encoding="utf-8") == "mine"
+    assert (out / "report.csv").read_text(encoding="utf-8") == "mine too"
+
+
 def test_evaluate_missing_target_topic_skipped(audit_dir, tmp_path):
     write(audit_dir / "targets_kb.tsv",
           "announcer\tgender\tfemale\t5\nannouncer\tgender\tmale\t5\n"

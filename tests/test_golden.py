@@ -56,14 +56,15 @@ def simulated(tmp_path):
 def test_report_files_match_golden_digests(tmp_path):
     fixtures = simulated(tmp_path)
     out = tmp_path / "out"
+    digests = {}  # of each run's files, read before the next run replaces them
     for fmt in ("json", "csv"):
         assert cli.main(["evaluate", "--runs", str(fixtures / "runs.tsv"),
                          "--labels", str(fixtures / "labels.tsv"),
                          "--target", f"kb={fixtures / 'targets.tsv'}", *SCHEME,
                          "--cutoff", "10", "--seed", "3", "--format", fmt,
                          "--out", str(out)]) == 0
-    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-               for path in out.iterdir()}
+        digests.update({path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                        for path in out.iterdir()})
     assert digests == GOLDEN
 
 

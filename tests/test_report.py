@@ -831,6 +831,31 @@ class TestReportDocument:
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
         assert not list(tmp_path.glob(".*"))
 
+    @pytest.mark.parametrize("first, then", [("csv", "json"), ("json", "csv")])
+    def test_the_other_formats_report_goes_only_once_the_set_is_written(
+            self, gender, tmp_path, monkeypatch, first, then):
+        """A run that fails to write its set leaves the earlier run's report
+        in place; one that writes it removes that report, and only that."""
+        report = build_report(make_meta(), simulated_corpus(gender, seed=16, topics=4))
+        emit_report(report, first, tmp_path)
+        (tmp_path / "notes.txt").write_text("kept", encoding="utf-8")
+        (tmp_path / "scatter.csv.bak").write_text("kept", encoding="utf-8")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def full_disk(files):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        with monkeypatch.context() as patched:
+            patched.setattr(report_module, "atomic_write", full_disk)
+            with pytest.raises(OSError):
+                emit_report(report, then, tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        written = emit_report(report, then, tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [*(p.name for p in written), "notes.txt", "scatter.csv.bak"])
+        assert (set(report_module.CSV_NAMES) if then == "csv"
+                else {report_module.JSON_NAME}) == {p.name for p in written}
+
     def test_csv_quotes_awkward_topic_ids(self, gender):
         import csv
         import io

@@ -870,6 +870,27 @@ def test_the_pattern_reads_as_the_scanner_reads(text, strict):
     assert streamed(text, strict) == without_pattern(text, strict)
 
 
+@given(text=exports(st.one_of(plain_bindings(), plain_bindings(), bindings())),
+       edit=st.none() | st.tuples(st.floats(0, 1), st.sampled_from([*'{}[]:,"\\ \nx'])),
+       strict=st.booleans(), batch=st.integers(1, 400), window=st.integers(1, 16))
+def test_batches_ending_at_any_offset_read_as_the_whole_document_decoder(text, edit, strict,
+                                                                         batch, window):
+    """With a batch of 1 to 400 characters, so that a batch ends at every
+    offset of a binding and of the separator after it, the outcome from a
+    text and from a handle read through any window is the whole-document
+    decoder's; with one character of the text changed, it is the outcome with
+    every binding read by json's scanner, syntax errors included."""
+    if edit is None:
+        expected = whole_document(text, strict)
+    else:
+        at = 1 + round(edit[0] * (len(text) - 1))  # the text stays an object's
+        text = text[:at] + edit[1] + text[at + 1:]
+        expected = without_pattern(text, strict)
+    with mock.patch.object(_jsonwalk, "_BATCH", batch):
+        assert streamed(text, strict) == expected
+        assert windowed(text, window, strict) == expected
+
+
 def export_of(binding):
     return ('{"head": {"vars": ["topic", "entity", "value"]},\n"results": {"bindings": [\n'
             f'{binding}]}}}}')
@@ -916,13 +937,21 @@ def test_plain_bindings_with_an_error_go_to_the_scanner(binding, strict, message
 
 
 def test_after_one_miss_the_scanner_reads_every_later_binding():
-    """An export of another shape pays one failed match, not one per binding."""
+    """An export of another shape pays one failed batch, not one per binding:
+    the batch that ends at the first binding the pattern does not take, one
+    scan for a batch at that binding and one uncapped match, and then json's
+    scanner reads that binding and every later one."""
     language = COMPACT.replace('"literal",', '"literal","xml:lang":"en",')
-    text = export_of(",\n".join([COMPACT, language, COMPACT.replace("Q2", "Q3")]))
-    match = mock.Mock(wraps=ingest._plain_binding(("topic", "entity", "value"), False))
-    with mock.patch.object(ingest, "_plain_binding", lambda variables, strict: match):
-        outcome, scans = scanned(text)
-    assert (match.call_count, scans) == (2, 2)
+    last = COMPACT.replace("Q2", "Q3")
+    text = export_of(",\n".join([COMPACT, language, last]))
+    pattern = mock.Mock(wraps=ingest._plain_binding(("topic", "entity", "value"), False))
+    scan = mock.Mock(wraps=_jsonwalk._scan)
+    with mock.patch.object(ingest, "_plain_binding", lambda variables, strict: pattern), \
+            mock.patch.object(_jsonwalk, "_scan", scan):
+        outcome = streamed(text)
+    assert (pattern.scanner.call_count, pattern.match.call_count) == (2, 1)
+    assert [pos for (_, pos), _ in scan.call_args_list] == [text.index(language),
+                                                             text.index(last)]
     assert outcome == without_pattern(text) == whole_document(text)
     assert outcome.members.members == {"poet": ("Q2", "Q3")}
 
@@ -940,6 +969,17 @@ def test_the_pattern_reads_bindings_as_the_benchmark_writes_them():
     assert scans == 0
     assert outcome.members.members == {"t000001": ("t000001-p0001", "t000001-p0002",
                                                    "t000001-p0003")}
+
+
+def test_a_binding_longer_than_a_batch_is_read_by_the_pattern():
+    """A binding that does not fit in a batch is matched on its own, not
+    counted as a miss that would send every later binding to the scanner."""
+    text = export_of(",\n".join([COMPACT, COMPACT.replace("Q2", "Q3")]))
+    with mock.patch.object(_jsonwalk, "_BATCH", 8):
+        outcome, scans = scanned(text)
+    assert scans == 0
+    assert outcome == whole_document(text)
+    assert outcome.members.members == {"poet": ("Q2", "Q3")}
 
 
 @pytest.mark.parametrize("variables", [
