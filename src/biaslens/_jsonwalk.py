@@ -25,8 +25,8 @@ _WINDOW = 1 << 16
 _LOOKAHEAD = 16
 # Characters an entry pattern scans at a time: bounds the matches held at once.
 _BATCH = 1 << 13
-# How an entry pattern of ``_entries`` ends: the space and the comma after the
-# entry, or the space before the array's "]" or before the scanned text's end.
+# What ``_entries`` appends to an entry pattern: the space and the comma after
+# the entry, or the space before the array's "]" or before the scanned text's end.
 _SEPARATED = r"[ \t\n\r]*+(?:,[ \t\n\r]*+|(?=\])|\Z)"
 
 
@@ -155,11 +155,11 @@ def _entries(cursor: _JsonCursor,
              walk: Callable[[_JsonCursor], tuple[object, int]] | None = None,
              pattern: re.Pattern[str] | None = None) -> Iterator[object]:
     """Yield each entry of the array at the cursor, then move the cursor past
-    the array. With ``pattern``, which matches an object entry and the
-    separator after it (``_SEPARATED``), the entries it matches one after
-    another are yielded as one tuple of their matches: a batch is scanned in
-    a C loop over at most ``_BATCH`` characters, and an entry longer than
-    that is tried once on the whole window. The first entry the pattern does
+    the array. With ``pattern``, which matches an object entry, the entries
+    it matches one after another, with the separators between them, are
+    yielded as one tuple of their matches: a batch is scanned in a C loop
+    over at most ``_BATCH`` characters, and an entry longer than that is
+    tried once on the whole window. The first entry the pattern does
     not take ends its use: that entry and every later one are decoded by one
     call of json's C scanner or, with ``walk``, ``walk(cursor)`` reads the
     entry at the cursor and returns it and the offset where it ends. The
@@ -168,6 +168,8 @@ def _entries(cursor: _JsonCursor,
     topped up before each entry or batch, so an entry shorter than
     ``_WINDOW`` is never missed for being cut off, and only the entries kept
     outlive the text."""
+    if pattern:
+        pattern = re.compile(f"(?:{pattern.pattern}){_SEPARATED}", pattern.flags)
     since, prefix, first = cursor.pos, "", True  # where json words an error from
     pos = cursor.skip(since + 1)
     text = cursor.text
@@ -205,9 +207,10 @@ def _entries(cursor: _JsonCursor,
 
 
 def _batch(pattern: re.Pattern[str], text: str, pos: int) -> tuple[re.Match[str], ...]:
-    """The matches of ``pattern`` one after another from ``pos`` within
-    ``_BATCH`` characters or, when there are none, its one match on the
-    whole text; () if it does not match at ``pos``."""
+    """The matches of ``pattern``, which takes the separator after an entry
+    too, one after another from ``pos`` within ``_BATCH`` characters or,
+    when there are none, its one match on the whole text; () if it does not
+    match at ``pos``."""
     return (tuple(iter(pattern.scanner(text, pos, pos + _BATCH).match, None))
             or ((one,) if (one := pattern.match(text, pos)) else ()))
 

@@ -354,7 +354,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     # report and its JSON or CSV text reuse their memory, which lowers the peak.
     del runs, catalog, sources
     report = build_report(meta, evaluated, skipped)
-    written = emit_report(report, config.format, config.out)
+    written = emit_report(report, config.format, config.out,
+                          keep=(config.runs, config.labels, *config.targets.values(),
+                                *config.members.values()))
     _print_evaluate_summary(report, conflicts, dropped, written)
     return 0
 
@@ -478,7 +480,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         report = parse_report(handle, path=str(report_path))
     report = rebuild_report(report, table_size=config.table_size,
                             exemplar_grid=args.exemplar_grid)
-    for path in emit_report(report, config.format, config.out):
+    for path in emit_report(report, config.format, config.out, keep=(report_path,)):
         print(f"wrote {path}")
     return 0
 

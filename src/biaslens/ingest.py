@@ -25,7 +25,7 @@ from itertools import chain, dropwhile, repeat
 from typing import IO, Iterable, Iterator
 
 from .errors import EmptyPopulationError, ParseError, SchemeViolationError
-from ._jsonwalk import _SEPARATED, _JsonCursor, _entries, located
+from ._jsonwalk import _JsonCursor, _entries, located
 from .metrics import FeatureScheme, RankedRun, TargetCounts, label_tally
 from ._util import lone_surrogate
 
@@ -659,10 +659,9 @@ def _raise_or_hold(error: ParseError, held: list[ParseError] | None) -> None:
 def _plain_binding(variables: tuple[str, str, str], strict: bool) -> re.Pattern[str] | None:
     """A pattern for a binding of exactly the topic, entity and optional value
     cells, in that order, each exactly ``{"type": T, "value": V}`` of plain
-    strings, with a non-empty topic and entity and (strict) a ``uri`` entity,
-    and for the separator after it, so that ``_entries`` can scan bindings
-    one after another; its groups are the cells' types and values. None for
-    names that are not plain."""
+    strings, with a non-empty topic and entity and (strict) a ``uri`` entity;
+    its groups are the cells' types and values, and ``_entries`` scans a run
+    of such bindings with it. None for names that are not plain."""
     plain = r'[^"\\\x00-\x1f\ud800-\udfff]'  # held as written in a JSON string; no surrogate
     if not re.fullmatch(f"{plain}*", "".join(variables)):
         return None
@@ -671,8 +670,7 @@ def _plain_binding(variables: tuple[str, str, str], strict: bool) -> re.Pattern[
     chars, some = plain + "*+", plain + "++"
     topic, entity, value = map(re.escape, variables)
     return re.compile(template.replace(" ", r"[ \t\n\r]*+").format(
-        topic, chars, some, entity, "uri" if strict else chars, some, value, chars, chars)
-        + _SEPARATED)
+        topic, chars, some, entity, "uri" if strict else chars, some, value, chars, chars))
 
 
 def _binding_error(binding: object, variables: tuple[str, str, str], path: str,

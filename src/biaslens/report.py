@@ -1036,7 +1036,8 @@ def _csv_lines(report: Report) -> dict[str, Iterator[str]]:
     ), strict=True))
 
 
-def emit_report(report: Report, fmt: str, out_dir: Path | str) -> list[Path]:
+def emit_report(report: Report, fmt: str, out_dir: Path | str,
+                keep: Iterable[Path | str] = ()) -> list[Path]:
     """Write the report to ``out_dir`` as JSON or a CSV bundle, atomically.
 
     ``report.json`` is written from the pieces of its text, and each CSV
@@ -1045,8 +1046,9 @@ def emit_report(report: Report, fmt: str, out_dir: Path | str) -> list[Path]:
     once the last is written, so a failure while rendering or writing leaves
     the previous output set as it was and no temp file. Once the set is in
     place, a report file of the other format that an earlier run left in
-    ``out_dir`` is removed, so the directory holds one report; no other file
-    is touched.
+    ``out_dir`` is removed, so the directory holds one report, unless it is
+    one of the files in ``keep``, the files the run read; no other file is
+    touched.
     """
     if fmt not in ("json", "csv"):
         raise ValueError(f"unsupported report format {fmt!r} (use json or csv)")
@@ -1058,6 +1060,16 @@ def emit_report(report: Report, fmt: str, out_dir: Path | str) -> list[Path]:
         documents = _csv_lines(report)
     files = {out / name: documents[name] for name in sorted(documents)}
     atomic_write(files)
+    keep = tuple(keep)
     for name in {JSON_NAME, *CSV_NAMES} - documents.keys():
-        (out / name).unlink(missing_ok=True)
+        if not any(_same_file(out / name, path) for path in keep):
+            (out / name).unlink(missing_ok=True)
     return list(files)
+
+
+def _same_file(path: Path, other: Path | str) -> bool:
+    """Whether both paths name one existing file, through links too."""
+    try:
+        return path.samefile(other)
+    except OSError:  # either is missing
+        return False

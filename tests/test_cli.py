@@ -538,6 +538,30 @@ def test_report_rederives_tables(audit_dir, tmp_path):
     assert "archivist" in towards
 
 
+def test_a_csv_report_of_the_default_out_keeps_the_report_it_read(audit_dir, tmp_path,
+                                                                  monkeypatch):
+    """``report out/report.json --format csv`` with the default ``--out``
+    writes the CSV files beside the report it read and removes nothing."""
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(evaluate_args(audit_dir, Path("out"))) == 0
+    stored = (tmp_path / "out" / "report.json").read_bytes()
+    assert cli.main(["report", "out/report.json", "--format", "csv"]) == 0
+    assert sorted(os.listdir(tmp_path / "out")) == sorted([*CSV_NAMES, "report.json"])
+    assert (tmp_path / "out" / "report.json").read_bytes() == stored
+
+
+def test_an_input_in_the_out_directory_is_kept(audit_dir, tmp_path):
+    """An evaluate input that has a report file's name is never removed."""
+    out = tmp_path / "out"
+    assert cli.main(evaluate_args(audit_dir, out, ("--format", "csv"))) == 0
+    os.replace(audit_dir / "runs.tsv", out / "report.json")
+    args = evaluate_args(audit_dir, out, ("--format", "csv"))
+    args[args.index("--runs") + 1] = str(out / "report.json")
+    runs = (out / "report.json").read_bytes()
+    assert cli.main(args) == 0
+    assert (out / "report.json").read_bytes() == runs
+
+
 def test_report_regeneration_is_byte_identical(audit_dir, tmp_path):
     out = tmp_path / "out"
     cli.main(evaluate_args(audit_dir, out))

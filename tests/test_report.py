@@ -856,6 +856,19 @@ class TestReportDocument:
         assert (set(report_module.CSV_NAMES) if then == "csv"
                 else {report_module.JSON_NAME}) == {p.name for p in written}
 
+    def test_a_report_file_the_run_read_is_kept(self, gender, tmp_path):
+        """A file in ``keep`` is not removed, also when named through a link."""
+        report = build_report(make_meta(), simulated_corpus(gender, seed=16, topics=4))
+        out = tmp_path / "out"
+        emit_report(report, "json", out)
+        link = tmp_path / "read.json"
+        link.symlink_to(out / report_module.JSON_NAME)
+        emit_report(report, "csv", out, keep=[link])
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [*report_module.CSV_NAMES, report_module.JSON_NAME])
+        emit_report(report, "json", out, keep=[link])
+        assert sorted(p.name for p in out.iterdir()) == [report_module.JSON_NAME]
+
     def test_csv_quotes_awkward_topic_ids(self, gender):
         import csv
         import io

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import re
 import sys
 import tracemalloc
 from unittest import mock
@@ -939,21 +940,39 @@ def test_plain_bindings_with_an_error_go_to_the_scanner(binding, strict, message
 def test_after_one_miss_the_scanner_reads_every_later_binding():
     """An export of another shape pays one failed batch, not one per binding:
     the batch that ends at the first binding the pattern does not take, one
-    scan for a batch at that binding and one uncapped match, and then json's
-    scanner reads that binding and every later one."""
+    batch at that binding, which takes nothing, and then json's scanner reads
+    that binding and every later one."""
     language = COMPACT.replace('"literal",', '"literal","xml:lang":"en",')
     last = COMPACT.replace("Q2", "Q3")
     text = export_of(",\n".join([COMPACT, language, last]))
-    pattern = mock.Mock(wraps=ingest._plain_binding(("topic", "entity", "value"), False))
+    batch = mock.Mock(wraps=_jsonwalk._batch)
     scan = mock.Mock(wraps=_jsonwalk._scan)
-    with mock.patch.object(ingest, "_plain_binding", lambda variables, strict: pattern), \
+    with mock.patch.object(_jsonwalk, "_batch", batch), \
             mock.patch.object(_jsonwalk, "_scan", scan):
         outcome = streamed(text)
-    assert (pattern.scanner.call_count, pattern.match.call_count) == (2, 1)
+    assert [pos for (_, _, pos), _ in batch.call_args_list] == [text.index(COMPACT),
+                                                                text.index(language)]
     assert [pos for (_, pos), _ in scan.call_args_list] == [text.index(language),
                                                              text.index(last)]
     assert outcome == without_pattern(text) == whole_document(text)
     assert outcome.members.members == {"poet": ("Q2", "Q3")}
+
+
+def test_a_failed_batch_is_one_scan_and_one_uncapped_match():
+    pattern = mock.Mock(wraps=re.compile(r"\{\},?"))
+    assert _jsonwalk._batch(pattern, "[]", 0) == ()
+    assert (pattern.scanner.call_count, pattern.match.call_count) == (1, 1)
+
+
+def test_entries_append_the_separator_to_an_entry_pattern():
+    """A pattern with an alternation at its top still takes each entry whole,
+    with the separator after it."""
+    cursor = _jsonwalk._JsonCursor('[{"a":1}, {"b":2} ,{"a":3}]')
+    pattern = re.compile(r'\{"a":(\d)\}|\{"b":(\d)\}')
+    batches = list(_jsonwalk._entries(cursor, pattern=pattern))
+    assert [[m.groups() for m in batch] for batch in batches] == [
+        [("1", None), (None, "2"), ("3", None)]]
+    assert cursor.pos == len(cursor.text)
 
 
 def test_the_pattern_reads_bindings_as_the_benchmark_writes_them():
