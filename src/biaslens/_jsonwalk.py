@@ -153,13 +153,14 @@ class _JsonCursor:
 
 def _entries(cursor: _JsonCursor,
              walk: Callable[[_JsonCursor], tuple[object, int]] | None = None,
-             pattern: re.Pattern[str] | None = None) -> Iterator[object]:
+             pattern: str | None = None) -> Iterator[object]:
     """Yield each entry of the array at the cursor, then move the cursor past
-    the array. With ``pattern``, which matches an object entry, the entries
-    it matches one after another, with the separators between them, are
-    yielded as one tuple of their matches: a batch is scanned in a C loop
-    over at most ``_BATCH`` characters, and an entry longer than that is
-    tried once on the whole window. The first entry the pattern does
+    the array. With ``pattern``, the text of a regular expression that
+    matches an object entry, compiled here with ``_SEPARATED`` after it, the
+    entries it matches one after another, with the separators between them,
+    are yielded as one tuple of their matches: a batch is scanned in a C
+    loop over at most ``_BATCH`` characters, and an entry longer than that
+    is tried once on the whole window. The first entry the pattern does
     not take ends its use: that entry and every later one are decoded by one
     call of json's C scanner or, with ``walk``, ``walk(cursor)`` reads the
     entry at the cursor and returns it and the offset where it ends. The
@@ -169,7 +170,7 @@ def _entries(cursor: _JsonCursor,
     ``_WINDOW`` is never missed for being cut off, and only the entries kept
     outlive the text."""
     if pattern:
-        pattern = re.compile(f"(?:{pattern.pattern}){_SEPARATED}", pattern.flags)
+        pattern = re.compile(f"(?:{pattern}){_SEPARATED}")
     since, prefix, first = cursor.pos, "", True  # where json words an error from
     pos = cursor.skip(since + 1)
     text = cursor.text

@@ -656,12 +656,13 @@ def _raise_or_hold(error: ParseError, held: list[ParseError] | None) -> None:
     held.append(error)
 
 
-def _plain_binding(variables: tuple[str, str, str], strict: bool) -> re.Pattern[str] | None:
-    """A pattern for a binding of exactly the topic, entity and optional value
-    cells, in that order, each exactly ``{"type": T, "value": V}`` of plain
-    strings, with a non-empty topic and entity and (strict) a ``uri`` entity;
-    its groups are the cells' types and values, and ``_entries`` scans a run
-    of such bindings with it. None for names that are not plain."""
+def _plain_binding(variables: tuple[str, str, str], strict: bool) -> str | None:
+    """The text of a pattern for a binding of exactly the topic, entity and
+    optional value cells, in that order, each exactly ``{"type": T, "value":
+    V}`` of plain strings, with a non-empty topic and entity and (strict) a
+    ``uri`` entity; its groups are the cells' types and values, and
+    ``_entries`` compiles it and scans a run of such bindings with it. None
+    for names that are not plain."""
     plain = r'[^"\\\x00-\x1f\ud800-\udfff]'  # held as written in a JSON string; no surrogate
     if not re.fullmatch(f"{plain}*", "".join(variables)):
         return None
@@ -669,8 +670,8 @@ def _plain_binding(variables: tuple[str, str, str], strict: bool) -> re.Pattern[
     template = r"\{{ " + cell + " , " + cell + "(?: , " + cell + r")?+ \}}"
     chars, some = plain + "*+", plain + "++"
     topic, entity, value = map(re.escape, variables)
-    return re.compile(template.replace(" ", r"[ \t\n\r]*+").format(
-        topic, chars, some, entity, "uri" if strict else chars, some, value, chars, chars))
+    return template.replace(" ", r"[ \t\n\r]*+").format(
+        topic, chars, some, entity, "uri" if strict else chars, some, value, chars, chars)
 
 
 def _binding_error(binding: object, variables: tuple[str, str, str], path: str,

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ParseError, SchemaVersionError
-from ._jsonwalk import _JsonCursor, _entries, _scan, located
+from ._jsonwalk import _JsonCursor, _decode_value, _entries, _scan, located
 from .metrics import BiasRecord, BiasSummary, aggregate
 from ._util import (atomic_write, lone_surrogate, ratio_str, reduced_str, round_half_away,
                     unit_open_xy)
@@ -472,6 +472,12 @@ class _Shape:
         line, pick = self.json_line, self.json_cells
         return _Lines([line % pick(c) for c in cells])
 
+    def pattern(self, *kinds: str) -> str:
+        """The text of a regular expression that matches the JSON line as
+        ``json`` writes it, each ``%s`` a cell of the kind (a key of
+        ``_GROUPS``) at its place in ``kinds``, held in that kind's groups."""
+        return re.escape(self.json_line) % tuple(_GROUPS[kind] for kind in kinds)
+
     def csv(self, cells: Iterable[tuple]) -> Iterator[str]:
         """The CSV header, then the lines of ``cells``, made as they are read
         and joined ``_CSV_CHUNK`` at a time: one write per line costs more
@@ -514,6 +520,26 @@ _ROW = _Shape(
 _BUCKET = _Shape(
     (None, "source"), (None, "value"), ("bucket", "bucket"), ("value", "bucket_value"),
     ("topic", "topic_id"), ("population", "population"), ("row", ""))
+
+
+# The group of each kind of cell in a ``_Shape.pattern``, as evaluate writes
+# it: a string with no escape, control character or surrogate, which is its
+# own value; an integer of at most 18 digits, which int() converts (a longer
+# one is left to json's scanner, which names its line); a float, with a
+# fraction or an exponent; a flag; and a ratio object, its ratio string
+# written as _RATIO reads it, with a denominator >= 1, then that string's
+# numerator and denominator (None when it is an integer), and its float.
+_FLOAT = r"(-?(?:0|[1-9][0-9]*+)(?:\.[0-9]++(?:[eE][-+]?[0-9]++)?|[eE][-+]?[0-9]++))"
+_GROUPS = {"string": r'"([^"\\\x00-\x1f\ud800-\udfff]*+)"',
+           "integer": r"(-?(?:0|[1-9][0-9]{0,17}))", "float": _FLOAT, "bool": "(true|false)",
+           "ratio": re.escape(_JSON_RATIO).replace("%r", "%s") % (
+               r"((-?[0-9]{1,18})(?:/([1-9][0-9]{0,17}))?)", _FLOAT)}
+# A record's line: three strings, two integers, five ratios and two integers.
+_RECORD_LINE = _RECORD.pattern(*["string"] * 3, *["integer"] * 2, *["ratio"] * 5,
+                               *["integer"] * 2)
+# A point's line: topic, x, y, cell, dx, dy and the two flags.
+_POINT_LINE = _POINT.pattern("string", "ratio", "ratio", "integer", "integer", "float",
+                             "float", "bool", "bool")
 
 
 def _record_cells(records: Iterable[EvaluatedTopic], string, grid: _RatioTexts,
@@ -637,7 +663,16 @@ _MALFORMED = (KeyError, TypeError, ValueError, AttributeError, IndexError,
 
 
 def _typed(obj: dict, key: str, kind: type):
-    value = obj[key]
+    return _kind(key, obj[key], kind)
+
+
+_ABSENT = object()  # a member that a decoded record lacks
+
+
+def _kind(key: str, value, kind: type):
+    """``value``, the member ``key``, checked to be of type ``kind``."""
+    if value is _ABSENT:
+        raise KeyError(key)
     if type(value) is not kind:
         raise TypeError(f"{key} must be {kind.__name__}, got {value!r}")
     if kind is str and lone_surrogate(value):
@@ -662,9 +697,9 @@ def _read_pair(obj: dict) -> tuple[int, int]:
     return pair
 
 
-def _read_count(pairs: dict, key: str, grid: int) -> int:
-    """Numerator on the 1/grid grid of the ratio read as ``pairs[key]``."""
-    numerator, denominator = pairs[key]
+def _read_count(pair: tuple[int, int], key: str, grid: int) -> int:
+    """Numerator on the 1/grid grid of the ratio ``key`` read as ``pair``."""
+    numerator, denominator = pair
     count, rest = divmod(numerator * grid, denominator)
     if rest:
         raise ValueError(f"{key} {numerator}/{denominator} is not on the 1/{grid} grid")
@@ -706,29 +741,63 @@ def _read_grid(tables: list) -> int:
     return grid
 
 
+# The ratio objects of a record, in the order of its line.
+_RECORD_RATIOS = ("model_ratio", "target_ratio_raw", "rounding_remainder",
+                  "target_ratio_at_cutoff", "bias")
+
+
 def _read_record(obj: dict) -> EvaluatedTopic:
+    """The EvaluatedTopic of a decoded record, its members type-checked as
+    ``_record_of`` takes them; a member it lacks is passed as ``_ABSENT``."""
     m = _typed(obj, "cutoff_effective", int)
-    pairs = {key: _read_pair(obj[key]) for key in ("model_ratio", "target_ratio_raw",
-             "rounding_remainder", "target_ratio_at_cutoff", "bias")}
-    numerator, denominator = pairs["target_ratio_raw"]
+    pairs = [_read_pair(obj[key]) for key in _RECORD_RATIOS]
+    return _record_of(_typed(obj, "topic", str), _typed(obj, "value", str),
+                      _typed(obj, "cutoff_requested", int), m, pairs,
+                      [obj[key].get("value", _ABSENT) for key in _RECORD_RATIOS],
+                      *(obj.get(key, _ABSENT) for key in ("unknown_in_window", "source",
+                                                          "target_population")))
+
+
+def _record_of(topic: str, value: str, requested: int, m: int,
+               pairs: list[tuple[int, int]], values: list, unknown, source,
+               population) -> EvaluatedTopic:
+    """The EvaluatedTopic of a record's members, with its ratio objects'
+    pairs and stored values in ``_RECORD_RATIOS`` order. ``unknown``,
+    ``source`` and ``population`` are type-checked here, among the other
+    checks, so that a record's first failed check is the one named."""
     record = BiasRecord(
-        _typed(obj, "topic", str), _typed(obj, "value", str),
-        _typed(obj, "cutoff_requested", int), m,
-        _read_count(pairs, "model_ratio", m), _read_count(pairs, "target_ratio_at_cutoff", m),
-        numerator, denominator, _typed(obj, "unknown_in_window", int))
-    if _read_count(pairs, "bias", m) != record.bias_count:
+        topic, value, requested, m, _read_count(pairs[0], "model_ratio", m),
+        _read_count(pairs[3], "target_ratio_at_cutoff", m), *pairs[1],
+        _kind("unknown_in_window", unknown, int))
+    if _read_count(pairs[4], "bias", m) != record.bias_count:
         raise ValueError("bias must equal model_ratio - target_ratio_at_cutoff")
-    remainder, remainder_denominator = pairs["rounding_remainder"]
+    remainder, remainder_denominator = pairs[2]
     expected = record.target_numerator * m % record.target_denominator
     if remainder * record.target_denominator != expected * remainder_denominator:
         raise ValueError(f"rounding_remainder does not match target_ratio_raw on the "
                          f"1/{m} grid")
-    for key, (p, q) in pairs.items():
-        if (value := obj[key]["value"]) != p / q or type(value) is not float:
-            raise ValueError(f"{key} value must be {p}/{q} as a float, got {value!r}")
-    return EvaluatedTopic(source=_typed(obj, "source", str),
-                          target_population=_typed(obj, "target_population", int),
+    for key, (p, q), stored in zip(_RECORD_RATIOS, pairs, values):
+        if stored is _ABSENT:
+            raise KeyError("value")
+        if stored != p / q or type(stored) is not float:
+            raise ValueError(f"{key} value must be {p}/{q} as a float, got {stored!r}")
+    return EvaluatedTopic(source=_kind("source", source, str),
+                          target_population=_kind("target_population", population, int),
                           record=record)
+
+
+def _matched_record(match: re.Match[str]) -> EvaluatedTopic:
+    """The EvaluatedTopic of a record line that ``_RECORD_LINE`` matched, its
+    groups converted as json decodes them and its ratios as ``_read_pair``
+    reads them. A line that ``_record_of`` rejects is decoded and read by
+    ``_read_record``, whose error names it."""
+    source, topic, value, requested, m, *ratios, unknown, population = match.groups("1")
+    try:
+        return _record_of(topic, value, int(requested), int(m),
+                          list(zip(map(int, ratios[1::4]), map(int, ratios[2::4]))),
+                          list(map(float, ratios[3::4])), int(unknown), source, int(population))
+    except _MALFORMED:
+        return _read_record(_decode_value(match.group())[0])
 
 
 def _read_skipped(s: dict) -> SkippedTopic:
@@ -886,31 +955,53 @@ def _read_document(cursor: _JsonCursor, path: str
 def _read_records(cursor: _JsonCursor, path: str,
                   held: list[ParseError]) -> list[EvaluatedTopic]:
     """The ``records`` list at the cursor, each entry read as an
-    EvaluatedTopic as soon as it is decoded, so that no entry's dict
-    outlives it. The error of the first entry that ``_read_record`` rejects
-    is appended to ``held``, and the entries after it are read for syntax
-    only."""
+    EvaluatedTopic as soon as it is read, so that no entry's dict outlives
+    it: each match of a batch of ``_RECORD_LINE`` by ``_matched_record``,
+    and any other entry by ``_read_record``. The error of the first entry
+    rejected is appended to ``held``, and the entries after it are read for
+    syntax only."""
     records: list[EvaluatedTopic] = []
-    for entry in _entries(cursor):
-        if not held:
-            try:
+    for entry in _entries(cursor, pattern=_RECORD_LINE):
+        if held:
+            continue
+        try:
+            if type(entry) is tuple:  # a batch of matches
+                for match in entry:
+                    records.append(_matched_record(match))
+            else:
                 records.append(_read_record(entry))
-            except _MALFORMED as exc:
-                held.append(_malformed(exc, path, f"records[{len(records)}]"))
+        except _MALFORMED as exc:
+            held.append(_malformed(exc, path, f"records[{len(records)}]"))
     return records
 
 
 def _walk_scatter_entry(cursor: _JsonCursor) -> tuple[object, int]:
     """The scatter entry at the cursor and the offset where it ends. An object
-    is walked member by member, and its ``points`` list one point at a time,
-    each kept as its ``_stored_point``; anything else is decoded whole."""
+    is walked member by member, and its ``points`` list a batch of
+    ``_POINT_LINE`` matches or one point at a time, each kept as its
+    ``_stored_point``; anything else is decoded whole."""
     if not cursor.at("{"):
         return cursor.read(_scan, cursor.pos)
     entry = {}
     for key in cursor.members((), ""):  # watching no key, it names no path
-        entry[key] = (list(map(_stored_point, _entries(cursor)))
-                      if key == "points" and cursor.at("[") else cursor.value())
+        if key == "points" and cursor.at("["):
+            points = entry[key] = []
+            for point in _entries(cursor, pattern=_POINT_LINE):
+                if type(point) is tuple:  # a batch of matches
+                    points += map(_matched_point, point)
+                else:
+                    points.append(_stored_point(point))
+        else:
+            entry[key] = cursor.value()
     return entry, cursor.pos
+
+
+def _matched_point(match: re.Match[str]) -> tuple:
+    """The ``_stored_point`` of a point line that ``_POINT_LINE`` matched."""
+    topic, x, _, _, x_value, y, _, _, y_value, i, j, dx, dy, on_diagonal, off_grid = (
+        match.groups())
+    return (topic, x, float(x_value), y, float(y_value), int(i), int(j), float(dx),
+            float(dy), on_diagonal == "true", off_grid == "true")
 
 
 def _check_records(payload: dict, records: list[EvaluatedTopic] | None,

@@ -5,16 +5,23 @@ written by ``csv.writer``. They and the dict builders they read are kept
 verbatim, and import from ``biaslens.report`` only its schema and data
 classes, as the reference the text renderers in ``biaslens.report`` must
 agree with, byte for byte. ``unit_open`` is the one-key draw that
-``biaslens._util.unit_open_xy`` must agree with, bit for bit."""
+``biaslens._util.unit_open_xy`` must agree with, bit for bit.
+``parse_report_whole`` is the report reader as it was before the text was
+streamed, the reference the streamed ``biaslens.report.parse_report`` must
+agree with, error for error."""
 
 from __future__ import annotations
 
 import csv
 import io
 import json
+import sys
+from dataclasses import replace
 from typing import Iterable, Sequence
 
+from biaslens import report as live
 from biaslens._util import derive_seed, ratio_str, reduced_str
+from biaslens.errors import ParseError, SchemaVersionError
 from biaslens.metrics import BiasRecord
 from biaslens.report import SCHEMA, EvaluatedTopic, Report, ReportBlock
 
@@ -269,3 +276,111 @@ def report_to_csv_bundle(report: Report) -> dict[str, str]:
             [(t["source"], t["value"], *_cells(b)[:4])
              for t in tables for b in t["unbiased"]["buckets"]]),
     }
+
+
+def _typed_points(scatter: list) -> bool:
+    """Whether a stored scatter section that equals the built one has its
+    types: int cell items, bool flags and float values and offsets. Only
+    numbers and flags can equal a value of another JSON type."""
+    for block in scatter:
+        for p in block["points"]:
+            cell = p["cell"]
+            if not (type(cell[0]) is type(cell[1]) is int
+                    and type(p["on_diagonal"]) is type(p["off_grid"]) is bool
+                    and type(p["x"]["value"]) is type(p["y"]["value"]) is float
+                    and type(p["dx"]) is type(p["dy"]) is float):
+                return False
+    return True
+
+
+def _first_difference(stored: list, built: list) -> int | None:
+    return next((i for i, pair in enumerate(zip(stored, built)) if not live._same(*pair)),
+                None)
+
+
+def _check_section(payload: dict, name: str, report: Report, path: str) -> None:
+    """The stored section ``name`` against the dict entries ``_derived``
+    builds: the scatter with ``==`` and then its number and flag types, the
+    other sections type-strictly as their JSON reads back."""
+    stored = live._read_section(payload, name, path, lambda entry: entry)
+    if name == "scatter":
+        built = _derived("scatter", report.blocks)
+        same = stored == built and _typed_points(stored)
+    else:
+        built = json.loads(json.dumps(_derived(name, report.blocks)))
+        same = live._same(stored, built)
+    if same:
+        return
+    i = _first_difference(stored, built)
+    if i is None:
+        raise ParseError(f"{len(stored)} entries, the records give {len(built)}",
+                         path=path, field=name)
+    points = stored[i].get("points") if name == "scatter" and type(stored[i]) is dict else None
+    j = _first_difference(points, built[i]["points"]) if type(points) is list else None
+    if j is None:
+        raise ParseError("entry differs from the one the records give",
+                         path=path, field=f"{name}[{i}]")
+    block = report.blocks[i]
+    raise ParseError(f"point differs from the one the record {block.source}/"
+                     f"{block.feature_value}/{built[i]['points'][j]['topic']} gives",
+                     path=path, field=f"scatter[{i}].points[{j}]")
+
+
+def parse_report_whole(text: str, path: str = "<report>") -> Report:
+    """``parse_report`` as it was when it decoded the whole text with
+    ``json.loads`` and then walked the tree, with the per-entry readers of
+    ``biaslens.report`` (meta, grid, record and skipped-topic readers). A
+    repeated member, which ``json.loads`` lets the last of win, and an
+    integer too long for ``int()``, which it cannot locate, are outside its
+    reach; the streamed reader raises a located error for each."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", path=path, line=exc.lineno) from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply", path=path) from None
+    except ValueError:  # an integer too long for int()
+        raise ParseError(f"invalid JSON: integer longer than {sys.get_int_max_str_digits()} "
+                         "digits", path=path) from None
+    if type(payload) is not dict:
+        raise ParseError("a report document must be a JSON object", path=path)
+    schema = payload.get("schema")
+    if schema != SCHEMA:
+        raise SchemaVersionError(
+            f"{path}: unsupported schema {schema!r}, expected {SCHEMA!r}")
+    try:
+        meta = live._read_meta(payload["meta"])
+    except live._MALFORMED as exc:
+        raise live._malformed(exc, path, "meta") from None
+    try:
+        meta = replace(meta, exemplar_grid=live._read_grid(live._typed(payload, "tables", list)))
+    except live._MALFORMED as exc:
+        raise live._malformed(exc, path, "tables") from None
+    seen: set[tuple[str, str, str]] = set()
+
+    def read_record(obj: dict) -> EvaluatedTopic:
+        item = live._read_record(obj)
+        key = (item.source, item.record.feature_value, item.record.topic_id)
+        if item.source not in meta.sources or key[1] not in meta.values:
+            raise ValueError(f"source {key[0]!r} and value {key[1]!r} must be listed in meta")
+        if item.record.cutoff_requested != meta.cutoff:
+            raise ValueError(f"cutoff_requested must be meta's cutoff {meta.cutoff}")
+        if key in seen:
+            raise ValueError(f"repeats the record of {'/'.join(key)}")
+        seen.add(key)
+        return item
+
+    records = live._read_section(payload, "records", path, read_record)
+    try:
+        # The rebuild allocates 2 * cutoff + 1 bins per block; the stored bins bound it.
+        histogram = live._typed(payload, "histogram", list)
+        bins = len(live._typed(histogram[0], "bins", list)) if histogram else 0
+        if (histogram or records) and bins != 2 * meta.cutoff + 1:
+            raise ValueError(f"{bins} bins in a block, the cutoff gives {2 * meta.cutoff + 1}")
+    except live._MALFORMED as exc:
+        raise live._malformed(exc, path, "histogram") from None
+    report = live.build_report(meta, records, live._read_section(payload, "skipped", path,
+                                                                 live._read_skipped))
+    for name in ("scatter", "summaries", "histogram", "tables"):
+        _check_section(payload, name, report, path)
+    return report

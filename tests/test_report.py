@@ -6,6 +6,8 @@ import io
 import json
 import os
 import random
+import re
+import sys
 import tempfile
 import tracemalloc
 from fractions import Fraction
@@ -326,6 +328,19 @@ def _json_paths(node, prefix=()):
             yield from _json_paths(child, (*prefix, key))
 
 
+def mutate(payload, data) -> None:
+    """Delete a member of ``payload``, or replace a member or item with a
+    drawn JSON value, at a drawn path."""
+    *parents, last = data.draw(st.sampled_from(list(_json_paths(payload))))
+    holder = payload
+    for step in parents:
+        holder = holder[step]
+    if isinstance(holder, dict) and data.draw(st.booleans()):
+        del holder[last]
+    else:
+        holder[last] = data.draw(JSON_VALUES)
+
+
 def make_meta(**overrides):
     base = dict(seed=20191201, cutoff=10, feature_name="gender",
                 values=("female", "male"), unknown_token="unknown",
@@ -536,15 +551,7 @@ class TestReportDocument:
     @given(data=st.data())
     def test_mutated_documents_parse_or_raise_parse_error(self, data):
         payload = json.loads(MUTATION_BASE)
-        paths = list(_json_paths(payload))
-        *parents, last = data.draw(st.sampled_from(paths))
-        holder = payload
-        for step in parents:
-            holder = holder[step]
-        if isinstance(holder, dict) and data.draw(st.booleans()):
-            del holder[last]
-        else:
-            holder[last] = data.draw(JSON_VALUES)
+        mutate(payload, data)
         try:
             report = parse_report(json.dumps(payload), path="report.json")
         except (ParseError, SchemaVersionError) as exc:
@@ -911,7 +918,103 @@ def windowed(text, window):
         return outcome(io.StringIO(text))
 
 
+def detailed(read, source):
+    """What ``read`` makes of ``source``: the JSON of the report it reads, or
+    its error's class, text, field and line."""
+    try:
+        return report_to_json(read(source, path="report.json"))
+    except (ParseError, SchemaVersionError) as exc:
+        return type(exc), str(exc), getattr(exc, "field", None), getattr(exc, "line", None)
+
+
+def detailed_outcomes(text, window):
+    """``detailed`` of ``parse_report`` from ``text`` and from a handle read
+    through a window of ``window`` characters."""
+    with mock.patch.object(_jsonwalk, "_WINDOW", window):
+        return detailed(parse_report, text), detailed(parse_report, io.StringIO(text))
+
+
+def without_pattern(text, window):
+    """``detailed_outcomes`` with every record and point read by json's scanner."""
+    with mock.patch.object(_jsonwalk, "_batch", lambda pattern, text, pos: ()):
+        return detailed_outcomes(text, window)
+
+
+# The first line of each record and of each scatter point in evaluate's layout.
+_RECORD_OR_POINT = re.compile(r'^(?:    \{"source": "(?:[^"\\\n]|\\.)*", "topic": '
+                              r'|        \{"topic": )', re.M)
+
+
 class TestStreamedReader:
+    @given(base=st.none() | reports(), data=st.data(), twice=st.booleans(),
+           records_first=st.booleans(), layout=st.sampled_from(["one-line", "evaluate",
+                                                               "indented"]),
+           window=st.integers(1, 16))
+    def test_the_reader_reads_as_the_whole_document_reader(self, base, data, twice,
+                                                           records_first, layout, window):
+        """A document of one or two mutations, its records moved first or
+        not, written on one line, in evaluate's layout or indented, reads as
+        ``report_reference.parse_report_whole`` reads it: the same report or
+        the same error, from a text and from a handle."""
+        payload = json.loads(MUTATION_BASE if base is None else report_to_json(base))
+        for _ in range(1 + twice):
+            mutate(payload, data)
+        if records_first and "records" in payload:
+            payload = {"records": payload.pop("records"), **payload}
+        text = {"one-line": lambda: json.dumps(payload, ensure_ascii=False),
+                "evaluate": lambda: report_reference._layout(payload) + "\n",
+                "indented": lambda: json.dumps(payload, indent=2, ensure_ascii=False)}[layout]()
+        expected = detailed(report_reference.parse_report_whole, text)
+        assert detailed_outcomes(text, window) == (expected, expected)
+
+    @given(report=reports(), edit=st.none() | st.tuples(
+        st.integers(0), st.floats(0, 1), st.sampled_from([*'{}[]:,"\\ \n0-1.etf', "\ud800"])),
+        batch=st.integers(1, 400), window=st.integers(1, 16))
+    # Its kb records and points are matched up to the first string with an escape.
+    @example(report=UNBIASED_REPORT, edit=None, batch=90, window=4)
+    @example(report=UNBIASED_REPORT, edit=(0, 0.5, "1"), batch=400, window=16)
+    def test_batches_ending_at_any_offset_read_as_the_scanner_reads(self, report, edit, batch,
+                                                                     window):
+        """With a batch of 1 to 400 characters, so that a batch ends at every
+        offset of a record or point line and of the separator after it, the
+        outcome of evaluate's text, and of that text with one character of a
+        record or point changed, from a text and from a handle, is the one
+        with every record and point read by json's scanner."""
+        text = report_to_json(report)
+        lines = [m.start() for m in _RECORD_OR_POINT.finditer(text)]
+        if edit is not None and lines:
+            line, at, char = edit
+            start = lines[line % len(lines)]
+            at = start + round(at * (text.index("\n", start) - start))
+            text = text[:at] + char + text[at + 1:]
+        expected = without_pattern(text, window)
+        with mock.patch.object(_jsonwalk, "_BATCH", batch):
+            assert detailed_outcomes(text, window) == expected
+
+    def test_the_patterns_read_records_and_points_as_evaluate_writes_them(self, gender):
+        """Evaluate's records and scatter points are read without json's
+        scanner, so the fast path cannot be lost silently."""
+        report = build_report(make_meta(), simulated_corpus(gender, seed=16, topics=40))
+        text = report_to_json(report)
+        scan = mock.Mock(wraps=_jsonwalk._scan)
+        with mock.patch.object(_jsonwalk, "_scan", scan):
+            assert parse_report(text) == parse_report(io.StringIO(text)) == report
+        assert scan.call_count == 0
+
+    @pytest.mark.parametrize("member", ["unknown_in_window", "cutoff_effective",
+                                        "target_population", "cell"])
+    def test_an_integer_too_long_for_int_is_a_located_syntax_error(self, member):
+        """A record's or point's integer that ``int()`` will not convert is
+        json's syntax error at the line of its entry, as the scanner reads it."""
+        digits = "1" * 5000
+        key = f'"{member}": ' + ("[" if member == "cell" else "")
+        at = MUTATION_BASE.index(key) + len(key)
+        text = MUTATION_BASE[:at] + digits + MUTATION_BASE[at:]
+        line = text.count("\n", 0, at) + 1
+        assert outcome(text) == windowed(text, 3) == (
+            f"report.json:{line}: invalid JSON: integer longer than "
+            f"{sys.get_int_max_str_digits()} digits")
+
     @given(report=reports(), indent=st.booleans(), window=st.integers(1, 16))
     @example(report=UNBIASED_REPORT, indent=False, window=1)
     def test_a_handle_read_through_a_window_equals_the_text(self, report, indent, window):
@@ -1030,8 +1133,8 @@ class TestStreamedReader:
 
     def test_the_window_stays_bounded(self, gender):
         """Through a handle, the window holds a few pieces of the text at a
-        time: records and scatter points are read one at a time, and every
-        other member is short."""
+        time: records and scatter points are read a batch at a time, and
+        every other member is short."""
         text = report_to_json(build_report(make_meta(),
                                            simulated_corpus(gender, seed=16, topics=2000)))
         extend, sizes = _jsonwalk._JsonCursor.extend, []

@@ -968,7 +968,7 @@ def test_entries_append_the_separator_to_an_entry_pattern():
     """A pattern with an alternation at its top still takes each entry whole,
     with the separator after it."""
     cursor = _jsonwalk._JsonCursor('[{"a":1}, {"b":2} ,{"a":3}]')
-    pattern = re.compile(r'\{"a":(\d)\}|\{"b":(\d)\}')
+    pattern = r'\{"a":(\d)\}|\{"b":(\d)\}'
     batches = list(_jsonwalk._entries(cursor, pattern=pattern))
     assert [[m.groups() for m in batch] for batch in batches] == [
         [("1", None), (None, "2"), ("3", None)]]
