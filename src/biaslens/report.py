@@ -20,7 +20,7 @@ import math
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain, groupby, islice, repeat
+from itertools import chain, groupby, islice, repeat, zip_longest
 from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence
@@ -36,6 +36,8 @@ SCHEMA = "biaslens-report/1"
 JSON_NAME = "report.json"
 CSV_NAMES = ("summaries.csv", "records.csv", "histogram.csv", "scatter.csv",
              "table_towards.csv", "table_against.csv", "table_unbiased.csv")
+# Exemplar buckets per unit of target ratio, unless a report is given another grid.
+EXEMPLAR_GRID = 10
 
 
 @dataclass(frozen=True)
@@ -129,7 +131,7 @@ class ReportMeta:
     strict: bool
     table_size: int
     sd_divisor: str
-    exemplar_grid: int = 10
+    exemplar_grid: int = EXEMPLAR_GRID
 
 
 @dataclass(frozen=True)
@@ -248,7 +250,7 @@ def _most_biased(records: Sequence[BiasRecord], k: int, grid: int,
 
 def unbiased_exemplars(records: Sequence[BiasRecord],
                        populations: Mapping[str, int],
-                       *, grid: int = 10) -> ExemplarTable:
+                       *, grid: int = EXEMPLAR_GRID) -> ExemplarTable:
     """Pick, per target-ratio bucket, the most populous bias-free topic.
 
     Buckets span the 1/grid steps from 0 to 1 (half-way ratios round away
@@ -342,8 +344,8 @@ def _json_pieces(report: Report) -> list[str]:
 
     Each line of an array of objects is written by its shape's field list,
     which the CSV bundle shares, each ratio object encoded once per distinct
-    (numerator, denominator). A point's line holds its ``_point_values``, in
-    that order, which ``parse_report`` compares.
+    (numerator, denominator). ``parse_report`` writes record and point lines
+    the same way to compare them with the lines it reads.
     """
     meta = report.meta
     grid, exact = _RatioTexts(ratio_str, _JSON_RATIO), _RatioTexts(reduced_str, _JSON_RATIO)
@@ -537,6 +539,11 @@ _GROUPS = {"string": r'"([^"\\\x00-\x1f\ud800-\udfff]*+)"',
 # A record's line: three strings, two integers, five ratios and two integers.
 _RECORD_LINE = _RECORD.pattern(*["string"] * 3, *["integer"] * 2, *["ratio"] * 5,
                                *["integer"] * 2)
+# The groups of a record's line that its EvaluatedTopic is made from: source,
+# topic, value, the two cutoffs, the numerator of model_ratio, both terms of
+# target_ratio_raw, the numerator of target_ratio_at_cutoff, unknown_in_window
+# and target_population.
+_RECORD_GROUPS = (1, 2, 3, 4, 5, 7, 11, 12, 19, 26, 27)
 # A point's line: topic, x, y, cell, dx, dy and the two flags.
 _POINT_LINE = _POINT.pattern("string", "ratio", "ratio", "integer", "integer", "float",
                              "float", "bool", "bool")
@@ -663,16 +670,7 @@ _MALFORMED = (KeyError, TypeError, ValueError, AttributeError, IndexError,
 
 
 def _typed(obj: dict, key: str, kind: type):
-    return _kind(key, obj[key], kind)
-
-
-_ABSENT = object()  # a member that a decoded record lacks
-
-
-def _kind(key: str, value, kind: type):
-    """``value``, the member ``key``, checked to be of type ``kind``."""
-    if value is _ABSENT:
-        raise KeyError(key)
+    value = obj[key]
     if type(value) is not kind:
         raise TypeError(f"{key} must be {kind.__name__}, got {value!r}")
     if kind is str and lone_surrogate(value):
@@ -697,9 +695,9 @@ def _read_pair(obj: dict) -> tuple[int, int]:
     return pair
 
 
-def _read_count(pair: tuple[int, int], key: str, grid: int) -> int:
-    """Numerator on the 1/grid grid of the ratio ``key`` read as ``pair``."""
-    numerator, denominator = pair
+def _read_count(pairs: dict, key: str, grid: int) -> int:
+    """Numerator on the 1/grid grid of the ratio read as ``pairs[key]``."""
+    numerator, denominator = pairs[key]
     count, rest = divmod(numerator * grid, denominator)
     if rest:
         raise ValueError(f"{key} {numerator}/{denominator} is not on the 1/{grid} grid")
@@ -729,9 +727,10 @@ def _read_meta(m: dict) -> ReportMeta:
 
 
 def _read_grid(tables: list) -> int:
-    """The exemplar grid of a stored tables section; 10 when it has no blocks."""
+    """The exemplar grid of a stored tables section; ``EXEMPLAR_GRID`` when it
+    has no blocks."""
     if not tables:
-        return 10
+        return EXEMPLAR_GRID
     unbiased = _typed(tables[0], "unbiased", dict)
     grid = _typed(unbiased, "grid", int)
     # The stored buckets bound the grid, so a forged one cannot make the
@@ -741,63 +740,31 @@ def _read_grid(tables: list) -> int:
     return grid
 
 
-# The ratio objects of a record, in the order of its line.
-_RECORD_RATIOS = ("model_ratio", "target_ratio_raw", "rounding_remainder",
-                  "target_ratio_at_cutoff", "bias")
-
-
 def _read_record(obj: dict) -> EvaluatedTopic:
-    """The EvaluatedTopic of a decoded record, its members type-checked as
-    ``_record_of`` takes them; a member it lacks is passed as ``_ABSENT``."""
+    """The EvaluatedTopic of a decoded record; its checks run in a fixed
+    order, so the first that fails is the one named."""
     m = _typed(obj, "cutoff_effective", int)
-    pairs = [_read_pair(obj[key]) for key in _RECORD_RATIOS]
-    return _record_of(_typed(obj, "topic", str), _typed(obj, "value", str),
-                      _typed(obj, "cutoff_requested", int), m, pairs,
-                      [obj[key].get("value", _ABSENT) for key in _RECORD_RATIOS],
-                      *(obj.get(key, _ABSENT) for key in ("unknown_in_window", "source",
-                                                          "target_population")))
-
-
-def _record_of(topic: str, value: str, requested: int, m: int,
-               pairs: list[tuple[int, int]], values: list, unknown, source,
-               population) -> EvaluatedTopic:
-    """The EvaluatedTopic of a record's members, with its ratio objects'
-    pairs and stored values in ``_RECORD_RATIOS`` order. ``unknown``,
-    ``source`` and ``population`` are type-checked here, among the other
-    checks, so that a record's first failed check is the one named."""
+    pairs = {key: _read_pair(obj[key]) for key in ("model_ratio", "target_ratio_raw",
+             "rounding_remainder", "target_ratio_at_cutoff", "bias")}
+    numerator, denominator = pairs["target_ratio_raw"]
     record = BiasRecord(
-        topic, value, requested, m, _read_count(pairs[0], "model_ratio", m),
-        _read_count(pairs[3], "target_ratio_at_cutoff", m), *pairs[1],
-        _kind("unknown_in_window", unknown, int))
-    if _read_count(pairs[4], "bias", m) != record.bias_count:
+        _typed(obj, "topic", str), _typed(obj, "value", str),
+        _typed(obj, "cutoff_requested", int), m,
+        _read_count(pairs, "model_ratio", m), _read_count(pairs, "target_ratio_at_cutoff", m),
+        numerator, denominator, _typed(obj, "unknown_in_window", int))
+    if _read_count(pairs, "bias", m) != record.bias_count:
         raise ValueError("bias must equal model_ratio - target_ratio_at_cutoff")
-    remainder, remainder_denominator = pairs[2]
+    remainder, remainder_denominator = pairs["rounding_remainder"]
     expected = record.target_numerator * m % record.target_denominator
     if remainder * record.target_denominator != expected * remainder_denominator:
         raise ValueError(f"rounding_remainder does not match target_ratio_raw on the "
                          f"1/{m} grid")
-    for key, (p, q), stored in zip(_RECORD_RATIOS, pairs, values):
-        if stored is _ABSENT:
-            raise KeyError("value")
-        if stored != p / q or type(stored) is not float:
-            raise ValueError(f"{key} value must be {p}/{q} as a float, got {stored!r}")
-    return EvaluatedTopic(source=_kind("source", source, str),
-                          target_population=_kind("target_population", population, int),
+    for key, (p, q) in pairs.items():
+        if (value := obj[key]["value"]) != p / q or type(value) is not float:
+            raise ValueError(f"{key} value must be {p}/{q} as a float, got {value!r}")
+    return EvaluatedTopic(source=_typed(obj, "source", str),
+                          target_population=_typed(obj, "target_population", int),
                           record=record)
-
-
-def _matched_record(match: re.Match[str]) -> EvaluatedTopic:
-    """The EvaluatedTopic of a record line that ``_RECORD_LINE`` matched, its
-    groups converted as json decodes them and its ratios as ``_read_pair``
-    reads them. A line that ``_record_of`` rejects is decoded and read by
-    ``_read_record``, whose error names it."""
-    source, topic, value, requested, m, *ratios, unknown, population = match.groups("1")
-    try:
-        return _record_of(topic, value, int(requested), int(m),
-                          list(zip(map(int, ratios[1::4]), map(int, ratios[2::4]))),
-                          list(map(float, ratios[3::4])), int(unknown), source, int(population))
-    except _MALFORMED:
-        return _read_record(_decode_value(match.group())[0])
 
 
 def _read_skipped(s: dict) -> SkippedTopic:
@@ -838,53 +805,24 @@ def _same(a, b) -> bool:
     return a == b
 
 
-# The members of a stored point, and of its x and y ratio objects.
-_POINT_KEYS = frozenset(("topic", "x", "y", "cell", "dx", "dy", "on_diagonal", "off_grid"))
-_RATIO_KEYS = frozenset(("ratio", "value"))
-
-
-def _point_values(p: ScatterPoint) -> tuple:
-    """The values of a point's JSON line, flat and in its order."""
-    r, m = p.record, p.record.cutoff_effective
-    return (r.topic_id, reduced_str(r.ideal_count, m), r.ideal_count / m,
-            reduced_str(r.model_count, m), r.model_count / m, *p.cell, p.dx, p.dy,
-            p.on_diagonal, p.off_grid)
-
-
-def _stored_point(p: object) -> tuple | None:
-    """The ``_point_values`` of a decoded point that has exactly a point's
-    members, x and y exactly a ratio and a value, and a cell of two items,
-    with their types: int cell items, bool flags and float values and
-    offsets (only numbers and flags can equal a value of another JSON type).
-    None, which no built point equals, for anything else."""
-    if type(p) is not dict or p.keys() != _POINT_KEYS:
-        return None
-    x, y, cell = p["x"], p["y"], p["cell"]
-    if (type(x) is type(y) is dict and x.keys() == y.keys() == _RATIO_KEYS
-            and type(cell) is list and len(cell) == 2
-            and type(cell[0]) is type(cell[1]) is int
-            and type(p["on_diagonal"]) is type(p["off_grid"]) is bool
-            and type(x["value"]) is type(y["value"]) is type(p["dx"]) is type(p["dy"]) is float):
-        return (p["topic"], x["ratio"], x["value"], y["ratio"], y["value"], *cell, p["dx"],
-                p["dy"], p["on_diagonal"], p["off_grid"])
-    return None
-
-
 def _check_scatter(stored: list, report: Report, path: str) -> None:
-    """Compare the stored scatter, each point read as its ``_stored_point``,
-    with the one ``report`` writes, point by point as each built point's
-    ``_point_values`` are made. A ParseError names the first entry that
-    differs and, within it, the first point, and so the record that
-    disagrees."""
+    """Compare the stored scatter, each point kept as its JSON text, with the
+    one ``report`` writes, point by point as each written line is made. A
+    text that is not its written line is decoded and compared with it
+    type-strictly (``_same``), so a point spelled otherwise passes. A
+    ParseError names the first entry that differs and, within it, the first
+    point, and so the record that disagrees."""
+    exact, line, pick = _RatioTexts(reduced_str, _JSON_RATIO), _POINT.json_line, _POINT.json_cells
     for i, (entry, block) in enumerate(zip(stored, report.blocks)):
         points = entry.get("points") if type(entry) is dict else None
         if type(points) is not list:
             raise ParseError("entry differs from the one the records give",
                              path=path, field=f"scatter[{i}]")
-        for j, (point, made) in enumerate(zip(points, map(_point_values, block.scatter))):
-            if point != made:
+        written = (line % pick(c) for c in _point_cells((block,), _string, exact))
+        for j, (point, text, made) in enumerate(zip(points, written, block.scatter)):
+            if point != text and not _same(_decode_value(point)[0], _decode_value(text)[0]):
                 raise ParseError(f"point differs from the one the record {block.source}/"
-                                 f"{block.feature_value}/{made[0]} gives",
+                                 f"{block.feature_value}/{made.record.topic_id} gives",
                                  path=path, field=f"scatter[{i}].points[{j}]")
         if len(points) != len(block.scatter) or entry != {
                 "source": block.source, "value": block.feature_value, "points": points}:
@@ -956,20 +894,36 @@ def _read_records(cursor: _JsonCursor, path: str,
                   held: list[ParseError]) -> list[EvaluatedTopic]:
     """The ``records`` list at the cursor, each entry read as an
     EvaluatedTopic as soon as it is read, so that no entry's dict outlives
-    it: each match of a batch of ``_RECORD_LINE`` by ``_matched_record``,
-    and any other entry by ``_read_record``. The error of the first entry
-    rejected is appended to ``held``, and the entries after it are read for
-    syntax only."""
+    it. A batch of ``_RECORD_LINE`` matches is made into records from their
+    ``_RECORD_GROUPS``, up to the first that BiasRecord rejects, and these
+    are written back as one batch of lines: a match that is not its record's
+    line byte for byte is decoded and read by ``_read_record``, as every
+    other entry is. The error of the first entry rejected is appended to
+    ``held``, and the entries after it are read for syntax only."""
     records: list[EvaluatedTopic] = []
+    grid, exact = _RatioTexts(ratio_str, _JSON_RATIO), _RatioTexts(reduced_str, _JSON_RATIO)
     for entry in _entries(cursor, pattern=_RECORD_LINE):
         if held:
             continue
         try:
-            if type(entry) is tuple:  # a batch of matches
-                for match in entry:
-                    records.append(_matched_record(match))
-            else:
+            if type(entry) is not tuple:
                 records.append(_read_record(entry))
+                continue
+            made = []  # a batch of matches' records, up to one BiasRecord rejects
+            for match in entry:
+                (source, topic, value, requested, m, model, numerator, denominator, ideal,
+                 unknown, population) = match.group(*_RECORD_GROUPS)
+                try:
+                    made.append(EvaluatedTopic(source, int(population), BiasRecord(
+                        topic, value, int(requested), int(m), int(model), int(ideal),
+                        int(numerator), int(denominator or 1), int(unknown))))
+                except ValueError:  # that line and the rest are decoded below
+                    break
+            lines = _RECORD.json(_record_cells(made, _string, grid, exact))
+            for match, item, line in zip_longest(entry, made, lines):
+                if line != _line(match):
+                    item = _read_record(_decode_value(match.group())[0])
+                records.append(item)
         except _MALFORMED as exc:
             held.append(_malformed(exc, path, f"records[{len(records)}]"))
     return records
@@ -978,30 +932,37 @@ def _read_records(cursor: _JsonCursor, path: str,
 def _walk_scatter_entry(cursor: _JsonCursor) -> tuple[object, int]:
     """The scatter entry at the cursor and the offset where it ends. An object
     is walked member by member, and its ``points`` list a batch of
-    ``_POINT_LINE`` matches or one point at a time, each kept as its
-    ``_stored_point``; anything else is decoded whole."""
+    ``_POINT_LINE`` matches or one point at a time, each point kept as its
+    JSON text: a match's line, or what json's scanner read written compactly
+    (``_point_text``). Anything else is decoded whole."""
     if not cursor.at("{"):
         return cursor.read(_scan, cursor.pos)
     entry = {}
     for key in cursor.members((), ""):  # watching no key, it names no path
         if key == "points" and cursor.at("["):
             points = entry[key] = []
-            for point in _entries(cursor, pattern=_POINT_LINE):
+            for point in _entries(cursor, _point_text, _POINT_LINE):
                 if type(point) is tuple:  # a batch of matches
-                    points += map(_matched_point, point)
+                    points += map(_line, point)
                 else:
-                    points.append(_stored_point(point))
+                    points.append(point)
         else:
             entry[key] = cursor.value()
     return entry, cursor.pos
 
 
-def _matched_point(match: re.Match[str]) -> tuple:
-    """The ``_stored_point`` of a point line that ``_POINT_LINE`` matched."""
-    topic, x, _, _, x_value, y, _, _, y_value, i, j, dx, dy, on_diagonal, off_grid = (
-        match.groups())
-    return (topic, x, float(x_value), y, float(y_value), int(i), int(j), float(dx),
-            float(dy), on_diagonal == "true", off_grid == "true")
+def _point_text(cursor: _JsonCursor) -> tuple[str, int]:
+    """The value at the cursor, which json's scanner reads, written back as
+    one compact line, and the offset where it ends. An indented point that
+    evaluate wrote is its line again, and no longer than that."""
+    value, end = cursor.read(_scan, cursor.pos)
+    return _encode(value), end
+
+
+def _line(match: re.Match[str]) -> str:
+    """The entry line of an ``_entries`` pattern match: the match without the
+    separator after it, JSON space and one comma."""
+    return match.group().rstrip(", \t\n\r")
 
 
 def _check_records(payload: dict, records: list[EvaluatedTopic] | None,
@@ -1037,7 +998,9 @@ def parse_report(source: str | IO[str], path: str = "<report>") -> Report:
     ``source`` is the text or a handle, read once through a ``_JsonCursor``
     window as ``parse_sparql_results`` reads an export. Each ``records``
     entry becomes an EvaluatedTopic as it is read, and each ``scatter`` point
-    a flat tuple of its values; every other member is decoded whole. A
+    is kept as its JSON text; every other member is decoded whole. A record
+    or point line that is byte for byte the line evaluate writes is taken
+    as it is; any other is decoded and read as a decoded entry is. A
     syntax error is raised where the walk meets it, and a repeated member at
     its key's line; every other error once the whole text has been read, in
     a fixed order. Only ``meta``, ``records`` and ``skipped`` are read, and

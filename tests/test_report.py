@@ -993,13 +993,41 @@ class TestStreamedReader:
 
     def test_the_patterns_read_records_and_points_as_evaluate_writes_them(self, gender):
         """Evaluate's records and scatter points are read without json's
-        scanner, so the fast path cannot be lost silently."""
+        scanner, and each line is taken as the line written back, never
+        decoded, so the fast path cannot be lost silently."""
         report = build_report(make_meta(), simulated_corpus(gender, seed=16, topics=40))
         text = report_to_json(report)
         scan = mock.Mock(wraps=_jsonwalk._scan)
-        with mock.patch.object(_jsonwalk, "_scan", scan):
+        decode = mock.Mock(wraps=report_module._decode_value)
+        with mock.patch.object(_jsonwalk, "_scan", scan), \
+                mock.patch.object(report_module, "_scan", scan), \
+                mock.patch.object(report_module, "_decode_value", decode):
             assert parse_report(text) == parse_report(io.StringIO(text)) == report
-        assert scan.call_count == 0
+        assert scan.call_count == decode.call_count == 0
+
+    @pytest.mark.parametrize("written, spelled", [
+        ('"model_ratio": {"ratio": "2/4"', '"model_ratio": {"ratio": "1/2"'),
+        ('"model_ratio": {"ratio": "2/4"', '"model_ratio": {"ratio": "200/400"'),
+        ('"target_ratio_raw": {"ratio": "7/20"', '"target_ratio_raw": {"ratio": "14/40"'),
+        ('"model_ratio": {"ratio": "2/4", "value": 0.5}',
+         '"model_ratio": {"ratio": "2/4", "value": 5e-1}'),
+        ('"dx": 0.0031106645419564927', '"dx": 3.1106645419564927e-3'),
+    ], ids=["ratio-reduced", "ratio-off-window", "raw-ratio-unreduced", "value-exponent",
+            "dx-exponent"])
+    def test_a_line_spelled_otherwise_reads_as_evaluate_wrote_it(self, written, spelled):
+        """A record or point line that means what evaluate writes, spelled
+        otherwise, is not the line written back: it is decoded and read as
+        any other entry is, to the report of evaluate's text, from the text
+        and through a handle. A model ratio whose numerator is off the
+        window is one that BiasRecord rejects before the text compare."""
+        assert written in MUTATION_BASE
+        text = MUTATION_BASE.replace(written, spelled, 1)
+        decode = mock.Mock(wraps=report_module._decode_value)
+        expected = parse_report(MUTATION_BASE)
+        with mock.patch.object(report_module, "_decode_value", decode):
+            assert outcome(text) == outcome(io.StringIO(text)) == expected
+        assert decode.call_count >= 2  # in each of the two reads
+        assert windowed(text, 3) == expected  # a window shorter than a line: the scanner
 
     @pytest.mark.parametrize("member", ["unknown_in_window", "cutoff_effective",
                                         "target_population", "cell"])
@@ -1089,7 +1117,7 @@ class TestStreamedReader:
     ], ids=["extra-key", "missing-key", "x-extra-key", "x-missing-key", "y-extra-key",
             "y-missing-key", "cell-of-1", "cell-of-3", "null", "list"])
     def test_a_point_of_another_shape_is_named(self, i, j, record, tamper):
-        """A point that its flat tuple cannot hold is named as when the
+        """A point of another shape, kept as its text, is named as when the
         scatter was decoded whole."""
         payload = json.loads(MUTATION_BASE)
         points = payload["scatter"][i]["points"]
@@ -1159,10 +1187,10 @@ class TestStreamedReader:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # About 1.6 times the text's size, with each scatter point kept as a
-        # flat tuple; 2.8 times with the scatter decoded whole, and 6.2 times
-        # with the text and its whole json.loads tree, as
-        # parse_report(handle.read()) held them.
+        # About 1.7 times the text's size, with each scatter point kept as its
+        # JSON text (1.6 as a flat tuple of its values); 2.8 times with the
+        # scatter decoded whole, and 6.2 times with the text and its whole
+        # json.loads tree, as parse_report(handle.read()) held them.
         assert peak < 2 * len(text)
 
 
