@@ -295,8 +295,13 @@ def build_report(meta: ReportMeta, evaluated: Sequence[EvaluatedTopic],
 
     Blocks exist per (source, value) pair that produced at least one record.
     All orderings are fixed (sources and topics sorted, values in scheme
-    order) so the result is independent of evaluation order.
+    order) so the result is independent of evaluation order. A record that
+    ``parse_report`` would reject against ``meta`` (a source or value meta
+    does not list, another cutoff, a repeated record) is a ValueError.
     """
+    seen: set[tuple[str, str, str]] = set()
+    for item in evaluated:
+        _check_record(item, meta, seen)
     evaluated = tuple(sorted(
         evaluated, key=lambda e: (e.source, e.record.feature_value, e.record.topic_id)))
     blocks = tuple(
@@ -805,56 +810,50 @@ def _same(a, b) -> bool:
     return a == b
 
 
-def _check_scatter(stored: list, report: Report, path: str) -> None:
-    """Compare the stored scatter, each point kept as its JSON text, with the
-    one ``report`` writes, point by point as each written line is made. A
-    text that is not its written line is decoded and compared with it
-    type-strictly (``_same``), so a point spelled otherwise passes. A
-    ParseError names the first entry that differs and, within it, the first
-    point, and so the record that disagrees."""
-    exact, line, pick = _RatioTexts(reduced_str, _JSON_RATIO), _POINT.json_line, _POINT.json_cells
-    for i, (entry, block) in enumerate(zip(stored, report.blocks)):
-        points = entry.get("points") if type(entry) is dict else None
-        if type(points) is not list:
-            raise ParseError("entry differs from the one the records give",
-                             path=path, field=f"scatter[{i}]")
-        written = (line % pick(c) for c in _point_cells((block,), _string, exact))
-        for j, (point, text, made) in enumerate(zip(points, written, block.scatter)):
-            if point != text and not _same(_decode_value(point)[0], _decode_value(text)[0]):
-                raise ParseError(f"point differs from the one the record {block.source}/"
-                                 f"{block.feature_value}/{made.record.topic_id} gives",
-                                 path=path, field=f"scatter[{i}].points[{j}]")
-        if len(points) != len(block.scatter) or entry != {
-                "source": block.source, "value": block.feature_value, "points": points}:
-            raise ParseError("entry differs from the one the records give",
-                             path=path, field=f"scatter[{i}]")
-    if len(stored) != len(report.blocks):
-        raise ParseError(f"{len(stored)} entries, the records give {len(report.blocks)}",
-                         path=path, field="scatter")
+def _same_scatter_entry(entry, block: ReportBlock, field: str, path: str,
+                        exact: _RatioTexts) -> bool:
+    """Whether the stored scatter ``entry``, each point kept as its JSON text,
+    is the one ``block`` writes, compared point by point as each written line
+    is made. A text that is not its written line is decoded and compared with
+    it type-strictly (``_same``), so a point spelled otherwise passes; a point
+    that differs is a ParseError that names it within ``field``, and so the
+    record that disagrees."""
+    points = entry.get("points") if type(entry) is dict else None
+    if type(points) is not list:
+        return False
+    line, pick = _POINT.json_line, _POINT.json_cells
+    written = (line % pick(c) for c in _point_cells((block,), _string, exact))
+    for j, (point, text, made) in enumerate(zip(points, written, block.scatter)):
+        if point != text and not _same(_decode_value(point)[0], _decode_value(text)[0]):
+            raise ParseError(f"point differs from the one the record {block.source}/"
+                             f"{block.feature_value}/{made.record.topic_id} gives",
+                             path=path, field=f"{field}.points[{j}]")
+    return len(points) == len(block.scatter) and entry == {
+        "source": block.source, "value": block.feature_value, "points": points}
 
 
 def _check_section(payload: dict, name: str, report: Report, path: str) -> None:
     """Compare the stored section ``name`` with the one ``report`` writes,
-    type-strictly: 0, 0.0 and false differ. A ParseError names the first
-    entry that differs. The scatter, one point per record, is compared by
-    ``_check_scatter``; the other sections are compared with their written
-    JSON as it reads back."""
+    entry by entry and type-strictly: 0, 0.0 and false differ. A scatter
+    entry is compared with its block by ``_same_scatter_entry``; an entry of
+    any other section with its written JSON as it reads back. A ParseError
+    names the first entry that differs, or else a count that differs."""
     stored = _read_section(payload, name, path, lambda entry: entry)
+    exact = _RatioTexts(reduced_str, _JSON_RATIO)
     if name == "scatter":
-        _check_scatter(stored, report, path)
-        return
-    written = {"summaries": _summaries, "histogram": _histogram, "tables": _tables}[name]
-    pieces: list[str] = []
-    _layout(written(report.blocks), pieces, "  ")
-    built = json.loads("".join(pieces))
-    if _same(stored, built):
-        return
-    i = next((i for i, pair in enumerate(zip(stored, built)) if not _same(*pair)), None)
-    if i is None:
-        raise ParseError(f"{len(stored)} entries, the records give {len(built)}",
+        written, same = report.blocks, _same_scatter_entry
+    else:
+        pieces: list[str] = []
+        sections = {"summaries": _summaries, "histogram": _histogram, "tables": _tables}
+        _layout(sections[name](report.blocks), pieces, "  ")
+        written, same = json.loads("".join(pieces)), lambda entry, made, *_: _same(entry, made)
+    for i, (entry, made) in enumerate(zip(stored, written)):
+        if not same(entry, made, f"{name}[{i}]", path, exact):
+            raise ParseError("entry differs from the one the records give",
+                             path=path, field=f"{name}[{i}]")
+    if len(stored) != len(written):
+        raise ParseError(f"{len(stored)} entries, the records give {len(written)}",
                          path=path, field=name)
-    raise ParseError("entry differs from the one the records give",
-                     path=path, field=f"{name}[{i}]")
 
 
 # The members of a report document; any of them that comes twice is an error.
@@ -933,30 +932,23 @@ def _walk_scatter_entry(cursor: _JsonCursor) -> tuple[object, int]:
     """The scatter entry at the cursor and the offset where it ends. An object
     is walked member by member, and its ``points`` list a batch of
     ``_POINT_LINE`` matches or one point at a time, each point kept as its
-    JSON text: a match's line, or what json's scanner read written compactly
-    (``_point_text``). Anything else is decoded whole."""
+    JSON text: a match's line, or what json's scanner read written back as
+    one compact line, which for an indented point that evaluate wrote is its
+    line again. Anything else is decoded whole."""
     if not cursor.at("{"):
         return cursor.read(_scan, cursor.pos)
     entry = {}
     for key in cursor.members((), ""):  # watching no key, it names no path
         if key == "points" and cursor.at("["):
             points = entry[key] = []
-            for point in _entries(cursor, _point_text, _POINT_LINE):
+            for point in _entries(cursor, pattern=_POINT_LINE):
                 if type(point) is tuple:  # a batch of matches
                     points += map(_line, point)
                 else:
-                    points.append(point)
+                    points.append(_encode(point))
         else:
             entry[key] = cursor.value()
     return entry, cursor.pos
-
-
-def _point_text(cursor: _JsonCursor) -> tuple[str, int]:
-    """The value at the cursor, which json's scanner reads, written back as
-    one compact line, and the offset where it ends. An indented point that
-    evaluate wrote is its line again, and no longer than that."""
-    value, end = cursor.read(_scan, cursor.pos)
-    return _encode(value), end
 
 
 def _line(match: re.Match[str]) -> str:
@@ -977,19 +969,26 @@ def _check_records(payload: dict, records: list[EvaluatedTopic] | None,
         if records is None:
             _typed(payload, "records", list)  # absent or not a list: raises
         for index, item in enumerate(records):
-            key = (item.source, item.record.feature_value, item.record.topic_id)
-            if item.source not in meta.sources or key[1] not in meta.values:
-                raise ValueError(f"source {key[0]!r} and value {key[1]!r} must be listed in "
-                                 "meta")
-            if item.record.cutoff_requested != meta.cutoff:
-                raise ValueError(f"cutoff_requested must be meta's cutoff {meta.cutoff}")
-            if key in seen:
-                raise ValueError(f"repeats the record of {'/'.join(key)}")
-            seen.add(key)
+            _check_record(item, meta, seen)
     except _MALFORMED as exc:
         raise _malformed(exc, path, "records" if index is None else f"records[{index}]") from None
     if held is not None:
         raise held
+
+
+def _check_record(item: EvaluatedTopic, meta: ReportMeta,
+                  seen: set[tuple[str, str, str]]) -> None:
+    """Raise a ValueError unless ``item``'s source and value are listed in
+    ``meta``, its cutoff is meta's, and its (source, value, topic) is not in
+    ``seen``, the keys of the records checked before it; then add that key."""
+    key = (item.source, item.record.feature_value, item.record.topic_id)
+    if item.source not in meta.sources or key[1] not in meta.values:
+        raise ValueError(f"source {key[0]!r} and value {key[1]!r} must be listed in meta")
+    if item.record.cutoff_requested != meta.cutoff:
+        raise ValueError(f"cutoff_requested must be meta's cutoff {meta.cutoff}")
+    if key in seen:
+        raise ValueError(f"repeats the record of {'/'.join(key)}")
+    seen.add(key)
 
 
 def parse_report(source: str | IO[str], path: str = "<report>") -> Report:

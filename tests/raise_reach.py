@@ -7,9 +7,9 @@ Every ``raise`` statement in ``src/biaslens`` whose exception is a
 then runs in this process under a ``sys.monitoring`` line hook (Python 3.12
 and later; standard library only), which records each line of the package
 the first time it runs. A raise is reached when one of its lines ran. The
-script exits 1 and names each raise that was not, unless ``EXEMPT`` lists
-it, and each exemption that has gone stale; it exits with pytest's status
-when the suite itself fails.
+script exits 1 and names each raise that was not; none is exempt, so each
+needs a test, through the CLI, a reader or the public API. It exits with
+pytest's status when the suite itself fails.
 """
 
 from __future__ import annotations
@@ -22,21 +22,6 @@ from pathlib import Path
 import pytest
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "biaslens"
-
-# Raises that no input to the CLI or the readers reaches, by file, enclosing
-# function and a piece of the raised expression: invariants of the public
-# metrics API, whose callers in the package check the same before they call.
-EXEMPT = {
-    ("metrics.py", "FeatureScheme.__post_init__", "feature_name must be non-empty"),
-    ("metrics.py", "FeatureScheme.__post_init__", "has an empty value"),
-    ("metrics.py", "RankedRun.__post_init__", "run has an empty topic_id"),
-    ("metrics.py", "TargetCounts.__post_init__", "negative unknown count"),
-    ("metrics.py", "BiasSummary.__post_init__", "summary requires at least one record"),
-    ("metrics.py", "_labeled_total", "is not declared"),
-    ("metrics.py", "simulate_run", "window length"),
-    ("metrics.py", "simulate_run", "outside [0, 1]"),
-    ("metrics.py", "simulate_run", "population"),
-}
 
 
 def error_classes(modules: dict[str, ast.Module]) -> set[str]:
@@ -104,24 +89,14 @@ def main(args: list[str]) -> int:
     status, ran = run_suite(args)
     if status:
         return status
-    unreached, used = [], set()
-    for file, scope, node in raises:
-        if any((file, number) in ran for number in range(node.lineno, node.end_lineno + 1)):
-            continue
-        text = ast.unparse(node.exc)
-        exempt = {entry for entry in EXEMPT if entry[:2] == (file, scope) and entry[2] in text}
-        used |= exempt
-        if not exempt:
-            unreached.append((file, scope, node))
-    stale = EXEMPT - used  # its raise is reached now, or no raise matches it
+    unreached = [(file, scope, node) for file, scope, node in raises
+                 if not any((file, number) in ran
+                            for number in range(node.lineno, node.end_lineno + 1))]
     for file, scope, node in unreached:
         print(f"src/biaslens/{file}:{node.lineno}: in {scope or 'the module'}, "
               f"no test reaches: raise {ast.unparse(node.exc)[:80]}")
-    for entry in sorted(stale):
-        print(f"stale exemption, reached or matching no raise: {entry}")
-    print(f"{len(raises)} located raises, {len(unreached)} not reached, "
-          f"{len(used)} exempt")
-    return 1 if unreached or stale else 0
+    print(f"{len(raises)} located raises, {len(unreached)} not reached")
+    return 1 if unreached else 0
 
 
 if __name__ == "__main__":

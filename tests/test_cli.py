@@ -430,6 +430,28 @@ def test_simulate_infeasible_rows_reported(tmp_path, capsys):
     assert not (out / "runs.tsv").exists()
 
 
+def test_simulate_rows_simulate_run_rejects_are_located(tmp_path, capsys):
+    plan = write(tmp_path / "plan.tsv",
+                 "t1\t1/2\t0\t0\nt2\t3/2\t0\t10\nt3\t1/2\t0\t10\t0\n")
+    args = ["simulate", plan, "--feature", "gender", "--values", "female,male",
+            "--out", str(tmp_path / "fixtures")]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == (
+        f"error: {plan}:1: topic 't1': window length 0 < 1\n"
+        f"error: {plan}:2: topic 't2': target ratio 3/2 outside [0, 1]\n"
+        f"error: {plan}:3: topic 't3': population 0 < 1\n")
+    assert not (tmp_path / "fixtures").exists()
+
+
+def test_an_empty_value_in_the_scheme_exits_1(tmp_path, capsys):
+    plan = write(tmp_path / "plan.tsv", "t1\t1/2\t0\t10\n")
+    args = ["simulate", plan, "--feature", "gender", "--values", "female,,male",
+            "--out", str(tmp_path / "fixtures")]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == "error: scheme 'gender' has an empty value\n"
+    assert not (tmp_path / "fixtures").exists()
+
+
 def test_simulate_plan_row_of_the_wrong_width_is_located(tmp_path, capsys):
     plan = write(tmp_path / "plan.tsv", "good\t1/2\t0\t10\nshort\t1/2\t0\n")
     args = ["simulate", plan, "--feature", "gender", "--values", "female,male",

@@ -51,11 +51,19 @@ class TestFeatureScheme:
         with pytest.raises(SchemeViolationError):
             FeatureScheme("gender", ("female", "male"), unknown_token="male")
 
+    def test_rejects_an_empty_feature_name(self):
+        with pytest.raises(SchemeViolationError, match="^feature_name must be non-empty$"):
+            FeatureScheme("", ("female", "male"))
+
 
 class TestRankedRun:
     def test_rejects_empty(self):
         with pytest.raises(EmptyRunError):
             RankedRun(topic_id="t", entries=())
+
+    def test_rejects_an_empty_topic_id(self):
+        with pytest.raises(EmptyRunError, match="^run has an empty topic_id$"):
+            RankedRun(topic_id="", entries=("a",))
 
     def test_rejects_duplicates(self):
         with pytest.raises(SchemeViolationError):
@@ -113,6 +121,19 @@ class TestTargetRatio:
         with pytest.raises(EmptyPopulationError):
             TargetCounts(topic_id="t", feature_name="gender",
                          counts={"female": -1, "male": 2})
+
+    def test_negative_unknown_count_rejected(self, gender):
+        with pytest.raises(EmptyPopulationError, match="^topic 't': negative unknown count$"):
+            TargetCounts(topic_id="t", feature_name="gender",
+                         counts={"female": 1, "male": 2}, unknown_count=-1)
+
+    def test_counted_value_the_scheme_does_not_declare_rejected(self, gender):
+        run, labels = support.window_fixture(gender, "t", "female", 3, 10)
+        counts = TargetCounts(topic_id="t", feature_name="gender",
+                              counts={"female": 1, "nonbinary": 1})
+        with pytest.raises(SchemeViolationError, match="^topic 't': counted value "
+                           "'nonbinary' is not declared for feature 'gender'$"):
+            measure_topic(run, labels, counts, 10)
 
 
 def window_record(run, labels, n, *, strict=False):
@@ -398,6 +419,12 @@ class TestAggregate:
                    support.grid_record("t2", "male", 10, 5, 5)]
         with pytest.raises(ValueError, match="male"):
             aggregate(records, "female", "kb")
+
+    def test_summary_of_no_topics_rejected(self):
+        with pytest.raises(EmptyAggregateError, match="^summary requires at least one record$"):
+            BiasSummary(feature_value="female", target_source="kb", topic_count=0,
+                        mean_bias=F(0), stdev_bias=0.0, mean_abs_bias=F(0),
+                        min_bias=F(0), max_bias=F(0))
 
     def test_summary_invariants_enforced(self):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ import re
 import sys
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -610,6 +611,8 @@ class TestReportDocument:
         ("meta", lambda p: p["meta"].update(evaluation=5)),
         ("tables", lambda p: p["tables"][0]["unbiased"].update(grid=0, buckets=[{}])),
         ("tables", lambda p: p["tables"][0]["unbiased"].update(grid=10**9)),
+        ("records", lambda p: p.pop("records")),
+        ("records", lambda p: p.update(records={})),
     ])
     def test_inconsistent_records_and_meta_name_the_field(self, field, tamper):
         payload = json.loads(MUTATION_BASE)
@@ -617,6 +620,20 @@ class TestReportDocument:
         with pytest.raises(ParseError) as err:
             parse_report(json.dumps(payload), path="report.json")
         assert err.value.field == field
+
+    # Each is a record that parse_report rejects at records[i] with this message.
+    @pytest.mark.parametrize("message, cutoff, change", [
+        ("source 'zz' and value 'female' must be listed in meta", 4,
+         lambda items: [replace(items[0], source="zz"), *items[1:]]),
+        ("repeats the record of kb/female/t000", 4, lambda items: [*items, items[0]]),
+        ("cutoff_requested must be meta's cutoff 5", 5, lambda items: items),
+    ])
+    def test_build_report_rejects_a_record_parse_report_rejects(self, message, cutoff,
+                                                                change):
+        evaluated = change(simulated_corpus(support.GENDER, seed=8, topics=3, m=4))
+        with pytest.raises(ValueError) as err:
+            build_report(make_meta(cutoff=cutoff, table_size=2), evaluated)
+        assert str(err.value) == message
 
     @staticmethod
     def _set_cutoff(payload, cutoff):
@@ -637,6 +654,11 @@ class TestReportDocument:
         ("histogram", "9 bins in a block, the cutoff gives 2000001",
          lambda p: TestReportDocument._set_cutoff(p, 10**6)),
         ("histogram", "0 bins in a block", lambda p: p.update(histogram=[])),
+        ("records[0]", "ratio '1/0' has a non-positive denominator",
+         lambda p: p["records"][0]["target_ratio_raw"].update(ratio="1/0")),
+        ("meta", "values and sources must be lists of strings",
+         lambda p: p["meta"]["values"].append(3)),
+        ("meta", "cutoff and table_size must be >= 1", lambda p: p["meta"].update(cutoff=0)),
     ])
     def test_stored_values_and_cutoffs_must_agree(self, field, message, tamper):
         payload = json.loads(MUTATION_BASE)
@@ -1078,6 +1100,12 @@ class TestStreamedReader:
         assert err.value.msg == "Expecting value"
         expected = f"report.json:{err.value.lineno}: invalid JSON: Expecting value"
         assert outcome(text) == windowed(text, 3) == expected
+
+    def test_a_text_that_starts_with_a_byte_order_mark_is_a_located_error(self):
+        with pytest.raises(ParseError) as err:
+            parse_report("\ufeff" + MUTATION_BASE, path="report.json")
+        assert str(err.value) == ("report.json:1: invalid JSON: Unexpected UTF-8 BOM "
+                                  "(decode using utf-8-sig)")
 
     @pytest.mark.parametrize("member", ["schema", "meta", "records", "scatter", "skipped"])
     def test_a_repeated_member_is_a_located_error(self, member):

@@ -178,6 +178,13 @@ def test_tsv_literal_suffixes_stripped():
     assert label_rows(extraction) == (("Q1", "female"),)
 
 
+def test_tsv_unbracketed_iri_shortens():
+    text = '?topic\t?entity\t?value\n"poet"\thttps://x/e/Q1\t"female"\n'
+    extraction = parse_sparql_results(text)
+    assert extraction.members.members == {"poet": ("Q1",)}
+    assert label_rows(extraction) == (("Q1", "female"),)
+
+
 def test_custom_variable_names():
     export = json_export(
         [(literal("poet"), uri("http://x/Q1"), literal("male"))],
@@ -999,6 +1006,18 @@ def test_a_binding_longer_than_a_batch_is_read_by_the_pattern():
     assert scans == 0
     assert outcome == whole_document(text)
     assert outcome.members.members == {"poet": ("Q2", "Q3")}
+
+
+def test_a_variable_name_the_pattern_cannot_hold_sends_every_binding_to_the_scanner():
+    variables = ('to"pic', "entity", "value")
+    assert ingest._plain_binding(variables, False) is None
+    rows = [(uri("http://x/poet"), uri("http://x/Q1"), literal("male")),
+            (uri("http://x/poet"), uri("http://x/Q2"), literal("female"))]
+    scan = mock.Mock(wraps=_jsonwalk._scan)
+    with mock.patch.object(_jsonwalk, "_scan", scan):
+        outcome = parse_sparql_results(json_export(rows, variables), topic_var='to"pic')
+    assert scan.call_count == 2
+    assert outcome == parse_sparql_results(json_export(rows))
 
 
 @pytest.mark.parametrize("variables", [
