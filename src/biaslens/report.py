@@ -302,6 +302,7 @@ def build_report(meta: ReportMeta, evaluated: Sequence[EvaluatedTopic],
     seen: set[tuple[str, str, str]] = set()
     for item in evaluated:
         _check_record(item, meta, seen)
+    del seen  # a tuple per record: freed before the blocks are built
     evaluated = tuple(sorted(
         evaluated, key=lambda e: (e.source, e.record.feature_value, e.record.topic_id)))
     blocks = tuple(
