@@ -960,10 +960,10 @@ def _line(match: re.Match[str]) -> str:
 
 def _check_records(payload: dict, records: list[EvaluatedTopic] | None,
                    held: ParseError | None, meta: ReportMeta, path: str) -> None:
-    """Check each record read against ``meta``, in order: its source and
-    value are listed, its cutoff is meta's, and it comes once. A ParseError
-    names the first record that fails, this or the held read error; with no
-    records read, ``payload`` holds no ``records`` list, which is named."""
+    """Check each record read against ``meta`` by ``_check_record``, in order.
+    A ParseError names the first record that fails, this or the held read
+    error; with no records read, ``payload`` holds no ``records`` list, which
+    is named."""
     seen: set[tuple[str, str, str]] = set()
     index = None
     try:
@@ -980,8 +980,7 @@ def _check_records(payload: dict, records: list[EvaluatedTopic] | None,
 def _check_record(item: EvaluatedTopic, meta: ReportMeta,
                   seen: set[tuple[str, str, str]]) -> None:
     """Raise a ValueError unless ``item``'s source and value are listed in
-    ``meta``, its cutoff is meta's, and its (source, value, topic) is not in
-    ``seen``, the keys of the records checked before it; then add that key."""
+    ``meta``, its cutoff is meta's and its key is not in ``seen``; add it."""
     key = (item.source, item.record.feature_value, item.record.topic_id)
     if item.source not in meta.sources or key[1] not in meta.values:
         raise ValueError(f"source {key[0]!r} and value {key[1]!r} must be listed in meta")
